@@ -66,6 +66,45 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
+/// The non-zero buckets of an embedding as `(bucket, value)` pairs, in
+/// ascending bucket order — the operand of [`sparse_dot`].
+pub fn nonzero_buckets(v: &[f32]) -> Vec<(usize, f32)> {
+    v.iter()
+        .enumerate()
+        .filter(|&(_, &x)| x != 0.0)
+        .map(|(i, &x)| (i, x))
+        .collect()
+}
+
+/// [`cosine`] of a dense embedding and a sparse one (from
+/// [`nonzero_buckets`]), touching only the sparse side's buckets.
+///
+/// Bit-identical to `cosine(dense, sparse_as_dense)` when both vectors
+/// are finite, non-negative and [`EMBED_DIM`] long, as every embedding
+/// [`embed`] returns is. Every product `cosine` adds that this skips is
+/// `+0.0`, and adding `+0.0` to a sum that is already `≥ +0.0` leaves it
+/// unchanged; the products both add come in the same ascending bucket
+/// order. The accumulator starts at `+0.0`, not the `-0.0` that
+/// `f32: Sum` starts from, so vectors that share no bucket give `+0.0`
+/// like `cosine` does.
+pub fn sparse_dot(sparse: &[(usize, f32)], dense: &[f32]) -> f32 {
+    sparse_dots(sparse, [dense])[0]
+}
+
+/// [`sparse_dot`] of one sparse embedding against `N` dense ones at
+/// once. Each lane is its own sum, in the same order, so each equals
+/// the single [`sparse_dot`] bit for bit; computing them together only
+/// overlaps their add latencies.
+pub(crate) fn sparse_dots<const N: usize>(sparse: &[(usize, f32)], dense: [&[f32]; N]) -> [f32; N] {
+    let mut sums = [0.0f32; N];
+    for &(i, x) in sparse {
+        for (sum, d) in sums.iter_mut().zip(dense) {
+            *sum += d[i] * x;
+        }
+    }
+    sums
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

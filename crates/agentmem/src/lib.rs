@@ -7,7 +7,8 @@
 //!
 //! * [`mod@embed`] — feature-hashed bag-of-words embeddings with cosine
 //!   similarity (a deterministic, dependency-free stand-in for a
-//!   sentence-embedding model).
+//!   sentence-embedding model), plus a sparse dot over one side's
+//!   non-zero buckets that is bit-identical to it.
 //! * [`entry`] — the knowledge entry record, with provenance (source
 //!   URL and kind) so the evaluation can audit where conclusions came
 //!   from, as §4.2 of the paper does.
@@ -32,7 +33,7 @@ pub mod persist;
 pub mod provenance;
 pub mod store;
 
-pub use embed::{cosine, embed, EMBED_DIM};
+pub use embed::{cosine, embed, nonzero_buckets, sparse_dot, EMBED_DIM};
 pub use entry::KnowledgeEntry;
 pub use graph::{ClaimGraph, ClaimNode, GraphConfig, GraphStats, HostStats};
 pub use persist::{load_bytes_with_backup, load_with_backup, save_atomic, save_atomic_bytes};

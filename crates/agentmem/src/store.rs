@@ -10,7 +10,7 @@
 //! off, retrieval scoring, `knowledge.json` bytes, and therefore quiz
 //! answers are byte-identical to the flat-store path.
 
-use crate::embed::{cosine, embed};
+use crate::embed::{cosine, embed, nonzero_buckets, sparse_dot, sparse_dots};
 use crate::entry::KnowledgeEntry;
 use crate::graph::{ClaimGraph, GraphConfig, GraphStats, HostStats};
 use crate::provenance::{split_url, SourceRef};
@@ -125,6 +125,73 @@ struct Inner {
     entries: Vec<KnowledgeEntry>,
     next_id: u64,
     graph: ClaimGraph,
+}
+
+/// One entry's state during a [`KnowledgeStore::retrieve`] selection.
+struct Candidate {
+    /// Base retrieval score (before the diversity penalty).
+    score: f64,
+    id: u64,
+    /// Position in `Inner::entries`.
+    index: usize,
+    /// Max cosine to the first `folded` selected entries.
+    max_sim: f64,
+    folded: usize,
+    taken: bool,
+}
+
+/// The base order of retrieval: score desc, id asc. The entry position
+/// breaks ties between duplicate ids (a loaded file may hold them) as a
+/// stable sort by score and id would.
+fn base_order(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
+    b.score
+        .total_cmp(&a.score)
+        .then(a.id.cmp(&b.id))
+        .then(a.index.cmp(&b.index))
+}
+
+/// Sort the `want` candidates that come next in the base order into
+/// place after the sorted prefix `candidates[..sorted]`, leaving every
+/// later candidate after them. Returns the new prefix length.
+fn sort_more(candidates: &mut [Candidate], sorted: usize, want: usize) -> usize {
+    let rest = &mut candidates[sorted..];
+    let m = want.min(rest.len());
+    if m < rest.len() {
+        rest.select_nth_unstable_by(m, base_order);
+    }
+    rest[..m].sort_unstable_by(base_order);
+    sorted + m
+}
+
+/// Candidates whose max similarities are brought up to date together.
+const LANES: usize = 4;
+
+/// Bring the `max_sim` of the candidates at `lanes` (positions, maybe
+/// repeated) up to date: each folds in the selected entries it has not
+/// seen yet, in selection order.
+fn fold_selected(
+    candidates: &mut [Candidate],
+    lanes: [usize; LANES],
+    selected: &[Vec<(usize, f32)>],
+    entries: &[KnowledgeEntry],
+) {
+    let from = lanes
+        .iter()
+        .map(|&p| candidates[p].folded)
+        .min()
+        .unwrap_or_default();
+    let dense = lanes.map(|p| entries[candidates[p].index].embedding.as_slice());
+    for (j, s) in selected.iter().enumerate().skip(from) {
+        for (&p, sim) in lanes.iter().zip(sparse_dots(s, dense)) {
+            let c = &mut candidates[p];
+            if c.folded <= j {
+                c.max_sim = c.max_sim.max(sim as f64);
+            }
+        }
+    }
+    for p in lanes {
+        candidates[p].folded = selected.len();
+    }
 }
 
 impl KnowledgeStore {
@@ -253,18 +320,16 @@ impl KnowledgeStore {
 
         if inner.entries.len() > self.config.capacity {
             // Evict the entry with the lowest standing value
-            // (importance + recency), never the one just added.
+            // (importance + recency, computed once per entry; the first
+            // minimum wins), never the one just added.
             let newest = inner.entries.len() - 1;
             let now = learned_at;
             let weights = self.config.weights;
-            let victim = inner
-                .entries
+            let victim = inner.entries[..newest]
                 .iter()
+                .map(|e| standing(e, now, &weights))
                 .enumerate()
-                .take(newest)
-                .min_by(|(_, a), (_, b)| {
-                    standing(a, now, &weights).total_cmp(&standing(b, now, &weights))
-                })
+                .min_by(|(_, a), (_, b)| a.total_cmp(b))
                 .map(|(i, _)| i);
             if let Some(i) = victim {
                 let evicted = inner.entries.remove(i);
@@ -286,62 +351,120 @@ impl KnowledgeStore {
     /// `corroboration_weight × entry_support` — the graph activation of
     /// its claims (query matches plus strong co-occurrence neighbors)
     /// weighted by how many *distinct hosts* corroborate each claim.
+    ///
+    /// The result is exactly that of the plain greedy loop: at every
+    /// step, rescan all remaining entries in the base order (score desc,
+    /// id asc) for the greatest `score − diversity × max_sim`, where
+    /// `max_sim` is the `f64::max` fold from `0.0` of the entry's
+    /// [`cosine`] to each selected entry, and let the *last* maximum
+    /// win ties (`Iterator::max_by`). This loop does far less work:
+    ///
+    /// - **Cached max.** Each candidate keeps its `max_sim` and folds in
+    ///   only the entries selected since it was last examined — the
+    ///   same fold over the same values in the same order.
+    /// - **Early exit.** The penalty is never negative (diversity > 0,
+    ///   `max_sim ≥ 0`), so no adjusted score is above its base score.
+    ///   Once a base score is strictly below the best adjusted score of
+    ///   the step, neither that candidate nor any later one can win or
+    ///   tie, and the scan stops. A candidate that ties the best
+    ///   replaces it, as the last maximum does under `max_by`.
+    /// - **Lazy order.** Only the prefix of the base order the scans
+    ///   reach is sorted, in doubling chunks.
+    /// - **Sparse dots.** Relevance and the similarity to a selected
+    ///   entry are [`sparse_dot`]s over the query's or selected entry's
+    ///   non-zero buckets, in ascending order from a `+0.0` accumulator:
+    ///   bit-identical to [`cosine`] on finite, non-negative,
+    ///   `EMBED_DIM`-long embeddings, which every stored embedding is
+    ///   (they come from [`embed`], also in a loaded store — see
+    ///   [`KnowledgeStore::from_json`]). A few candidates' sums are run
+    ///   side by side, each in its own order.
+    /// - Selected candidates are marked, not removed, and only the `k`
+    ///   winners are cloned.
     pub fn retrieve(&self, query: &str, k: usize, now: u64) -> Vec<KnowledgeEntry> {
-        let q = embed(query);
         let inner = self.inner.read();
+        self.select(&inner, query, k, now)
+            .into_iter()
+            .map(|i| inner.entries[i].clone())
+            .collect()
+    }
+
+    /// The positions in `inner.entries` of what
+    /// [`KnowledgeStore::retrieve`] returns, in selection order.
+    fn select(&self, inner: &Inner, query: &str, k: usize, now: u64) -> Vec<usize> {
+        let q = nonzero_buckets(&embed(query));
         let activation = self.graph_retrieval().then(|| inner.graph.activate(query));
         let corroboration_weight = inner.graph.config().corroboration_weight;
-        let mut candidates: Vec<(f64, &KnowledgeEntry)> = inner
+        let mut candidates: Vec<Candidate> = inner
             .entries
             .iter()
-            .map(|e| {
+            .enumerate()
+            .map(|(index, e)| {
                 let mut score = self.score(e, &q, now);
                 if let Some(activation) = &activation {
                     score += corroboration_weight * inner.graph.entry_support(e.id, activation);
                 }
-                (score, e)
+                Candidate {
+                    score,
+                    id: e.id,
+                    index,
+                    max_sim: 0.0,
+                    folded: 0,
+                    taken: false,
+                }
             })
             .collect();
-        // Deterministic base order: score desc, id asc.
-        candidates.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.id.cmp(&b.1.id)));
+        let k = k.min(candidates.len());
 
         let diversity = self.config.weights.diversity;
         if diversity <= 0.0 {
-            return candidates
-                .into_iter()
-                .take(k)
-                .map(|(_, e)| e.clone())
-                .collect();
+            sort_more(&mut candidates, 0, k);
+            return candidates[..k].iter().map(|c| c.index).collect();
         }
 
-        let mut selected: Vec<KnowledgeEntry> = Vec::with_capacity(k.min(candidates.len()));
-        while selected.len() < k && !candidates.is_empty() {
-            let best = candidates
-                .iter()
-                .enumerate()
-                .map(|(i, (score, e))| {
-                    let max_sim = selected
-                        .iter()
-                        .map(|s| cosine(&s.embedding, &e.embedding) as f64)
-                        .fold(0.0f64, f64::max);
-                    (i, score - diversity * max_sim)
-                })
-                .max_by(|a, b| a.1.total_cmp(&b.1));
-            match best {
-                Some((i, _)) => {
-                    let (_, e) = candidates.remove(i);
-                    selected.push(e.clone());
+        // `candidates[..sorted]` is in the base order; all later
+        // candidates come after it.
+        let mut sorted = 0;
+        // Sparse embeddings of the selected entries, in selection order.
+        let mut selected: Vec<Vec<(usize, f32)>> = Vec::with_capacity(k);
+        let mut picks = Vec::with_capacity(k);
+        while picks.len() < k {
+            let mut best: Option<(usize, f64)> = None;
+            for pos in 0..candidates.len() {
+                if pos == sorted {
+                    sorted = sort_more(&mut candidates, sorted, sorted.max(64));
                 }
-                None => break,
+                let c = &candidates[pos];
+                if c.taken {
+                    continue;
+                }
+                if best.is_some_and(|(_, b)| c.score.total_cmp(&b).is_lt()) {
+                    break;
+                }
+                if c.folded < selected.len() {
+                    // The next few candidates are likely examined next.
+                    let lanes = std::array::from_fn(|lane| (pos + lane).min(sorted - 1));
+                    fold_selected(&mut candidates, lanes, &selected, &inner.entries);
+                }
+                let c = &candidates[pos];
+                let adjusted = c.score - diversity * c.max_sim;
+                if best.is_none_or(|(_, b)| adjusted.total_cmp(&b).is_ge()) {
+                    best = Some((pos, adjusted));
+                }
             }
+            // `picks.len() < k <= candidates.len()` leaves one untaken.
+            let Some((pos, _)) = best else { break };
+            let winner = &mut candidates[pos];
+            winner.taken = true;
+            selected.push(nonzero_buckets(&inner.entries[winner.index].embedding));
+            picks.push(winner.index);
         }
-        selected
+        picks
     }
 
-    /// The retrieval score of an entry for a query embedding.
-    fn score(&self, e: &KnowledgeEntry, query: &[f32], now: u64) -> f64 {
+    /// The retrieval score of an entry for a query's non-zero buckets.
+    fn score(&self, e: &KnowledgeEntry, query: &[(usize, f32)], now: u64) -> f64 {
         let w = &self.config.weights;
-        let relevance = cosine(&e.embedding, query) as f64;
+        let relevance = sparse_dot(query, &e.embedding) as f64;
         let age_secs = now.saturating_sub(e.learned_at) as f64 / 1e6;
         let recency = 0.5f64.powf(age_secs / w.half_life_secs);
         w.relevance * relevance + w.recency * recency + w.importance * e.importance
@@ -352,9 +475,12 @@ impl KnowledgeStore {
     /// closest to the question in the prompt (and survives context
     /// truncation longest).
     pub fn retrieve_texts(&self, query: &str, k: usize, now: u64) -> Vec<String> {
-        let mut entries = self.retrieve(query, k, now);
-        entries.reverse();
-        entries.into_iter().map(|e| e.content).collect()
+        let inner = self.inner.read();
+        self.select(&inner, query, k, now)
+            .into_iter()
+            .rev()
+            .map(|i| inner.entries[i].content.clone())
+            .collect()
     }
 
     /// Whether any entry was memorised from this exact URL.
@@ -404,17 +530,18 @@ impl KnowledgeStore {
         serde_json::to_string_pretty(&file).expect("store serializes")
     }
 
-    /// Load from the `knowledge.json` format. Entries missing an
-    /// embedding are re-embedded; the claim graph is rebuilt
+    /// Load from the `knowledge.json` format. Every entry is
+    /// re-embedded from its `content`: the embedding is a pure function
+    /// of the content, and a stored one is not trusted — an edited file
+    /// could otherwise rig retrieval with an oversized, infinite or
+    /// wrong-length vector. The claim graph is rebuilt
     /// deterministically from the surviving entries (historical claims
     /// of evicted entries are only recoverable from a graph snapshot —
     /// see [`KnowledgeStore::load`]).
     pub fn from_json(json: &str) -> Result<Self, StoreError> {
         let mut file: StoreFile = serde_json::from_str(json)?;
         for e in &mut file.entries {
-            if e.embedding.is_empty() {
-                e.embedding = embed(&e.content);
-            }
+            e.embedding = embed(&e.content);
         }
         let graph = rebuild_graph(&file.entries);
         Ok(KnowledgeStore {
@@ -732,6 +859,45 @@ mod tests {
         );
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(crate::persist::backup_path(&path)).ok();
+    }
+
+    #[test]
+    fn stored_embeddings_are_not_trusted_on_load() {
+        let s = store();
+        mem(
+            &s,
+            "cables",
+            "The EllaLink submarine cable connects Brazil to Portugal.",
+            1,
+        );
+        mem(
+            &s,
+            "cooking",
+            "Salt the pasta water until it tastes like the sea.",
+            2,
+        );
+        let honest = s.to_json();
+        let rigged_embeddings = [
+            format!("[{}]", vec!["10.0"; crate::EMBED_DIM].join(",")),
+            // Out of f32 range: loads as +inf.
+            format!("[{}]", vec!["1e39"; crate::EMBED_DIM].join(",")),
+            "[1.0, 1.0, 1.0]".to_string(),
+        ];
+        // The pasta entry's embedding, blanked for splicing.
+        let mut file: StoreFile = serde_json::from_str(&honest).unwrap();
+        file.entries[1].embedding.clear();
+        let template = serde_json::to_string(&file).unwrap();
+        assert_eq!(template.matches(r#""embedding":[]"#).count(), 1);
+        for rigged in rigged_embeddings {
+            let json = template.replace(r#""embedding":[]"#, &format!(r#""embedding":{rigged}"#));
+            let back = KnowledgeStore::from_json(&json).unwrap();
+            let hits = back.retrieve("submarine cable Brazil", 1, 10);
+            assert!(
+                hits[0].content.contains("EllaLink"),
+                "rigged by {rigged:.24}"
+            );
+            assert_eq!(back.to_json(), honest, "re-embedded from content");
+        }
     }
 
     #[test]

@@ -58,12 +58,13 @@ fn bench_memorize(c: &mut Criterion) {
 }
 
 fn bench_retrieve(c: &mut Criterion) {
-    let mut group = c.benchmark_group("retrieve_top8");
+    // k = 10, the agent's `AgentConfig::retrieval_k`.
+    let mut group = c.benchmark_group("retrieve_top10");
     for size in [100usize, 1000] {
         let store = filled_store(size);
         group.bench_with_input(BenchmarkId::from_parameter(size), &store, |b, store| {
             b.iter(|| {
-                std::hint::black_box(store.retrieve("cable system latitude degrees", 8, u64::MAX))
+                std::hint::black_box(store.retrieve("cable system latitude degrees", 10, u64::MAX))
             })
         });
     }
