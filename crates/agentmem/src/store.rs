@@ -5,9 +5,8 @@
 //! The graph is always *built* (every memorise absorbs its content,
 //! every eviction drops its provenance), but only *consulted* when
 //! graph retrieval is switched on via
-//! [`KnowledgeStore::set_graph_retrieval`] — the same legacy-parity
-//! pattern as `set_scan_lookups` in the corpus index. With the flag
-//! off, retrieval scoring, `knowledge.json` bytes, and therefore quiz
+//! [`KnowledgeStore::set_graph_retrieval`]. With the flag off,
+//! retrieval scoring, `knowledge.json` bytes, and therefore quiz
 //! answers are byte-identical to the flat-store path.
 
 use crate::embed::{cosine, embed, nonzero_buckets, sparse_dot, sparse_dots};

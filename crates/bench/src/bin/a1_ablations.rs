@@ -15,13 +15,16 @@ use ira::agentmem::RetrievalWeights;
 use ira::evalkit::report::{banner, table};
 use ira::prelude::*;
 
-fn run_variant(label: &str, config: AgentConfig) -> Vec<String> {
-    let env = Environment::standard();
-    let quiz = QuizBank::from_world(&env.world);
-    let conclusions = env.world.conclusions();
-    let mut agent = ResearchAgent::new(RoleDefinition::bob(), &env, config, 0xB0B);
+fn run_variant(engine: &Engine, label: &str, agent: AgentConfig) -> Vec<String> {
+    let mut session = engine.spawn_session(SessionConfig {
+        agent,
+        ..SessionConfig::bob()
+    });
+    let quiz = QuizBank::from_world(session.world());
+    let conclusions = session.world().conclusions();
+    let agent = &mut session.agent;
     agent.train();
-    let run = evaluate_agent(&mut agent, &quiz, &conclusions);
+    let run = evaluate_agent(agent, &quiz, &conclusions);
     vec![
         label.to_string(),
         format!(
@@ -46,13 +49,19 @@ fn main() {
         )
     );
 
+    let engine = Engine::new();
     let base = AgentConfig::default();
     let mut no_diversity = base;
     no_diversity.memory.weights.diversity = 0.0;
     let rows = vec![
-        run_variant("full architecture", base),
-        run_variant("retrieval: no diversity (paper-faithful)", no_diversity),
+        run_variant(&engine, "full architecture", base),
         run_variant(
+            &engine,
+            "retrieval: no diversity (paper-faithful)",
+            no_diversity,
+        ),
+        run_variant(
+            &engine,
             "memory: relevance-only",
             AgentConfig {
                 memory: StoreConfig {
@@ -63,6 +72,7 @@ fn main() {
             },
         ),
         run_variant(
+            &engine,
             "memory: dedup off",
             AgentConfig {
                 memory: StoreConfig {
@@ -73,6 +83,7 @@ fn main() {
             },
         ),
         run_variant(
+            &engine,
             "cot decomposition off",
             AgentConfig {
                 autogpt: AutoGptConfig {
@@ -83,6 +94,7 @@ fn main() {
             },
         ),
         run_variant(
+            &engine,
             "query expansion OFF (question-only retrieval)",
             AgentConfig {
                 query_expansion: false,

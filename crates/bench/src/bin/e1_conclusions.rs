@@ -20,8 +20,7 @@ fn main() {
         )
     );
 
-    let env = Environment::standard();
-    let (agent_run, baseline) = full_paper_run(&env);
+    let (agent_run, baseline) = full_paper_run(&Engine::new());
 
     let rows: Vec<Vec<String>> = agent_run
         .consistency

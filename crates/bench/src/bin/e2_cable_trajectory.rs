@@ -25,8 +25,7 @@ fn main() {
         )
     );
 
-    let env = Environment::standard();
-    let mut bob = ResearchAgent::bob(&env);
+    let mut bob = Engine::new().spawn_session(SessionConfig::bob()).agent;
     let training = bob.train();
     println!(
         "trained on {} goals: {} searches, {} pages, {} memorized\n",

@@ -22,8 +22,7 @@ fn main() {
         )
     );
 
-    let env = Environment::standard();
-    let mut bob = ResearchAgent::bob(&env);
+    let mut bob = Engine::new().spawn_session(SessionConfig::bob()).agent;
     bob.train();
 
     let trajectory = bob.self_learn(QUESTION);

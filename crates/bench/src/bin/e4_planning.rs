@@ -20,8 +20,7 @@ fn main() {
         )
     );
 
-    let env = Environment::standard();
-    let mut bob = ResearchAgent::bob(&env);
+    let mut bob = Engine::new().spawn_session(SessionConfig::bob()).agent;
     bob.train();
 
     let plan = bob.respond_plan();

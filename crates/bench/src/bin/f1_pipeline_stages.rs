@@ -22,9 +22,9 @@ fn main() {
         )
     );
 
-    let env = Environment::standard();
-    let quiz = QuizBank::from_world(&env.world);
-    let mut bob = ResearchAgent::bob(&env);
+    let mut session = Engine::new().spawn_session(SessionConfig::bob());
+    let quiz = QuizBank::from_world(session.world());
+    let bob = &mut session.agent;
     bob.train();
     for item in quiz.iter() {
         let _ = bob.self_learn(&item.question);

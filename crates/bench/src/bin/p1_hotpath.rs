@@ -1,20 +1,13 @@
-//! P1 — hot-path perf baseline: before/after the retrieval & grounding
-//! overhaul.
+//! P1 — retrieval & grounding hot-path op-count gate.
 //!
-//! Runs the same train + quiz-sweep workload twice:
-//!
-//! * **before** — the legacy hot path: corpus host+path lookups served
-//!   by the O(N) linear scan, the model re-extracting and re-reasoning
-//!   on every call (`grounding_cache: false`);
-//! * **after** — the indexed `(host, path)` map plus the per-chunk
-//!   extraction cache and grounded-answer cache (the defaults).
-//!
-//! Both phases must produce byte-identical answers (confidence and
-//! text per quiz item) — the binary asserts it. What differs is *work*:
-//! deterministic virtual-op counts (characters normalized, absorb
-//! passes, documents scanned) and host wall time. The op counts are
-//! exactly reproducible, so `--check <baseline.json>` enforces them
-//! with strict equality in CI — a perf gate that cannot flake.
+//! Runs one train + quiz-sweep workload on the default hot path: corpus
+//! host+path lookups served by the `(host, path)` index, plus the
+//! model's per-chunk extraction cache and grounded-answer cache. What
+//! it reports is *work*: deterministic virtual-op counts (characters
+//! normalized, absorb passes, documents scanned) and host wall time.
+//! The op counts are exactly reproducible, so `--check <baseline.json>`
+//! enforces them with strict equality in CI — a perf gate that cannot
+//! flake.
 //!
 //! Usage:
 //!   p1_hotpath                 full sweep, writes results/BENCH_hotpath.json
@@ -28,26 +21,16 @@
 
 use ira::evalkit::report::{banner, table};
 use ira::prelude::*;
-use ira::services::WebServices;
 use ira::simllm::lexicon::ops;
-use ira::simllm::{Llm, LlmConfig};
 use ira::webcorpus::index::opstats;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
-/// Deterministic work counters for one phase. Everything in here must
-/// be byte-reproducible run to run — the CI check is `==`.
+/// Deterministic work counters. Everything in here must be
+/// byte-reproducible run to run — the CI check is `==`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-struct PhaseOps {
+struct Ops {
     llm: ops::OpSnapshot,
     lookups: opstats::LookupSnapshot,
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct PhaseReport {
-    ops: PhaseOps,
-    /// Informational only — never part of the `--check` comparison.
-    wall_ms: f64,
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -56,92 +39,44 @@ struct Report {
     mode: String,
     quiz_items: usize,
     answer_passes: usize,
-    before: PhaseReport,
-    after: PhaseReport,
-    /// before/after ratios for the headline counters.
-    reduction: Reduction,
+    ops: Ops,
+    /// Informational only — never part of the `--check` comparison.
+    wall_ms: f64,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct Reduction {
-    tokenize_chars: f64,
-    absorb_calls: f64,
-    docs_scanned: f64,
-}
-
-struct PhaseOutput {
-    report: PhaseReport,
-    quiz_items: usize,
-    /// (quiz id, confidence, answer text) — the identity check.
-    answers: Vec<(String, u8, String)>,
-}
-
-/// One full workload: build the environment, train Bob, self-learn
-/// every quiz question, then `passes` answer-only sweeps.
-fn run_phase(legacy: bool, quiz_take: usize, passes: usize) -> PhaseOutput {
+/// One full workload: spawn Bob's session, train, self-learn the first
+/// `quiz_take` quiz questions, then `passes` answer-only sweeps.
+fn run(mode: &str, quiz_take: usize, passes: usize) -> Report {
     ops::reset();
     opstats::reset();
     let start = std::time::Instant::now();
 
-    let env = Environment::standard();
-    if legacy {
-        env.corpus.set_scan_lookups(true);
-    }
-    let web: Arc<dyn WebServices> = Arc::new(env.client.clone());
-    let llm = Arc::new(Llm::new(LlmConfig {
-        seed: 0xB0B,
-        grounding_cache: !legacy,
-        ..LlmConfig::default()
-    }));
-    let mut bob =
-        ResearchAgent::from_services(RoleDefinition::bob(), web, llm, AgentConfig::default());
+    let mut session = Engine::new().spawn_session(SessionConfig::bob());
+    let quiz = QuizBank::from_world(session.world());
+    let bob = &mut session.agent;
     bob.train();
 
-    let quiz = QuizBank::from_world(&env.world);
     let items: Vec<_> = quiz.iter().take(quiz_take).collect();
     for item in &items {
         let _ = bob.self_learn(&item.question);
     }
-    let mut answers = Vec::new();
     for _ in 0..passes {
         for item in &items {
-            let a = bob.ask(&item.question);
-            answers.push((item.id.clone(), a.confidence, a.text));
+            let _ = bob.ask(&item.question);
         }
     }
 
-    PhaseOutput {
-        report: PhaseReport {
-            ops: PhaseOps {
-                llm: ops::snapshot(),
-                lookups: opstats::snapshot(),
-            },
-            wall_ms: start.elapsed().as_secs_f64() * 1e3,
-        },
+    Report {
+        bench: "p1_hotpath".to_string(),
+        mode: mode.to_string(),
         quiz_items: items.len(),
-        answers,
+        answer_passes: passes,
+        ops: Ops {
+            llm: ops::snapshot(),
+            lookups: opstats::snapshot(),
+        },
+        wall_ms: start.elapsed().as_secs_f64() * 1e3,
     }
-}
-
-fn ratio(before: u64, after: u64) -> f64 {
-    if after == 0 {
-        f64::INFINITY
-    } else {
-        before as f64 / after as f64
-    }
-}
-
-fn op_rows(label: &str, p: &PhaseOps) -> Vec<String> {
-    vec![
-        label.to_string(),
-        p.llm.tokenize_chars.to_string(),
-        p.llm.absorb_calls.to_string(),
-        p.llm.classify_calls.to_string(),
-        format!("{}/{}", p.llm.extract_hits, p.llm.extract_misses),
-        format!("{}/{}", p.llm.answer_hits, p.llm.answer_misses),
-        p.lookups.lookup_calls.to_string(),
-        p.lookups.docs_scanned.to_string(),
-    ]
 }
 
 fn main() {
@@ -170,23 +105,13 @@ fn main() {
     );
     println!("mode: {mode}\n");
 
-    let before = run_phase(true, quiz_take, passes);
-    let after = run_phase(false, quiz_take, passes);
-
-    assert_eq!(
-        before.answers, after.answers,
-        "hot-path rework changed observable outputs"
-    );
-    println!(
-        "outputs byte-identical across phases: yes ({} answers compared)\n",
-        after.answers.len()
-    );
-
+    let report = run(mode, quiz_take, passes);
+    let p = &report.ops;
     println!(
         "{}",
         table(
             &[
-                "phase",
+                "path",
                 "tokenize-chars",
                 "absorbs",
                 "classifies",
@@ -195,46 +120,20 @@ fn main() {
                 "lookups",
                 "docs-scanned",
             ],
-            &[
-                op_rows("before (scan + no cache)", &before.report.ops),
-                op_rows("after (index + caches)", &after.report.ops),
-            ],
+            &[vec![
+                "index + caches".to_string(),
+                p.llm.tokenize_chars.to_string(),
+                p.llm.absorb_calls.to_string(),
+                p.llm.classify_calls.to_string(),
+                format!("{}/{}", p.llm.extract_hits, p.llm.extract_misses),
+                format!("{}/{}", p.llm.answer_hits, p.llm.answer_misses),
+                p.lookups.lookup_calls.to_string(),
+                p.lookups.docs_scanned.to_string(),
+            ]],
         )
     );
 
-    let reduction = Reduction {
-        tokenize_chars: ratio(
-            before.report.ops.llm.tokenize_chars,
-            after.report.ops.llm.tokenize_chars,
-        ),
-        absorb_calls: ratio(
-            before.report.ops.llm.absorb_calls,
-            after.report.ops.llm.absorb_calls,
-        ),
-        docs_scanned: ratio(
-            before.report.ops.lookups.docs_scanned,
-            after.report.ops.lookups.docs_scanned,
-        ),
-    };
-    println!(
-        "reduction: {:.1}x tokenize-chars, {:.1}x absorb passes, {:.1}x docs scanned",
-        reduction.tokenize_chars, reduction.absorb_calls, reduction.docs_scanned
-    );
-
-    eprintln!(
-        "[timing] before={:.0}ms after={:.0}ms",
-        before.report.wall_ms, after.report.wall_ms
-    );
-
-    let report = Report {
-        bench: "p1_hotpath".to_string(),
-        mode: mode.to_string(),
-        quiz_items: after.quiz_items,
-        answer_passes: passes,
-        before: before.report,
-        after: after.report,
-        reduction,
-    };
+    eprintln!("[timing] wall={:.0}ms", report.wall_ms);
 
     if let Some(path) = check_path {
         let baseline: Report = serde_json::from_str(
@@ -254,16 +153,10 @@ fn main() {
         {
             bad.push("workload shape differs from baseline".to_string());
         }
-        if baseline.before.ops != report.before.ops {
+        if baseline.ops != report.ops {
             bad.push(format!(
-                "BEFORE ops drifted:\n  baseline: {:?}\n  run:      {:?}",
-                baseline.before.ops, report.before.ops
-            ));
-        }
-        if baseline.after.ops != report.after.ops {
-            bad.push(format!(
-                "AFTER ops drifted:\n  baseline: {:?}\n  run:      {:?}",
-                baseline.after.ops, report.after.ops
+                "ops drifted:\n  baseline: {:?}\n  run:      {:?}",
+                baseline.ops, report.ops
             ));
         }
         if bad.is_empty() {

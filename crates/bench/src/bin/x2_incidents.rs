@@ -24,20 +24,17 @@ fn main() {
     );
 
     // The canonical environment, assembled through the scenario API:
-    // the solar-superstorm spec reproduces the legacy corpus
-    // byte-for-byte (pinned by webcorpus tests), so Alice's run here is
-    // unchanged from the Environment::standard() era.
-    let env = Environment::for_scenario(&ScenarioSpec::solar_superstorm(), 0xBEEF, None)
-        .expect("canonical scenario is registered");
-    let quiz = QuizBank::incidents(&env.world.incidents);
-    let conclusions = env.world.conclusions();
-
-    let mut alice = ResearchAgent::new(
-        RoleDefinition::outage_analyst(),
-        &env,
-        AgentConfig::default(),
-        0xA11CE,
-    );
+    // the solar-superstorm spec reproduces the default corpus
+    // byte-for-byte (pinned by webcorpus tests).
+    let mut session = Engine::new().spawn_session(SessionConfig {
+        role: RoleDefinition::outage_analyst(),
+        llm_seed: 0xA11CE,
+        ..SessionConfig::for_scenario(&ScenarioSpec::solar_superstorm())
+            .expect("canonical scenario is registered")
+    });
+    let quiz = QuizBank::incidents(&session.world().incidents);
+    let conclusions = session.world().conclusions();
+    let alice = &mut session.agent;
     let training = alice.train();
     println!(
         "Alice trained: {} searches, {} fetches, {} entries\n",
@@ -46,7 +43,7 @@ fn main() {
         training.memory_entries
     );
 
-    let run = evaluate_agent(&mut alice, &quiz, &conclusions);
+    let run = evaluate_agent(alice, &quiz, &conclusions);
     let rows: Vec<Vec<String>> = run
         .consistency
         .per_item

@@ -21,8 +21,7 @@ fn main() {
         )
     );
 
-    let env = Environment::standard();
-    let mut bob = ResearchAgent::bob(&env);
+    let mut bob = Engine::new().spawn_session(SessionConfig::bob()).agent;
     bob.train();
     // Settle a couple of questions first so the appraisal has contrast
     // between "already studied" and "open".

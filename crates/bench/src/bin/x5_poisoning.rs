@@ -32,16 +32,18 @@ const QUESTION: &str = "Which is more vulnerable to solar activity? The fiber op
 /// Degrees of deviation from consensus at which a host is flagged.
 const TOLERANCE: f64 = 5.0;
 
-fn trained_bob(graph_retrieval: bool) -> (Environment, ResearchAgent) {
-    let env = Environment::standard();
-    let config = AgentConfig::builder()
+fn trained_bob(engine: &Engine, graph_retrieval: bool) -> Session {
+    let agent = AgentConfig::builder()
         .graph_retrieval(graph_retrieval)
         .build()
         .expect("valid config");
-    let mut bob = ResearchAgent::new(RoleDefinition::bob(), &env, config, 0xB0B);
-    bob.train();
-    let _ = bob.self_learn(QUESTION); // honest knowledge in memory
-    (env, bob)
+    let mut session = engine.spawn_session(SessionConfig {
+        agent,
+        ..SessionConfig::bob()
+    });
+    session.agent.train();
+    let _ = session.agent.self_learn(QUESTION); // honest knowledge in memory
+    session
 }
 
 fn inject(bob: &ResearchAgent, now_us: u64, poison_count: usize) {
@@ -79,10 +81,12 @@ fn main() {
     let adversary = BTreeSet::from(["adversary.test".to_string()]);
     let mut rows = Vec::new();
     let mut graph_caught_where_flat_missed = 0usize;
+    let engine = Engine::new();
     for poison_count in [0usize, 1, 2, 4, 8] {
         // Legacy-retrieval agent: detection baseline + verdict.
-        let (env, mut flat_bob) = trained_bob(false);
-        inject(&flat_bob, env.now_us(), poison_count);
+        let mut flat_session = trained_bob(&engine, false);
+        let flat_bob = &mut flat_session.agent;
+        inject(flat_bob, flat_session.env.now_us(), poison_count);
         let flat =
             detect_poisoned_sources(flat_bob.memory(), TOLERANCE, false).score_against(&adversary);
         let graph =
@@ -91,12 +95,12 @@ fn main() {
             graph_caught_where_flat_missed += 1;
         }
         let stored = poisoned_entry_count(flat_bob.memory());
-        let flat_verdict = verdict_cell(&mut flat_bob);
+        let flat_verdict = verdict_cell(flat_bob);
 
         // Graph-retrieval agent: same training, same injection.
-        let (env2, mut graph_bob) = trained_bob(true);
-        inject(&graph_bob, env2.now_us(), poison_count);
-        let graph_verdict = verdict_cell(&mut graph_bob);
+        let mut graph_session = trained_bob(&engine, true);
+        inject(&graph_session.agent, graph_session.now_us(), poison_count);
+        let graph_verdict = verdict_cell(&mut graph_session.agent);
 
         let (fp, fr) = fmt_scores(&flat);
         let (gp, gr) = fmt_scores(&graph);

@@ -27,17 +27,22 @@ fn main() {
         )
     );
 
+    let engine = Engine::new();
     let mut rows = Vec::new();
     for crawl_links in [0usize, 1, 2] {
-        let env = Environment::standard();
-        let config = AgentConfig {
+        let agent = AgentConfig {
             autogpt: AutoGptConfig {
                 crawl_links,
                 ..AutoGptConfig::default()
             },
             ..AgentConfig::default()
         };
-        let mut bob = ResearchAgent::new(RoleDefinition::bob(), &env, config, 0xB0B);
+        let mut bob = engine
+            .spawn_session(SessionConfig {
+                agent,
+                ..SessionConfig::bob()
+            })
+            .agent;
         let report = bob.train();
         let sources = bob.memory().source_histogram().len();
         let trajectory = bob.self_learn(QUESTION);

@@ -23,9 +23,6 @@ fn main() {
         )
     );
 
-    let env = Environment::standard();
-    let quiz = QuizBank::from_world(&env.world);
-
     // Tight capacity: roughly one investigation's worth of entries.
     let memory_config = StoreConfig {
         capacity: 30,
@@ -36,18 +33,24 @@ fn main() {
         ..AgentConfig::default()
     };
 
-    let mut bob = ResearchAgent::new(RoleDefinition::bob(), &env, agent_config, 0xB0B);
-    bob.train();
+    // Every restarted agent lives in this one session's environment,
+    // so the virtual clock and network state carry across sessions.
+    let mut base = Engine::new().spawn_session(SessionConfig {
+        agent: agent_config,
+        ..SessionConfig::bob()
+    });
+    let quiz = QuizBank::from_world(base.world());
+    base.agent.train();
 
     let mut rows = Vec::new();
-    let mut knowledge_json = bob.memory().to_json();
+    let mut knowledge_json = base.agent.memory().to_json();
     for session in 1..=20u32 {
         // Reload the persisted knowledge into a fresh agent, as a
         // long-lived deployment restarting between sessions would.
         let store = KnowledgeStore::from_json(&knowledge_json).expect("knowledge.json loads");
         let mut agent = ResearchAgent::with_memory(
             RoleDefinition::bob(),
-            &env,
+            &base.env,
             agent_config,
             0xB0B + session as u64,
             store,

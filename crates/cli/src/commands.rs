@@ -4,7 +4,7 @@ use crate::args::{Command, MemAction, RoleChoice, ScenarioAction, SimChoice};
 use ira_agentmem::KnowledgeStore;
 use ira_autogpt::AutoGptConfig;
 use ira_core::{questions, AgentConfig, Environment, ResearchAgent, RoleDefinition};
-use ira_engine::{Engine, FaultSpec, SessionConfig};
+use ira_engine::{Engine, FaultSpec, Session, SessionConfig};
 use ira_evalkit::plancov::PlanCoverage;
 use ira_evalkit::quiz::QuizBank;
 use ira_evalkit::report::table;
@@ -235,13 +235,12 @@ fn cli_corpus(distractors: usize) -> CorpusConfig {
     }
 }
 
-fn env_with(distractors: usize) -> Environment {
-    let world = ira_worldmodel::World::standard();
-    let corpus = Arc::new(ira_webcorpus::Corpus::generate(
-        &world,
-        cli_corpus(distractors),
-    ));
-    Environment::from_parts(world, corpus, 0xBEEF, None)
+/// Bob's session over the CLI corpus at `distractors`.
+fn cli_session(distractors: usize) -> Session {
+    Engine::new().spawn_session(SessionConfig {
+        corpus: cli_corpus(distractors),
+        ..SessionConfig::bob()
+    })
 }
 
 /// The training checkpoint lives next to the knowledge file.
@@ -539,8 +538,8 @@ fn agent_from_knowledge(env: &Environment, path: &str) -> Result<ResearchAgent, 
 }
 
 fn ask(knowledge: &str, question: &str) -> i32 {
-    let env = env_with(150);
-    let mut agent = match agent_from_knowledge(&env, knowledge) {
+    let session = cli_session(150);
+    let mut agent = match agent_from_knowledge(&session.env, knowledge) {
         Ok(a) => a,
         Err(code) => return code,
     };
@@ -567,7 +566,7 @@ fn ask(knowledge: &str, question: &str) -> i32 {
 }
 
 fn learn(knowledge: &str, question: &str, threshold: u8) -> i32 {
-    let env = env_with(150);
+    let session = cli_session(150);
     let store = match KnowledgeStore::load(Path::new(knowledge)) {
         Ok(s) => s,
         Err(_) => {
@@ -579,7 +578,8 @@ fn learn(knowledge: &str, question: &str, threshold: u8) -> i32 {
         confidence_threshold: threshold,
         ..AgentConfig::default()
     };
-    let mut agent = ResearchAgent::with_memory(RoleDefinition::bob(), &env, config, 0xB0B, store);
+    let mut agent =
+        ResearchAgent::with_memory(RoleDefinition::bob(), &session.env, config, 0xB0B, store);
     let trajectory = agent.self_learn(question);
     println!("{}", render_table(&trajectory));
     let answer = agent.ask(question);
@@ -1073,8 +1073,7 @@ fn trace_query(
 }
 
 fn plan() -> i32 {
-    let env = env_with(150);
-    let mut bob = ResearchAgent::bob(&env);
+    let mut bob = cli_session(150).agent;
     bob.train();
     let answer = bob.respond_plan();
     println!("{}\n", answer.text);
@@ -1088,8 +1087,8 @@ fn plan() -> i32 {
 }
 
 fn questions_cmd(knowledge: &str, max: usize) -> i32 {
-    let env = env_with(150);
-    let mut agent = match agent_from_knowledge(&env, knowledge) {
+    let session = cli_session(150);
+    let mut agent = match agent_from_knowledge(&session.env, knowledge) {
         Ok(a) => a,
         Err(code) => return code,
     };
@@ -1524,7 +1523,7 @@ fn audit_cmd() -> i32 {
 }
 
 fn corpus_stats(distractors: usize, faults: f64) -> i32 {
-    let env = env_with(distractors);
+    let env = cli_session(distractors).env;
     println!("documents: {}", env.corpus.len());
     println!("\nby topic:");
     for (topic, count) in env.corpus.topic_counts() {

@@ -671,7 +671,7 @@ mod tests {
 
     #[test]
     fn training_fills_memory_from_all_goals() {
-        let env = Environment::standard();
+        let env = Environment::fixture();
         let mut bob = ResearchAgent::bob(&env);
         let report = bob.train();
         assert_eq!(report.per_goal.len(), 3);
@@ -695,7 +695,7 @@ mod tests {
 
     #[test]
     fn untrained_agent_is_unconfident() {
-        let env = Environment::standard();
+        let env = Environment::fixture();
         let mut bob = ResearchAgent::bob(&env);
         assert!(bob.confidence(CABLE_Q) <= 3);
     }
@@ -704,7 +704,7 @@ mod tests {
     fn inference_latency_config_governs_virtual_time() {
         // A free model spends no virtual time on reasoning; the
         // default GPT-4 profile dominates the run with it.
-        let env = Environment::standard();
+        let env = Environment::fixture();
         let config = AgentConfig {
             inference: crate::config::InferenceLatency::zero(),
             ..AgentConfig::default()
@@ -718,7 +718,7 @@ mod tests {
             "a zero-latency model must charge no reasoning time"
         );
 
-        let env2 = Environment::standard();
+        let env2 = Environment::fixture();
         let mut paid = trained_bob(&env2);
         let _ = paid.self_learn(CABLE_Q);
         assert!(paid.stage_stats().reasoning_virtual_us > 0);
@@ -728,7 +728,7 @@ mod tests {
     fn paper_e2_shape_cable_question() {
         // Trained Bob: low initial confidence, one self-learning round
         // lifts it to 8-9 with the US-Europe verdict (§4.2 result 1).
-        let env = Environment::standard();
+        let env = Environment::fixture();
         let mut bob = trained_bob(&env);
         let trajectory = bob.self_learn(CABLE_Q);
         let initial = trajectory.initial_confidence().unwrap();
@@ -749,7 +749,7 @@ mod tests {
 
     #[test]
     fn paper_e3_shape_datacenter_question() {
-        let env = Environment::standard();
+        let env = Environment::fixture();
         let mut bob = trained_bob(&env);
         let q = "Whose datacenter is more vulnerable to a solar superstorm, Google's or \
                  Facebook's?";
@@ -773,7 +773,7 @@ mod tests {
         // resolves it.
         let q = "Is the United States or Asia more susceptible to Internet disruption from a \
                  solar superstorm?";
-        let env = Environment::standard();
+        let env = Environment::fixture();
         let mut naive_cfg = AgentConfig {
             query_expansion: false,
             ..AgentConfig::default()
@@ -788,7 +788,7 @@ mod tests {
             baseline.confidence_series()
         );
 
-        let env2 = Environment::standard();
+        let env2 = Environment::fixture();
         let mut fixed_agent = trained_bob(&env2);
         let fixed = fixed_agent.self_learn(q);
         assert!(
@@ -806,7 +806,7 @@ mod tests {
         // Graph-mode retrieval changes ranking, not correctness: the
         // trained agent must still reach the paper's verdict, and its
         // claim graph must be populated with provenance.
-        let env = Environment::standard();
+        let env = Environment::fixture();
         let config = AgentConfig::builder()
             .graph_retrieval(true)
             .build()
@@ -842,7 +842,7 @@ mod tests {
     #[test]
     fn reflection_synthesises_extractable_insights() {
         use ira_simllm::extract::Extraction;
-        let env = Environment::standard();
+        let env = Environment::fixture();
         let mut bob = trained_bob(&env);
         let _ = bob.self_learn(CABLE_Q);
         let before = bob.memory().len();
@@ -870,7 +870,7 @@ mod tests {
 
     #[test]
     fn ask_cited_reports_the_grounding_sources() {
-        let env = Environment::standard();
+        let env = Environment::fixture();
         let mut bob = trained_bob(&env);
         let _ = bob.self_learn(CABLE_Q);
         let (answer, citations) = bob.ask_cited(CABLE_Q);
@@ -882,7 +882,7 @@ mod tests {
 
     #[test]
     fn respond_plan_contains_the_papers_two_components() {
-        let env = Environment::standard();
+        let env = Environment::fixture();
         let mut bob = trained_bob(&env);
         let plan = bob.respond_plan();
         assert!(
@@ -895,7 +895,7 @@ mod tests {
 
     #[test]
     fn parallel_retrieval_matches_sequential_learning() {
-        let env = Environment::standard();
+        let env = Environment::fixture();
         let mut seq = ResearchAgent::new(
             RoleDefinition::bob(),
             &env,
@@ -908,7 +908,7 @@ mod tests {
         seq.train();
         let t_seq = seq.self_learn(CABLE_Q);
 
-        let env2 = Environment::standard();
+        let env2 = Environment::fixture();
         let mut par = ResearchAgent::new(
             RoleDefinition::bob(),
             &env2,
@@ -936,7 +936,7 @@ mod tests {
         TrainingCheckpoint::remove(&ckpt);
 
         // Uninterrupted reference run.
-        let env1 = Environment::standard();
+        let env1 = Environment::fixture();
         let mut full = ResearchAgent::bob(&env1);
         let report_full = full.train_with_checkpoint(&ckpt).unwrap();
         assert!(!ckpt.exists(), "checkpoint must be deleted after success");
@@ -944,7 +944,7 @@ mod tests {
         // Interrupted run: goal 1 completes, then the process "dies".
         // Reconstruct the on-disk state train_with_checkpoint leaves
         // behind after its first goal.
-        let env2 = Environment::standard();
+        let env2 = Environment::fixture();
         let mut partial_role = RoleDefinition::bob();
         let first_goal = partial_role.goals[0].clone();
         partial_role.goals.truncate(1);
@@ -962,7 +962,7 @@ mod tests {
 
         // Restart: fresh process, fresh environment from the same
         // seeds, resume from the checkpoint.
-        let env3 = Environment::standard();
+        let env3 = Environment::fixture();
         let mut resumed = ResearchAgent::bob(&env3);
         let report_resumed = resumed.train_with_checkpoint(&ckpt).unwrap();
         assert!(!ckpt.exists(), "checkpoint must be deleted after success");
@@ -1018,7 +1018,7 @@ mod tests {
 
     #[test]
     fn stage_stats_show_retrieval_dominating() {
-        let env = Environment::standard();
+        let env = Environment::fixture();
         let mut bob = trained_bob(&env);
         bob.self_learn(CABLE_Q);
         let stages = bob.stage_stats();

@@ -84,8 +84,7 @@ pub struct AgentConfig {
     /// Graph-mode retrieval: add the claim-graph corroboration term to
     /// retrieval scoring and salt the grounding cache accordingly. Off
     /// by default, and `#[serde(skip)]` so `knowledge.json` (which
-    /// embeds this config) stays byte-identical either way — the same
-    /// legacy-parity contract as the corpus `set_scan_lookups` flag.
+    /// embeds this config) stays byte-identical either way.
     #[serde(skip)]
     pub graph_retrieval: bool,
     #[serde(skip, default = "default_autogpt")]

@@ -1,13 +1,11 @@
 //! The simulated environment: world → corpus → network → client.
 //!
-//! [`Environment::from_parts`] is the single construction path; the
-//! engine layer (`ira-engine`) calls it with a cached corpus, and the
-//! deprecated legacy builders are thin wrappers that generate the
-//! corpus themselves first.
+//! [`Environment::from_parts`] is the only constructor. Outside this
+//! crate, environments come from `ira_engine::Engine::spawn_session`,
+//! which passes in its shared world and cached corpus.
 
 use ira_simnet::{Client, ClientConfig, Duration, FaultPlan, Network, NetworkConfig};
-use ira_webcorpus::{register_sites, Corpus, CorpusConfig};
-use ira_worldmodel::scenario::ScenarioSpec;
+use ira_webcorpus::{register_sites, Corpus};
 use ira_worldmodel::World;
 use std::sync::Arc;
 
@@ -27,22 +25,24 @@ pub struct FaultSpec {
 /// Everything outside the agent: ground truth, the web built from it,
 /// and the network serving that web.
 pub struct Environment {
-    pub world: World,
+    /// Shared, read-only ground truth: sessions spawned from one engine
+    /// all point at the same world.
+    pub world: Arc<World>,
     pub corpus: Arc<Corpus>,
     pub client: Client,
 }
 
 impl Environment {
-    /// The single construction path: build a fresh network on
+    /// The only construction path: build a fresh network on
     /// `net_seed`, register the corpus sites, and wire a plain client —
     /// or, with `faults`, install the seeded fault plan and a resilient
     /// (circuit-breaker) client so the agent degrades around dead hosts
     /// instead of hammering them.
     ///
-    /// The corpus arrives pre-generated (and usually shared) so sweeps
-    /// pay corpus generation once; see `ira-engine`'s corpus cache.
+    /// The world and corpus arrive pre-built (and usually shared) so
+    /// sweeps pay for them once; see `ira-engine`'s corpus cache.
     pub fn from_parts(
-        world: World,
+        world: impl Into<Arc<World>>,
         corpus: Arc<Corpus>,
         net_seed: u64,
         faults: Option<FaultSpec>,
@@ -64,84 +64,10 @@ impl Environment {
             }
         };
         Environment {
-            world,
+            world: world.into(),
             corpus,
             client,
         }
-    }
-
-    /// Build the standard environment with explicit seeds.
-    #[deprecated(
-        since = "0.2.0",
-        note = "spawn sessions through `ira_engine::Engine::spawn_session` (or use `Environment::from_parts`)"
-    )]
-    pub fn build(corpus_config: CorpusConfig, net_seed: u64) -> Self {
-        let world = World::standard();
-        let corpus = Arc::new(Corpus::generate(&world, corpus_config));
-        Self::from_parts(world, corpus, net_seed, None)
-    }
-
-    /// Build around a caller-supplied world (for ablations).
-    #[deprecated(
-        since = "0.2.0",
-        note = "spawn sessions through `ira_engine::Engine::with_world` + `spawn_session` (or use `Environment::from_parts`)"
-    )]
-    pub fn build_with_world(world: World, corpus_config: CorpusConfig, net_seed: u64) -> Self {
-        let corpus = Arc::new(Corpus::generate(&world, corpus_config));
-        Self::from_parts(world, corpus, net_seed, None)
-    }
-
-    /// The default experiment environment.
-    pub fn standard() -> Self {
-        let world = World::standard();
-        let corpus = Arc::new(Corpus::generate(&world, CorpusConfig::default()));
-        Self::from_parts(world, corpus, 0xBEEF, None)
-    }
-
-    /// Build an environment for a scenario spec: standard world, the
-    /// scenario's corpus (base web + event pages), and a network on
-    /// `net_seed`. The canonical spec reproduces
-    /// [`Environment::standard`] byte for byte. Errors if the spec
-    /// names no registered scenario.
-    ///
-    /// Sweeps should prefer `ira_engine::Engine` session spawning,
-    /// which shares one corpus per spec across sessions.
-    pub fn for_scenario(
-        spec: &ScenarioSpec,
-        net_seed: u64,
-        faults: Option<FaultSpec>,
-    ) -> Result<Self, String> {
-        let world = World::standard();
-        let corpus = Arc::new(Corpus::for_scenario(&world, spec)?);
-        Ok(Self::from_parts(world, corpus, net_seed, faults))
-    }
-
-    /// Build a chaos environment: the standard stack plus a seeded
-    /// random fault plan over `intensity` of the hosts for `horizon` of
-    /// virtual time.
-    #[deprecated(
-        since = "0.2.0",
-        note = "spawn sessions through `ira_engine::Engine::spawn_session` with `SessionConfig::faults` (or use `Environment::from_parts`)"
-    )]
-    pub fn build_chaotic(
-        corpus_config: CorpusConfig,
-        net_seed: u64,
-        intensity: f64,
-        horizon: Duration,
-        fault_seed: u64,
-    ) -> Self {
-        let world = World::standard();
-        let corpus = Arc::new(Corpus::generate(&world, corpus_config));
-        Self::from_parts(
-            world,
-            corpus,
-            net_seed,
-            Some(FaultSpec {
-                intensity,
-                horizon,
-                seed: fault_seed,
-            }),
-        )
     }
 
     /// Virtual time elapsed so far, microseconds.
@@ -151,12 +77,37 @@ impl Environment {
 }
 
 #[cfg(test)]
+impl Environment {
+    /// Unit-test fixture: the canonical environment (standard world,
+    /// default corpus, network seed `0xBEEF`, no faults) — what the
+    /// engine spawns for `SessionConfig::bob`, which this crate cannot
+    /// depend on.
+    pub(crate) fn fixture() -> Self {
+        let world = World::standard();
+        let corpus = Arc::new(Corpus::generate(
+            &world,
+            ira_webcorpus::CorpusConfig::default(),
+        ));
+        Self::from_parts(world, corpus, 0xBEEF, None)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use ira_webcorpus::CorpusConfig;
+    use ira_worldmodel::scenario::ScenarioSpec;
+
+    /// The canonical seeds over the corpus a scenario spec names.
+    fn scenario_env(spec: &ScenarioSpec) -> Result<Environment, String> {
+        let world = World::standard();
+        let corpus = Arc::new(Corpus::for_scenario(&world, spec)?);
+        Ok(Environment::from_parts(world, corpus, 0xBEEF, None))
+    }
 
     #[test]
     fn standard_environment_serves_search() {
-        let env = Environment::standard();
+        let env = Environment::fixture();
         let body = env
             .client
             .get_text("sim://search.test/q?query=solar+superstorm")
@@ -186,8 +137,8 @@ mod tests {
 
     #[test]
     fn scenario_spec_path_matches_standard_for_the_canonical_spec() {
-        let canonical = Environment::standard();
-        let spec = Environment::for_scenario(&ScenarioSpec::default(), 0xBEEF, None).unwrap();
+        let canonical = Environment::fixture();
+        let spec = scenario_env(&ScenarioSpec::default()).unwrap();
         assert_eq!(canonical.corpus.len(), spec.corpus.len());
         let a = canonical
             .client
@@ -199,13 +150,12 @@ mod tests {
             .unwrap();
         assert_eq!(a, b);
         assert_eq!(canonical.now_us(), spec.now_us());
-        assert!(Environment::for_scenario(&ScenarioSpec::named("nope"), 0xBEEF, None).is_err());
+        assert!(scenario_env(&ScenarioSpec::named("nope")).is_err());
     }
 
     #[test]
     fn scenario_environments_serve_their_event_pages() {
-        let env =
-            Environment::for_scenario(&ScenarioSpec::named("route-leak"), 0xBEEF, None).unwrap();
+        let env = scenario_env(&ScenarioSpec::named("route-leak")).unwrap();
         let page = env
             .client
             .get_text("sim://search.test/q?query=bgp+withdrawal+dns+prefixes")
@@ -218,26 +168,5 @@ mod tests {
             .expect("route-leak emits event pages");
         let body = env.client.get_text(&doc.url().to_string()).unwrap();
         assert!(body.contains(&doc.title));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_builders_still_match_from_parts() {
-        // The wrappers must stay byte-identical to the canonical path
-        // until they are removed.
-        let legacy = Environment::build(CorpusConfig::default(), 0xBEEF);
-        let canonical = Environment::standard();
-        assert_eq!(legacy.corpus.len(), canonical.corpus.len());
-        assert_eq!(legacy.now_us(), canonical.now_us());
-        let a = legacy
-            .client
-            .get_text("sim://search.test/q?query=solar+superstorm")
-            .unwrap();
-        let b = canonical
-            .client
-            .get_text("sim://search.test/q?query=solar+superstorm")
-            .unwrap();
-        assert_eq!(a, b);
-        assert_eq!(legacy.now_us(), canonical.now_us());
     }
 }

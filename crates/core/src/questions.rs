@@ -170,7 +170,7 @@ mod tests {
 
     #[test]
     fn generated_questions_are_ranked_by_novelty() {
-        let env = Environment::standard();
+        let env = Environment::fixture();
         let mut bob = ResearchAgent::bob(&env);
         bob.train();
         // Settle one question so the appraisal has contrast.
@@ -196,7 +196,7 @@ mod tests {
 
     #[test]
     fn empty_memory_generates_nothing() {
-        let env = Environment::standard();
+        let env = Environment::fixture();
         let mut bob = ResearchAgent::bob(&env);
         assert!(generate(&mut bob, 10).is_empty());
     }

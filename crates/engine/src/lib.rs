@@ -6,16 +6,16 @@
 //! simulated web + one research agent each, ready to move to a worker
 //! thread.
 //!
-//! The legacy pattern (`Environment::standard()` + borrowing agents)
-//! rebuilds the world and regenerates the corpus for every iteration
-//! of a sweep. Corpus generation is deterministic — `Corpus::generate`
+//! [`Engine::spawn_session`] (with its observed variants) is how
+//! everything outside `ira-core` gets an [`Environment`]. The world is
+//! read-only and corpus generation is deterministic — `Corpus::generate`
 //! over the same world and config always yields the same pages — so
-//! the engine builds each distinct corpus exactly once and shares it
-//! (`Arc`) across sessions. Every per-session component that carries
-//! state (network, client, model, memory) is still constructed fresh,
-//! in exactly the order `Environment::build`/`build_chaotic` uses, so
-//! a session's observable behaviour is byte-identical to the legacy
-//! path.
+//! the engine builds the world once and each distinct corpus once, and
+//! shares both (`Arc`) across sessions. Every per-session component
+//! that carries state (network, client, model, memory) is constructed
+//! fresh through `Environment::from_parts` and `ResearchAgent::new`,
+//! so a session behaves byte-for-byte like one wired by hand from a
+//! freshly built world and corpus.
 
 use ira_core::{AgentConfig, Environment, ResearchAgent, RoleDefinition};
 use ira_obs::{ObsHandle, SharedCollector};
@@ -46,8 +46,8 @@ pub struct SessionConfig {
 
 impl SessionConfig {
     /// The canonical experiment session: agent Bob over the default
-    /// corpus with the standard seeds (`Environment::standard()` +
-    /// `ResearchAgent::bob`).
+    /// corpus with the standard seeds (network `0xBEEF`, model
+    /// `0xB0B`).
     pub fn bob() -> Self {
         SessionConfig {
             role: RoleDefinition::bob(),
@@ -100,7 +100,8 @@ type CorpusKey = (&'static str, u64, usize);
 /// Shared experiment state: one world, each distinct corpus generated
 /// once.
 pub struct Engine {
-    world: World,
+    /// Shared by every spawned session's environment, never cloned.
+    world: Arc<World>,
     /// Per-key `OnceLock` cells so two threads asking for *different*
     /// corpora build in parallel — the map lock is held only to hand
     /// out the cell, never during generation.
@@ -117,7 +118,7 @@ impl Engine {
     /// Engine over a caller-supplied world (ablations).
     pub fn with_world(world: World) -> Self {
         Engine {
-            world,
+            world: Arc::new(world),
             corpora: Mutex::new(HashMap::new()),
             builds: AtomicUsize::new(0),
         }
@@ -149,15 +150,18 @@ impl Engine {
         self.builds.load(Ordering::Relaxed)
     }
 
-    /// Spawn one session. Construction replicates
-    /// `Environment::build`/`build_chaotic` exactly — fresh network on
-    /// `net_seed`, sites registered, then a plain or resilient client —
-    /// followed by `ResearchAgent::new` on `llm_seed`, so a session
-    /// behaves byte-for-byte like the legacy wiring.
+    /// Spawn one session: `Environment::from_parts` over the shared
+    /// world and cached corpus — fresh network on `net_seed`, sites
+    /// registered, then a plain or resilient client — followed by
+    /// `ResearchAgent::new` on `llm_seed`.
     pub fn spawn_session(&self, config: SessionConfig) -> Session {
         let corpus = self.corpus(config.corpus);
-        let env =
-            Environment::from_parts(self.world.clone(), corpus, config.net_seed, config.faults);
+        let env = Environment::from_parts(
+            Arc::clone(&self.world),
+            corpus,
+            config.net_seed,
+            config.faults,
+        );
         let agent = ResearchAgent::new(config.role, &env, config.agent, config.llm_seed);
         Session { env, agent }
     }
@@ -193,8 +197,12 @@ impl Engine {
     /// the session's cycle/fetch/LLM spans.
     pub fn spawn_session_with_handle(&self, config: SessionConfig, handle: ObsHandle) -> Session {
         let corpus = self.corpus(config.corpus);
-        let mut env =
-            Environment::from_parts(self.world.clone(), corpus, config.net_seed, config.faults);
+        let mut env = Environment::from_parts(
+            Arc::clone(&self.world),
+            corpus,
+            config.net_seed,
+            config.faults,
+        );
         // The agent clones the client at construction, so the observer
         // must be installed before `ResearchAgent::new`.
         env.client.set_observer_handle(handle.clone());
@@ -279,54 +287,44 @@ mod tests {
     }
 
     #[test]
+    fn sessions_share_one_world() {
+        let engine = Engine::new();
+        let a = engine.spawn_session(SessionConfig::bob());
+        let b = engine.spawn_session(SessionConfig {
+            faults: Some(FaultSpec {
+                intensity: 0.25,
+                horizon: ira_simnet::Duration::from_secs(12),
+                seed: 7,
+            }),
+            ..SessionConfig::bob()
+        });
+        assert!(Arc::ptr_eq(&a.env.world, &b.env.world));
+        assert!(std::ptr::eq(engine.world(), a.world()));
+    }
+
+    #[test]
     fn session_matches_legacy_environment_byte_for_byte() {
         // The determinism contract: an engine session with the bob
-        // preset must produce the very same training report as the
-        // legacy Environment::standard() + ResearchAgent::bob wiring,
-        // modulo host wall time.
-        let env = Environment::standard();
-        let mut legacy = ResearchAgent::bob(&env);
-        let mut legacy_report = legacy.train();
+        // preset must produce the very same training report as Bob
+        // wired by hand (fresh world and corpus, `from_parts`,
+        // `ResearchAgent::bob`), modulo host wall time.
+        let world = World::standard();
+        let corpus = Arc::new(Corpus::generate(&world, CorpusConfig::default()));
+        let env = Environment::from_parts(world, corpus, 0xBEEF, None);
+        let mut wired = ResearchAgent::bob(&env);
+        let mut wired_report = wired.train();
 
         let engine = Engine::new();
         let mut session = engine.spawn_session(SessionConfig::bob());
         let mut engine_report = session.agent.train();
 
-        legacy_report.host_elapsed_us = 0;
+        wired_report.host_elapsed_us = 0;
         engine_report.host_elapsed_us = 0;
         assert_eq!(
-            serde_json::to_string(&legacy_report).unwrap(),
+            serde_json::to_string(&wired_report).unwrap(),
             serde_json::to_string(&engine_report).unwrap(),
         );
         assert_eq!(env.now_us(), session.now_us(), "virtual clocks must agree");
-    }
-
-    #[test]
-    #[allow(deprecated)] // proves the deprecated wrapper stays byte-identical
-    fn chaotic_session_matches_legacy_chaotic_environment() {
-        use ira_simnet::Duration;
-        let horizon = Duration::from_secs(12);
-        let env = Environment::build_chaotic(CorpusConfig::default(), 0xBEEF, 0.25, horizon, 7);
-        let mut legacy = ResearchAgent::bob(&env);
-        let mut legacy_report = legacy.train();
-
-        let engine = Engine::new();
-        let mut session = engine.spawn_session(SessionConfig {
-            faults: Some(FaultSpec {
-                intensity: 0.25,
-                horizon,
-                seed: 7,
-            }),
-            ..SessionConfig::bob()
-        });
-        let mut engine_report = session.agent.train();
-
-        legacy_report.host_elapsed_us = 0;
-        engine_report.host_elapsed_us = 0;
-        assert_eq!(
-            serde_json::to_string(&legacy_report).unwrap(),
-            serde_json::to_string(&engine_report).unwrap(),
-        );
     }
 
     #[test]

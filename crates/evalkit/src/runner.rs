@@ -7,7 +7,8 @@ use crate::consistency::ConsistencyReport;
 use crate::provenance::ProvenanceReport;
 use crate::quiz::QuizBank;
 use ira_core::selflearn::LearningTrajectory;
-use ira_core::{Environment, ResearchAgent};
+use ira_core::ResearchAgent;
+use ira_engine::{Engine, SessionConfig};
 use ira_simllm::Llm;
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -102,14 +103,14 @@ pub fn evaluate_baseline(llm: &Llm, quiz: &QuizBank) -> ConsistencyReport {
     report
 }
 
-/// Convenience: build environment + Bob, train, evaluate, return both
-/// runs. Used by experiment E1 and the integration tests.
-pub fn full_paper_run(env: &Environment) -> (EvalRun, ConsistencyReport) {
-    let quiz = QuizBank::from_world(&env.world);
-    let conclusions = env.world.conclusions();
-    let mut bob = ResearchAgent::bob(env);
-    bob.train();
-    let agent_run = evaluate_agent(&mut bob, &quiz, &conclusions);
+/// Convenience: spawn Bob's session from `engine`, train, evaluate,
+/// return both runs. Used by experiment E1 and the integration tests.
+pub fn full_paper_run(engine: &Engine) -> (EvalRun, ConsistencyReport) {
+    let mut session = engine.spawn_session(SessionConfig::bob());
+    let quiz = QuizBank::from_world(session.world());
+    let conclusions = session.world().conclusions();
+    session.agent.train();
+    let agent_run = evaluate_agent(&mut session.agent, &quiz, &conclusions);
     let baseline = evaluate_baseline(&Llm::gpt4(999), &quiz);
     (agent_run, baseline)
 }
@@ -381,8 +382,7 @@ mod tests {
     fn trained_agent_reaches_paper_level_consistency() {
         // The paper's headline: 7 of 8 conclusions consistent. This is
         // the full pipeline, so it doubles as an integration test.
-        let env = Environment::standard();
-        let (agent_run, baseline) = full_paper_run(&env);
+        let (agent_run, baseline) = full_paper_run(&Engine::new());
         assert!(
             agent_run.consistency.consistent_count() >= 7,
             "agent matched only {} of {}:\n{:#?}",

@@ -5,7 +5,7 @@
 //! any graph, and the legacy-parity flag must keep flag-off behaviour
 //! indistinguishable from the flat store.
 
-use ira_core::{AgentConfig, Environment, ResearchAgent, RoleDefinition};
+use ira_core::AgentConfig;
 use ira_engine::{Engine, SessionConfig};
 use ira_evalkit::runner::sweep;
 use ira_webcorpus::CorpusConfig;
@@ -69,13 +69,17 @@ fn graph_bytes_are_identical_across_thread_counts() {
 /// outside every serialized struct.
 #[test]
 fn flag_off_agent_is_indistinguishable_from_flat() {
+    let engine = Engine::new();
     let run = |graph_retrieval: bool| {
-        let env = Environment::standard();
-        let config = AgentConfig {
-            graph_retrieval,
-            ..AgentConfig::default()
-        };
-        let mut agent = ResearchAgent::new(RoleDefinition::bob(), &env, config, 0xB0B);
+        let mut agent = engine
+            .spawn_session(SessionConfig {
+                agent: AgentConfig {
+                    graph_retrieval,
+                    ..AgentConfig::default()
+                },
+                ..SessionConfig::bob()
+            })
+            .agent;
         agent.train();
         let trajectory = agent.self_learn(CABLE_Q);
         let answer = agent.ask(CABLE_Q);
@@ -89,8 +93,7 @@ fn flag_off_agent_is_indistinguishable_from_flat() {
 
     // The flag-off run IS the default run: compare against an agent
     // built with the plain default config (the pre-graph behaviour).
-    let env = Environment::standard();
-    let mut legacy = ResearchAgent::new(RoleDefinition::bob(), &env, AgentConfig::default(), 0xB0B);
+    let mut legacy = engine.spawn_session(SessionConfig::bob()).agent;
     legacy.train();
     let legacy_trajectory = legacy.self_learn(CABLE_Q);
     let legacy_answer = legacy.ask(CABLE_Q);

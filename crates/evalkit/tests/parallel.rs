@@ -7,21 +7,34 @@ use ira_engine::{Engine, SessionConfig};
 use ira_evalkit::quiz::QuizBank;
 use ira_evalkit::robustness::chaos_sweep_threads;
 use ira_evalkit::runner::{evaluate_agent, evaluate_scenario, sweep};
-use ira_webcorpus::CorpusConfig;
+use ira_webcorpus::{Corpus, CorpusConfig};
 use ira_worldmodel::scenario::{lookup, ScenarioRegistry, ScenarioSpec};
+use ira_worldmodel::World;
+use std::sync::Arc;
 
 const CABLE_Q: &str = "Which is more vulnerable to solar activity? The fiber optic cable that \
                        connects Brazil to Europe or the one that connects the US to Europe?";
 
-/// Engine sessions must reproduce the legacy quiz evaluation exactly:
-/// same trajectories, same verdicts, same provenance — the whole
-/// `EvalRun` JSON.
+/// Bob with `config`, wired by hand without the engine: a freshly
+/// built world and default corpus, `Environment::from_parts` on the
+/// canonical network seed, then the agent on Bob's model seed.
+fn hand_wired_bob(config: AgentConfig) -> ResearchAgent {
+    let world = World::standard();
+    let corpus = Arc::new(Corpus::generate(&world, CorpusConfig::default()));
+    let env = Environment::from_parts(world, corpus, 0xBEEF, None);
+    ResearchAgent::new(RoleDefinition::bob(), &env, config, 0xB0B)
+}
+
+/// Engine sessions (shared world, cached corpus) must reproduce the
+/// quiz evaluation of a hand-wired environment exactly: same
+/// trajectories, same verdicts, same provenance — the whole `EvalRun`
+/// JSON.
 #[test]
 fn engine_quiz_run_matches_legacy_byte_for_byte() {
-    let env = Environment::standard();
-    let quiz = QuizBank::from_world(&env.world);
-    let conclusions = env.world.conclusions();
-    let mut legacy = ResearchAgent::bob(&env);
+    let world = World::standard();
+    let quiz = QuizBank::from_world(&world);
+    let conclusions = world.conclusions();
+    let mut legacy = hand_wired_bob(AgentConfig::default());
     legacy.train();
     let legacy_run = evaluate_agent(&mut legacy, &quiz, &conclusions);
 
@@ -35,7 +48,7 @@ fn engine_quiz_run_matches_legacy_byte_for_byte() {
     assert_eq!(
         serde_json::to_string(&legacy_run).unwrap(),
         serde_json::to_string(&engine_run).unwrap(),
-        "engine session must be indistinguishable from the legacy environment"
+        "engine session must be indistinguishable from a hand-wired environment"
     );
 }
 
@@ -132,7 +145,7 @@ fn parallel_chaos_sweep_matches_serial() {
 
 /// Distinct configs must not cross-contaminate through the shared
 /// engine: a low-threshold and a high-threshold session spawned from
-/// one engine behave exactly like two legacy environments.
+/// one engine behave exactly like two hand-wired environments.
 #[test]
 fn engine_threshold_sessions_match_legacy_environments() {
     let engine = Engine::new();
@@ -142,8 +155,7 @@ fn engine_threshold_sessions_match_legacy_environments() {
             ..AgentConfig::default()
         };
 
-        let env = Environment::standard();
-        let mut legacy = ResearchAgent::new(RoleDefinition::bob(), &env, config, 0xB0B);
+        let mut legacy = hand_wired_bob(config);
         legacy.train();
         let legacy_t = legacy.self_learn(CABLE_Q);
 
@@ -157,7 +169,7 @@ fn engine_threshold_sessions_match_legacy_environments() {
         assert_eq!(
             serde_json::to_string(&legacy_t).unwrap(),
             serde_json::to_string(&engine_t).unwrap(),
-            "threshold {threshold} session diverged from legacy"
+            "threshold {threshold} session diverged from the hand-wired one"
         );
     }
     assert_eq!(

@@ -67,6 +67,12 @@ impl Deserialize for RequestKind {
     }
 }
 
+/// Largest `distractors` a request may ask for. Every distinct value
+/// generates a corpus and keeps it in the engine's cache for the
+/// server's lifetime, so the count is bounded at intake; the bound sits
+/// well above the largest corpus the benchmarks serve (6,000).
+const MAX_DISTRACTORS: usize = 10_000;
+
 fn default_distractors() -> usize {
     ira_webcorpus::CorpusConfig::default().distractor_count
 }
@@ -88,7 +94,8 @@ pub struct ServeRequest {
     /// distinct tenants get distinct (but each deterministic) runs.
     #[serde(default)]
     pub seed: u64,
-    /// Corpus distractor count (part of the corpus cache key).
+    /// Corpus distractor count (part of the corpus cache key); at most
+    /// 10,000, checked by [`ServeRequest::validate`].
     #[serde(default = "default_distractors")]
     pub distractors: usize,
     /// Registered scenario to investigate; the corpus and the quiz both
@@ -138,6 +145,12 @@ impl ServeRequest {
         }
         if self.kind == RequestKind::Ask && self.question.as_deref().unwrap_or("").is_empty() {
             return Err(IraError::config("ask request needs a question"));
+        }
+        if self.distractors > MAX_DISTRACTORS {
+            return Err(IraError::config(format!(
+                "distractors must be at most {MAX_DISTRACTORS}, got {}",
+                self.distractors
+            )));
         }
         if !(0.0..=1.0).contains(&self.fault_intensity) {
             return Err(IraError::config("fault_intensity must be in [0, 1]"));
@@ -462,6 +475,16 @@ mod tests {
         assert_eq!(parsed[0].distractors, default_distractors());
         assert_eq!(parsed[0].scenario, "solar-superstorm");
         assert_eq!(parsed[0].deadline_us, None);
+    }
+
+    #[test]
+    fn validation_bounds_the_distractor_count() {
+        let mut req = ServeRequest::new("a", RequestKind::Train);
+        req.distractors = MAX_DISTRACTORS;
+        assert!(req.validate().is_ok());
+        req.distractors = MAX_DISTRACTORS + 1;
+        let err = req.validate().unwrap_err();
+        assert!(err.to_string().contains("distractors"), "{err}");
     }
 
     #[test]

@@ -544,6 +544,47 @@ fn scenario_requests_route_to_their_own_quiz() {
     assert_eq!(rejected[0].exec_virtual_us, 0, "never ran");
 }
 
+/// A line asking for a billion-document corpus is the caller's fault:
+/// typed `invalid` at intake, no corpus generated or cached for it, and
+/// the rest of the batch byte-identical to the batch without it.
+#[test]
+fn oversized_distractor_count_is_invalid_and_builds_nothing() {
+    let good = concat!(
+        r#"{"id":"t1","kind":"train","deadline_us":5000000}"#,
+        "\n",
+        r#"{"id":"p1","kind":"panic_probe","probe_panics":0}"#,
+        "\n",
+    );
+    let huge = r#"{"id":"huge","kind":"train","distractors":1000000000}"#;
+    // Checked before anything is served, so a missing bound fails here
+    // instead of starting the build.
+    let parsed = ira_serve::parse_requests(huge).expect("parses");
+    assert!(parsed[0].validate().is_err(), "distractors must be bounded");
+
+    let engine = Arc::new(Engine::new());
+    let server = Server::with_engine(Arc::clone(&engine), ServeConfig::default());
+    let clean = server.serve_jsonl(good, None).expect("serves");
+    let builds = engine.corpus_builds();
+    // Last in the batch: an invalid line still takes an arrival slot.
+    let mixed = server
+        .serve_jsonl(&format!("{good}{huge}\n"), None)
+        .expect("serves");
+    assert_eq!(
+        engine.corpus_builds(),
+        builds,
+        "no corpus for the huge line"
+    );
+
+    let responses = ira_serve::parse_responses(&mixed).expect("parses back");
+    let rejected = responses.last().unwrap();
+    assert_eq!(rejected.id, "huge");
+    assert_eq!(rejected.status, ResponseStatus::Failed);
+    assert_eq!(rejected.attempts, 0, "invalid, never attempted");
+    assert_eq!(rejected.error.as_ref().unwrap().kind, "config");
+    let others: Vec<&str> = mixed.lines().take(2).collect();
+    assert_eq!(others, clean.lines().collect::<Vec<_>>());
+}
+
 /// `serve_jsonl` round-trips the whole wire path: JSONL in, JSONL out,
 /// byte-identical across repeated calls.
 #[test]

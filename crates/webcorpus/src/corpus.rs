@@ -12,7 +12,6 @@ use ira_worldmodel::World;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Corpus generation knobs. The scenario name is interned against the
 /// standard registry (a `&'static str`), which keeps this type `Copy`
@@ -40,21 +39,6 @@ impl CorpusConfig {
             scenario: scenario::static_name(&spec.scenario)?,
         })
     }
-
-    /// The pre-scenario constructor shape. The scenario is implicit
-    /// (always the solar superstorm), which is exactly why it is
-    /// deprecated — construct through a [`ScenarioSpec`] instead.
-    #[deprecated(
-        since = "0.3.0",
-        note = "scenario-implicit; build via `CorpusConfig::for_spec(&ScenarioSpec)`"
-    )]
-    pub fn legacy(seed: u64, distractor_count: usize) -> Self {
-        CorpusConfig {
-            seed,
-            distractor_count,
-            scenario: SOLAR_SUPERSTORM,
-        }
-    }
 }
 
 impl Default for CorpusConfig {
@@ -73,13 +57,9 @@ pub struct Corpus {
     engine: SearchEngine,
     by_url: HashMap<String, DocId>,
     /// `(host, path) -> id` index behind [`Corpus::doc_by_host_path`].
-    /// First occurrence wins, matching what the legacy linear scan
-    /// returned for (hypothetical) duplicate addresses.
+    /// First occurrence wins, matching what a linear scan in document
+    /// order returns for (hypothetical) duplicate addresses.
     by_host_path: HashMap<(String, String), DocId>,
-    /// Serve host+path lookups with the legacy O(N) scan instead of
-    /// the index. Answers are identical; only the op cost differs.
-    /// Exists so the perf baseline can measure "before".
-    scan_lookups: AtomicBool,
 }
 
 impl Corpus {
@@ -123,14 +103,7 @@ impl Corpus {
             engine,
             by_url,
             by_host_path,
-            scan_lookups: AtomicBool::new(false),
         }
-    }
-
-    /// Switch host+path lookups to the legacy linear scan (`true`) or
-    /// the index (`false`, the default). Benchmark plumbing only.
-    pub fn set_scan_lookups(&self, scan: bool) {
-        self.scan_lookups.store(scan, Ordering::Relaxed);
     }
 
     pub fn len(&self) -> usize {
@@ -150,20 +123,10 @@ impl Corpus {
     }
 
     /// Fetch a document by host + path (what a virtual host sees).
-    /// Served from the `(host, path)` index built at construction —
-    /// every simnet fetch used to pay an O(N) scan here.
+    /// Served from the `(host, path)` index built at construction; a
+    /// lookup charges one probe to the op counters.
     pub fn doc_by_host_path(&self, host: &str, path: &str) -> Option<&Document> {
         opstats::lookup_call();
-        if self.scan_lookups.load(Ordering::Relaxed) {
-            let mut scanned = 0;
-            let hit = self.docs.iter().find(|d| {
-                scanned += 1;
-                d.source.host() == host && d.path == path
-            });
-            // A miss scans everything; a hit pays for the prefix.
-            opstats::docs_scanned(scanned);
-            return hit;
-        }
         opstats::docs_scanned(1);
         // The owned-tuple key costs two small allocations per lookup;
         // avoiding them needs unstable raw-entry APIs, and they are
@@ -310,22 +273,28 @@ mod tests {
     #[test]
     fn host_path_index_agrees_with_legacy_scan_on_full_corpus() {
         // The indexed lookup must be observationally identical to the
-        // O(N) scan it replaced, for every document and for misses.
+        // O(N) first-match scan it replaced, for every document and for
+        // misses.
         let c = corpus();
+        let scan = |host: &str, path: &str| {
+            c.iter()
+                .find(|d| d.source.host() == host && d.path == path)
+                .map(|d| d.id)
+        };
         for doc in c.iter() {
             let host = doc.source.host();
             let indexed = c.doc_by_host_path(host, &doc.path).map(|d| d.id);
-            c.set_scan_lookups(true);
-            let scanned = c.doc_by_host_path(host, &doc.path).map(|d| d.id);
-            c.set_scan_lookups(false);
-            assert_eq!(indexed, scanned, "disagree on {host}{}", doc.path);
+            assert_eq!(
+                indexed,
+                scan(host, &doc.path),
+                "disagree on {host}{}",
+                doc.path
+            );
             // And both resolve to this document's address.
             assert_eq!(indexed, Some(doc.id));
         }
         assert!(c.doc_by_host_path("encyclopedia.test", "/nope").is_none());
-        c.set_scan_lookups(true);
-        assert!(c.doc_by_host_path("encyclopedia.test", "/nope").is_none());
-        c.set_scan_lookups(false);
+        assert!(scan("encyclopedia.test", "/nope").is_none());
     }
 
     #[test]
@@ -336,16 +305,10 @@ mod tests {
         let doc = c.iter().last().unwrap();
         c.doc_by_host_path(doc.source.host(), &doc.path).unwrap();
         let after_index = opstats::snapshot().since(&before);
-        c.set_scan_lookups(true);
-        c.doc_by_host_path(doc.source.host(), &doc.path).unwrap();
-        c.set_scan_lookups(false);
-        let after_both = opstats::snapshot().since(&before);
-        // Parallel tests may also count; deltas are lower bounds.
+        // Parallel tests may also count; deltas are lower bounds. The
+        // index charges one probe per lookup, even for the last document.
         assert!(after_index.lookup_calls >= 1);
         assert!(after_index.docs_scanned >= 1);
-        // The scan of the last document examines the whole corpus,
-        // dwarfing the index probe's single unit.
-        assert!(after_both.docs_scanned >= after_index.docs_scanned + c.len() as u64);
     }
 
     fn topic_docs(n: usize) -> Vec<Document> {
@@ -448,12 +411,6 @@ mod tests {
         assert_eq!(config.scenario, "cable-cut");
         assert!(CorpusConfig::for_spec(&ScenarioSpec::named("nope")).is_none());
         assert!(Corpus::for_scenario(&World::standard(), &ScenarioSpec::named("nope")).is_err());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_config_shim_pins_the_solar_scenario() {
-        assert_eq!(CorpusConfig::legacy(0xC0FFEE, 150), CorpusConfig::default());
     }
 
     /// The golden byte-identity bar: the canonical scenario through the

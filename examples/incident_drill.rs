@@ -37,17 +37,16 @@ fn main() {
 
     // --- Phase 2: the investigation.
     println!("## Phase 2 — agent Alice investigates the incident class\n");
-    let env = Environment::standard();
-    let quiz = QuizBank::incidents(&env.world.incidents);
-    let conclusions = env.world.conclusions();
-    let mut alice = ResearchAgent::new(
-        RoleDefinition::outage_analyst(),
-        &env,
-        AgentConfig::default(),
-        0xA11CE,
-    );
+    let mut session = Engine::new().spawn_session(SessionConfig {
+        role: RoleDefinition::outage_analyst(),
+        llm_seed: 0xA11CE,
+        ..SessionConfig::bob()
+    });
+    let quiz = QuizBank::incidents(&session.world().incidents);
+    let conclusions = session.world().conclusions();
+    let alice = &mut session.agent;
     alice.train();
-    let run = evaluate_agent(&mut alice, &quiz, &conclusions);
+    let run = evaluate_agent(alice, &quiz, &conclusions);
     println!("{}", run.consistency.summary());
 
     let (answer, citations) = alice.ask_cited("What caused the 2021 Facebook outage?");

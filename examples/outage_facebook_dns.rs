@@ -14,13 +14,13 @@
 use ira::prelude::*;
 
 fn main() {
-    let env = Environment::standard();
-    let mut alice = ResearchAgent::new(
-        RoleDefinition::outage_analyst(),
-        &env,
-        AgentConfig::default(),
-        0xA11CE,
-    );
+    let mut alice = Engine::new()
+        .spawn_session(SessionConfig {
+            role: RoleDefinition::outage_analyst(),
+            llm_seed: 0xA11CE,
+            ..SessionConfig::bob()
+        })
+        .agent;
     println!("{}", alice.role);
 
     let report = alice.train();

@@ -8,9 +8,11 @@
 use ira::prelude::*;
 
 fn main() {
-    // 1. The environment: ground-truth world model -> synthetic web
-    //    corpus -> simulated network serving it.
-    let env = Environment::standard();
+    // 1. One session: the environment (ground-truth world model ->
+    //    synthetic web corpus -> simulated network serving it) plus
+    //    the agent living in it.
+    let mut session = Engine::new().spawn_session(SessionConfig::bob());
+    let env = &session.env;
     println!(
         "environment up: {} documents on {} virtual hosts\n",
         env.corpus.len(),
@@ -19,7 +21,7 @@ fn main() {
 
     // 2. Agent Bob, defined exactly as in the paper: a role and three
     //    initial goals.
-    let mut bob = ResearchAgent::bob(&env);
+    let bob = &mut session.agent;
     println!("{}", bob.role);
 
     // 3. Phase 1 — autonomous training: Bob plans each goal, searches

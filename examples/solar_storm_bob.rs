@@ -15,14 +15,14 @@ use ira::prelude::*;
 use ira::simllm::Llm;
 
 fn main() {
-    let env = Environment::standard();
+    let mut session = Engine::new().spawn_session(SessionConfig::bob());
 
     // --- A raw Auto-GPT loop, to show what one goal pursuit looks like.
     println!("## One goal through the raw Auto-GPT loop\n");
     let llm = Llm::gpt4(7);
     let memory = KnowledgeStore::with_defaults();
     let mut loop_ = AutoGpt::new(
-        &env.client,
+        &session.env.client,
         &llm,
         &memory,
         AutoGptConfig::default(),
@@ -40,11 +40,11 @@ fn main() {
 
     // --- The full agent, trained and quizzed.
     println!("## Agent Bob, trained and quizzed against the expert conclusions\n");
-    let quiz = QuizBank::from_world(&env.world);
-    let conclusions = env.world.conclusions();
-    let mut bob = ResearchAgent::bob(&env);
+    let quiz = QuizBank::from_world(session.world());
+    let conclusions = session.world().conclusions();
+    let bob = &mut session.agent;
     bob.train();
-    let run = evaluate_agent(&mut bob, &quiz, &conclusions);
+    let run = evaluate_agent(bob, &quiz, &conclusions);
 
     for (item, result) in quiz.iter().zip(&run.consistency.per_item) {
         println!(

@@ -17,14 +17,19 @@ const QUESTIONS: [&str; 2] = [
 fn main() {
     println!("threshold  question  conf-series        rounds  searches  committed");
     println!("--------------------------------------------------------------------");
+    let engine = Engine::new();
     for threshold in [3u8, 5, 7, 9] {
         for (qi, question) in QUESTIONS.iter().enumerate() {
-            let env = Environment::standard();
-            let config = AgentConfig {
+            let agent = AgentConfig {
                 confidence_threshold: threshold,
                 ..AgentConfig::default()
             };
-            let mut bob = ResearchAgent::new(RoleDefinition::bob(), &env, config, 0xB0B);
+            let mut bob = engine
+                .spawn_session(SessionConfig {
+                    agent,
+                    ..SessionConfig::bob()
+                })
+                .agent;
             bob.train();
             let t = bob.self_learn(question);
             let answer = bob.ask(question);

@@ -4,20 +4,29 @@
 use ira::prelude::*;
 use ira::simllm::Llm;
 
+/// Alice, the outage analyst, in the canonical environment.
+fn alice() -> SessionConfig {
+    SessionConfig {
+        role: RoleDefinition::outage_analyst(),
+        llm_seed: 0xA11CE,
+        ..SessionConfig::bob()
+    }
+}
+
 const CABLE_Q: &str = "Which is more vulnerable to solar activity? The fiber optic cable that \
                        connects Brazil to Europe or the one that connects the US to Europe?";
 
 #[test]
 fn full_pipeline_reproduces_the_paper_headline() {
-    let env = Environment::standard();
-    let quiz = QuizBank::from_world(&env.world);
-    let conclusions = env.world.conclusions();
+    let mut session = Engine::new().spawn_session(SessionConfig::bob());
+    let quiz = QuizBank::from_world(session.world());
+    let conclusions = session.world().conclusions();
 
-    let mut bob = ResearchAgent::bob(&env);
+    let bob = &mut session.agent;
     let training = bob.train();
     assert!(training.total_memorized() >= 5);
 
-    let run = evaluate_agent(&mut bob, &quiz, &conclusions);
+    let run = evaluate_agent(bob, &quiz, &conclusions);
     assert!(
         run.consistency.consistent_count() >= 7,
         "paper reports 7 of 8; got {} of {}",
@@ -33,8 +42,7 @@ fn full_pipeline_reproduces_the_paper_headline() {
 
 #[test]
 fn paper_trajectory_shapes_hold() {
-    let env = Environment::standard();
-    let mut bob = ResearchAgent::bob(&env);
+    let mut bob = Engine::new().spawn_session(SessionConfig::bob()).agent;
     bob.train();
 
     // E2: cable question, 3 -> 8..9 in one round, US-Europe verdict.
@@ -57,13 +65,15 @@ fn paper_trajectory_shapes_hold() {
 
 #[test]
 fn identical_seeds_give_identical_runs() {
+    // Separate engines: nothing cached in one run can leak into the
+    // other.
     let run = || {
-        let env = Environment::standard();
-        let quiz = QuizBank::from_world(&env.world);
-        let conclusions = env.world.conclusions();
-        let mut bob = ResearchAgent::bob(&env);
+        let mut session = Engine::new().spawn_session(SessionConfig::bob());
+        let quiz = QuizBank::from_world(session.world());
+        let conclusions = session.world().conclusions();
+        let bob = &mut session.agent;
         bob.train();
-        let run = evaluate_agent(&mut bob, &quiz, &conclusions);
+        let run = evaluate_agent(bob, &quiz, &conclusions);
         (
             run.consistency.consistent_count(),
             run.trajectories
@@ -79,29 +89,26 @@ fn identical_seeds_give_identical_runs() {
 }
 
 #[test]
-fn grounding_cache_and_legacy_lookups_are_observationally_identical() {
-    // The hot-path overhaul (grounding cache, indexed corpus lookups)
-    // must be invisible in every observable: answers, confidence
-    // trajectories, memory contents, LLM stats, and the virtual clock.
+fn grounding_cache_is_observationally_identical() {
+    // The grounding cache must be invisible in every observable:
+    // answers, confidence trajectories, memory contents, LLM stats, and
+    // the virtual clock.
     use ira::services::WebServices;
     use ira::simllm::LlmConfig;
     use std::sync::Arc;
 
-    let run = |legacy: bool| {
-        let env = Environment::standard();
-        env.corpus.set_scan_lookups(legacy);
-        let web: Arc<dyn WebServices> = Arc::new(env.client.clone());
+    let engine = Engine::new();
+    let run = |grounding_cache: bool| {
+        let config = SessionConfig::bob();
+        let session = engine.spawn_session(config.clone());
+        let web: Arc<dyn WebServices> = Arc::new(session.env.client.clone());
         let llm = Arc::new(Llm::new(LlmConfig {
-            seed: 0xB0B,
-            grounding_cache: !legacy,
+            seed: config.llm_seed,
+            grounding_cache,
             ..LlmConfig::default()
         }));
-        let mut bob = ResearchAgent::from_services(
-            RoleDefinition::bob(),
-            Arc::clone(&web),
-            llm,
-            AgentConfig::default(),
-        );
+        let mut bob =
+            ResearchAgent::from_services(config.role, Arc::clone(&web), llm, config.agent);
         bob.train();
         let t = bob.self_learn(CABLE_Q);
         // Re-asking after learning exercises the answer cache.
@@ -120,8 +127,7 @@ fn grounding_cache_and_legacy_lookups_are_observationally_identical() {
 
 #[test]
 fn knowledge_json_round_trips_through_a_real_agent() {
-    let env = Environment::standard();
-    let mut bob = ResearchAgent::bob(&env);
+    let mut bob = Engine::new().spawn_session(SessionConfig::bob()).agent;
     bob.train();
     let json = bob.memory().to_json();
     assert!(json.contains("source_url"));
@@ -136,16 +142,15 @@ fn knowledge_json_round_trips_through_a_real_agent() {
 
 #[test]
 fn bigger_distractor_load_does_not_break_learning() {
-    let corpus = std::sync::Arc::new(ira::webcorpus::Corpus::generate(
-        &World::standard(),
-        CorpusConfig {
-            seed: 0xC0FFEE,
-            distractor_count: 600,
-            ..CorpusConfig::default()
-        },
-    ));
-    let env = Environment::from_parts(World::standard(), corpus, 0xBEEF, None);
-    let mut bob = ResearchAgent::bob(&env);
+    let mut bob = Engine::new()
+        .spawn_session(SessionConfig {
+            corpus: CorpusConfig {
+                distractor_count: 600,
+                ..CorpusConfig::default()
+            },
+            ..SessionConfig::bob()
+        })
+        .agent;
     bob.train();
     let t = bob.self_learn(CABLE_Q);
     assert!(
@@ -156,13 +161,7 @@ fn bigger_distractor_load_does_not_break_learning() {
 
 #[test]
 fn different_role_same_architecture() {
-    let env = Environment::standard();
-    let mut alice = ResearchAgent::new(
-        RoleDefinition::outage_analyst(),
-        &env,
-        AgentConfig::default(),
-        0xA11CE,
-    );
+    let mut alice = Engine::new().spawn_session(alice()).agent;
     alice.train();
     let q = "Are submarine cables or terrestrial fiber links more at risk during a solar \
              superstorm?";
@@ -178,14 +177,13 @@ fn different_role_same_architecture() {
 
 #[test]
 fn virtual_time_accumulates_like_a_real_investigation() {
-    let env = Environment::standard();
-    let quiz = QuizBank::from_world(&env.world);
-    let mut bob = ResearchAgent::bob(&env);
-    bob.train();
+    let mut session = Engine::new().spawn_session(SessionConfig::bob());
+    let quiz = QuizBank::from_world(session.world());
+    session.agent.train();
     for item in quiz.iter() {
-        let _ = bob.self_learn(&item.question);
+        let _ = session.agent.self_learn(&item.question);
     }
-    let minutes = env.now_us() as f64 / 6e7;
+    let minutes = session.now_us() as f64 / 6e7;
     assert!(
         (0.5..30.0).contains(&minutes),
         "full investigation should take order-of-minutes virtual time, took {minutes:.1}"
@@ -196,17 +194,12 @@ fn virtual_time_accumulates_like_a_real_investigation() {
 fn incident_investigation_matches_all_four_conclusions() {
     // The X2 extension end to end: Alice the outage analyst against
     // the incident quiz derived from the catalog.
-    let env = Environment::standard();
-    let quiz = QuizBank::incidents(&env.world.incidents);
-    let conclusions = env.world.conclusions();
-    let mut alice = ResearchAgent::new(
-        RoleDefinition::outage_analyst(),
-        &env,
-        AgentConfig::default(),
-        0xA11CE,
-    );
+    let mut session = Engine::new().spawn_session(alice());
+    let quiz = QuizBank::incidents(&session.world().incidents);
+    let conclusions = session.world().conclusions();
+    let alice = &mut session.agent;
     alice.train();
-    let run = evaluate_agent(&mut alice, &quiz, &conclusions);
+    let run = evaluate_agent(alice, &quiz, &conclusions);
     assert_eq!(
         run.consistency.consistent_count(),
         4,
@@ -224,8 +217,8 @@ fn incident_investigation_matches_all_four_conclusions() {
 #[test]
 fn poisoning_degrades_confidence_but_never_flips_the_verdict() {
     use ira::evalkit::poison::PoisonCampaign;
-    let env = Environment::standard();
-    let mut bob = ResearchAgent::bob(&env);
+    let mut session = Engine::new().spawn_session(SessionConfig::bob());
+    let bob = &mut session.agent;
     bob.train();
     let _ = bob.self_learn(CABLE_Q);
     let clean = bob.ask(CABLE_Q);
@@ -236,7 +229,7 @@ fn poisoning_degrades_confidence_but_never_flips_the_verdict() {
         .contains("United States"));
 
     for target in ["Atlantis-2", "EllaLink"] {
-        PoisonCampaign::inflate(target, 75.0, 3).inject(bob.memory(), env.now_us());
+        PoisonCampaign::inflate(target, 75.0, 3).inject(bob.memory(), session.env.now_us());
     }
     let poisoned = bob.ask(CABLE_Q);
     assert!(
@@ -259,8 +252,7 @@ fn poisoning_degrades_confidence_but_never_flips_the_verdict() {
 fn markdown_report_renders_a_full_run() {
     use ira::evalkit::report::markdown_report;
     use ira::evalkit::runner::full_paper_run;
-    let env = Environment::standard();
-    let (run, baseline) = full_paper_run(&env);
+    let (run, baseline) = full_paper_run(&Engine::new());
     let md = markdown_report("Investigation report: solar superstorms", &run, &baseline);
     assert!(md.starts_with("# Investigation report"));
     assert!(md.contains("## Per-question results"));
@@ -278,11 +270,10 @@ fn agent_survives_a_hostile_network() {
     use ira::simnet::latency::LatencyModel;
     use ira::simnet::ratelimit::TokenBucket;
     use ira::simnet::server::{HostConfig, Network, NetworkConfig};
-    use ira::webcorpus::{register_sites, Corpus};
+    use ira::webcorpus::register_sites;
     use std::sync::Arc;
 
-    let world = World::standard();
-    let corpus = Arc::new(Corpus::generate(&world, CorpusConfig::default()));
+    let corpus = Engine::new().corpus(CorpusConfig::default());
     let mut net = Network::new(
         NetworkConfig {
             default_host: HostConfig {
@@ -323,13 +314,15 @@ fn agent_survives_a_hostile_network() {
         );
     }
 
-    let client = ira::simnet::Client::new(Arc::new(net));
-    let env = Environment {
-        world,
-        corpus,
-        client,
-    };
-    let mut bob = ResearchAgent::bob(&env);
+    // Bob wired by hand over the lossy client: the engine only builds
+    // standard networks.
+    let bob_session = SessionConfig::bob();
+    let mut bob = ResearchAgent::from_services(
+        bob_session.role,
+        Arc::new(ira::simnet::Client::new(Arc::new(net))),
+        Arc::new(Llm::gpt4(bob_session.llm_seed)),
+        bob_session.agent,
+    );
     let report = bob.train();
     assert!(
         report.total_memorized() >= 3,
@@ -347,17 +340,20 @@ fn agent_survives_a_hostile_network() {
 fn flagship_trajectory_holds_across_seeds() {
     // A compressed X11: four distinct corpus/network seeds must all
     // reach the correct verdict at high confidence.
+    let engine = Engine::new();
     for seed in [0x5EEDu64, 0x60EF, 0x62F1, 0x67F6] {
-        let corpus = std::sync::Arc::new(ira::webcorpus::Corpus::generate(
-            &World::standard(),
-            CorpusConfig {
-                seed,
-                distractor_count: 150,
-                ..CorpusConfig::default()
-            },
-        ));
-        let env = Environment::from_parts(World::standard(), corpus, seed ^ 0xBEEF, None);
-        let mut bob = ResearchAgent::new(RoleDefinition::bob(), &env, AgentConfig::default(), seed);
+        let mut bob = engine
+            .spawn_session(SessionConfig {
+                corpus: CorpusConfig {
+                    seed,
+                    distractor_count: 150,
+                    ..CorpusConfig::default()
+                },
+                net_seed: seed ^ 0xBEEF,
+                llm_seed: seed,
+                ..SessionConfig::bob()
+            })
+            .agent;
         bob.train();
         let t = bob.self_learn(CABLE_Q);
         assert!(
