@@ -158,11 +158,6 @@ impl ClaimGraph {
         &self.config
     }
 
-    /// Replace the (non-serialized) config, e.g. to enable decay.
-    pub fn set_config(&mut self, config: GraphConfig) {
-        self.config = config;
-    }
-
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }

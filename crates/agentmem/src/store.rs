@@ -233,12 +233,6 @@ impl KnowledgeStore {
         self.session.store(session, Ordering::Relaxed);
     }
 
-    /// Replace the claim-graph tuning (expansion width, corroboration
-    /// weight, decay horizon). Runtime-only; not serialized.
-    pub fn set_graph_config(&self, config: GraphConfig) {
-        self.inner.write().graph.set_config(config);
-    }
-
     /// Aggregate claim-graph statistics (the observability surface).
     pub fn graph_stats(&self) -> GraphStats {
         self.inner.read().graph.stats()

@@ -22,7 +22,7 @@
 //! [`EventLog`].
 
 use crate::budget::Budget;
-use crate::command::{Command, CommandOutcome};
+use crate::command::Command;
 use crate::cycle::AgentCycle;
 use crate::events::{EventKind, EventLog};
 use ira_services::{LanguageModel, Memory, SearchHit, ServiceError, StepAction, WebServices};
@@ -363,19 +363,6 @@ impl<'a> AutoGpt<'a> {
                 url: url.to_string(),
             },
         ));
-    }
-
-    /// Outcome classification helper for external drivers.
-    pub fn classify_outcome(report: &GoalReport) -> CommandOutcome {
-        if report.errors > 0 && report.memorized == 0 {
-            CommandOutcome::Failed {
-                error: format!("{} errors, nothing learned", report.errors),
-            }
-        } else {
-            CommandOutcome::Memorized {
-                stored: report.memorized > 0,
-            }
-        }
     }
 }
 

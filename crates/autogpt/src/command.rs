@@ -40,21 +40,6 @@ impl fmt::Display for Command {
     }
 }
 
-/// What happened when a command was executed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum CommandOutcome {
-    /// Search returned this many results.
-    SearchResults { count: usize },
-    /// Page fetched, this many bytes.
-    PageFetched { bytes: usize },
-    /// Entry stored (or deduplicated away).
-    Memorized { stored: bool },
-    /// Goal closed out.
-    Completed,
-    /// The command failed; the loop may retry or move on.
-    Failed { error: String },
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -36,11 +36,6 @@ impl AgentCycle {
         self.plan = plan;
         self
     }
-
-    pub fn with_criticism(mut self, criticism: impl Into<String>) -> Self {
-        self.criticism = criticism.into();
-        self
-    }
 }
 
 impl fmt::Display for AgentCycle {

@@ -5,7 +5,7 @@
 //! page fetches, and memory writes — without a human in the loop.
 //!
 //! * [`command`] — the command vocabulary (`google`, `browse_website`,
-//!   `memorize`, `task_complete`) and results.
+//!   `memorize`, `task_complete`).
 //! * [`cycle`] — the THOUGHTS / REASONING / PLAN / CRITICISM / COMMAND
 //!   record each iteration produces, rendered the way Auto-GPT prints
 //!   them.
@@ -24,6 +24,6 @@ pub mod events;
 
 pub use agent::{AutoGpt, AutoGptConfig, GoalReport};
 pub use budget::{Budget, BudgetExhausted};
-pub use command::{Command, CommandOutcome};
+pub use command::Command;
 pub use cycle::AgentCycle;
 pub use events::{Event, EventKind, EventLog};

@@ -33,10 +33,10 @@ const QUESTION: &str = "Which is more vulnerable to solar activity? The fiber op
 const TOLERANCE: f64 = 5.0;
 
 fn trained_bob(engine: &Engine, graph_retrieval: bool) -> Session {
-    let agent = AgentConfig::builder()
-        .graph_retrieval(graph_retrieval)
-        .build()
-        .expect("valid config");
+    let agent = AgentConfig {
+        graph_retrieval,
+        ..AgentConfig::default()
+    };
     let mut session = engine.spawn_session(SessionConfig {
         agent,
         ..SessionConfig::bob()

@@ -35,12 +35,15 @@ pub enum Command {
     Learn {
         knowledge: String,
         question: String,
-        threshold: u8,
+        /// `--threshold` as typed; `AgentConfig::validate` range-checks
+        /// it when the command runs.
+        threshold: usize,
     },
     /// Run the full quiz evaluation.
     Quiz {
         incidents: bool,
-        threshold: u8,
+        /// `--threshold` as typed (see [`Command::Learn`]).
+        threshold: usize,
         report: Option<String>,
         /// Evaluate this many independently seeded agents on worker
         /// threads and report each (1 = single agent, classic output).
@@ -213,11 +216,11 @@ COMMANDS:
                   \"<question>\"
     learn       Self-learn a question, updating the knowledge file
                   --knowledge <file>      (default knowledge.json)
-                  --threshold <0-10>      confidence threshold (default 7)
+                  --threshold <1-10>      confidence threshold (default 7)
                   \"<question>\"
     quiz        Train + evaluate against the expert conclusions
                   --incidents             use the incident quiz instead
-                  --threshold <0-10>      (default 7)
+                  --threshold <1-10>      (default 7)
                   --report <file>         write a markdown report
                   --parallel <n>          evaluate n seeded agents on worker threads
                                           (default 1; classic single-agent output)
@@ -384,13 +387,13 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             knowledge: flag(&rest, "--knowledge")?
                 .unwrap_or("knowledge.json")
                 .to_string(),
-            threshold: num_flag(&rest, "--threshold", 7)? as u8,
+            threshold: num_flag(&rest, "--threshold", 7)?,
             question: positional(&rest)
                 .ok_or_else(|| ParseError("learn needs a question".into()))?,
         }),
         "quiz" => Ok(Command::Quiz {
             incidents: rest.contains(&"--incidents"),
-            threshold: num_flag(&rest, "--threshold", 7)? as u8,
+            threshold: num_flag(&rest, "--threshold", 7)?,
             report: flag(&rest, "--report")?.map(str::to_string),
             parallel: num_flag(&rest, "--parallel", 1)?.max(1),
             trace: flag(&rest, "--trace")?.map(str::to_string),

@@ -71,7 +71,10 @@ pub fn run(cmd: Command) -> i32 {
             knowledge,
             question,
             threshold,
-        } => learn(&knowledge, &question, threshold),
+        } => match threshold_config(threshold) {
+            Ok(config) => learn(&knowledge, &question, config),
+            Err(code) => code,
+        },
         Command::Quiz {
             incidents,
             threshold,
@@ -80,11 +83,15 @@ pub fn run(cmd: Command) -> i32 {
             trace,
             metrics,
         } => {
+            let config = match threshold_config(threshold) {
+                Ok(config) => config,
+                Err(code) => return code,
+            };
             let obs = ObsSinks::new(trace.as_deref(), metrics);
             if parallel > 1 {
-                quiz_parallel(incidents, threshold, report.as_deref(), parallel, &obs)
+                quiz_parallel(incidents, config, report.as_deref(), parallel, &obs)
             } else {
-                quiz(incidents, threshold, report.as_deref(), &obs)
+                quiz(incidents, config, report.as_deref(), &obs)
             }
         }
         Command::Plan => plan(),
@@ -430,12 +437,28 @@ fn train_parallel(
     obs.finish()
 }
 
+/// The agent config for a `--threshold` value, range-checked by
+/// [`AgentConfig::validate`]. An out-of-range value is a usage error:
+/// it is reported on stderr and yields exit code 2, before any work.
+fn threshold_config(threshold: usize) -> Result<AgentConfig, i32> {
+    let config = AgentConfig {
+        // Saturate so an oversized value stays out of range instead of
+        // wrapping into it.
+        confidence_threshold: u8::try_from(threshold).unwrap_or(u8::MAX),
+        ..AgentConfig::default()
+    };
+    config.validate().map(|()| config).map_err(|e| {
+        eprintln!("error: --threshold {threshold}: {e}");
+        2
+    })
+}
+
 /// `ira quiz --parallel N`: N independently seeded agents take the
 /// quiz on worker threads; the per-agent scores and the across-agent
 /// aggregate quantify how seed-robust the result is.
 fn quiz_parallel(
     incidents: bool,
-    threshold: u8,
+    config: AgentConfig,
     report_path: Option<&str>,
     agents: usize,
     obs: &ObsSinks,
@@ -454,10 +477,6 @@ fn quiz_parallel(
         RoleDefinition::outage_analyst()
     } else {
         RoleDefinition::bob()
-    };
-    let config = AgentConfig {
-        confidence_threshold: threshold,
-        ..AgentConfig::default()
     };
 
     println!("evaluating {agents} seeded agents in parallel");
@@ -565,7 +584,7 @@ fn ask(knowledge: &str, question: &str) -> i32 {
     0
 }
 
-fn learn(knowledge: &str, question: &str, threshold: u8) -> i32 {
+fn learn(knowledge: &str, question: &str, config: AgentConfig) -> i32 {
     let session = cli_session(150);
     let store = match KnowledgeStore::load(Path::new(knowledge)) {
         Ok(s) => s,
@@ -573,10 +592,6 @@ fn learn(knowledge: &str, question: &str, threshold: u8) -> i32 {
             println!("no knowledge file at {knowledge}; starting fresh");
             KnowledgeStore::with_defaults()
         }
-    };
-    let config = AgentConfig {
-        confidence_threshold: threshold,
-        ..AgentConfig::default()
     };
     let mut agent =
         ResearchAgent::with_memory(RoleDefinition::bob(), &session.env, config, 0xB0B, store);
@@ -592,7 +607,7 @@ fn learn(knowledge: &str, question: &str, threshold: u8) -> i32 {
     0
 }
 
-fn quiz(incidents: bool, threshold: u8, report_path: Option<&str>, obs: &ObsSinks) -> i32 {
+fn quiz(incidents: bool, config: AgentConfig, report_path: Option<&str>, obs: &ObsSinks) -> i32 {
     // Like serial train: spawn session 0 through the engine so the
     // single-agent quiz (and its trace) matches session 0 of
     // `--parallel N` exactly.
@@ -607,10 +622,6 @@ fn quiz(incidents: bool, threshold: u8, report_path: Option<&str>, obs: &ObsSink
         RoleDefinition::outage_analyst()
     } else {
         RoleDefinition::bob()
-    };
-    let config = AgentConfig {
-        confidence_threshold: threshold,
-        ..AgentConfig::default()
     };
     let session_config = SessionConfig {
         role,

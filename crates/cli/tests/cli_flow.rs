@@ -433,3 +433,33 @@ fn quiz_with_metrics_and_trace_succeeds() {
     );
     std::fs::remove_file(&trace).ok();
 }
+
+#[test]
+fn out_of_range_thresholds_are_usage_errors() {
+    // `--threshold` is range-checked by `AgentConfig::validate`: an
+    // oversized value must not wrap into range (256 would become 0, a
+    // quiz that never self-learns), and 0 and 11 are outside 1..=10.
+    let knowledge = tmp("threshold-rejected.json");
+    let _ = std::fs::remove_file(&knowledge);
+    for t in ["256", "0", "11"] {
+        let quiz = parse(&["quiz", "--threshold", t].map(String::from)).unwrap();
+        assert_eq!(run(quiz), 2, "quiz --threshold {t}");
+        let learn = parse(
+            &[
+                "learn",
+                "--knowledge",
+                knowledge.as_str(),
+                "--threshold",
+                t,
+                "what is a CME?",
+            ]
+            .map(String::from),
+        )
+        .unwrap();
+        assert_eq!(run(learn), 2, "learn --threshold {t}");
+    }
+    assert!(
+        !std::path::Path::new(&knowledge).exists(),
+        "a rejected learn must not touch the knowledge file"
+    );
+}

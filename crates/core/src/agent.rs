@@ -807,10 +807,10 @@ mod tests {
         // trained agent must still reach the paper's verdict, and its
         // claim graph must be populated with provenance.
         let env = Environment::fixture();
-        let config = AgentConfig::builder()
-            .graph_retrieval(true)
-            .build()
-            .unwrap();
+        let config = AgentConfig {
+            graph_retrieval: true,
+            ..AgentConfig::default()
+        };
         let mut bob = ResearchAgent::new(RoleDefinition::bob(), &env, config, 0xB0B);
         bob.train();
         assert!(bob.memory().graph_retrieval(), "flag must reach the store");

@@ -60,7 +60,7 @@ impl Default for InferenceLatency {
 pub struct AgentConfig {
     /// Knowledge entries loaded into the prompt per question.
     pub retrieval_k: usize,
-    /// Confidence threshold (0–10) at which a query counts as
+    /// Confidence threshold (1–10) at which a query counts as
     /// answerable — the paper's example uses 7.
     pub confidence_threshold: u8,
     /// Maximum self-learning rounds per query.
@@ -102,10 +102,25 @@ fn default_budget() -> Budget {
 }
 
 impl AgentConfig {
-    /// Start building a config from the defaults, validating every
-    /// supplied value at [`AgentConfigBuilder::build`].
-    pub fn builder() -> AgentConfigBuilder {
-        AgentConfigBuilder::default()
+    /// Range-check the fields a run cannot work with out of range
+    /// (threshold, retrieval width, rounds, searches per round). Call it
+    /// where outside input, such as a CLI flag, becomes a config.
+    /// Errors carry the `IraError::Config` kind and name the offending
+    /// field.
+    pub fn validate(&self) -> IraResult<()> {
+        if self.confidence_threshold == 0 || self.confidence_threshold > 10 {
+            return Err(IraError::config("confidence_threshold must be in 1..=10"));
+        }
+        if self.retrieval_k == 0 {
+            return Err(IraError::config("retrieval_k must be at least 1"));
+        }
+        if self.max_rounds == 0 {
+            return Err(IraError::config("max_rounds must be at least 1"));
+        }
+        if self.searches_per_round == 0 {
+            return Err(IraError::config("searches_per_round must be at least 1"));
+        }
+        Ok(())
     }
 }
 
@@ -124,105 +139,6 @@ impl Default for AgentConfig {
             autogpt: AutoGptConfig::default(),
             budget: Budget::standard(),
         }
-    }
-}
-
-/// Builder for [`AgentConfig`]: tweak the knobs you care about, keep
-/// the paper defaults for the rest, and get range validation in one
-/// place instead of a panic (or silent nonsense) deep in a run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AgentConfigBuilder {
-    config: AgentConfig,
-}
-
-impl AgentConfigBuilder {
-    /// Confidence threshold (1–10) at which a query counts as
-    /// answerable.
-    pub fn confidence_threshold(mut self, threshold: u8) -> Self {
-        self.config.confidence_threshold = threshold;
-        self
-    }
-
-    /// Knowledge entries loaded into the prompt per question.
-    pub fn retrieval_k(mut self, k: usize) -> Self {
-        self.config.retrieval_k = k;
-        self
-    }
-
-    /// Maximum self-learning rounds per query.
-    pub fn max_rounds(mut self, rounds: u32) -> Self {
-        self.config.max_rounds = rounds;
-        self
-    }
-
-    /// Maximum searches proposed per self-learning round.
-    pub fn searches_per_round(mut self, searches: usize) -> Self {
-        self.config.searches_per_round = searches;
-        self
-    }
-
-    /// Run the searches of one round in parallel threads.
-    pub fn parallel_retrieval(mut self, on: bool) -> Self {
-        self.config.parallel_retrieval = on;
-        self
-    }
-
-    /// Two-pass gap-query retrieval (on by default).
-    pub fn query_expansion(mut self, on: bool) -> Self {
-        self.config.query_expansion = on;
-        self
-    }
-
-    /// Simulated model-call latency charged to the virtual clock.
-    pub fn inference(mut self, latency: InferenceLatency) -> Self {
-        self.config.inference = latency;
-        self
-    }
-
-    /// Knowledge-memory behaviour (dedup threshold, retrieval weights).
-    pub fn memory(mut self, memory: StoreConfig) -> Self {
-        self.config.memory = memory;
-        self
-    }
-
-    /// Claim-graph corroboration in retrieval scoring (off by default).
-    pub fn graph_retrieval(mut self, on: bool) -> Self {
-        self.config.graph_retrieval = on;
-        self
-    }
-
-    /// Auto-GPT loop shape (results per search, fetches, crawl depth).
-    pub fn autogpt(mut self, autogpt: AutoGptConfig) -> Self {
-        self.config.autogpt = autogpt;
-        self
-    }
-
-    /// Per-goal search/fetch/cycle budget.
-    pub fn budget(mut self, budget: Budget) -> Self {
-        self.config.budget = budget;
-        self
-    }
-
-    /// Validate and produce the config. Errors carry the
-    /// `IraError::Config` kind and name the offending field.
-    pub fn build(self) -> IraResult<AgentConfig> {
-        let c = &self.config;
-        if c.confidence_threshold == 0 || c.confidence_threshold > 10 {
-            return Err(IraError::config(format!(
-                "confidence_threshold must be in 1..=10, got {}",
-                c.confidence_threshold
-            )));
-        }
-        if c.retrieval_k == 0 {
-            return Err(IraError::config("retrieval_k must be at least 1"));
-        }
-        if c.max_rounds == 0 {
-            return Err(IraError::config("max_rounds must be at least 1"));
-        }
-        if c.searches_per_round == 0 {
-            return Err(IraError::config("searches_per_round must be at least 1"));
-        }
-        Ok(self.config)
     }
 }
 
@@ -263,41 +179,45 @@ mod tests {
     }
 
     #[test]
-    fn builder_applies_overrides_and_keeps_defaults() {
-        let c = AgentConfig::builder()
-            .confidence_threshold(9)
-            .retrieval_k(5)
-            .inference(InferenceLatency::zero())
-            .build()
+    fn validate_accepts_defaults_and_in_range_overrides() {
+        AgentConfig::default().validate().unwrap();
+        for threshold in [1, 10] {
+            AgentConfig {
+                confidence_threshold: threshold,
+                ..AgentConfig::default()
+            }
+            .validate()
             .unwrap();
-        assert_eq!(c.confidence_threshold, 9);
-        assert_eq!(c.retrieval_k, 5);
-        assert_eq!(c.inference, InferenceLatency::zero());
-        assert_eq!(c.max_rounds, AgentConfig::default().max_rounds);
-        assert!(c.query_expansion);
+        }
     }
 
     #[test]
-    fn builder_rejects_out_of_range_values() {
-        for (builder, field) in [
-            (AgentConfig::builder().confidence_threshold(0), "threshold"),
-            (AgentConfig::builder().confidence_threshold(11), "threshold"),
-            (AgentConfig::builder().retrieval_k(0), "retrieval_k"),
-            (AgentConfig::builder().max_rounds(0), "max_rounds"),
+    fn validate_rejects_out_of_range_values() {
+        let with = |set: fn(&mut AgentConfig)| {
+            let mut config = AgentConfig::default();
+            set(&mut config);
+            config
+        };
+        for (config, field) in [
+            (with(|c| c.confidence_threshold = 0), "confidence_threshold"),
             (
-                AgentConfig::builder().searches_per_round(0),
-                "searches_per_round",
+                with(|c| c.confidence_threshold = 11),
+                "confidence_threshold",
             ),
+            (with(|c| c.retrieval_k = 0), "retrieval_k"),
+            (with(|c| c.max_rounds = 0), "max_rounds"),
+            (with(|c| c.searches_per_round = 0), "searches_per_round"),
         ] {
-            let err = builder.build().expect_err(field);
+            let err = config.validate().expect_err(field);
             assert_eq!(err.kind(), "config", "{field}");
+            assert!(err.to_string().contains(field), "{err}");
         }
     }
 
     #[test]
     fn graph_retrieval_is_runtime_only() {
         // The flag must never leak into serialized configs (it would
-        // change knowledge.json bytes), and must survive the builder.
+        // change knowledge.json bytes).
         let c = AgentConfig {
             graph_retrieval: true,
             ..AgentConfig::default()
@@ -306,11 +226,6 @@ mod tests {
         assert!(!json.contains("graph_retrieval"));
         let back: AgentConfig = serde_json::from_str(&json).unwrap();
         assert!(!back.graph_retrieval, "serde must not round-trip the flag");
-        let built = AgentConfig::builder()
-            .graph_retrieval(true)
-            .build()
-            .unwrap();
-        assert!(built.graph_retrieval);
     }
 
     #[test]

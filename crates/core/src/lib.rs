@@ -33,7 +33,7 @@ pub use ira_services as services;
 
 pub use agent::{ResearchAgent, TrainingReport};
 pub use checkpoint::TrainingCheckpoint;
-pub use config::{AgentConfig, AgentConfigBuilder, InferenceLatency};
+pub use config::{AgentConfig, InferenceLatency};
 pub use ensemble::{Committee, CommitteeAnswer, CommitteeConfig};
 pub use env::{Environment, FaultSpec};
 pub use questions::{generate as generate_questions, ResearchQuestion};

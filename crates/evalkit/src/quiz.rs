@@ -2,9 +2,8 @@
 //! all the key conclusions in the SIGCOMM paper and generate quiz
 //! questions").
 
-use ira_worldmodel::conclusions::{Conclusion, ConclusionId, ConclusionSet};
 use ira_worldmodel::incidents::{derive_incident_conclusions, IncidentCatalog};
-use ira_worldmodel::scenario::{Scenario, ScenarioConclusion};
+use ira_worldmodel::scenario::{Scenario, ScenarioConclusion, SolarSuperstorm};
 use ira_worldmodel::World;
 use serde::{Deserialize, Serialize};
 
@@ -35,15 +34,9 @@ pub struct QuizBank {
 }
 
 impl QuizBank {
-    /// Build the quiz from a derived conclusion set.
-    pub fn from_conclusions(set: &ConclusionSet) -> Self {
-        let items = set.iter().map(QuizItem::from_conclusion).collect();
-        QuizBank { items }
-    }
-
-    /// Build the quiz for a world.
+    /// Build the solar-superstorm quiz for a world.
     pub fn from_world(world: &World) -> Self {
-        Self::from_conclusions(&world.conclusions())
+        Self::for_scenario(world, &SolarSuperstorm)
     }
 
     /// Build the quiz from scenario conclusions (which carry their own
@@ -63,10 +56,7 @@ impl QuizBank {
         QuizBank { items }
     }
 
-    /// Build the quiz a scenario defines over `world`. For the solar
-    /// superstorm this is item-for-item identical to
-    /// [`QuizBank::from_world`] (pinned by test), so callers can use the
-    /// scenario path uniformly.
+    /// Build the quiz a scenario defines over `world`.
     pub fn for_scenario(world: &World, scenario: &dyn Scenario) -> Self {
         Self::from_scenario_conclusions(&scenario.conclusions(world))
     }
@@ -105,33 +95,10 @@ impl QuizBank {
     }
 }
 
-impl QuizItem {
-    fn from_conclusion(c: &Conclusion) -> Self {
-        QuizItem {
-            id: format!("{:?}", c.id),
-            statement: c.statement.clone(),
-            question: c.question.clone(),
-            expected_answer: c.expected_answer.clone(),
-            rationale_terms: c.rationale_terms.clone(),
-            wrong_terms: wrong_terms_for(c.id),
-        }
-    }
-}
-
-/// The opposite side of each comparison question, used to reject
-/// answers that commit to the wrong entity.
-fn wrong_terms_for(id: ConclusionId) -> Vec<String> {
-    match id {
-        ConclusionId::BrazilEuropeCableSafer => vec!["brazil".into()],
-        ConclusionId::GoogleBetterSpread => vec!["google's data centers are more".into()],
-        ConclusionId::UsMoreSusceptibleThanAsia => vec!["asia is more".into()],
-        _ => Vec::new(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ira_worldmodel::conclusions::ConclusionId;
 
     #[test]
     fn quiz_has_eight_items() {
@@ -164,21 +131,6 @@ mod tests {
         let fb = quiz.get("FacebookOutage2021").unwrap();
         assert!(fb.question.contains("caused"));
         assert!(fb.expected_answer.contains("BGP"));
-    }
-
-    #[test]
-    fn solar_scenario_quiz_is_identical_to_the_legacy_quiz() {
-        use ira_worldmodel::scenario::SolarSuperstorm;
-        let world = World::standard();
-        let legacy = QuizBank::from_world(&world);
-        let scenario = QuizBank::for_scenario(&world, &SolarSuperstorm);
-        assert_eq!(legacy.len(), scenario.len());
-        for (a, b) in legacy.iter().zip(scenario.iter()) {
-            assert_eq!(
-                serde_json::to_string(a).unwrap(),
-                serde_json::to_string(b).unwrap()
-            );
-        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use ira_engine::{Engine, SessionConfig};
 use ira_evalkit::runner::evaluate_scenario;
-use ira_simllm::classterms::ClassLexicon;
+use ira_simllm::classterms::vocabulary;
 use ira_simllm::intent::{self, CableQuestion, GridQuestion, Intent, RoutingQuestion};
 use ira_worldmodel::scenario::{lookup, ScenarioClass, ScenarioRegistry, ScenarioSpec};
 use ira_worldmodel::{Region, World};
@@ -248,10 +248,9 @@ fn scenario_places_round_trip_through_the_region_tables() {
 /// tables can actually rank the scenario's event pages.
 #[test]
 fn class_term_tables_cover_every_scenario_class_and_ground_its_docs() {
-    let lex = ClassLexicon::shared();
     for class in ScenarioClass::ALL {
         assert!(
-            lex.vocabulary(class.label()).is_some(),
+            vocabulary(class.label()).is_some(),
             "no classterms table for {:?} ({})",
             class,
             class.label()
@@ -274,8 +273,7 @@ fn class_term_tables_cover_every_scenario_class_and_ground_its_docs() {
             .collect::<Vec<_>>()
             .join(" ")
             .to_lowercase();
-        let covered = lex
-            .vocabulary(label)
+        let covered = vocabulary(label)
             .expect("table exists")
             .iter()
             .filter(|w| text.contains(*w))

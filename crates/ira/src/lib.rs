@@ -30,8 +30,8 @@ pub mod prelude {
     pub use ira_agentmem::{KnowledgeStore, StoreConfig};
     pub use ira_autogpt::{AutoGptConfig, Budget};
     pub use ira_core::{
-        AgentConfig, AgentConfigBuilder, Environment, FaultSpec, InferenceLatency,
-        LearningTrajectory, ResearchAgent, RoleDefinition, TrainingReport,
+        AgentConfig, Environment, FaultSpec, InferenceLatency, LearningTrajectory, ResearchAgent,
+        RoleDefinition, TrainingReport,
     };
     pub use ira_engine::{Engine, Session, SessionConfig};
     pub use ira_evalkit::quiz::QuizBank;
@@ -58,10 +58,10 @@ mod tests {
     #[test]
     fn prelude_covers_the_working_set() {
         let engine = Engine::new();
-        let config = AgentConfig::builder()
-            .confidence_threshold(7)
-            .build()
-            .unwrap();
+        let config = AgentConfig {
+            confidence_threshold: 7,
+            ..AgentConfig::default()
+        };
         let mut session_config = SessionConfig::bob();
         session_config.agent = config;
         let session = engine.spawn_session(session_config);

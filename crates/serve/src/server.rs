@@ -722,16 +722,9 @@ impl Server {
             RequestKind::Quiz => {
                 let report = session.agent.train_until(deadline_us);
                 let train_truncated = report.per_goal.len() < session.agent.role.goals.len();
-                let quiz = if request.scenario == ira_worldmodel::scenario::SOLAR_SUPERSTORM {
-                    // Legacy hot path, byte-for-byte untouched (the
-                    // scenario quiz is pinned identical by evalkit
-                    // tests, but the baseline traces are sacred).
-                    QuizBank::from_world(session.world())
-                } else {
-                    let scenario = ira_worldmodel::scenario::lookup(&request.scenario)
-                        .expect("scenario validated at admission");
-                    QuizBank::for_scenario(session.world(), scenario.as_ref())
-                };
+                let scenario = ira_worldmodel::scenario::lookup(&request.scenario)
+                    .expect("scenario validated at admission");
+                let quiz = QuizBank::for_scenario(session.world(), scenario.as_ref());
                 let total = quiz.len();
                 let mut consistency = ConsistencyReport::new(&request.id);
                 let mut answered = 0usize;

@@ -35,7 +35,7 @@ pub enum IraError {
     #[error("json error: {0}")]
     Json(#[from] serde_json::Error),
 
-    /// A configuration value failed validation (builder `build()`).
+    /// A configuration value failed validation.
     #[error("invalid configuration: {0}")]
     Config(String),
 

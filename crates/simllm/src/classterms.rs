@@ -1,21 +1,16 @@
-//! Per-scenario-class search vocabulary, built on the interned
-//! lexicon.
+//! Per-scenario-class search vocabulary.
 //!
 //! The self-learning loop turns scenario-class [`MissingKnowledge`]
 //! items into search queries. Instead of hard-coding one query string
 //! per intent, the query vocabulary lives here in per-class term
 //! tables — one table per registered scenario-class label (mirroring
 //! `ScenarioClass::label()` in `ira-worldmodel`; `ira-evalkit` pins
-//! the correspondence) — interned once into a shared [`Interner`] so
-//! membership tests are symbol compares. Queries drawn from a class's
-//! table carry the lexicon its scenarios' event documents actually
-//! publish, which is what lets BM25 retrieval surface those documents
-//! ahead of distractors.
+//! the correspondence). Queries drawn from a class's table carry the
+//! lexicon its scenarios' event documents actually publish, which is
+//! what lets BM25 retrieval surface those documents ahead of
+//! distractors.
 //!
 //! [`MissingKnowledge`]: crate::reason::MissingKnowledge
-
-use crate::lexicon::{Interner, Term, TermSet};
-use std::sync::OnceLock;
 
 /// One vocabulary table per scenario class. Labels mirror
 /// `ScenarioClass::label()` in `ira-worldmodel`; word order is query
@@ -84,70 +79,23 @@ const TABLES: &[(&str, &[&str])] = &[
     ),
 ];
 
-/// The interned per-class vocabulary tables.
-pub struct ClassLexicon {
-    interner: Interner,
-    classes: Vec<(&'static str, Vec<Term>, TermSet)>,
+/// The vocabulary for a class label, in query order.
+pub fn vocabulary(label: &str) -> Option<&'static [&'static str]> {
+    TABLES
+        .iter()
+        .find(|(l, _)| *l == label)
+        .map(|(_, words)| *words)
 }
 
-impl ClassLexicon {
-    fn build() -> Self {
-        let mut interner = Interner::new();
-        let mut classes = Vec::new();
-        for (label, words) in TABLES {
-            let terms: Vec<Term> = words.iter().map(|w| interner.intern(w)).collect();
-            let set = TermSet::from_terms(terms.clone());
-            classes.push((*label, terms, set));
-        }
-        ClassLexicon { interner, classes }
-    }
-
-    /// The process-wide table set (built once; the tables are static).
-    pub fn shared() -> &'static ClassLexicon {
-        static SHARED: OnceLock<ClassLexicon> = OnceLock::new();
-        SHARED.get_or_init(ClassLexicon::build)
-    }
-
-    /// Every class label with a vocabulary table, in table order.
-    pub fn labels(&self) -> Vec<&'static str> {
-        self.classes.iter().map(|(l, _, _)| *l).collect()
-    }
-
-    /// The vocabulary for a class label, in query order.
-    pub fn vocabulary(&self, label: &str) -> Option<Vec<&str>> {
-        let (_, terms, _) = self.classes.iter().find(|(l, _, _)| *l == label)?;
-        Some(
-            terms
-                .iter()
-                .filter_map(|t| self.interner.resolve(*t))
-                .collect(),
-        )
-    }
-
-    /// Is `word` (lowercase) in the class's vocabulary? Symbol compare
-    /// via the shared interner.
-    pub fn covers(&self, label: &str, word: &str) -> bool {
-        let Some((_, _, set)) = self.classes.iter().find(|(l, _, _)| *l == label) else {
-            return false;
-        };
-        self.interner.get(word).is_some_and(|t| set.contains(t))
-    }
-
-    /// Render a search query for a class, optionally anchored on a
-    /// named entity (cable, grid, or service).
-    pub fn query(&self, label: &str, entity: &str) -> String {
-        let vocab = self.vocabulary(label).unwrap_or_default().join(" ");
-        if entity.is_empty() {
-            vocab
-        } else {
-            format!("{entity} {vocab}")
-        }
-    }
-}
-
-/// Convenience: a class-table query through the shared tables.
+/// Render a search query for a class, optionally anchored on a named
+/// entity (cable, grid, or service).
 pub fn incident_query(label: &str, entity: &str) -> String {
-    ClassLexicon::shared().query(label, entity)
+    let vocab = vocabulary(label).unwrap_or_default().join(" ");
+    if entity.is_empty() {
+        vocab
+    } else {
+        format!("{entity} {vocab}")
+    }
 }
 
 #[cfg(test)]
@@ -156,13 +104,9 @@ mod tests {
 
     #[test]
     fn every_table_resolves_its_own_vocabulary() {
-        let lex = ClassLexicon::shared();
-        for label in lex.labels() {
-            let vocab = lex.vocabulary(label).expect("table exists");
-            assert!(!vocab.is_empty(), "{label} table empty");
-            for word in &vocab {
-                assert!(lex.covers(label, word), "{label} must cover {word}");
-            }
+        for (label, words) in TABLES {
+            assert!(!words.is_empty(), "{label} table empty");
+            assert_eq!(vocabulary(label), Some(*words), "{label}");
         }
     }
 
@@ -170,9 +114,11 @@ mod tests {
     fn registered_scenario_classes_all_have_tables() {
         // Labels must mirror ScenarioClass::label() in ira-worldmodel;
         // the evalkit integration suite pins the live correspondence.
-        let labels = ClassLexicon::shared().labels();
         for expected in ["geomagnetic", "physical-damage", "power-failure", "routing"] {
-            assert!(labels.contains(&expected), "missing table for {expected}");
+            assert!(
+                vocabulary(expected).is_some(),
+                "missing table for {expected}"
+            );
         }
     }
 
@@ -189,6 +135,6 @@ mod tests {
     #[test]
     fn unknown_class_yields_empty_query() {
         assert_eq!(incident_query("volcanic", ""), "");
-        assert!(!ClassLexicon::shared().covers("volcanic", "lava"));
+        assert!(vocabulary("volcanic").is_none());
     }
 }

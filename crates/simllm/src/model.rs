@@ -27,12 +27,6 @@ pub struct LlmConfig {
     /// Sampling temperature in [0, 1]; 0 = always the canonical
     /// phrasing.
     pub temperature: f64,
-    /// Memoize grounded answers and per-chunk extractions (on by
-    /// default). Cache hits replay the exact token charges of the
-    /// computation they skip, so stats, traces, and the virtual clock
-    /// are byte-identical either way; `false` re-derives everything
-    /// per call (the legacy hot path, kept for the perf baseline).
-    pub grounding_cache: bool,
 }
 
 impl Default for LlmConfig {
@@ -41,7 +35,6 @@ impl Default for LlmConfig {
             context: ContextWindow::gpt4(),
             seed: 0,
             temperature: 0.0,
-            grounding_cache: true,
         }
     }
 }
@@ -64,7 +57,7 @@ pub type InferenceHook = Arc<dyn Fn(usize, usize) + Send + Sync>;
 /// A memoized grounded answer together with the token charges it
 /// incurred when first computed. Replaying the charges on a hit keeps
 /// [`LlmStats`] and the inference hook (and hence the virtual clock)
-/// byte-identical to the uncached path.
+/// identical to recomputing the answer.
 #[derive(Clone)]
 struct CachedAnswer {
     answer: Answer,
@@ -154,35 +147,30 @@ impl Llm {
         let reserved = count_tokens(question) + 64;
         let (kept, _dropped) = self.config.context.fit(knowledge, reserved);
         let mut ex = Extraction::default();
-        if self.config.grounding_cache {
-            let mut g = self.grounding.lock().expect("grounding lock");
-            for chunk in kept {
-                let one = match g.chunks.get(chunk.as_str()) {
-                    Some(hit) => {
-                        ops::extract_hit();
-                        Arc::clone(hit)
-                    }
-                    None => {
-                        ops::extract_miss();
-                        let mut fresh = Extraction::default();
-                        fresh.absorb(chunk, None);
-                        let fresh = Arc::new(fresh);
-                        g.chunks.insert(chunk.clone(), Arc::clone(&fresh));
-                        fresh
-                    }
-                };
-                // Merging per-chunk extractions in kept order is
-                // byte-identical to absorbing the chunks sequentially:
-                // subject binding is local to each absorb call, fact
-                // dedup preserves first-seen order, and principles are
-                // an ordered set.
-                ex.merge(&one);
-            }
-        } else {
-            for chunk in kept {
-                ex.absorb(chunk, None);
-            }
+        let mut g = self.grounding.lock().expect("grounding lock");
+        for chunk in kept {
+            let one = match g.chunks.get(chunk.as_str()) {
+                Some(hit) => {
+                    ops::extract_hit();
+                    Arc::clone(hit)
+                }
+                None => {
+                    ops::extract_miss();
+                    let mut fresh = Extraction::default();
+                    fresh.absorb(chunk, None);
+                    let fresh = Arc::new(fresh);
+                    g.chunks.insert(chunk.clone(), Arc::clone(&fresh));
+                    fresh
+                }
+            };
+            // Merging per-chunk extractions in kept order is
+            // byte-identical to absorbing the chunks sequentially:
+            // subject binding is local to each absorb call, fact dedup
+            // preserves first-seen order, and principles are an ordered
+            // set.
+            ex.merge(&one);
         }
+        drop(g);
         let prompt_tokens: usize = kept.iter().map(|c| count_tokens(c)).sum::<usize>() + reserved;
         self.charge(prompt_tokens, 0);
         (ex, prompt_tokens)
@@ -190,50 +178,46 @@ impl Llm {
 
     /// Answer a question grounded in the supplied knowledge snippets.
     ///
-    /// With [`LlmConfig::grounding_cache`] on, repeated calls with the
-    /// same question and knowledge replay the memoized answer — and its
-    /// exact token charges — instead of re-extracting and re-reasoning.
+    /// Repeated calls with the same question and knowledge replay the
+    /// memoized answer — and its exact token charges — instead of
+    /// re-extracting and re-reasoning.
     pub fn answer(&self, question: &str, knowledge: &[String]) -> Answer {
         let key = (
             self.grounding_mode.load(Ordering::Relaxed),
             fingerprint64(question),
             fingerprint_texts(knowledge),
         );
-        if self.config.grounding_cache {
-            let hit = self
-                .grounding
-                .lock()
-                .expect("grounding lock")
-                .answers
-                .get(&key)
-                .cloned();
-            if let Some(hit) = hit {
-                ops::answer_hit();
-                self.charge(hit.prompt_tokens, 0);
-                self.charge(0, hit.completion_tokens);
-                return hit.answer;
-            }
-            ops::answer_miss();
+        let hit = self
+            .grounding
+            .lock()
+            .expect("grounding lock")
+            .answers
+            .get(&key)
+            .cloned();
+        if let Some(hit) = hit {
+            ops::answer_hit();
+            self.charge(hit.prompt_tokens, 0);
+            self.charge(0, hit.completion_tokens);
+            return hit.answer;
         }
+        ops::answer_miss();
         let intent = classify(question);
         let (ex, prompt_tokens) = self.grounded_extraction(question, knowledge);
         let ans = reason::answer(question, &intent, &ex);
         let completion_tokens = count_tokens(&ans.text);
         self.charge(0, completion_tokens);
-        if self.config.grounding_cache {
-            self.grounding
-                .lock()
-                .expect("grounding lock")
-                .answers
-                .insert(
-                    key,
-                    CachedAnswer {
-                        answer: ans.clone(),
-                        prompt_tokens,
-                        completion_tokens,
-                    },
-                );
-        }
+        self.grounding
+            .lock()
+            .expect("grounding lock")
+            .answers
+            .insert(
+                key,
+                CachedAnswer {
+                    answer: ans.clone(),
+                    prompt_tokens,
+                    completion_tokens,
+                },
+            );
         ans
     }
 
@@ -559,25 +543,6 @@ mod tests {
         let aspects = llm.decompose("optic fiber cables, power supply systems");
         assert_eq!(aspects.len(), 2);
         assert!(llm.stats().calls >= 2);
-    }
-
-    #[test]
-    fn cached_answer_replays_identical_charges() {
-        let cached = Llm::gpt4(1);
-        let uncached = Llm::new(LlmConfig {
-            grounding_cache: false,
-            ..LlmConfig::default()
-        });
-        let k = knowledge();
-        for _ in 0..3 {
-            let a = cached.answer(CABLE_Q, &k);
-            let b = uncached.answer(CABLE_Q, &k);
-            assert_eq!(a.text, b.text);
-            assert_eq!(a.confidence, b.confidence);
-            assert_eq!(cached.stats(), uncached.stats());
-        }
-        // Three answers, two charges each, either way.
-        assert_eq!(cached.stats().calls, 6);
     }
 
     #[test]

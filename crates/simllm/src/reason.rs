@@ -755,6 +755,11 @@ fn entity_matches(fact_entity: &str, slot: &str) -> bool {
     e.contains(slot) || slot.contains(e.as_str())
 }
 
+/// Whether two extracted grid names denote the same grid.
+fn same_grid(a: &str, b: &str) -> bool {
+    entity_matches(a, &b.to_lowercase())
+}
+
 fn cable_incident(idx: &ExtractionIndex<'_>, kind: CableQuestion, cable: &str) -> Answer {
     let ex = idx.ex();
     let mut slots = Slots::new();
@@ -962,7 +967,11 @@ fn grid_incident(idx: &ExtractionIndex<'_>, kind: GridQuestion, grid: &str) -> A
                      storm."
                 );
                 slots.principle(ex, Principle::TransformerSaturation, 0.2);
-                if most.is_some() {
+                let ranked_first = ex
+                    .facts
+                    .iter()
+                    .any(|f| matches!(f, Fact::GridMostExposed { grid: g } if same_grid(g, &name)));
+                if ranked_first {
                     slots.filled(0.1, 1);
                     text.push_str(&format!(
                         " {name} has the highest GIC exposure of any major grid."
@@ -985,7 +994,11 @@ fn grid_incident(idx: &ExtractionIndex<'_>, kind: GridQuestion, grid: &str) -> A
                 slots.filled(0.7, 1);
                 slots.step(format!("recalled the GIC exposure ranking: {name} leads"));
                 let mut text = format!("{name} has the highest GIC exposure of any major grid.");
-                if collapse.is_some() {
+                let collapsed = ex.facts.iter().any(|f| {
+                    matches!(f, Fact::GridCollapse { grid: g, .. }
+                        if entity_matches(g, grid) && same_grid(g, &name))
+                });
+                if collapsed {
                     slots.filled(0.2, 1);
                     text.push_str(" Its storm-driven collapse bore the ranking out.");
                 }
@@ -1604,6 +1617,52 @@ mod tests {
             .missing
             .iter()
             .any(|m| matches!(m, MissingKnowledge::GridIncidentInfo { .. })));
+    }
+
+    #[test]
+    fn grid_answers_only_link_facts_about_the_same_grid() {
+        // One grid collapsed, another leads the exposure ranking: no
+        // answer may attribute the ranking to the collapsed grid or the
+        // collapse to the ranked one.
+        let ex = Extraction::from_text(
+            "The Alpha power grid collapsed when geomagnetically induced currents saturated \
+             its extra-high-voltage transformers. \
+             Beta Grid has the highest GIC exposure of any major grid.",
+            None,
+        );
+        let q = "What caused the Alpha power grid collapse?";
+        let cause = answer(q, &classify(q), &ex);
+        assert!(cause.verdict.expect("commits").contains("Alpha"));
+        assert!(
+            !cause.text.contains("highest GIC exposure"),
+            "{}",
+            cause.text
+        );
+
+        let q = "Which power grid is most exposed to geomagnetic storms?";
+        let most = answer(q, &classify(q), &ex);
+        assert_eq!(most.verdict.as_deref(), Some("Beta Grid"));
+        assert!(!most.text.contains("collapse"), "{}", most.text);
+
+        // The same facts about one grid still link, with the weight.
+        let linked = Extraction::from_text(
+            "The Alpha power grid collapsed when geomagnetically induced currents saturated \
+             its extra-high-voltage transformers. \
+             Alpha has the highest GIC exposure of any major grid.",
+            None,
+        );
+        let cause_linked = answer(
+            "What caused the Alpha power grid collapse?",
+            &classify("What caused the Alpha power grid collapse?"),
+            &linked,
+        );
+        assert!(cause_linked
+            .text
+            .contains("Alpha has the highest GIC exposure"));
+        assert!(cause_linked.confidence > cause.confidence);
+        let most_linked = answer(q, &classify(q), &linked);
+        assert!(most_linked.text.contains("bore the ranking out"));
+        assert!(most_linked.confidence > most.confidence);
     }
 
     #[test]

@@ -1,11 +1,65 @@
 //! Property-based tests for the simulated LLM: total functions over
-//! arbitrary text, bounded confidence, and calibration monotonicity.
+//! arbitrary text, bounded confidence, calibration monotonicity, and
+//! memoized grounding that matches a fresh derivation.
 
 use ira_simllm::extract::Extraction;
 use ira_simllm::intent::classify;
-use ira_simllm::plangen;
-use ira_simllm::Llm;
+use ira_simllm::token::{count_tokens, ContextWindow};
+use ira_simllm::{plangen, reason, Llm};
 use proptest::prelude::*;
+
+/// Questions of every reasoning class, so one model's caches see
+/// chunks shared across questions.
+const GROUNDING_QUESTIONS: &[&str] = &[
+    "Which is more vulnerable to solar activity? The fiber optic cable that connects Brazil \
+     to Europe or the one that connects the US to Europe?",
+    "Which power grid is most exposed to geomagnetic storms?",
+    "What caused the Anjana submarine cable outage?",
+    "What took facebook.com offline in the routing incident?",
+];
+
+/// Knowledge chunks the grounding lists draw from: facts each question
+/// can use, and two chunks of ~3,000 tokens so a list of a few
+/// overflows the 8k window.
+fn grounding_pool() -> Vec<String> {
+    vec![
+        "Geomagnetically induced currents grow stronger at higher geomagnetic latitudes.".into(),
+        "The EllaLink submarine cable connects Fortaleza, Brazil to Sines, Portugal, linking \
+         South America and Europe. Along its route it reaches a maximum geomagnetic latitude \
+         of 46.0 degrees."
+            .into(),
+        "The Grace Hopper submarine cable connects New York, United States to Bude, United \
+         Kingdom, linking North America and Europe. Along its route it reaches a maximum \
+         geomagnetic latitude of 63.0 degrees."
+            .into(),
+        "The Hydro-Québec power grid collapsed when geomagnetically induced currents \
+         saturated its extra-high-voltage transformers. Hydro-Québec has the highest GIC \
+         exposure of any major grid."
+            .into(),
+        "The Anjana submarine cable was severed by an undersea landslide.".into(),
+        "A configuration error withdrew the BGP routes for Facebook's DNS prefixes. Only 0 \
+         percent of edge networks could reach facebook.com during the incident."
+            .into(),
+        "gic exposure ".repeat(1_000),
+        "repeaters latitude ".repeat(1_000),
+    ]
+}
+
+/// What [`Llm::answer`] must return and charge for `question` over
+/// `knowledge`, derived without any cache: absorb the chunks the
+/// window keeps, in order, and reason over the result.
+fn fresh_answer(question: &str, knowledge: &[String]) -> (String, u64, u64) {
+    let reserved = count_tokens(question) + 64;
+    let (kept, _) = ContextWindow::gpt4().fit(knowledge, reserved);
+    let mut ex = Extraction::default();
+    for chunk in kept {
+        ex.absorb(chunk, None);
+    }
+    let ans = reason::answer(question, &classify(question), &ex);
+    let prompt = kept.iter().map(|c| count_tokens(c)).sum::<usize>() + reserved;
+    let completion = count_tokens(&ans.text);
+    (format!("{ans:?}"), prompt as u64, completion as u64)
+}
 
 proptest! {
     #[test]
@@ -65,6 +119,41 @@ proptest! {
         b.merge(&a);
         prop_assert_eq!(a.facts.len(), b.facts.len());
         prop_assert_eq!(a.principles.len(), b.principles.len());
+    }
+
+    #[test]
+    fn memoized_grounding_matches_a_fresh_derivation(
+        calls in prop::collection::vec(
+            (0..GROUNDING_QUESTIONS.len(), prop::collection::vec(0usize..64, 0..10)),
+            1..6,
+        ),
+        noise in prop::collection::vec("[ -~]{0,120}", 0..3),
+    ) {
+        // One model answers every call twice: the first call of a
+        // (question, knowledge) pair misses the answer cache, the second
+        // hits it, and chunks repeat within and across lists. Both must
+        // return the fresh answer and charge exactly its tokens.
+        let mut pool = grounding_pool();
+        pool.extend(noise);
+        let llm = Llm::gpt4(0);
+        for (q, picks) in calls {
+            let question = GROUNDING_QUESTIONS[q];
+            let knowledge: Vec<String> =
+                picks.iter().map(|i| pool[i % pool.len()].clone()).collect();
+            let (expected, prompt, completion) = fresh_answer(question, &knowledge);
+            for _ in 0..2 {
+                let before = llm.stats();
+                let got = llm.answer(question, &knowledge);
+                let after = llm.stats();
+                prop_assert_eq!(format!("{got:?}"), expected.clone());
+                prop_assert_eq!(after.calls, before.calls + 2);
+                prop_assert_eq!(after.prompt_tokens, before.prompt_tokens + prompt);
+                prop_assert_eq!(
+                    after.completion_tokens,
+                    before.completion_tokens + completion
+                );
+            }
+        }
     }
 
     #[test]

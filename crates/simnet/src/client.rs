@@ -113,11 +113,6 @@ impl Client {
         (self.obs.sink(), self.obs.session())
     }
 
-    /// The causal observation handle (disabled by default).
-    pub fn observer_handle(&self) -> &ObsHandle {
-        &self.obs
-    }
-
     /// (cache hits, cache misses) so far.
     pub fn cache_stats(&self) -> (u64, u64) {
         self.cache.lock().stats()

@@ -120,10 +120,6 @@ impl Url {
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
     }
-
-    pub fn query_pairs(&self) -> &[(String, String)] {
-        &self.query
-    }
 }
 
 impl fmt::Display for Url {

@@ -83,10 +83,6 @@ impl SearchEngine {
         self.doc_count
     }
 
-    pub fn vocabulary_size(&self) -> usize {
-        self.postings.len()
-    }
-
     /// Number of documents containing `term` (post-stemming).
     pub fn document_frequency(&self, term: &str) -> usize {
         let toks = tokenize(term);

@@ -24,12 +24,6 @@ impl<'a> TextGen<'a> {
         variants[self.rng.gen_range(0..variants.len())]
     }
 
-    /// Choose one owned variant uniformly.
-    pub fn pick_string(&mut self, variants: &[String]) -> String {
-        assert!(!variants.is_empty());
-        variants[self.rng.gen_range(0..variants.len())].clone()
-    }
-
     /// A filler sentence of loosely on-topic color, to vary document
     /// length and dilute term frequencies.
     pub fn filler(&mut self, topic_hint: &str) -> String {

@@ -89,43 +89,6 @@ fn identical_seeds_give_identical_runs() {
 }
 
 #[test]
-fn grounding_cache_is_observationally_identical() {
-    // The grounding cache must be invisible in every observable:
-    // answers, confidence trajectories, memory contents, LLM stats, and
-    // the virtual clock.
-    use ira::services::WebServices;
-    use ira::simllm::LlmConfig;
-    use std::sync::Arc;
-
-    let engine = Engine::new();
-    let run = |grounding_cache: bool| {
-        let config = SessionConfig::bob();
-        let session = engine.spawn_session(config.clone());
-        let web: Arc<dyn WebServices> = Arc::new(session.env.client.clone());
-        let llm = Arc::new(Llm::new(LlmConfig {
-            seed: config.llm_seed,
-            grounding_cache,
-            ..LlmConfig::default()
-        }));
-        let mut bob =
-            ResearchAgent::from_services(config.role, Arc::clone(&web), llm, config.agent);
-        bob.train();
-        let t = bob.self_learn(CABLE_Q);
-        // Re-asking after learning exercises the answer cache.
-        let again = bob.ask(CABLE_Q);
-        (
-            t.confidence_series(),
-            again.text,
-            again.confidence,
-            bob.memory().to_json(),
-            bob.llm_stats(),
-            web.now_us(),
-        )
-    };
-    assert_eq!(run(false), run(true));
-}
-
-#[test]
 fn knowledge_json_round_trips_through_a_real_agent() {
     let mut bob = Engine::new().spawn_session(SessionConfig::bob()).agent;
     bob.train();
