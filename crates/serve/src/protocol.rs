@@ -73,6 +73,14 @@ impl Deserialize for RequestKind {
 /// well above the largest corpus the benchmarks serve (6,000).
 const MAX_DISTRACTORS: usize = 10_000;
 
+/// Longest request `id`, in bytes. Responses echo the id; the longest
+/// any bundled batch sends is 17 bytes (`r0999-panic_probe`).
+const MAX_ID_BYTES: usize = 256;
+
+/// Longest `question`, in bytes, checked before it is lowercased,
+/// classified or tokenized. The longest quiz-bank question is 139 bytes.
+const MAX_QUESTION_BYTES: usize = 4_096;
+
 fn default_distractors() -> usize {
     ira_webcorpus::CorpusConfig::default().distractor_count
 }
@@ -143,7 +151,20 @@ impl ServeRequest {
         if self.id.is_empty() {
             return Err(IraError::config("request id must be non-empty"));
         }
-        if self.kind == RequestKind::Ask && self.question.as_deref().unwrap_or("").is_empty() {
+        if self.id.len() > MAX_ID_BYTES {
+            return Err(IraError::config(format!(
+                "request id must be at most {MAX_ID_BYTES} bytes, got {}",
+                self.id.len()
+            )));
+        }
+        let question = self.question.as_deref().unwrap_or("");
+        if question.len() > MAX_QUESTION_BYTES {
+            return Err(IraError::config(format!(
+                "question must be at most {MAX_QUESTION_BYTES} bytes, got {}",
+                question.len()
+            )));
+        }
+        if self.kind == RequestKind::Ask && question.is_empty() {
             return Err(IraError::config("ask request needs a question"));
         }
         if self.distractors > MAX_DISTRACTORS {
@@ -485,6 +506,20 @@ mod tests {
         req.distractors = MAX_DISTRACTORS + 1;
         let err = req.validate().unwrap_err();
         assert!(err.to_string().contains("distractors"), "{err}");
+    }
+
+    #[test]
+    fn validation_bounds_id_and_question_length() {
+        let mut req = ServeRequest::new("i".repeat(MAX_ID_BYTES), RequestKind::Ask);
+        req.question = Some("q".repeat(MAX_QUESTION_BYTES));
+        assert!(req.validate().is_ok());
+        req.id.push('i');
+        let err = req.validate().unwrap_err();
+        assert!(err.to_string().contains("request id"), "{err}");
+        req.id.pop();
+        req.question.as_mut().unwrap().push('q');
+        let err = req.validate().unwrap_err();
+        assert!(err.to_string().contains("question"), "{err}");
     }
 
     #[test]

@@ -585,6 +585,57 @@ fn oversized_distractor_count_is_invalid_and_builds_nothing() {
     assert_eq!(others, clean.lines().collect::<Vec<_>>());
 }
 
+/// An over-long `id` or `question` is the caller's fault: typed
+/// `invalid` at intake, before the question is lowercased, classified
+/// or tokenized, with no corpus built for it and the rest of the batch
+/// byte-identical to the batch without it.
+#[test]
+fn oversized_id_and_question_are_invalid_and_build_nothing() {
+    let good = concat!(
+        r#"{"id":"t1","kind":"train","deadline_us":5000000}"#,
+        "\n",
+        r#"{"id":"p1","kind":"panic_probe","probe_panics":0}"#,
+        "\n",
+    );
+    // Both ask for a corpus no other line uses, so serving either one
+    // would show up as a build.
+    let long_question = format!(
+        r#"{{"id":"long-question","kind":"ask","distractors":7,"question":"{}"}}"#,
+        "why ".repeat(1 << 18)
+    );
+    let long_id = format!(
+        r#"{{"id":"{}","kind":"train","distractors":7}}"#,
+        "i".repeat(1 << 10)
+    );
+
+    let engine = Arc::new(Engine::new());
+    let server = Server::with_engine(Arc::clone(&engine), ServeConfig::default());
+    let clean = server.serve_jsonl(good, None).expect("serves");
+    let builds = engine.corpus_builds();
+    let mixed = server
+        .serve_jsonl(&format!("{good}{long_question}\n{long_id}\n"), None)
+        .expect("serves");
+    assert_eq!(
+        engine.corpus_builds(),
+        builds,
+        "no corpus for the oversized lines"
+    );
+
+    let responses = ira_serve::parse_responses(&mixed).expect("parses back");
+    assert_eq!(responses.len(), 4);
+    for (rejected, field) in responses[2..].iter().zip(["question", "request id"]) {
+        assert_eq!(rejected.status, ResponseStatus::Failed);
+        assert_eq!(rejected.attempts, 0, "invalid, never attempted");
+        let error = rejected.error.as_ref().unwrap();
+        assert_eq!(error.kind, "config");
+        assert!(error.message.contains(field), "{}", error.message);
+    }
+    assert_eq!(responses[2].id, "long-question");
+    assert_eq!(responses[3].id.len(), 1 << 10);
+    let others: Vec<&str> = mixed.lines().take(2).collect();
+    assert_eq!(others, clean.lines().collect::<Vec<_>>());
+}
+
 /// `serve_jsonl` round-trips the whole wire path: JSONL in, JSONL out,
 /// byte-identical across repeated calls.
 #[test]

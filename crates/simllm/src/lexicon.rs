@@ -10,8 +10,6 @@
 //!   Identical input sequences always produce identical symbol
 //!   assignments, so interned structures are safe inside the
 //!   byte-identical determinism envelope.
-//! * [`TermSet`] — a sorted, deduplicated set of term symbols with
-//!   cheap membership and intersection.
 //! * [`fingerprint64`] / [`fingerprint_texts`] — stable 64-bit FNV-1a
 //!   content fingerprints, the cache keys of the grounding cache in
 //!   [`crate::model::Llm`].
@@ -69,55 +67,6 @@ impl Interner {
 
     pub fn is_empty(&self) -> bool {
         self.strings.is_empty()
-    }
-}
-
-/// A sorted, deduplicated set of interned terms.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct TermSet {
-    terms: Vec<Term>,
-}
-
-impl TermSet {
-    /// Build from arbitrary (unsorted, possibly duplicated) terms.
-    pub fn from_terms(mut terms: Vec<Term>) -> Self {
-        terms.sort_unstable();
-        terms.dedup();
-        TermSet { terms }
-    }
-
-    pub fn contains(&self, t: Term) -> bool {
-        self.terms.binary_search(&t).is_ok()
-    }
-
-    /// Number of terms shared with `other` (linear merge — both sides
-    /// are sorted).
-    pub fn intersection_count(&self, other: &TermSet) -> usize {
-        let (mut i, mut j, mut n) = (0, 0, 0);
-        while i < self.terms.len() && j < other.terms.len() {
-            match self.terms[i].cmp(&other.terms[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    n += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        n
-    }
-
-    pub fn len(&self) -> usize {
-        self.terms.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = Term> + '_ {
-        self.terms.iter().copied()
     }
 }
 
@@ -278,19 +227,6 @@ mod tests {
         };
         assert_eq!(build(), build());
         assert_eq!(build(), vec![0, 1, 0, 2, 1]);
-    }
-
-    #[test]
-    fn term_set_membership_and_intersection() {
-        let a = TermSet::from_terms(vec![3, 1, 2, 1]);
-        let b = TermSet::from_terms(vec![2, 3, 5]);
-        assert_eq!(a.len(), 3);
-        assert!(a.contains(1));
-        assert!(!a.contains(5));
-        assert_eq!(a.intersection_count(&b), 2);
-        assert_eq!(TermSet::default().intersection_count(&a), 0);
-        assert!(TermSet::default().is_empty());
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 2, 3]);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod token;
 pub use chat::{Message, Prompt, Role};
 pub use extract::{Extraction, ExtractionIndex, Fact, Principle};
 pub use intent::{Intent, RouteSpec};
-pub use lexicon::{fingerprint64, fingerprint_texts, Interner, Term, TermSet};
+pub use lexicon::{fingerprint64, fingerprint_texts, Interner, Term};
 pub use model::{Llm, LlmConfig, LlmStats};
 pub use plangen::{ActionPlan, PlanStep};
 pub use reason::{Answer, MissingKnowledge};

@@ -319,13 +319,13 @@ impl Llm {
                 format!("{incident} internet outage cause impact")
             }
             MissingKnowledge::CableIncidentInfo { cable } => {
-                crate::classterms::incident_query("physical-damage", cable)
+                crate::classterms::incident_query(reason::PHYSICAL_DAMAGE.label, cable)
             }
             MissingKnowledge::GridIncidentInfo { grid } => {
-                crate::classterms::incident_query("power-failure", grid)
+                crate::classterms::incident_query(reason::POWER_FAILURE.label, grid)
             }
             MissingKnowledge::RoutingIncidentInfo { service } => {
-                crate::classterms::incident_query("routing", service)
+                crate::classterms::incident_query(reason::ROUTING.label, service)
             }
         }
     }

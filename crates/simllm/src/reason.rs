@@ -15,9 +15,21 @@
 //! answer reaches 9 — matching the 8–9 the paper reports after one
 //! round of self-learning. Unfilled slots become [`MissingKnowledge`]
 //! items, which the self-learning loop turns into search queries.
+//!
+//! The scenario-class questions (physical-damage, power-failure,
+//! routing) share one engine, `class_incident`, over a static rule
+//! table: per class, its label and one `Rule` per question kind. A rule
+//! names a *lead* (an entity fact, a principle or a flag fact) and an
+//! ordered list of corroborating items. With the lead in context the
+//! engine commits to the rule's verdict; without it, it requests the
+//! class's incident knowledge and hedges. The engine walks each rule in
+//! table order, and that order is part of the answer: coverage is a
+//! running `f64` sum (`0.7 + 0.2 + 0.1` and `0.7 + 0.1 + 0.2` differ in
+//! the last bit), and missing items, principles and reasoning steps are
+//! ordered vectors.
 
 use crate::extract::{Extraction, ExtractionIndex, Fact, Principle};
-use crate::intent::{CableQuestion, GridQuestion, Intent, RouteSpec, RoutingQuestion};
+use crate::intent::{Intent, RouteSpec};
 use crate::prior;
 use serde::{Deserialize, Serialize};
 
@@ -152,9 +164,15 @@ pub fn answer(question: &str, intent: &Intent, ex: &Extraction) -> Answer {
         Intent::ShutdownPlan => shutdown_plan(&idx),
         Intent::IncidentCause { incident } => incident_cause(&idx, incident),
         Intent::IncidentImpact { incident } => incident_impact(&idx, incident),
-        Intent::CableIncident { kind, cable } => cable_incident(&idx, *kind, cable),
-        Intent::GridIncident { kind, grid } => grid_incident(&idx, *kind, grid),
-        Intent::RoutingIncident { kind, service } => routing_incident(&idx, *kind, service),
+        Intent::CableIncident { kind, cable } => {
+            class_incident(ex, &PHYSICAL_DAMAGE, *kind as usize, cable)
+        }
+        Intent::GridIncident { kind, grid } => {
+            class_incident(ex, &POWER_FAILURE, *kind as usize, grid)
+        }
+        Intent::RoutingIncident { kind, service } => {
+            class_incident(ex, &ROUTING, *kind as usize, service)
+        }
         Intent::Unknown => prior::unknown_answer(question),
     }
 }
@@ -760,487 +778,443 @@ fn same_grid(a: &str, b: &str) -> bool {
     entity_matches(a, &b.to_lowercase())
 }
 
-fn cable_incident(idx: &ExtractionIndex<'_>, kind: CableQuestion, cable: &str) -> Answer {
-    let ex = idx.ex();
-    let mut slots = Slots::new();
-    let cut = ex.facts.iter().find_map(|f| match f {
-        Fact::CableCut { cable: c, cause } if entity_matches(c, cable) => {
-            Some((c.clone(), cause.clone()))
-        }
-        _ => None,
-    });
-    let survivors = ex.facts.iter().find_map(|f| match f {
-        Fact::CorridorSurvivors { count } => Some(*count),
-        _ => None,
-    });
-    let length = ex.facts.iter().find_map(|f| match f {
-        Fact::LengthKm { entity, km } if entity_matches(entity, cable) => {
-            Some((entity.clone(), *km))
-        }
-        _ => None,
-    });
-    let repeaters = ex.facts.iter().find_map(|f| match f {
-        Fact::RepeaterCount { entity, count } if entity_matches(entity, cable) => {
-            Some((entity.clone(), *count))
-        }
-        _ => None,
-    });
-    let need = || MissingKnowledge::CableIncidentInfo {
+/// One scenario class: its label, the knowledge its hedges request,
+/// and one [`Rule`] per question kind, indexed by the kind's
+/// discriminant (`CableQuestion`, `GridQuestion`, `RoutingQuestion`).
+pub(crate) struct ClassRules {
+    pub(crate) label: &'static str,
+    need: fn(&str) -> MissingKnowledge,
+    rules: &'static [Rule],
+}
+
+/// How one question kind is answered. Templates take `{name}` and
+/// `{value}` from their own evidence (see [`find`]); the hedge topic's
+/// `{name}` is the question's entity.
+struct Rule {
+    lead: Evidence,
+    weight: f64,
+    /// Reasoning step for a fact lead; a principle records its own.
+    recalled: &'static str,
+    text: &'static str,
+    verdict: &'static str,
+    /// Corroborating evidence, consulted in order after the lead.
+    then: &'static [Item],
+    hedge: &'static str,
+}
+
+/// Corroborating evidence. Present, it adds `weight` and appends
+/// `text` and `verdict`; absent and `needed`, it requests the class's
+/// incident knowledge.
+struct Item {
+    evidence: Evidence,
+    weight: f64,
+    text: &'static str,
+    verdict: &'static str,
+    needed: bool,
+}
+
+/// Evidence a rule can consult; [`find`] shows what each binds.
+#[derive(Clone, Copy)]
+enum Evidence {
+    /// Looked up through [`Slots::principle`], which records its own
+    /// step or missing item.
+    Principle(Principle),
+    CableCut,
+    Survivors,
+    Length,
+    Repeaters,
+    RepeatersOrLength,
+    GridCollapse,
+    MostExposed,
+    LowLatitude,
+    LeadMostExposed,
+    LeadCollapsed,
+    EdgeDuring,
+    EdgeRestored,
+    ContentPrefixes,
+}
+
+/// What evidence binds into templates: `{name}` and `{value}`.
+type Found = (String, String);
+
+const fn needed(evidence: Evidence, weight: f64, text: &'static str) -> Item {
+    Item {
+        evidence,
+        weight,
+        text,
+        verdict: "",
+        needed: true,
+    }
+}
+
+const fn optional(evidence: Evidence, weight: f64, text: &'static str) -> Item {
+    Item {
+        needed: false,
+        ..needed(evidence, weight, text)
+    }
+}
+
+const fn principle(p: Principle, weight: f64) -> Item {
+    optional(Evidence::Principle(p), weight, "")
+}
+
+pub(crate) static PHYSICAL_DAMAGE: ClassRules = ClassRules {
+    label: "physical-damage",
+    need: |cable| MissingKnowledge::CableIncidentInfo {
         cable: cable.to_string(),
-    };
+    },
+    rules: &[
+        // CableQuestion::Cause
+        Rule {
+            lead: Evidence::CableCut,
+            weight: 0.7,
+            recalled: "recalled what severed the {name}",
+            text: "The {name} cable was severed by {value}.",
+            verdict: "the {name} cable was severed by {value}",
+            then: &[
+                needed(
+                    Evidence::Survivors,
+                    0.2,
+                    " Traffic rerouted onto {value} parallel transatlantic cable systems.",
+                ),
+                principle(Principle::CableRepair, 0.1),
+            ],
+            hedge: "the cause of the {name} cable outage",
+        },
+        // CableQuestion::CorridorRedundancy
+        Rule {
+            lead: Evidence::Survivors,
+            weight: 0.7,
+            recalled: "recalled the corridor's parallel cable systems",
+            text: "Yes — traffic rerouted onto {value} parallel transatlantic cable systems, so \
+                   North America and Europe stayed connected.",
+            verdict: "yes — traffic rerouted onto {value} parallel transatlantic cable systems",
+            then: &[
+                needed(
+                    Evidence::CableCut,
+                    0.2,
+                    " The {name} itself was severed by {value}.",
+                ),
+                optional(Evidence::RepeatersOrLength, 0.1, ""),
+            ],
+            hedge: "corridor redundancy after the {name} cut",
+        },
+        // CableQuestion::RepeatersLost
+        Rule {
+            lead: Evidence::Repeaters,
+            weight: 0.7,
+            recalled: "recalled the {name}'s repeater count",
+            text: "About {value} optical repeaters went dark when the {name} failed.",
+            verdict: "about {value} repeaters",
+            then: &[
+                needed(Evidence::Length, 0.2, " The system spans about {value} km."),
+                optional(Evidence::CableCut, 0.1, ""),
+            ],
+            hedge: "the {name} repeater count",
+        },
+        // CableQuestion::RepairMethod
+        Rule {
+            lead: Evidence::Principle(Principle::CableRepair),
+            weight: 0.75,
+            recalled: "",
+            text: "A cable repair ship grapples the damaged section and splices in a new span; \
+                   until the splice completes, the cable remains dark end to end.",
+            verdict: "a cable repair ship grapples the damaged section and splices in a new span",
+            then: &[optional(
+                Evidence::CableCut,
+                0.15,
+                " That is how the severed {name} will be restored.",
+            )],
+            hedge: "submarine cable repair procedure",
+        },
+        // CableQuestion::Length
+        Rule {
+            lead: Evidence::Length,
+            weight: 0.7,
+            recalled: "recalled the {name}'s span",
+            text: "The {name} system spans about {value} km.",
+            verdict: "about {value} km",
+            then: &[
+                needed(
+                    Evidence::Repeaters,
+                    0.15,
+                    " It is powered through about {value} optical repeaters.",
+                ),
+                optional(Evidence::CableCut, 0.15, ""),
+            ],
+            hedge: "the {name} cable length",
+        },
+    ],
+};
 
-    match kind {
-        CableQuestion::Cause => match cut {
-            Some((name, cause)) => {
-                slots.filled(0.7, 1);
-                slots.step(format!("recalled what severed the {name}"));
-                let mut text = format!("The {name} cable was severed by {cause}.");
-                match survivors {
-                    Some(n) => {
-                        slots.filled(0.2, 1);
-                        text.push_str(&format!(
-                            " Traffic rerouted onto {n} parallel transatlantic cable systems."
-                        ));
-                    }
-                    None => slots.missing(need()),
-                }
-                slots.principle(ex, Principle::CableRepair, 0.1);
-                let verdict = format!("the {name} cable was severed by {cause}");
-                finish(slots, text, Some(verdict))
-            }
-            None => {
-                slots.missing(need());
-                let topic = format!("the cause of the {cable} cable outage");
-                finish(
-                    slots,
-                    prior::scenario_hedge("physical-damage", &topic),
-                    None,
-                )
-            }
-        },
-        CableQuestion::CorridorRedundancy => match survivors {
-            Some(n) => {
-                slots.filled(0.7, 1);
-                slots.step("recalled the corridor's parallel cable systems".to_string());
-                let mut text = format!(
-                    "Yes — traffic rerouted onto {n} parallel transatlantic cable systems, so \
-                     North America and Europe stayed connected."
-                );
-                match &cut {
-                    Some((name, cause)) => {
-                        slots.filled(0.2, 1);
-                        text.push_str(&format!(" The {name} itself was severed by {cause}."));
-                    }
-                    None => slots.missing(need()),
-                }
-                if repeaters.is_some() || length.is_some() {
-                    slots.filled(0.1, 1);
-                }
-                let verdict =
-                    format!("yes — traffic rerouted onto {n} parallel transatlantic cable systems");
-                finish(slots, text, Some(verdict))
-            }
-            None => {
-                slots.missing(need());
-                let topic = format!("corridor redundancy after the {cable} cut");
-                finish(
-                    slots,
-                    prior::scenario_hedge("physical-damage", &topic),
-                    None,
-                )
-            }
-        },
-        CableQuestion::RepeatersLost => match repeaters {
-            Some((name, n)) => {
-                slots.filled(0.7, 1);
-                slots.step(format!("recalled the {name}'s repeater count"));
-                let mut text =
-                    format!("About {n} optical repeaters went dark when the {name} failed.");
-                match &length {
-                    Some((_, km)) => {
-                        slots.filled(0.2, 1);
-                        text.push_str(&format!(" The system spans about {km:.0} km."));
-                    }
-                    None => slots.missing(need()),
-                }
-                if cut.is_some() {
-                    slots.filled(0.1, 1);
-                }
-                finish(slots, text, Some(format!("about {n} repeaters")))
-            }
-            None => {
-                slots.missing(need());
-                let topic = format!("the {cable} repeater count");
-                finish(
-                    slots,
-                    prior::scenario_hedge("physical-damage", &topic),
-                    None,
-                )
-            }
-        },
-        CableQuestion::RepairMethod => {
-            let has = slots.principle(ex, Principle::CableRepair, 0.75);
-            if has {
-                let mut text = "A cable repair ship grapples the damaged section and splices in \
-                                a new span; until the splice completes, the cable remains dark \
-                                end to end."
-                    .to_string();
-                if let Some((name, _)) = &cut {
-                    slots.filled(0.15, 1);
-                    text.push_str(&format!(
-                        " That is how the severed {name} will be restored."
-                    ));
-                }
-                let verdict = "a cable repair ship grapples the damaged section and splices in \
-                               a new span"
-                    .to_string();
-                finish(slots, text, Some(verdict))
-            } else {
-                slots.missing(need());
-                finish(
-                    slots,
-                    prior::scenario_hedge("physical-damage", "submarine cable repair procedure"),
-                    None,
-                )
-            }
-        }
-        CableQuestion::Length => match length {
-            Some((name, km)) => {
-                slots.filled(0.7, 1);
-                slots.step(format!("recalled the {name}'s span"));
-                let mut text = format!("The {name} system spans about {km:.0} km.");
-                match &repeaters {
-                    Some((_, n)) => {
-                        slots.filled(0.15, 1);
-                        text.push_str(&format!(
-                            " It is powered through about {n} optical repeaters."
-                        ));
-                    }
-                    None => slots.missing(need()),
-                }
-                if cut.is_some() {
-                    slots.filled(0.15, 1);
-                }
-                finish(slots, text, Some(format!("about {km:.0} km")))
-            }
-            None => {
-                slots.missing(need());
-                let topic = format!("the {cable} cable length");
-                finish(
-                    slots,
-                    prior::scenario_hedge("physical-damage", &topic),
-                    None,
-                )
-            }
-        },
-    }
-}
-
-fn grid_incident(idx: &ExtractionIndex<'_>, kind: GridQuestion, grid: &str) -> Answer {
-    let ex = idx.ex();
-    let mut slots = Slots::new();
-    let collapse = ex.facts.iter().find_map(|f| match f {
-        Fact::GridCollapse { grid: g, cause } if entity_matches(g, grid) => {
-            Some((g.clone(), cause.clone()))
-        }
-        _ => None,
-    });
-    let most = ex.facts.iter().find_map(|f| match f {
-        Fact::GridMostExposed { grid: g } => Some(g.clone()),
-        _ => None,
-    });
-    let low = ex.facts.iter().find_map(|f| match f {
-        Fact::GridLowLatitude { grid: g } if entity_matches(g, grid) => Some(g.clone()),
-        _ => None,
-    });
-    let need = || MissingKnowledge::GridIncidentInfo {
+pub(crate) static POWER_FAILURE: ClassRules = ClassRules {
+    label: "power-failure",
+    need: |grid| MissingKnowledge::GridIncidentInfo {
         grid: grid.to_string(),
-    };
+    },
+    rules: &[
+        // GridQuestion::Cause
+        Rule {
+            lead: Evidence::GridCollapse,
+            weight: 0.7,
+            recalled: "recalled what collapsed the {name} grid",
+            text: "The {name} power grid collapsed when {value} during a severe geomagnetic \
+                   storm.",
+            verdict: "the {name} power grid collapsed when {value} during a severe geomagnetic \
+                      storm",
+            then: &[
+                principle(Principle::TransformerSaturation, 0.2),
+                optional(
+                    Evidence::LeadMostExposed,
+                    0.1,
+                    " {name} has the highest GIC exposure of any major grid.",
+                ),
+            ],
+            hedge: "the cause of the {name} grid collapse",
+        },
+        // GridQuestion::MostExposed
+        Rule {
+            lead: Evidence::MostExposed,
+            weight: 0.7,
+            recalled: "recalled the GIC exposure ranking: {name} leads",
+            text: "{name} has the highest GIC exposure of any major grid.",
+            verdict: "{name}",
+            then: &[
+                optional(
+                    Evidence::LeadCollapsed,
+                    0.2,
+                    " Its storm-driven collapse bore the ranking out.",
+                ),
+                optional(
+                    Evidence::LowLatitude,
+                    0.1,
+                    " Grids at low geomagnetic latitude, such as {name}, show negligible \
+                     exposure.",
+                ),
+            ],
+            hedge: "the grid GIC exposure ranking",
+        },
+        // GridQuestion::LowLatitudeRisk
+        Rule {
+            lead: Evidence::LowLatitude,
+            weight: 0.7,
+            recalled: "recalled that {name} sits at low geomagnetic latitude",
+            text: "No — grids at low geomagnetic latitude such as {name} face negligible GIC \
+                   exposure.",
+            verdict: "no — grids at low geomagnetic latitude such as {name} face negligible GIC \
+                      exposure",
+            then: &[
+                needed(
+                    Evidence::MostExposed,
+                    0.2,
+                    " The exposure ranking is led by {name}, at high geomagnetic latitude.",
+                ),
+                optional(Evidence::GridCollapse, 0.1, ""),
+            ],
+            hedge: "low-latitude grid exposure",
+        },
+        // GridQuestion::FailingComponent
+        Rule {
+            lead: Evidence::Principle(Principle::TransformerSaturation),
+            weight: 0.75,
+            recalled: "",
+            text: "Extra-high-voltage transformers saturate and overheat under sustained \
+                   geomagnetically induced currents.",
+            verdict: "extra-high-voltage transformers saturate and overheat",
+            then: &[optional(
+                Evidence::GridCollapse,
+                0.2,
+                " That failure mode is what collapsed the {name} grid.",
+            )],
+            hedge: "grid failure modes under geomagnetic storms",
+        },
+    ],
+};
 
-    match kind {
-        GridQuestion::Cause => match collapse {
-            Some((name, cause)) => {
-                slots.filled(0.7, 1);
-                slots.step(format!("recalled what collapsed the {name} grid"));
-                let mut text = format!(
-                    "The {name} power grid collapsed when {cause} during a severe geomagnetic \
-                     storm."
-                );
-                slots.principle(ex, Principle::TransformerSaturation, 0.2);
-                let ranked_first = ex
-                    .facts
-                    .iter()
-                    .any(|f| matches!(f, Fact::GridMostExposed { grid: g } if same_grid(g, &name)));
-                if ranked_first {
-                    slots.filled(0.1, 1);
-                    text.push_str(&format!(
-                        " {name} has the highest GIC exposure of any major grid."
-                    ));
-                }
-                let verdict = format!(
-                    "the {name} power grid collapsed when {cause} during a severe geomagnetic \
-                     storm"
-                );
-                finish(slots, text, Some(verdict))
-            }
-            None => {
-                slots.missing(need());
-                let topic = format!("the cause of the {grid} grid collapse");
-                finish(slots, prior::scenario_hedge("power-failure", &topic), None)
-            }
-        },
-        GridQuestion::MostExposed => match most {
-            Some(name) => {
-                slots.filled(0.7, 1);
-                slots.step(format!("recalled the GIC exposure ranking: {name} leads"));
-                let mut text = format!("{name} has the highest GIC exposure of any major grid.");
-                let collapsed = ex.facts.iter().any(|f| {
-                    matches!(f, Fact::GridCollapse { grid: g, .. }
-                        if entity_matches(g, grid) && same_grid(g, &name))
-                });
-                if collapsed {
-                    slots.filled(0.2, 1);
-                    text.push_str(" Its storm-driven collapse bore the ranking out.");
-                }
-                if let Some(lo) = &low {
-                    slots.filled(0.1, 1);
-                    text.push_str(&format!(
-                        " Grids at low geomagnetic latitude, such as {lo}, show negligible \
-                         exposure."
-                    ));
-                }
-                finish(slots, text, Some(name))
-            }
-            None => {
-                slots.missing(need());
-                finish(
-                    slots,
-                    prior::scenario_hedge("power-failure", "the grid GIC exposure ranking"),
-                    None,
-                )
-            }
-        },
-        GridQuestion::LowLatitudeRisk => match low {
-            Some(name) => {
-                slots.filled(0.7, 1);
-                slots.step(format!(
-                    "recalled that {name} sits at low geomagnetic latitude"
-                ));
-                let mut text = format!(
-                    "No — grids at low geomagnetic latitude such as {name} face negligible GIC \
-                     exposure."
-                );
-                match &most {
-                    Some(m) => {
-                        slots.filled(0.2, 1);
-                        text.push_str(&format!(
-                            " The exposure ranking is led by {m}, at high geomagnetic latitude."
-                        ));
-                    }
-                    None => slots.missing(need()),
-                }
-                if collapse.is_some() {
-                    slots.filled(0.1, 1);
-                }
-                let verdict = format!(
-                    "no — grids at low geomagnetic latitude such as {name} face negligible GIC \
-                     exposure"
-                );
-                finish(slots, text, Some(verdict))
-            }
-            None => {
-                slots.missing(need());
-                finish(
-                    slots,
-                    prior::scenario_hedge("power-failure", "low-latitude grid exposure"),
-                    None,
-                )
-            }
-        },
-        GridQuestion::FailingComponent => {
-            let has = slots.principle(ex, Principle::TransformerSaturation, 0.75);
-            if has {
-                let mut text = "Extra-high-voltage transformers saturate and overheat under \
-                                sustained geomagnetically induced currents."
-                    .to_string();
-                if let Some((name, _)) = &collapse {
-                    slots.filled(0.2, 1);
-                    text.push_str(&format!(
-                        " That failure mode is what collapsed the {name} grid."
-                    ));
-                }
-                let verdict = "extra-high-voltage transformers saturate and overheat".to_string();
-                finish(slots, text, Some(verdict))
-            } else {
-                slots.missing(need());
-                finish(
-                    slots,
-                    prior::scenario_hedge(
-                        "power-failure",
-                        "grid failure modes under geomagnetic storms",
-                    ),
-                    None,
-                )
-            }
-        }
-    }
-}
-
-fn routing_incident(idx: &ExtractionIndex<'_>, kind: RoutingQuestion, service: &str) -> Answer {
-    let ex = idx.ex();
-    let mut slots = Slots::new();
-    let during = ex.facts.iter().find_map(|f| match f {
-        Fact::EdgeAvailability {
-            during: true,
-            percent,
-        } => Some(*percent),
-        _ => None,
-    });
-    let restored = ex.facts.iter().find_map(|f| match f {
-        Fact::EdgeAvailability {
-            during: false,
-            percent,
-        } => Some(*percent),
-        _ => None,
-    });
-    let content = ex
-        .facts
-        .iter()
-        .any(|f| matches!(f, Fact::ContentPrefixesAnnounced));
-    let need = || MissingKnowledge::RoutingIncidentInfo {
+pub(crate) static ROUTING: ClassRules = ClassRules {
+    label: "routing",
+    need: |service| MissingKnowledge::RoutingIncidentInfo {
         service: service.to_string(),
-    };
-
-    match kind {
-        RoutingQuestion::Cause => {
-            let has = slots.principle(ex, Principle::BgpDnsWithdrawal, 0.7);
-            if has {
-                let mut verdict =
-                    "a configuration error withdrew the BGP routes for the DNS prefixes"
-                        .to_string();
-                let mut text = "A configuration error withdrew the BGP routes for the service's \
-                                DNS prefixes."
-                    .to_string();
-                if content {
-                    slots.filled(0.2, 1);
-                    verdict.push_str(", so the nameservers became unreachable");
-                    text.push_str(
+    },
+    rules: &[
+        // RoutingQuestion::Cause
+        Rule {
+            lead: Evidence::Principle(Principle::BgpDnsWithdrawal),
+            weight: 0.7,
+            recalled: "",
+            text: "A configuration error withdrew the BGP routes for the service's DNS prefixes.",
+            verdict: "a configuration error withdrew the BGP routes for the DNS prefixes",
+            then: &[
+                Item {
+                    verdict: ", so the nameservers became unreachable",
+                    ..needed(
+                        Evidence::ContentPrefixes,
+                        0.2,
                         " The content prefixes stayed announced, but with the nameservers \
                          unreachable no client could resolve the service.",
-                    );
-                } else {
-                    slots.missing(need());
-                }
-                if let Some(p) = during {
-                    slots.filled(0.1, 1);
-                    text.push_str(&format!(
-                        " Only {p:.0} percent of edge networks could reach it during the \
-                         incident."
-                    ));
-                }
-                finish(slots, text, Some(verdict))
-            } else {
-                slots.missing(need());
-                let topic = format!("what took {service} offline");
-                finish(slots, prior::scenario_hedge("routing", &topic), None)
-            }
-        }
-        RoutingQuestion::AvailabilityDuring => match during {
-            Some(p) => {
-                slots.filled(0.7, 1);
-                slots.step("recalled edge-network reachability during the withdrawal".to_string());
-                let mut text = format!(
-                    "About {p:.0} percent of edge networks could reach the service during the \
-                     route withdrawal."
-                );
-                match restored {
-                    Some(r) => {
-                        slots.filled(0.2, 1);
-                        text.push_str(&format!(
-                            " Availability returned to {r:.0} percent after re-announcement."
-                        ));
-                    }
-                    None => slots.missing(need()),
-                }
-                if content {
-                    slots.filled(0.1, 1);
-                }
-                let verdict = format!("about {p:.0} percent of edge networks");
-                finish(slots, text, Some(verdict))
-            }
-            None => {
-                slots.missing(need());
-                finish(
-                    slots,
-                    prior::scenario_hedge("routing", "edge availability during the withdrawal"),
-                    None,
-                )
-            }
+                    )
+                },
+                optional(
+                    Evidence::EdgeDuring,
+                    0.1,
+                    " Only {value} percent of edge networks could reach it during the incident.",
+                ),
+            ],
+            hedge: "what took {name} offline",
         },
-        RoutingQuestion::ContentPrefixes => {
-            if content {
-                slots.filled(0.7, 1);
-                slots.step("recalled that only the DNS prefixes were withdrawn".to_string());
-                let mut text = "No — the content prefixes stayed announced; only the nameservers \
-                                became unreachable, so no client could resolve the service."
-                    .to_string();
-                slots.principle(ex, Principle::BgpDnsWithdrawal, 0.2);
-                if during.is_some() {
-                    slots.filled(0.1, 1);
-                }
-                if let Some(p) = during {
-                    text.push_str(&format!(
-                        " Reachability by name fell to {p:.0} percent regardless."
-                    ));
-                }
-                let verdict = "no — the content prefixes stayed announced; only the nameservers \
-                               became unreachable"
-                    .to_string();
-                finish(slots, text, Some(verdict))
-            } else {
-                slots.missing(need());
-                finish(
-                    slots,
-                    prior::scenario_hedge("routing", "the withdrawal's prefix scope"),
-                    None,
-                )
-            }
-        }
-        RoutingQuestion::Recovery => match restored {
-            Some(r) => {
-                slots.filled(0.7, 1);
-                slots.step("recalled availability after re-announcement".to_string());
-                let mut text = format!(
-                    "Yes — availability was restored to {r:.0} percent once the prefixes were \
-                     re-announced."
-                );
-                match during {
-                    Some(p) => {
-                        slots.filled(0.2, 1);
-                        text.push_str(&format!(
-                            " During the withdrawal only {p:.0} percent of edge networks could \
-                             reach the service."
-                        ));
-                    }
-                    None => slots.missing(need()),
-                }
-                slots.principle(ex, Principle::BgpDnsWithdrawal, 0.1);
-                let verdict = format!(
-                    "yes — availability was restored to {r:.0} percent once the prefixes were \
-                     re-announced"
-                );
-                finish(slots, text, Some(verdict))
-            }
-            None => {
-                slots.missing(need());
-                finish(
-                    slots,
-                    prior::scenario_hedge("routing", "availability after re-announcement"),
-                    None,
-                )
-            }
+        // RoutingQuestion::AvailabilityDuring
+        Rule {
+            lead: Evidence::EdgeDuring,
+            weight: 0.7,
+            recalled: "recalled edge-network reachability during the withdrawal",
+            text: "About {value} percent of edge networks could reach the service during the \
+                   route withdrawal.",
+            verdict: "about {value} percent of edge networks",
+            then: &[
+                needed(
+                    Evidence::EdgeRestored,
+                    0.2,
+                    " Availability returned to {value} percent after re-announcement.",
+                ),
+                optional(Evidence::ContentPrefixes, 0.1, ""),
+            ],
+            hedge: "edge availability during the withdrawal",
         },
+        // RoutingQuestion::ContentPrefixes
+        Rule {
+            lead: Evidence::ContentPrefixes,
+            weight: 0.7,
+            recalled: "recalled that only the DNS prefixes were withdrawn",
+            text: "No — the content prefixes stayed announced; only the nameservers became \
+                   unreachable, so no client could resolve the service.",
+            verdict: "no — the content prefixes stayed announced; only the nameservers became \
+                      unreachable",
+            then: &[
+                principle(Principle::BgpDnsWithdrawal, 0.2),
+                optional(
+                    Evidence::EdgeDuring,
+                    0.1,
+                    " Reachability by name fell to {value} percent regardless.",
+                ),
+            ],
+            hedge: "the withdrawal's prefix scope",
+        },
+        // RoutingQuestion::Recovery
+        Rule {
+            lead: Evidence::EdgeRestored,
+            weight: 0.7,
+            recalled: "recalled availability after re-announcement",
+            text: "Yes — availability was restored to {value} percent once the prefixes were \
+                   re-announced.",
+            verdict: "yes — availability was restored to {value} percent once the prefixes were \
+                      re-announced",
+            then: &[
+                needed(
+                    Evidence::EdgeDuring,
+                    0.2,
+                    " During the withdrawal only {value} percent of edge networks could reach \
+                     the service.",
+                ),
+                principle(Principle::BgpDnsWithdrawal, 0.1),
+            ],
+            hedge: "availability after re-announcement",
+        },
+    ],
+};
+
+/// Answer a scenario-class question of kind `class.rules[kind]` about
+/// `subject`, the question's entity slot (lowercase, possibly empty).
+fn class_incident(ex: &Extraction, class: &ClassRules, kind: usize, subject: &str) -> Answer {
+    let rule = &class.rules[kind];
+    let recall = |slots: &mut Slots, evidence, weight, lead: &Found| match evidence {
+        Evidence::Principle(p) => slots.principle(ex, p, weight).then(Found::default),
+        _ => find(ex, evidence, subject, lead).inspect(|_| slots.filled(weight, 1)),
+    };
+    let mut slots = Slots::new();
+    let Some(lead) = recall(&mut slots, rule.lead, rule.weight, &Found::default()) else {
+        slots.missing((class.need)(subject));
+        let topic = render(rule.hedge, &(subject.to_string(), String::new()));
+        return finish(slots, prior::scenario_hedge(class.label, &topic), None);
+    };
+    if !rule.recalled.is_empty() {
+        slots.step(render(rule.recalled, &lead));
     }
+    let mut text = render(rule.text, &lead);
+    let mut verdict = render(rule.verdict, &lead);
+    for item in rule.then {
+        match recall(&mut slots, item.evidence, item.weight, &lead) {
+            Some(found) => {
+                text.push_str(&render(item.text, &found));
+                verdict.push_str(item.verdict);
+            }
+            None if item.needed => slots.missing((class.need)(subject)),
+            None => {}
+        }
+    }
+    finish(slots, text, Some(verdict))
+}
+
+/// The first fact that is `evidence` about `subject`, as
+/// (`{name}`, `{value}`). The `Lead*` kinds relate a fact to the lead
+/// and bind the lead itself.
+fn find(ex: &Extraction, evidence: Evidence, subject: &str, lead: &Found) -> Option<Found> {
+    use Evidence::*;
+    let about = |entity: &str| entity_matches(entity, subject);
+    ex.facts.iter().find_map(|f| match (evidence, f) {
+        (CableCut, Fact::CableCut { cable, cause }) if about(cable) => {
+            Some((cable.clone(), cause.clone()))
+        }
+        (Survivors, Fact::CorridorSurvivors { count }) => Some((String::new(), count.to_string())),
+        (Length, Fact::LengthKm { entity, km }) if about(entity) => {
+            Some((entity.clone(), format!("{km:.0}")))
+        }
+        (Repeaters, Fact::RepeaterCount { entity, count }) if about(entity) => {
+            Some((entity.clone(), count.to_string()))
+        }
+        (RepeatersOrLength, Fact::RepeaterCount { entity, .. } | Fact::LengthKm { entity, .. })
+        | (LowLatitude, Fact::GridLowLatitude { grid: entity })
+            if about(entity) =>
+        {
+            Some((entity.clone(), String::new()))
+        }
+        (GridCollapse, Fact::GridCollapse { grid, cause }) if about(grid) => {
+            Some((grid.clone(), cause.clone()))
+        }
+        // The exposure ranking answers for any grid.
+        (MostExposed, Fact::GridMostExposed { grid }) => Some((grid.clone(), String::new())),
+        (LeadMostExposed, Fact::GridMostExposed { grid }) if same_grid(grid, &lead.0) => {
+            Some(lead.clone())
+        }
+        (LeadCollapsed, Fact::GridCollapse { grid, .. })
+            if about(grid) && same_grid(grid, &lead.0) =>
+        {
+            Some(lead.clone())
+        }
+        (EdgeDuring | EdgeRestored, Fact::EdgeAvailability { during, percent })
+            if *during == matches!(evidence, EdgeDuring) =>
+        {
+            Some((String::new(), format!("{percent:.0}")))
+        }
+        (ContentPrefixes, Fact::ContentPrefixesAnnounced) => Some(Found::default()),
+        _ => None,
+    })
+}
+
+/// Fill `{name}` and `{value}` in one pass, so bound text is never
+/// read as a placeholder.
+fn render(template: &str, (name, value): &Found) -> String {
+    let mut pieces = template.split('{');
+    let mut out = pieces.next().unwrap_or_default().to_string();
+    for piece in pieces {
+        let (bound, rest) = match piece.split_once('}') {
+            Some(("name", rest)) => (name.as_str(), rest),
+            Some(("value", rest)) => (value.as_str(), rest),
+            _ => ("{", piece),
+        };
+        out.push_str(bound);
+        out.push_str(rest);
+    }
+    out
 }
 
 fn cap(s: &str) -> String {
