@@ -21,36 +21,46 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Tokenize + lightly stem, mirroring the index-side treatment enough
-/// for retrieval purposes.
-fn tokens(text: &str) -> impl Iterator<Item = String> + '_ {
-    text.split(|c: char| !c.is_alphanumeric())
-        .filter(|w| w.len() >= 2)
-        .flat_map(|w| {
-            let w = w.to_lowercase();
-            // Compound normalisation: "datacenter(s)" and "data center"
-            // must land in the same buckets.
-            if w == "datacenter" || w == "datacenters" {
-                return vec!["data".to_string(), "center".to_string()];
-            }
-            for suffix in ["ing", "ed", "ly", "s"] {
-                if let Some(stripped) = w.strip_suffix(suffix) {
-                    if stripped.len() >= 3 {
-                        return vec![stripped.to_string()];
-                    }
-                }
-            }
-            vec![w]
-        })
+/// Call `f` on each token of `text`, lightly stemmed, mirroring the
+/// index-side treatment enough for retrieval purposes: runs of
+/// alphanumeric characters at least 2 bytes long, lowercased, with
+/// "datacenter(s)" split in two and one suffix stripped. Each token is
+/// built in one reused buffer; only a non-ASCII word allocates, for
+/// `str::to_lowercase`.
+fn for_each_token(text: &str, mut f: impl FnMut(&str)) {
+    let mut word = String::new();
+    for w in text.split(|c: char| !c.is_alphanumeric()) {
+        if w.len() < 2 {
+            continue;
+        }
+        word.clear();
+        if w.is_ascii() {
+            word.push_str(w);
+            word.make_ascii_lowercase();
+        } else {
+            word.push_str(&w.to_lowercase());
+        }
+        // Compound normalisation: "datacenter(s)" and "data center"
+        // must land in the same buckets.
+        if word == "datacenter" || word == "datacenters" {
+            f("data");
+            f("center");
+            continue;
+        }
+        let stem = ["ing", "ed", "ly", "s"]
+            .iter()
+            .find_map(|suffix| word.strip_suffix(suffix).filter(|s| s.len() >= 3));
+        f(stem.unwrap_or(&word));
+    }
 }
 
 /// Embed `text` into a unit-norm vector.
 pub fn embed(text: &str) -> Vec<f32> {
     let mut v = vec![0.0f32; EMBED_DIM];
-    for tok in tokens(text) {
+    for_each_token(text, |tok| {
         let bucket = (fnv1a(tok.as_bytes()) % EMBED_DIM as u64) as usize;
         v[bucket] += 1.0;
-    }
+    });
     let norm: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
     if norm > 0.0 {
         for x in &mut v {
@@ -142,6 +152,58 @@ mod tests {
         let a = embed("cable repeater");
         let b = embed("cables repeaters");
         assert!(cosine(&a, &b) > 0.99);
+    }
+
+    /// Reference tokenizer: the same rules, one allocation per token.
+    fn allocating_tokens(text: &str) -> Vec<String> {
+        text.split(|c: char| !c.is_alphanumeric())
+            .filter(|w| w.len() >= 2)
+            .flat_map(|w| {
+                let w = w.to_lowercase();
+                if w == "datacenter" || w == "datacenters" {
+                    return vec!["data".to_string(), "center".to_string()];
+                }
+                for suffix in ["ing", "ed", "ly", "s"] {
+                    if let Some(stripped) = w.strip_suffix(suffix) {
+                        if stripped.len() >= 3 {
+                            return vec![stripped.to_string()];
+                        }
+                    }
+                }
+                vec![w]
+            })
+            .collect()
+    }
+
+    fn tokens(text: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        for_each_token(text, |t| out.push(t.to_string()));
+        out
+    }
+
+    #[test]
+    fn tokens_match_the_allocating_tokenizer() {
+        for text in [
+            "Datacenters and DATACENTER; data-center",
+            "Routing rerouted quickly: ed ing ly s bed sing fly gas",
+            "ΣΟΦΙΑ ΟΔΟΣ İstanbul Straße ǅemal ÉTÉS naïvely",
+            "",
+            "a b c 12 3.4 x_y",
+        ] {
+            assert_eq!(tokens(text), allocating_tokens(text), "{text}");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn tokens_match_the_allocating_tokenizer_on_any_text(text in "\\PC{0,120}") {
+            proptest::prop_assert_eq!(tokens(&text), allocating_tokens(&text));
+        }
+
+        #[test]
+        fn tokens_match_on_mixed_case_words(text in "[a-zA-Z ÉéΣσς.-]{0,80}") {
+            proptest::prop_assert_eq!(tokens(&text), allocating_tokens(&text));
+        }
     }
 
     #[test]

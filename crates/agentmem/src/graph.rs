@@ -19,15 +19,35 @@
 //!   (and that no second source ever corroborated) can be forgotten,
 //!   bounding graph growth over long virtual horizons.
 //!
-//! Everything is deterministic: node ids are assigned in first-seen
-//! order, edges live in an ordered map, and [`ClaimGraph::to_bytes`]
-//! produces byte-identical snapshots for identical absorb sequences —
-//! at any thread or worker count.
+//! # Layout
+//!
+//! * **Nodes.** A node's id is its term's symbol in the graph's
+//!   interner: both are dense and assigned in first-seen order, and a
+//!   snapshot that repeats a term text is rejected.
+//! * **Provenance.** Each absorb adds *one* record (host, path, fetch
+//!   time, session, entry id) to a graph-level table, and every node
+//!   the document touched lists that record's id. Hosts are interned,
+//!   so corroboration counts distinct host ids. Records and hosts are
+//!   reference-counted and their slots reused once no node lists them:
+//!   the table holds only live provenance, whatever the history of
+//!   evictions, decays and repeated entry ids.
+//! * **Edges.** Edge weights live in a hash map keyed by the packed
+//!   pair `a << 32 | b`, `a < b`: one lookup per co-occurring pair.
+//!   Each node also lists its neighbors, unordered, so a node's edges
+//!   are found without scanning the graph's.
+//!
+//! Everything is deterministic: ids are assigned in first-seen order,
+//! and every order that can be observed is sorted where it is observed
+//! — edges by `(a, b)` in the snapshot, neighbors by weight then id —
+//! so [`ClaimGraph::to_bytes`] produces byte-identical snapshots for
+//! identical absorb sequences, at any thread or worker count.
 
 use crate::provenance::SourceRef;
 use ira_simllm::lexicon::{Interner, Term};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Graph construction and retrieval knobs. Deliberately *not* part of
 /// the serialized [`crate::StoreConfig`], so enabling the graph never
@@ -60,13 +80,12 @@ impl Default for GraphConfig {
     }
 }
 
-/// One claim node: an interned salient term plus full provenance.
-#[derive(Debug, Clone, PartialEq)]
+/// One claim node: an interned salient term plus its provenance.
+#[derive(Debug, Clone)]
 pub struct ClaimNode {
     /// Dense id, assigned in first-seen order.
     pub id: u32,
-    /// Symbol in the graph's interner (== `id` by construction, kept
-    /// separate so readers don't rely on the coincidence).
+    /// Symbol in the graph's interner (equal to `id`).
     pub term: Term,
     /// Total documents that mentioned the claim (historical count;
     /// unaffected by store eviction).
@@ -77,20 +96,9 @@ pub struct ClaimNode {
     /// Decayed nodes keep their id (so edges/entry refs stay valid)
     /// but drop provenance and stop contributing to retrieval.
     pub decayed: bool,
-    /// One record per live document that asserted the claim.
-    pub sources: Vec<SourceRef>,
-}
-
-impl ClaimNode {
-    /// Source-weighted support: the number of *distinct hosts* that
-    /// asserted this claim. Repetition from one host counts once.
-    pub fn corroboration(&self) -> usize {
-        self.sources
-            .iter()
-            .map(|s| s.host.as_str())
-            .collect::<BTreeSet<_>>()
-            .len()
-    }
+    /// One provenance record id per live document that asserted the
+    /// claim, in absorb order (see [`ClaimGraph::sources`]).
+    sources: Vec<u32>,
 }
 
 /// Aggregate graph statistics (the observability surface).
@@ -118,7 +126,9 @@ pub struct HostStats {
     pub exclusive: usize,
 }
 
-/// Snapshot decode failure (truncation, bad magic, garbage counts).
+/// Snapshot decode failure: truncation, bad magic, garbage counts, or
+/// a snapshot [`ClaimGraph::to_bytes`] cannot produce (a repeated term,
+/// edges or entries out of order).
 #[derive(Debug, Clone)]
 pub struct GraphDecodeError(pub String);
 
@@ -130,6 +140,131 @@ impl fmt::Display for GraphDecodeError {
 
 impl std::error::Error for GraphDecodeError {}
 
+/// One absorbed document's provenance, shared by every node it touched.
+#[derive(Debug, Clone)]
+struct Record {
+    host: u32,
+    path: String,
+    fetched_at_us: u64,
+    session: u32,
+    entry_id: u64,
+    /// Node source lists holding this record; the slot is free at 0.
+    refs: u32,
+}
+
+/// An interned host name and the records naming it (free at 0).
+#[derive(Debug, Clone)]
+struct Host {
+    name: String,
+    refs: u32,
+}
+
+/// The provenance record table and the hosts its records name.
+#[derive(Debug, Default, Clone)]
+struct Provenance {
+    records: Vec<Record>,
+    free_records: Vec<u32>,
+    hosts: Vec<Host>,
+    host_ids: HashMap<String, u32>,
+    free_hosts: Vec<u32>,
+}
+
+impl Provenance {
+    /// Store `source` (under `entry_id`) as a record already listed by
+    /// `refs` nodes.
+    fn add(&mut self, source: SourceRef, entry_id: u64, refs: u32) -> u32 {
+        let host = match self.host_ids.get(&source.host) {
+            Some(&h) => h,
+            None => {
+                let host = Host {
+                    name: source.host.clone(),
+                    refs: 0,
+                };
+                let h = reuse(&mut self.hosts, &mut self.free_hosts, host);
+                self.host_ids.insert(source.host, h);
+                h
+            }
+        };
+        self.hosts[host as usize].refs += 1;
+        let record = Record {
+            host,
+            path: source.path,
+            fetched_at_us: source.fetched_at_us,
+            session: source.session,
+            entry_id,
+            refs,
+        };
+        reuse(&mut self.records, &mut self.free_records, record)
+    }
+
+    /// One node stopped listing record `r`.
+    fn release(&mut self, r: u32) {
+        let record = &mut self.records[r as usize];
+        record.refs -= 1;
+        if record.refs > 0 {
+            return;
+        }
+        record.path = String::new();
+        self.free_records.push(r);
+        let h = record.host;
+        let host = &mut self.hosts[h as usize];
+        host.refs -= 1;
+        if host.refs == 0 {
+            self.host_ids.remove(&std::mem::take(&mut host.name));
+            self.free_hosts.push(h);
+        }
+    }
+
+    fn host(&self, r: u32) -> u32 {
+        self.records[r as usize].host
+    }
+
+    fn host_name(&self, h: u32) -> &str {
+        &self.hosts[h as usize].name
+    }
+
+    fn source(&self, r: u32) -> SourceRef {
+        let record = &self.records[r as usize];
+        SourceRef {
+            host: self.host_name(record.host).to_string(),
+            path: record.path.clone(),
+            fetched_at_us: record.fetched_at_us,
+            session: record.session,
+            entry_id: record.entry_id,
+        }
+    }
+
+    /// Whether the records name fewer than two distinct hosts.
+    fn single_host(&self, sources: &[u32]) -> bool {
+        let mut hosts = sources.iter().map(|&r| self.host(r));
+        let first = hosts.next();
+        hosts.all(|h| Some(h) == first)
+    }
+
+    /// The distinct hosts the records name, ascending, into `out`.
+    fn hosts_of(&self, sources: &[u32], out: &mut Vec<u32>) {
+        out.clear();
+        out.extend(sources.iter().map(|&r| self.host(r)));
+        out.sort_unstable();
+        out.dedup();
+    }
+}
+
+/// Put `value` in a free slot of `slots` if there is one, else at the
+/// end; returns its index.
+fn reuse<T>(slots: &mut Vec<T>, free: &mut Vec<u32>, value: T) -> u32 {
+    match free.pop() {
+        Some(i) => {
+            slots[i as usize] = value;
+            i
+        }
+        None => {
+            slots.push(value);
+            (slots.len() - 1) as u32
+        }
+    }
+}
+
 /// The claim graph. Owned by the knowledge store and mutated under its
 /// write lock, so it needs no interior synchronization of its own.
 #[derive(Debug, Default, Clone)]
@@ -137,10 +272,12 @@ pub struct ClaimGraph {
     config: GraphConfig,
     interner: Interner,
     nodes: Vec<ClaimNode>,
-    by_term: HashMap<Term, u32>,
-    /// `(a, b) -> distinct documents where both terms co-occurred`,
-    /// with `a < b`.
-    edges: BTreeMap<(u32, u32), u32>,
+    provenance: Provenance,
+    /// [`edge_key`]`(a, b)` → distinct documents where both terms
+    /// co-occurred.
+    weights: HashMap<u64, u32, BuildHasherDefault<EdgeHasher>>,
+    /// Node → every node it shares an edge with, unordered.
+    adjacent: Vec<Vec<u32>>,
     /// Entry id → the claim nodes its content contributed.
     entry_nodes: BTreeMap<u64, Vec<u32>>,
     decay_evictions: u64,
@@ -163,7 +300,7 @@ impl ClaimGraph {
     }
 
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.weights.len()
     }
 
     pub fn nodes(&self) -> &[ClaimNode] {
@@ -183,8 +320,7 @@ impl ClaimGraph {
 
     /// Look a claim node up by its (normalized) term text.
     pub fn node_by_text(&self, term: &str) -> Option<&ClaimNode> {
-        let t = self.interner.get(&term.to_lowercase())?;
-        let id = *self.by_term.get(&t)?;
+        let id = self.interner.get(&term.to_lowercase())?;
         self.nodes.get(id as usize)
     }
 
@@ -196,50 +332,79 @@ impl ClaimGraph {
             .unwrap_or(&[])
     }
 
+    /// A node's provenance: one record per live document that asserted
+    /// the claim, in absorb order.
+    pub fn sources(&self, id: u32) -> Vec<SourceRef> {
+        self.nodes.get(id as usize).map_or_else(Vec::new, |node| {
+            node.sources
+                .iter()
+                .map(|&r| self.provenance.source(r))
+                .collect()
+        })
+    }
+
+    /// Source-weighted support: the number of *distinct hosts* that
+    /// asserted a claim. Repetition from one host counts once.
+    pub fn corroboration(&self, id: u32) -> usize {
+        let mut hosts = Vec::new();
+        if let Some(node) = self.nodes.get(id as usize) {
+            self.provenance.hosts_of(&node.sources, &mut hosts);
+        }
+        hosts.len()
+    }
+
     /// Absorb one memorised document: upsert claim nodes for its
-    /// significant terms, append provenance, and strengthen every
-    /// pairwise co-occurrence edge by one (this document).
+    /// significant terms, record its provenance once for all of them,
+    /// and strengthen every pairwise co-occurrence edge by one (this
+    /// document).
     pub fn absorb(&mut self, entry_id: u64, content: &str, source: SourceRef) {
         let now = source.fetched_at_us;
-        let terms = significant_terms(content, self.config.max_terms_per_doc);
-        let mut ids: Vec<u32> = Vec::with_capacity(terms.len());
-        for term in &terms {
-            let t = self.interner.intern(term);
-            let id = match self.by_term.get(&t) {
-                Some(&id) => {
-                    let node = &mut self.nodes[id as usize];
-                    node.occurrences += 1;
-                    node.first_seen_us = node.first_seen_us.min(now);
-                    node.last_seen_us = node.last_seen_us.max(now);
-                    // A reinforced claim is no longer forgotten.
-                    node.decayed = false;
-                    id
-                }
-                None => {
-                    let id = self.nodes.len() as u32;
-                    self.nodes.push(ClaimNode {
-                        id,
-                        term: t,
-                        occurrences: 1,
-                        first_seen_us: now,
-                        last_seen_us: now,
-                        decayed: false,
-                        sources: Vec::new(),
-                    });
-                    self.by_term.insert(t, id);
-                    id
-                }
-            };
-            self.nodes[id as usize].sources.push(SourceRef {
-                entry_id,
-                ..source.clone()
-            });
-            ids.push(id);
+        let max = self.config.max_terms_per_doc;
+        let mut ids: Vec<u32> = Vec::with_capacity(max);
+        each_term(content, |word| {
+            if ids.len() >= max {
+                return false;
+            }
+            let id = self.interner.intern(word);
+            if id as usize == self.nodes.len() {
+                self.nodes.push(ClaimNode {
+                    id,
+                    term: id,
+                    occurrences: 0,
+                    first_seen_us: now,
+                    last_seen_us: now,
+                    decayed: false,
+                    sources: Vec::new(),
+                });
+                self.adjacent.push(Vec::new());
+            }
+            if !ids.contains(&id) {
+                let node = &mut self.nodes[id as usize];
+                node.occurrences += 1;
+                node.first_seen_us = node.first_seen_us.min(now);
+                node.last_seen_us = node.last_seen_us.max(now);
+                // A reinforced claim is no longer forgotten.
+                node.decayed = false;
+                ids.push(id);
+            }
+            true
+        });
+        if !ids.is_empty() {
+            let record = self.provenance.add(source, entry_id, ids.len() as u32);
+            for &id in &ids {
+                self.nodes[id as usize].sources.push(record);
+            }
         }
-        for i in 0..ids.len() {
-            for j in (i + 1)..ids.len() {
-                let key = (ids[i].min(ids[j]), ids[i].max(ids[j]));
-                *self.edges.entry(key).or_insert(0) += 1;
+        for (i, &a) in ids.iter().enumerate() {
+            for &b in &ids[i + 1..] {
+                match self.weights.entry(edge_key(a, b)) {
+                    Entry::Occupied(mut weight) => *weight.get_mut() += 1,
+                    Entry::Vacant(slot) => {
+                        slot.insert(1);
+                        self.adjacent[a as usize].push(b);
+                        self.adjacent[b as usize].push(a);
+                    }
+                }
             }
         }
         self.entry_nodes.insert(entry_id, ids);
@@ -248,20 +413,35 @@ impl ClaimGraph {
         }
     }
 
+    /// Remove every edge of node `x`.
+    fn cut_edges(&mut self, x: u32) {
+        for y in std::mem::take(&mut self.adjacent[x as usize]) {
+            self.weights.remove(&edge_key(x, y));
+            let others = &mut self.adjacent[y as usize];
+            if let Some(i) = others.iter().position(|&n| n == x) {
+                others.swap_remove(i);
+            }
+        }
+    }
+
     /// The store evicted an entry: its provenance records disappear,
     /// but the claims themselves (and the co-occurrence evidence)
     /// persist — the plexus rule that knowledge outlives the page it
-    /// was read from.
+    /// was read from. Every record under the entry id leaves the nodes
+    /// of the entry's latest absorb.
     pub fn remove_entry(&mut self, entry_id: u64) {
-        if let Some(ids) = self.entry_nodes.remove(&entry_id) {
-            let mut seen = BTreeSet::new();
-            for id in ids {
-                if seen.insert(id) {
-                    self.nodes[id as usize]
-                        .sources
-                        .retain(|s| s.entry_id != entry_id);
+        let Some(ids) = self.entry_nodes.remove(&entry_id) else {
+            return;
+        };
+        let provenance = &mut self.provenance;
+        for id in ids {
+            self.nodes[id as usize].sources.retain(|&r| {
+                let stays = provenance.records[r as usize].entry_id != entry_id;
+                if !stays {
+                    provenance.release(r);
                 }
-            }
+                stays
+            });
         }
     }
 
@@ -277,23 +457,17 @@ impl ClaimGraph {
         for node in &mut self.nodes {
             if !node.decayed
                 && node.last_seen_us.saturating_add(horizon) < now_us
-                && node
-                    .sources
-                    .iter()
-                    .map(|s| s.host.as_str())
-                    .collect::<BTreeSet<_>>()
-                    .len()
-                    < 2
+                && self.provenance.single_host(&node.sources)
             {
                 node.decayed = true;
-                node.sources.clear();
+                for r in std::mem::take(&mut node.sources) {
+                    self.provenance.release(r);
+                }
                 evicted.push(node.id);
             }
         }
-        if !evicted.is_empty() {
-            let gone: BTreeSet<u32> = evicted.iter().copied().collect();
-            self.edges
-                .retain(|(a, b), _| !gone.contains(a) && !gone.contains(b));
+        for &id in &evicted {
+            self.cut_edges(id);
         }
         self.decay_evictions += evicted.len() as u64;
         evicted.len() as u64
@@ -304,20 +478,14 @@ impl ClaimGraph {
     /// the same deterministic order [`activate`](Self::activate)
     /// expands in.
     pub fn neighbors(&self, id: u32) -> Vec<(u32, u32)> {
-        let mut neighbors: Vec<(u32, u32)> = self
-            .edges
+        let Some(adjacent) = self.adjacent.get(id as usize) else {
+            return Vec::new();
+        };
+        let mut neighbors: Vec<(u32, u32)> = adjacent
             .iter()
-            .filter_map(|(&(a, b), &w)| {
-                if a == id {
-                    Some((w, b))
-                } else if b == id {
-                    Some((w, a))
-                } else {
-                    None
-                }
-            })
+            .map(|&n| (self.weights[&edge_key(id, n)], n))
             .collect();
-        neighbors.sort_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)));
+        neighbors.sort_unstable_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)));
         neighbors
     }
 
@@ -330,7 +498,6 @@ impl ClaimGraph {
         let matched: Vec<u32> = significant_terms(query, self.config.max_terms_per_doc)
             .iter()
             .filter_map(|t| self.interner.get(t))
-            .filter_map(|t| self.by_term.get(&t).copied())
             .filter(|&id| !self.nodes[id as usize].decayed)
             .collect();
         for &id in &matched {
@@ -365,12 +532,11 @@ impl ClaimGraph {
         }
         let mut total = 0.0;
         for &id in ids {
-            let node = &self.nodes[id as usize];
-            if node.decayed {
+            if self.nodes[id as usize].decayed {
                 continue;
             }
             if let Some(act) = activation.get(&id) {
-                total += act * (1.0 + node.corroboration() as f64).ln();
+                total += act * (1.0 + self.corroboration(id) as f64).ln();
             }
         }
         total / ids.len() as f64
@@ -380,17 +546,19 @@ impl ClaimGraph {
     pub fn stats(&self) -> GraphStats {
         let mut stats = GraphStats {
             nodes: self.nodes.len() as u64,
-            edges: self.edges.len() as u64,
+            edges: self.weights.len() as u64,
             decay_evictions: self.decay_evictions,
             corroboration_histogram: vec![0; 4],
             ..GraphStats::default()
         };
+        let mut hosts = Vec::new();
         for node in &self.nodes {
             if node.decayed {
                 continue;
             }
             stats.live_nodes += 1;
-            let support = node.corroboration();
+            self.provenance.hosts_of(&node.sources, &mut hosts);
+            let support = hosts.len();
             if support >= 2 {
                 stats.corroborated_nodes += 1;
             }
@@ -402,15 +570,16 @@ impl ClaimGraph {
 
     /// Per-host contribution summary over live nodes.
     pub fn host_stats(&self) -> BTreeMap<String, HostStats> {
-        let mut hosts: BTreeMap<String, HostStats> = BTreeMap::new();
+        let mut by_id = vec![HostStats::default(); self.provenance.hosts.len()];
+        let mut hosts = Vec::new();
         for node in &self.nodes {
             if node.decayed || node.sources.is_empty() {
                 continue;
             }
-            let node_hosts: BTreeSet<&str> = node.sources.iter().map(|s| s.host.as_str()).collect();
-            let corroborated = node_hosts.len() >= 2;
-            for host in node_hosts {
-                let slot = hosts.entry(host.to_string()).or_default();
+            self.provenance.hosts_of(&node.sources, &mut hosts);
+            let corroborated = hosts.len() >= 2;
+            for &h in &hosts {
+                let slot = &mut by_id[h as usize];
                 slot.claims += 1;
                 if corroborated {
                     slot.corroborated += 1;
@@ -419,7 +588,12 @@ impl ClaimGraph {
                 }
             }
         }
-        hosts
+        by_id
+            .into_iter()
+            .enumerate()
+            .filter(|(_, s)| s.claims > 0)
+            .map(|(h, s)| (self.provenance.host_name(h as u32).to_string(), s))
+            .collect()
     }
 
     /// Serialize to the compact binary snapshot format (see module
@@ -436,18 +610,21 @@ impl ClaimGraph {
             put_u64(&mut out, node.last_seen_us);
             out.push(node.decayed as u8);
             put_u32(&mut out, node.sources.len() as u32);
-            for s in &node.sources {
-                put_str(&mut out, &s.host);
-                put_str(&mut out, &s.path);
-                put_u64(&mut out, s.fetched_at_us);
-                put_u32(&mut out, s.session);
-                put_u64(&mut out, s.entry_id);
+            for &r in &node.sources {
+                let record = &self.provenance.records[r as usize];
+                put_str(&mut out, self.provenance.host_name(record.host));
+                put_str(&mut out, &record.path);
+                put_u64(&mut out, record.fetched_at_us);
+                put_u32(&mut out, record.session);
+                put_u64(&mut out, record.entry_id);
             }
         }
-        put_u32(&mut out, self.edges.len() as u32);
-        for (&(a, b), &w) in &self.edges {
-            put_u32(&mut out, a);
-            put_u32(&mut out, b);
+        let mut edges: Vec<(u64, u32)> = self.weights.iter().map(|(&k, &w)| (k, w)).collect();
+        edges.sort_unstable_by_key(|&(k, _)| k);
+        put_u32(&mut out, edges.len() as u32);
+        for (key, w) in edges {
+            put_u32(&mut out, (key >> 32) as u32);
+            put_u32(&mut out, key as u32);
             put_u32(&mut out, w);
         }
         put_u32(&mut out, self.entry_nodes.len() as u32);
@@ -465,6 +642,11 @@ impl ClaimGraph {
     /// Decode a snapshot produced by [`ClaimGraph::to_bytes`]. The
     /// config is *not* serialized (it is runtime tuning, not state);
     /// the caller re-applies its own.
+    ///
+    /// Only snapshots `to_bytes` can produce are accepted: term texts
+    /// are distinct, every edge `(a, b)` has `a < b`, and edges and
+    /// entry ids are strictly ascending. Sources with equal fields
+    /// share one provenance record.
     pub fn from_bytes(bytes: &[u8], config: GraphConfig) -> Result<Self, GraphDecodeError> {
         let mut r = Reader { bytes, pos: 0 };
         let magic = r.take(MAGIC.len())?;
@@ -472,10 +654,17 @@ impl ClaimGraph {
             return Err(GraphDecodeError("bad magic".into()));
         }
         let mut graph = ClaimGraph::new(config);
+        let mut records: HashMap<SourceRef, u32> = HashMap::new();
         let node_count = r.u32()? as usize;
         for id in 0..node_count {
+            let id = id as u32;
             let term_text = r.str()?;
             let term = graph.interner.intern(&term_text);
+            if term != id {
+                return Err(GraphDecodeError(format!(
+                    "node {id} repeats the term {term_text:?} of node {term}"
+                )));
+            }
             let occurrences = r.u32()?;
             let first_seen_us = r.u64()?;
             let last_seen_us = r.u64()?;
@@ -483,16 +672,27 @@ impl ClaimGraph {
             let source_count = r.u32()? as usize;
             let mut sources = Vec::with_capacity(source_count.min(1024));
             for _ in 0..source_count {
-                sources.push(SourceRef {
+                let source = SourceRef {
                     host: r.str()?,
                     path: r.str()?,
                     fetched_at_us: r.u64()?,
                     session: r.u32()?,
                     entry_id: r.u64()?,
-                });
+                };
+                let record = match records.get(&source) {
+                    Some(&record) => {
+                        graph.provenance.records[record as usize].refs += 1;
+                        record
+                    }
+                    None => {
+                        let entry_id = source.entry_id;
+                        let record = graph.provenance.add(source.clone(), entry_id, 1);
+                        records.insert(source, record);
+                        record
+                    }
+                };
+                sources.push(record);
             }
-            let id = id as u32;
-            graph.by_term.insert(term, id);
             graph.nodes.push(ClaimNode {
                 id,
                 term,
@@ -502,8 +702,10 @@ impl ClaimGraph {
                 decayed,
                 sources,
             });
+            graph.adjacent.push(Vec::new());
         }
         let edge_count = r.u32()? as usize;
+        let mut previous: Option<(u32, u32)> = None;
         for _ in 0..edge_count {
             let a = r.u32()?;
             let b = r.u32()?;
@@ -511,11 +713,31 @@ impl ClaimGraph {
             if a as usize >= node_count || b as usize >= node_count {
                 return Err(GraphDecodeError(format!("edge ({a},{b}) out of range")));
             }
-            graph.edges.insert((a, b), w);
+            if a >= b {
+                return Err(GraphDecodeError(format!("edge ({a},{b}) is not a < b")));
+            }
+            if previous.is_some_and(|p| p >= (a, b)) {
+                return Err(GraphDecodeError(format!(
+                    "edge ({a},{b}) is not after the edge before it"
+                )));
+            }
+            previous = Some((a, b));
+            graph.weights.insert(edge_key(a, b), w);
+            graph.adjacent[a as usize].push(b);
+            graph.adjacent[b as usize].push(a);
         }
         let entry_count = r.u32()? as usize;
         for _ in 0..entry_count {
             let entry_id = r.u64()?;
+            if graph
+                .entry_nodes
+                .last_key_value()
+                .is_some_and(|(&last, _)| last >= entry_id)
+            {
+                return Err(GraphDecodeError(format!(
+                    "entry {entry_id} is not after the entry before it"
+                )));
+            }
             let n = r.u32()? as usize;
             let mut ids = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
@@ -535,6 +757,40 @@ impl ClaimGraph {
             )));
         }
         Ok(graph)
+    }
+}
+
+/// The weight-map key of the edge between `a` and `b`: the pair packed
+/// low id first, so keys sort in the snapshot's `(a, b)` order.
+fn edge_key(a: u32, b: u32) -> u64 {
+    (u64::from(a.min(b)) << 32) | u64::from(a.max(b))
+}
+
+/// Hashes edge keys with the 64-bit MurmurHash3 finalizer: every key bit
+/// reaches every hash bit, at a fraction of the default hasher's cost.
+/// The keys are pairs of node ids the graph assigns itself, densely and
+/// in first-seen order, not values a page or snapshot can choose.
+#[derive(Default)]
+struct EdgeHasher(u64);
+
+impl Hasher for EdgeHasher {
+    fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = v;
     }
 }
 
@@ -591,8 +847,8 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Words that carry no claim content; kept tiny and fixed so term
-/// extraction is stable forever.
+/// Words that carry no claim content; kept tiny, fixed and sorted (for
+/// `binary_search`) so term extraction is stable forever.
 const STOPWORDS: &[&str] = &[
     "about", "above", "after", "again", "along", "also", "among", "been", "being", "between",
     "both", "could", "does", "down", "each", "ever", "every", "from", "gets", "have", "having",
@@ -603,31 +859,44 @@ const STOPWORDS: &[&str] = &[
     "while", "whose", "will", "with", "within", "would", "your",
 ];
 
+/// Call `f` on each candidate term of `text`, in order, until it
+/// returns `false`: every run of ASCII letters and digits at least 4
+/// bytes long that holds a letter and, lowercased, is not a stopword.
+/// Runs are pure ASCII, so each is lowercased exactly in one reused
+/// buffer.
+fn each_term(text: &str, mut f: impl FnMut(&str) -> bool) {
+    let mut word = String::new();
+    for raw in text.split(|c: char| !c.is_ascii_alphanumeric()) {
+        if raw.len() < 4 || !raw.bytes().any(|b| b.is_ascii_alphabetic()) {
+            continue;
+        }
+        word.clear();
+        word.push_str(raw);
+        word.make_ascii_lowercase();
+        if STOPWORDS.binary_search(&word.as_str()).is_ok() {
+            continue;
+        }
+        if !f(&word) {
+            break;
+        }
+    }
+}
+
 /// Extract the distinct significant terms of a text: lowercased
 /// alphanumeric words of length ≥ 4 that are not stopwords, in
 /// first-seen order, capped at `max`. Pure and deterministic — the
 /// vocabulary layer of every graph operation.
 pub fn significant_terms(text: &str, max: usize) -> Vec<String> {
-    let mut seen: BTreeSet<String> = BTreeSet::new();
-    let mut terms = Vec::new();
-    for raw in text.split(|c: char| !c.is_ascii_alphanumeric()) {
+    let mut terms: Vec<String> = Vec::new();
+    each_term(text, |word| {
         if terms.len() >= max {
-            break;
+            return false;
         }
-        if raw.len() < 4 {
-            continue;
+        if !terms.iter().any(|t| t == word) {
+            terms.push(word.to_string());
         }
-        let word = raw.to_lowercase();
-        if !word.chars().any(|c| c.is_ascii_alphabetic()) {
-            continue;
-        }
-        if STOPWORDS.contains(&word.as_str()) {
-            continue;
-        }
-        if seen.insert(word.clone()) {
-            terms.push(word);
-        }
-    }
+        true
+    });
     terms
 }
 
@@ -685,16 +954,17 @@ mod tests {
         assert!(g.node_count() >= 6);
         let cable = g.node_by_text("cable").unwrap();
         assert_eq!(cable.occurrences, 2);
-        assert_eq!(cable.corroboration(), 2, "two distinct hosts");
+        assert_eq!(g.corroboration(cable.id), 2, "two distinct hosts");
         assert_eq!(cable.first_seen_us, 10);
         assert_eq!(cable.last_seen_us, 20);
         let ellalink = g.node_by_text("ellalink").unwrap();
-        assert_eq!(ellalink.corroboration(), 1);
+        assert_eq!(g.corroboration(ellalink.id), 1);
         // cable—connects co-occurred in both documents.
         let (a, b) = (cable.id.min(g.node_by_text("connects").unwrap().id), {
             cable.id.max(g.node_by_text("connects").unwrap().id)
         });
-        assert_eq!(g.edges.get(&(a, b)), Some(&2));
+        assert_eq!(g.weights[&edge_key(a, b)], 2);
+        assert_eq!(g.edge_count(), 15, "6 + 10 pairs, cable—connects in both");
     }
 
     #[test]
@@ -709,7 +979,7 @@ mod tests {
         }
         let node = g.node_by_text("bulletin").unwrap();
         assert_eq!(node.occurrences, 5);
-        assert_eq!(node.corroboration(), 1, "one host, however loud");
+        assert_eq!(g.corroboration(node.id), 1, "one host, however loud");
     }
 
     #[test]
@@ -774,7 +1044,7 @@ mod tests {
         g.absorb(7, "ellalink cable brazil", src("a.test", "/1", 1));
         g.remove_entry(7);
         let node = g.node_by_text("ellalink").unwrap();
-        assert!(node.sources.is_empty());
+        assert!(g.sources(node.id).is_empty());
         assert_eq!(node.occurrences, 1, "historical count survives");
         assert!(g.nodes_of_entry(7).is_empty());
     }
@@ -864,10 +1134,8 @@ mod tests {
         );
         assert_eq!(back.node_count(), g.node_count());
         assert_eq!(back.edge_count(), g.edge_count());
-        assert_eq!(
-            back.node_by_text("cable").unwrap().sources,
-            g.node_by_text("cable").unwrap().sources
-        );
+        let cable = g.node_by_text("cable").unwrap().id;
+        assert_eq!(back.sources(cable), g.sources(cable));
     }
 
     #[test]
@@ -891,5 +1159,160 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(ClaimGraph::from_bytes(&trailing, GraphConfig::default()).is_err());
+    }
+
+    #[test]
+    fn stopwords_stay_sorted_for_binary_search() {
+        assert!(
+            STOPWORDS.windows(2).all(|w| w[0] < w[1]),
+            "STOPWORDS must stay sorted and distinct"
+        );
+    }
+
+    #[test]
+    fn neighbors_cover_edges_on_both_sides() {
+        let mut g = graph();
+        g.absorb(0, "alpha beta gamma", src("a.test", "/1", 1));
+        g.absorb(1, "beta gamma delta", src("b.test", "/2", 2));
+        let id = |t: &str| g.node_by_text(t).unwrap().id;
+        // beta—gamma co-occurred twice, so it leads both lists; ties
+        // break on the neighbor id.
+        assert_eq!(
+            g.neighbors(id("beta")),
+            vec![(2, id("gamma")), (1, id("alpha")), (1, id("delta"))]
+        );
+        assert_eq!(
+            g.neighbors(id("gamma")),
+            vec![(2, id("beta")), (1, id("alpha")), (1, id("delta"))]
+        );
+        assert!(g.neighbors(99).is_empty());
+    }
+
+    #[test]
+    fn provenance_table_holds_only_live_records() {
+        let mut g = ClaimGraph::new(GraphConfig {
+            decay_after_us: 1_000,
+            ..GraphConfig::default()
+        });
+        for i in 0..200u64 {
+            let host = format!("h{}.test", i % 7);
+            g.absorb(i, "shared claim words here", src(&host, "/p", i * 10));
+            if i >= 3 {
+                g.remove_entry(i - 3);
+            }
+        }
+        let live = |g: &ClaimGraph| {
+            let p = &g.provenance;
+            (
+                p.records.len() - p.free_records.len(),
+                p.hosts.len() - p.free_hosts.len(),
+                p.host_ids.len(),
+            )
+        };
+        assert_eq!(live(&g), (3, 3, 3), "the last three entries' records");
+        assert!(g.provenance.records.len() <= 4);
+        for i in 197..200 {
+            g.remove_entry(i);
+        }
+        assert_eq!(live(&g), (0, 0, 0));
+        assert_eq!(g.corroboration(0), 0);
+        assert!(g.host_stats().is_empty());
+    }
+
+    #[test]
+    fn repeated_entry_ids_keep_their_removal_semantics() {
+        let mut g = graph();
+        g.absorb(5, "first page alpha shared", src("a.test", "/1", 1));
+        g.absorb(5, "second page beta shared", src("b.test", "/2", 2));
+        g.remove_entry(5);
+        // Only the latest absorb's nodes lose their records, but they
+        // lose every record under the id.
+        let count = |t: &str| g.sources(g.node_by_text(t).unwrap().id).len();
+        assert_eq!(count("shared"), 0);
+        assert_eq!(count("beta"), 0);
+        assert_eq!(count("alpha"), 1, "the first absorb's own node keeps it");
+        assert_eq!(
+            g.sources(g.node_by_text("alpha").unwrap().id)[0].host,
+            "a.test"
+        );
+        assert_eq!(g.host_stats().len(), 1);
+    }
+
+    /// A snapshot with source-less nodes, written field by field.
+    fn snapshot(terms: &[&str], edges: &[(u32, u32, u32)], entries: &[(u64, &[u32])]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        put_u32(&mut out, terms.len() as u32);
+        for term in terms {
+            put_str(&mut out, term);
+            put_u32(&mut out, 1);
+            put_u64(&mut out, 0);
+            put_u64(&mut out, 0);
+            out.push(0);
+            put_u32(&mut out, 0);
+        }
+        put_u32(&mut out, edges.len() as u32);
+        for &(a, b, w) in edges {
+            put_u32(&mut out, a);
+            put_u32(&mut out, b);
+            put_u32(&mut out, w);
+        }
+        put_u32(&mut out, entries.len() as u32);
+        for &(entry_id, ids) in entries {
+            put_u64(&mut out, entry_id);
+            put_u32(&mut out, ids.len() as u32);
+            for &id in ids {
+                put_u32(&mut out, id);
+            }
+        }
+        put_u64(&mut out, 0);
+        out
+    }
+
+    fn decode(bytes: &[u8]) -> Result<ClaimGraph, GraphDecodeError> {
+        ClaimGraph::from_bytes(bytes, GraphConfig::default())
+    }
+
+    #[test]
+    fn canonical_snapshot_decodes() {
+        let bytes = snapshot(
+            &["alpha", "beta", "gamma"],
+            &[(0, 1, 2), (0, 2, 1), (1, 2, 1)],
+            &[(3, &[0, 1]), (8, &[2])],
+        );
+        let g = decode(&bytes).unwrap();
+        assert_eq!(g.to_bytes(), bytes);
+        assert_eq!(g.neighbors(2), vec![(1, 0), (1, 1)]);
+    }
+
+    #[test]
+    fn snapshot_with_a_repeated_term_is_rejected() {
+        let bytes = snapshot(&["alpha", "beta", "alpha"], &[], &[]);
+        let err = decode(&bytes).unwrap_err();
+        assert!(err.0.contains("repeats the term"), "{err}");
+    }
+
+    #[test]
+    fn snapshot_with_an_edge_not_low_to_high_is_rejected() {
+        for edge in [(1, 0, 1), (1, 1, 1)] {
+            let err = decode(&snapshot(&["alpha", "beta"], &[edge], &[])).unwrap_err();
+            assert!(err.0.contains("not a < b"), "{err}");
+        }
+    }
+
+    #[test]
+    fn snapshot_with_edges_out_of_order_is_rejected() {
+        let terms = ["alpha", "beta", "gamma"];
+        for edges in [[(0, 2, 1), (0, 1, 1)], [(0, 1, 1), (0, 1, 2)]] {
+            let err = decode(&snapshot(&terms, &edges, &[])).unwrap_err();
+            assert!(err.0.contains("not after the edge before it"), "{err}");
+        }
+    }
+
+    #[test]
+    fn snapshot_with_entries_out_of_order_is_rejected() {
+        for entries in [[(5, &[0u32][..]), (3, &[1])], [(5, &[0]), (5, &[1])]] {
+            let err = decode(&snapshot(&["alpha", "beta"], &[], &entries)).unwrap_err();
+            assert!(err.0.contains("not after the entry before it"), "{err}");
+        }
     }
 }

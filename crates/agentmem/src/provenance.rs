@@ -1,15 +1,16 @@
 //! Provenance records: where a claim came from.
 //!
 //! The plexus rule — *all knowledge carries provenance* — applied to
-//! the claim graph: every node keeps one [`SourceRef`] per document
-//! that mentioned it, so corroboration can be weighed per **source
-//! host** (ten pages from one adversary host count once) and audits
-//! can walk from any claim back to the fetches that produced it.
+//! the claim graph: every node lists one [`SourceRef`] per document
+//! that mentioned it (stored once per document, in the graph's record
+//! table), so corroboration can be weighed per **source host** (ten
+//! pages from one adversary host count once) and audits can walk from
+//! any claim back to the fetches that produced it.
 
 use serde::{Deserialize, Serialize};
 
 /// One document's contribution to a claim node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SourceRef {
     /// Source host (`encyclopedia.test`, `adversary.test`, …).
     pub host: String,

@@ -9,7 +9,7 @@
 //! retrieval scoring, `knowledge.json` bytes, and therefore quiz
 //! answers are byte-identical to the flat-store path.
 
-use crate::embed::{cosine, embed, nonzero_buckets, sparse_dot, sparse_dots};
+use crate::embed::{embed, nonzero_buckets, sparse_dot, sparse_dots};
 use crate::entry::KnowledgeEntry;
 use crate::graph::{ClaimGraph, GraphConfig, GraphStats, HostStats};
 use crate::provenance::{split_url, SourceRef};
@@ -263,7 +263,16 @@ impl KnowledgeStore {
     }
 
     /// Memorise a piece of content. Returns the new entry id, or `None`
-    /// if it was dropped as a near-duplicate.
+    /// if it was dropped as a near-duplicate: if some stored entry's
+    /// [`cosine`](crate::embed::cosine) to it reaches `dedup_threshold`.
+    ///
+    /// The dedup scan computes that cosine as a [`sparse_dot`] over the
+    /// new content's non-zero buckets, found once per call, against a
+    /// few stored entries at a time. The new embedding and every stored
+    /// one come from [`embed`], so both are finite, non-negative and
+    /// `EMBED_DIM` long, and on such vectors `sparse_dot` is
+    /// bit-identical to `cosine`: every accept/reject decision is the
+    /// same as the dense scan's, with no rounding margin.
     pub fn memorize(
         &self,
         topic: &str,
@@ -274,12 +283,20 @@ impl KnowledgeStore {
         importance: f64,
     ) -> Option<u64> {
         let embedding = embed(content);
+        let sparse = nonzero_buckets(&embedding);
         let inner = &mut *self.inner.write();
 
-        let duplicate = inner
-            .entries
+        let threshold = self.config.dedup_threshold;
+        let mut groups = inner.entries.chunks_exact(LANES);
+        let duplicate = groups.any(|group| {
+            let dense = std::array::from_fn(|lane| group[lane].embedding.as_slice());
+            sparse_dots::<LANES>(&sparse, dense)
+                .iter()
+                .any(|&sim| sim >= threshold)
+        }) || groups
+            .remainder()
             .iter()
-            .any(|e| cosine(&e.embedding, &embedding) >= self.config.dedup_threshold);
+            .any(|e| sparse_dot(&sparse, &e.embedding) >= threshold);
         if duplicate {
             return None;
         }
@@ -349,7 +366,7 @@ impl KnowledgeStore {
     /// step, rescan all remaining entries in the base order (score desc,
     /// id asc) for the greatest `score − diversity × max_sim`, where
     /// `max_sim` is the `f64::max` fold from `0.0` of the entry's
-    /// [`cosine`] to each selected entry, and let the *last* maximum
+    /// [`cosine`](crate::embed::cosine) to each selected entry, and let the *last* maximum
     /// win ties (`Iterator::max_by`). This loop does far less work:
     ///
     /// - **Cached max.** Each candidate keeps its `max_sim` and folds in
@@ -366,7 +383,7 @@ impl KnowledgeStore {
     /// - **Sparse dots.** Relevance and the similarity to a selected
     ///   entry are [`sparse_dot`]s over the query's or selected entry's
     ///   non-zero buckets, in ascending order from a `+0.0` accumulator:
-    ///   bit-identical to [`cosine`] on finite, non-negative,
+    ///   bit-identical to [`cosine`](crate::embed::cosine) on finite, non-negative,
     ///   `EMBED_DIM`-long embeddings, which every stored embedding is
     ///   (they come from [`embed`], also in a loaded store — see
     ///   [`KnowledgeStore::from_json`]). A few candidates' sums are run
@@ -971,11 +988,12 @@ mod tests {
         assert!(stats.edges > 0);
         s.with_graph(|g| {
             let cable = g.node_by_text("cable").unwrap();
-            assert_eq!(cable.corroboration(), 2);
-            assert_eq!(cable.sources[0].host, "a.test");
-            assert_eq!(cable.sources[0].path, "/wiki/ellalink");
-            assert_eq!(cable.sources[0].fetched_at_us, 11);
-            assert_eq!(cable.sources[0].session, 7);
+            assert_eq!(g.corroboration(cable.id), 2);
+            let sources = g.sources(cable.id);
+            assert_eq!(sources[0].host, "a.test");
+            assert_eq!(sources[0].path, "/wiki/ellalink");
+            assert_eq!(sources[0].fetched_at_us, 11);
+            assert_eq!(sources[0].session, 7);
         });
         let hosts = s.graph_host_stats();
         assert!(hosts.contains_key("a.test") && hosts.contains_key("b.test"));
@@ -1107,7 +1125,7 @@ mod tests {
         s.with_graph(|g| {
             let node = g.node_by_text("nonsense").unwrap();
             assert!(
-                node.sources.is_empty(),
+                g.sources(node.id).is_empty(),
                 "evicted entry's provenance must go"
             );
             assert_eq!(node.occurrences, 1, "the claim itself persists");
@@ -1153,6 +1171,57 @@ mod tests {
         std::fs::remove_file(&sidecar).ok();
         std::fs::remove_file(crate::persist::backup_path(&path)).ok();
         std::fs::remove_file(crate::persist::backup_path(&sidecar)).ok();
+    }
+
+    /// A snapshot of source-less, edge-less nodes with these terms.
+    fn term_snapshot(terms: &[&str]) -> Vec<u8> {
+        let mut out = b"IRAGRPH1".to_vec();
+        out.extend((terms.len() as u32).to_le_bytes());
+        for term in terms {
+            out.extend((term.len() as u32).to_le_bytes());
+            out.extend(term.as_bytes());
+            out.extend(1u32.to_le_bytes());
+            // First and last seen at 0, not decayed.
+            out.extend([0u8; 17]);
+            out.extend(0u32.to_le_bytes());
+        }
+        out.extend(0u32.to_le_bytes());
+        out.extend(0u32.to_le_bytes());
+        out.extend(0u64.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn non_canonical_graph_snapshot_falls_back_to_json_rebuild() {
+        let dir = std::env::temp_dir().join("ira-agentmem-graph-canonical");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("knowledge.json");
+        let sidecar = KnowledgeStore::graph_snapshot_path(&path);
+        let s = store();
+        mem(
+            &s,
+            "a",
+            "The EllaLink cable connects Brazil to Portugal.",
+            1,
+        );
+        s.save(&path).unwrap();
+
+        // A well-formed snapshot loads as it is...
+        let canonical = term_snapshot(&["alpha", "beta"]);
+        crate::persist::save_atomic_bytes(&sidecar, &canonical).unwrap();
+        assert_eq!(
+            KnowledgeStore::load(&path).unwrap().graph_to_bytes(),
+            canonical
+        );
+        // ...one that repeats a term does not decode, so the graph is
+        // rebuilt from the JSON entries.
+        let repeated = term_snapshot(&["alpha", "alpha"]);
+        crate::persist::save_atomic_bytes(&sidecar, &repeated).unwrap();
+        assert_eq!(
+            KnowledgeStore::load(&path).unwrap().graph_to_bytes(),
+            s.graph_to_bytes()
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,0 +1,222 @@
+//! Golden test for the claim graph.
+//!
+//! Every page (`full_text`, URL) of the four default scenario webs is
+//! absorbed into one graph, in order, with varying sessions, and every
+//! fifth entry is removed along the way. A second graph absorbs the
+//! same pages with decay switched on. One `label fingerprint` line per
+//! item is compared with `graph_golden.golden`:
+//!
+//! * each graph's `to_bytes`, `stats` and `host_stats`, and the
+//!   re-encoding of `from_bytes(to_bytes)`;
+//! * every node's `neighbors` and corroboration;
+//! * `activate` and every entry's `entry_support` for every quiz
+//!   question of the four scenarios;
+//! * a `KnowledgeStore::from_json` rebuild whose file repeats an entry
+//!   id, before and after memorizing past the store's capacity.
+//!
+//! Fingerprints are FNV-1a 64, as `ira_simllm::fingerprint64` computes,
+//! over the item's bytes or its `Debug` text. On a mismatch the test prints each
+//! differing label, then the full replacement golden text. Replace the
+//! golden file with that text only after a deliberate change.
+
+use ira_agentmem::{split_url, ClaimGraph, GraphConfig, KnowledgeStore, SourceRef};
+use ira_webcorpus::{Corpus, CorpusConfig};
+use ira_worldmodel::scenario::{self, ScenarioRegistry};
+use ira_worldmodel::World;
+
+const GOLDEN: &str = include_str!("graph_golden.golden");
+
+/// One page of a default web: (web index, text, URL).
+type Page = (usize, String, String);
+
+fn pages() -> Vec<Page> {
+    let world = World::standard();
+    let mut pages = Vec::new();
+    for (web, name) in ScenarioRegistry::standard().names().into_iter().enumerate() {
+        let corpus = Corpus::generate(
+            &world,
+            CorpusConfig {
+                scenario: name,
+                ..CorpusConfig::default()
+            },
+        );
+        pages.extend(
+            corpus
+                .iter()
+                .map(|d| (web, d.full_text(), d.url().to_string())),
+        );
+    }
+    pages
+}
+
+/// Every quiz question of the four scenarios, labelled.
+fn questions() -> Vec<(String, String)> {
+    let world = World::standard();
+    let mut out = Vec::new();
+    for name in ScenarioRegistry::standard().names() {
+        let sc = scenario::lookup(name).expect("registered");
+        for c in sc.conclusions(&world) {
+            out.push((format!("{name}/{}", c.id), c.question));
+        }
+    }
+    out
+}
+
+/// Absorb every page, entry `i` from page `i`, removing every fifth
+/// entry four absorbs after it went in.
+fn build(pages: &[Page], config: GraphConfig) -> ClaimGraph {
+    let mut g = ClaimGraph::new(config);
+    for (i, (web, text, url)) in pages.iter().enumerate() {
+        let (host, path) = split_url(url);
+        let entry_id = i as u64;
+        g.absorb(
+            entry_id,
+            text,
+            SourceRef {
+                host,
+                path,
+                fetched_at_us: 1_000 * entry_id,
+                session: (web * 7 + i % 3) as u32,
+                entry_id,
+            },
+        );
+        if i % 5 == 4 {
+            g.remove_entry(entry_id - 4);
+        }
+    }
+    g
+}
+
+/// `ira_simllm::fingerprint64` over raw bytes (snapshots are not UTF-8).
+fn fp(bytes: &[u8]) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{h:016x}")
+}
+
+/// The graph-wide items of one graph.
+fn graph_items(name: &str, g: &ClaimGraph, items: &mut Vec<(String, String)>) {
+    let bytes = g.to_bytes();
+    items.push((format!("{name}/to_bytes"), fp(&bytes)));
+    items.push((
+        format!("{name}/stats"),
+        fp(format!("{:?}", g.stats()).as_bytes()),
+    ));
+    items.push((
+        format!("{name}/host_stats"),
+        fp(format!("{:?}", g.host_stats()).as_bytes()),
+    ));
+    let back = ClaimGraph::from_bytes(&bytes, *g.config()).expect("own snapshot decodes");
+    items.push((format!("{name}/from_bytes"), fp(&back.to_bytes())));
+}
+
+/// `activate` and every entry's support, per quiz question.
+fn quiz_items(name: &str, g: &ClaimGraph, entries: u64, items: &mut Vec<(String, String)>) {
+    for (label, question) in questions() {
+        let activation = g.activate(&question);
+        let support: Vec<f64> = (0..entries)
+            .map(|e| g.entry_support(e, &activation))
+            .collect();
+        items.push((
+            format!("{name}/quiz/{label}"),
+            fp(format!("{activation:?} {support:?}").as_bytes()),
+        ));
+    }
+}
+
+/// A store file whose entries repeat an id, rebuilt through `from_json`
+/// and then pushed past its capacity so evictions hit the repeated id.
+fn store_items(pages: &[Page], items: &mut Vec<(String, String)>) {
+    let store = KnowledgeStore::with_defaults();
+    for (i, (_, text, url)) in pages.iter().take(40).enumerate() {
+        store.memorize("topic", text, url, "page", i as u64 * 1_000, 0.5);
+    }
+    let mut json = store.to_json();
+    // Entries 3 and 9 take the ids of entries 2 and 8, and the capacity
+    // drops below the entry count.
+    for (from, to) in [
+        ("\"id\": 3,", "\"id\": 2,"),
+        ("\"id\": 9,", "\"id\": 8,"),
+        ("\"capacity\": 2000,", "\"capacity\": 30,"),
+    ] {
+        assert_eq!(json.matches(from).count(), 1, "{from}");
+        json = json.replace(from, to);
+    }
+    let rebuilt = KnowledgeStore::from_json(&json).unwrap();
+    items.push(("store/rebuilt".into(), fp(&rebuilt.graph_to_bytes())));
+    for (i, (_, text, url)) in pages.iter().enumerate().skip(40).take(40) {
+        rebuilt.memorize("topic", text, url, "page", i as u64 * 1_000, 0.5);
+    }
+    items.push(("store/evicted".into(), fp(&rebuilt.graph_to_bytes())));
+    items.push((
+        "store/evicted_host_stats".into(),
+        fp(format!("{:?}", rebuilt.graph_host_stats()).as_bytes()),
+    ));
+}
+
+fn items() -> Vec<(String, String)> {
+    let pages = pages();
+    let mut items = Vec::new();
+
+    let g = build(&pages, GraphConfig::default());
+    graph_items("graph", &g, &mut items);
+    for node in g.nodes() {
+        let line = format!("{:?} {}", g.neighbors(node.id), g.corroboration(node.id));
+        let term = g.term_text(node.id).unwrap_or("?");
+        items.push((
+            format!("graph/node/{}/{term}", node.id),
+            fp(line.as_bytes()),
+        ));
+    }
+    quiz_items("graph", &g, pages.len() as u64, &mut items);
+
+    let decaying = build(
+        &pages,
+        GraphConfig {
+            decay_after_us: 40_000,
+            ..GraphConfig::default()
+        },
+    );
+    let live = decaying.stats().live_nodes;
+    assert!(
+        decaying.decay_evictions() > 0 && live > 0,
+        "decay must forget some claims, not all"
+    );
+    graph_items("decay", &decaying, &mut items);
+    quiz_items("decay", &decaying, pages.len() as u64, &mut items);
+
+    store_items(&pages, &mut items);
+    items
+}
+
+#[test]
+fn claim_graph_matches_the_golden_fingerprints() {
+    let golden: Vec<(&str, &str)> = GOLDEN
+        .lines()
+        .filter_map(|line| line.split_once(' '))
+        .collect();
+
+    let items = items();
+    let mut fresh = String::new();
+    let mut diffs = Vec::new();
+    for (i, (label, fp)) in items.iter().enumerate() {
+        fresh.push_str(&format!("{label} {fp}\n"));
+        if golden.get(i) != Some(&(label.as_str(), fp.as_str())) {
+            diffs.push(label.clone());
+        }
+    }
+
+    if !diffs.is_empty() || golden.len() != items.len() {
+        panic!(
+            "{} of {} claim-graph items differ from the golden file ({} golden lines):\n{}\n\n\
+             replacement graph_golden.golden:\n{fresh}",
+            diffs.len(),
+            items.len(),
+            golden.len(),
+            diffs.join("\n")
+        );
+    }
+}

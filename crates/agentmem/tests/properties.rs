@@ -237,3 +237,79 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// The words dedup pages are built from: few enough that random pages
+/// are often near-duplicates of one another.
+const DEDUP_WORDS: [&str; 4] = ["cable", "storm", "latitude", "outage"];
+
+/// A page repeating each of [`DEDUP_WORDS`] the given number of times.
+fn counted(counts: &[usize; 4]) -> String {
+    let mut words = Vec::new();
+    for (word, &n) in DEDUP_WORDS.iter().zip(counts) {
+        words.extend(std::iter::repeat_n(*word, n));
+    }
+    words.join(" ")
+}
+
+/// The oracle: the dense dedup scan — does any stored entry's cosine
+/// to `content` reach the store's threshold?
+fn dense_duplicate(store: &KnowledgeStore, content: &str) -> bool {
+    let v = embed(content);
+    let threshold = store.config().dedup_threshold;
+    store
+        .entries()
+        .iter()
+        .any(|e| cosine(&e.embedding, &v) >= threshold)
+}
+
+proptest! {
+    #[test]
+    fn dedup_decisions_match_the_dense_scan(
+        pages in prop::collection::vec((0usize..10, 0usize..10, 0usize..10, 0usize..10), 1..40),
+    ) {
+        let store = KnowledgeStore::with_defaults();
+        for (i, &(a, b, c, d)) in pages.iter().enumerate() {
+            let counts = [a, b, c, d];
+            let content = counted(&counts);
+            let duplicate = dense_duplicate(&store, &content);
+            let id = store.memorize("t", &content, &format!("sim://h.test/{i}"), "news", i as u64, 0.5);
+            prop_assert_eq!(id.is_none(), duplicate, "page {} {:?}", i, counts);
+        }
+    }
+}
+
+/// Pairs whose cosine lies within 1e-6 of the default 0.98 threshold:
+/// one ulp below it, exactly on it, and one ulp above it. The stored
+/// page sits at every position of stores of up to eight entries, so
+/// the scan meets it both in a group of entries compared together and
+/// among the leftovers.
+#[test]
+fn dedup_decisions_at_the_threshold_match_the_dense_scan() {
+    let cases = [
+        ([3, 3, 1, 1], [9, 6, 2, 2], false),
+        ([3, 3, 1, 1], [8, 6, 4, 3], true),
+        ([6, 2, 3, 1], [6, 1, 3, 2], true),
+    ];
+    for (stored, new, duplicate) in cases {
+        let (stored, new) = (counted(&stored), counted(&new));
+        let similarity = cosine(&embed(&stored), &embed(&new));
+        assert!((similarity - 0.98).abs() <= 1e-6, "{similarity}");
+        for len in 1..=8 {
+            for at in 0..len {
+                let store = KnowledgeStore::with_defaults();
+                for i in 0..len {
+                    let page = if i == at {
+                        stored.clone()
+                    } else {
+                        format!("filler{i} garden rose pasta")
+                    };
+                    let url = format!("u{i}");
+                    assert!(store.memorize("t", &page, &url, "news", 0, 0.5).is_some());
+                }
+                assert_eq!(dense_duplicate(&store, &new), duplicate, "{similarity}");
+                let id = store.memorize("t", &new, "new", "news", 1, 0.5);
+                assert_eq!(id.is_none(), duplicate, "{similarity} at {at} of {len}");
+            }
+        }
+    }
+}

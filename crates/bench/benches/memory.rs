@@ -1,8 +1,10 @@
-//! Knowledge-memory operations: embed, memorize (with dedup scan), and
-//! scored retrieval at several store sizes.
+//! Knowledge-memory operations: embed, memorize (with dedup scan and
+//! claim-graph absorb), and scored retrieval at several store sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ira_agentmem::{embed, KnowledgeStore, StoreConfig};
+use ira_webcorpus::{Corpus, CorpusConfig};
+use ira_worldmodel::World;
 
 fn filled_store(n: usize) -> KnowledgeStore {
     let store = KnowledgeStore::new(StoreConfig {
@@ -57,6 +59,33 @@ fn bench_memorize(c: &mut Criterion) {
     group.finish();
 }
 
+/// Every page of the default web memorized, in order, into a fresh
+/// store: what one session's fetches cost the memory. Real pages carry
+/// the claim-graph fan-out (up to 24 terms, 276 edges a page) that the
+/// short synthetic texts above do not.
+fn bench_memorize_page(c: &mut Criterion) {
+    let corpus = Corpus::generate(&World::standard(), CorpusConfig::default());
+    let pages: Vec<(String, String)> = corpus
+        .iter()
+        .map(|d| (d.full_text(), d.url().to_string()))
+        .collect();
+    let mut group = c.benchmark_group("memorize_page");
+    group.bench_with_input(
+        BenchmarkId::new("default_web", format!("{}_pages", pages.len())),
+        &pages,
+        |b, pages| {
+            b.iter(|| {
+                let store = KnowledgeStore::with_defaults();
+                for (i, (text, url)) in pages.iter().enumerate() {
+                    store.memorize("topic", text, url, "page", i as u64 * 1_000, 0.5);
+                }
+                store
+            })
+        },
+    );
+    group.finish();
+}
+
 fn bench_retrieve(c: &mut Criterion) {
     // k = 10, the agent's `AgentConfig::retrieval_k`.
     let mut group = c.benchmark_group("retrieve_top10");
@@ -71,5 +100,11 @@ fn bench_retrieve(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_embed, bench_memorize, bench_retrieve);
+criterion_group!(
+    benches,
+    bench_embed,
+    bench_memorize,
+    bench_memorize_page,
+    bench_retrieve
+);
 criterion_main!(benches);

@@ -793,24 +793,21 @@ fn serve_cmd(
     }
 }
 
-/// The `--stats-every` replay: fold the request/response pairs through
-/// the public [`ira_serve::slo_sample`] derivation — which reproduces
-/// the server's own ledger exactly — and print a snapshot to stderr
-/// after every `every` responses (and after the last, if it didn't
+/// The `--stats-every` replay: fold the request-line/response pairs
+/// through the public [`ira_serve::line_slo_sample`] derivation — which
+/// reproduces the server's own ledger exactly — and print a snapshot to
+/// stderr after every `every` responses (and after the last, if it didn't
 /// land on a boundary). Post-hoc replay keeps the response stream and
 /// the worker pool untouched.
 fn print_stats_snapshots(input: &str, output: &str, every: usize) {
-    let (requests, responses) = match (
-        ira_serve::parse_requests(input),
-        ira_serve::parse_responses(output),
-    ) {
-        (Ok(req), Ok(resp)) => (req, resp),
-        _ => return, // a malformed batch already produced error lines
+    let lines = ira_serve::parse_request_lines(input);
+    let Ok(responses) = ira_serve::parse_responses(output) else {
+        return;
     };
     let mut live = ira_obs::LiveStats::default();
     let mut printed_at = 0usize;
-    for (i, (request, response)) in requests.iter().zip(&responses).enumerate() {
-        live.record(&ira_serve::slo_sample(request, response));
+    for (i, (line, response)) in lines.iter().zip(&responses).enumerate() {
+        live.record(&ira_serve::line_slo_sample(line.as_ref(), response));
         if (i + 1) % every == 0 {
             eprint!("{}", live.snapshot(response.arrival_us).render_text());
             printed_at = i + 1;
@@ -1311,7 +1308,7 @@ fn mem_query(knowledge: &str, query: &str, top: usize) -> i32 {
                 let row = vec![
                     g.term_text(id).unwrap_or("?").to_string(),
                     format!("{act:.2}"),
-                    node.corroboration().to_string(),
+                    g.corroboration(id).to_string(),
                     node.occurrences.to_string(),
                 ];
                 (act, row)
@@ -1389,7 +1386,7 @@ fn mem_provenance(knowledge: &str, term: &str) -> i32 {
                 "claim {:?}: {} occurrences, corroborated by {} host(s){}",
                 term,
                 node.occurrences,
-                node.corroboration(),
+                g.corroboration(node.id),
                 if node.decayed { ", decayed" } else { "" }
             );
             println!(
@@ -1397,13 +1394,13 @@ fn mem_provenance(knowledge: &str, term: &str) -> i32 {
                 node.first_seen_us as f64 / 1e6,
                 node.last_seen_us as f64 / 1e6
             );
-            let rows: Vec<Vec<String>> = node
-                .sources
-                .iter()
+            let rows: Vec<Vec<String>> = g
+                .sources(node.id)
+                .into_iter()
                 .map(|s| {
                     vec![
-                        s.host.clone(),
-                        s.path.clone(),
+                        s.host,
+                        s.path,
                         format!("{:.1}", s.fetched_at_us as f64 / 1e6),
                         s.session.to_string(),
                         s.entry_id.to_string(),

@@ -41,7 +41,7 @@ pub mod server;
 
 pub use admission::{Admission, AdmissionConfig, AdmissionController, ShedReason};
 pub use protocol::{
-    parse_requests, parse_responses, render_responses, QuizConclusion, RequestKind,
-    ResponsePayload, ResponseStatus, ServeRequest, ServeResponse,
+    parse_request_lines, parse_requests, parse_responses, render_responses, QuizConclusion,
+    RequestKind, ResponsePayload, ResponseStatus, ServeRequest, ServeResponse,
 };
-pub use server::{nominal_cost, slo_sample, RetrySpec, ServeConfig, Server};
+pub use server::{line_slo_sample, nominal_cost, slo_sample, RetrySpec, ServeConfig, Server};

@@ -81,6 +81,14 @@ const MAX_ID_BYTES: usize = 256;
 /// classified or tokenized. The longest quiz-bank question is 139 bytes.
 const MAX_QUESTION_BYTES: usize = 4_096;
 
+/// Longest raw request line, in bytes, checked before the line is
+/// parsed. The longest line any bundled batch sends is 322 bytes (the
+/// perfbench `serve_mix` batch; `ira serve --example` tops out at
+/// 193). The bound sits far above both, and above lines whose only
+/// fault is an over-long `id` or `question`, so those still get their
+/// field's own validation error.
+const MAX_LINE_BYTES: usize = 2 << 20;
+
 fn default_distractors() -> usize {
     ira_webcorpus::CorpusConfig::default().distractor_count
 }
@@ -424,10 +432,11 @@ impl ServeResponse {
         }
     }
 
-    /// A request that failed validation before admission.
-    pub fn invalid(request: &ServeRequest, arrival_us: u64, error: &IraError) -> Self {
+    /// A request line that failed to parse or to validate before
+    /// admission; `id` is the request's, or empty if it did not parse.
+    pub fn invalid(id: &str, arrival_us: u64, error: &IraError) -> Self {
         ServeResponse {
-            id: request.id.clone(),
+            id: id.to_string(),
             status: ResponseStatus::Failed,
             degraded: false,
             error: Some(WireError::from(error)),
@@ -441,20 +450,34 @@ impl ServeResponse {
     }
 }
 
-/// Parse a JSONL request stream. Blank lines are skipped; the first
-/// malformed line aborts the whole parse with its line number.
+/// Parse a JSONL request stream line by line. Blank lines are skipped;
+/// every other line gives its request, or a typed `parse` error naming
+/// its line number if it is malformed or longer than 2 MiB. One bad
+/// line never hides the lines around it.
+pub fn parse_request_lines(input: &str) -> Vec<Result<ServeRequest, IraError>> {
+    input
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(lineno, line)| {
+            let lineno = lineno + 1;
+            if line.len() > MAX_LINE_BYTES {
+                return Err(IraError::parse(format!(
+                    "request line {lineno}: {} bytes, over the {MAX_LINE_BYTES}-byte limit",
+                    line.len()
+                )));
+            }
+            serde_json::from_str(line.trim())
+                .map_err(|e| IraError::parse(format!("request line {lineno}: {e}")))
+        })
+        .collect()
+}
+
+/// Parse a JSONL request stream strictly: the first malformed line
+/// aborts the whole parse with its line number. The server itself uses
+/// [`parse_request_lines`] and answers each bad line on its own.
 pub fn parse_requests(input: &str) -> Result<Vec<ServeRequest>, IraError> {
-    let mut requests = Vec::new();
-    for (lineno, line) in input.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let request: ServeRequest = serde_json::from_str(line)
-            .map_err(|e| IraError::parse(format!("request line {}: {e}", lineno + 1)))?;
-        requests.push(request);
-    }
-    Ok(requests)
+    parse_request_lines(input).into_iter().collect()
 }
 
 /// Render responses as JSONL, one per line, in the given order.
@@ -539,6 +562,38 @@ mod tests {
         let err = parse_requests("{\"id\":\"a\",\"kind\":\"train\"}\n\nnot json\n").unwrap_err();
         assert_eq!(err.kind(), "parse");
         assert!(err.to_string().contains("line 3"), "{err}");
+    }
+
+    #[test]
+    fn each_line_parses_on_its_own() {
+        let long = format!(
+            r#"{{"id":"{}","kind":"train"}}"#,
+            "i".repeat(MAX_LINE_BYTES)
+        );
+        let input = [
+            r#"{"id":"a","kind":"train"}"#,
+            "",
+            "not json",
+            &long,
+            r#"  {"id":"b","kind":"quiz"}"#,
+        ]
+        .join("\n");
+        let lines = parse_request_lines(&input);
+        assert_eq!(lines.len(), 4);
+        assert_eq!(lines[0].as_ref().unwrap().id, "a");
+        let malformed = lines[1].as_ref().unwrap_err();
+        assert_eq!(malformed.kind(), "parse");
+        assert!(malformed.to_string().contains("line 3"), "{malformed}");
+        let too_long = lines[2].as_ref().unwrap_err();
+        assert_eq!(too_long.kind(), "parse");
+        assert!(too_long.to_string().contains("line 4"), "{too_long}");
+        assert!(too_long.to_string().contains("limit"), "{too_long}");
+        assert_eq!(lines[3].as_ref().unwrap().kind, RequestKind::Quiz);
+        // A line exactly at the bound is parsed (and here, well formed).
+        let padding = MAX_LINE_BYTES - r#"{"id":"","kind":"train"}"#.len();
+        let at_bound = format!(r#"{{"id":"{}","kind":"train"}}"#, "i".repeat(padding));
+        assert_eq!(at_bound.len(), MAX_LINE_BYTES);
+        assert!(parse_request_lines(&at_bound)[0].is_ok());
     }
 
     #[test]

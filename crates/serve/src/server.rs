@@ -23,8 +23,8 @@
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionController};
 use crate::protocol::{
-    parse_requests, render_responses, QuizConclusion, RequestKind, ResponsePayload, ResponseStatus,
-    ServeRequest, ServeResponse,
+    parse_request_lines, render_responses, QuizConclusion, RequestKind, ResponsePayload,
+    ResponseStatus, ServeRequest, ServeResponse,
 };
 use ira_core::{AgentConfig, RoleDefinition};
 use ira_engine::{Engine, FaultSpec, Session, SessionConfig};
@@ -144,6 +144,28 @@ pub fn slo_sample(request: &ServeRequest, response: &ServeResponse) -> SloSample
     sample
 }
 
+/// [`slo_sample`] for one parsed request line: a line that did not
+/// parse is an invalid arrival, keyed under an empty scenario and kind
+/// since it names neither.
+pub fn line_slo_sample(
+    line: Result<&ServeRequest, &IraError>,
+    response: &ServeResponse,
+) -> SloSample {
+    match line {
+        Ok(request) => slo_sample(request, response),
+        Err(_) => {
+            let mut sample = unparsed_sample(response.arrival_us);
+            sample.invalid = true;
+            sample
+        }
+    }
+}
+
+/// A blank sample for a request line that did not parse.
+fn unparsed_sample(at_us: u64) -> SloSample {
+    SloSample::new(at_us, "", "")
+}
+
 /// Seed strides mixed into per-attempt session provisioning. A retry
 /// re-provisions the session with a shifted network seed — otherwise a
 /// fully deterministic session would reproduce the identical fault.
@@ -229,15 +251,20 @@ impl Server {
         self.live.lock().expect("live stats lock").record(sample);
     }
 
-    /// Serve one JSONL batch end to end: parse, handle, render.
+    /// Serve one JSONL batch end to end: parse, handle, render. Every
+    /// non-blank line gets exactly one response, in line order; a line
+    /// that does not parse gets a typed `invalid` response with an
+    /// empty `id`, as a request that fails validation does, so it never
+    /// takes the rest of the batch down with it.
     pub fn serve_jsonl(
         &self,
         input: &str,
         sink: Option<SharedCollector>,
     ) -> Result<String, IraError> {
-        let requests = parse_requests(input)?;
-        let responses = self.handle_batch(&requests, sink);
-        Ok(render_responses(&responses))
+        let lines = parse_request_lines(input);
+        let lines: Vec<Result<&ServeRequest, &IraError>> =
+            lines.iter().map(Result::as_ref).collect();
+        Ok(render_responses(&self.handle(&lines, sink)))
     }
 
     /// Handle a request batch: admission at intake (single-threaded, in
@@ -248,23 +275,45 @@ impl Server {
         requests: &[ServeRequest],
         sink: Option<SharedCollector>,
     ) -> Vec<ServeResponse> {
+        let lines: Vec<Result<&ServeRequest, &IraError>> = requests.iter().map(Ok).collect();
+        self.handle(&lines, sink)
+    }
+
+    /// [`Server::handle_batch`] over parsed request lines, some of which
+    /// may have failed to parse.
+    fn handle(
+        &self,
+        lines: &[Result<&ServeRequest, &IraError>],
+        sink: Option<SharedCollector>,
+    ) -> Vec<ServeResponse> {
         let mut admission = AdmissionController::new(self.config.admission.clone());
-        let mut slots: Vec<Option<ServeResponse>> = requests.iter().map(|_| None).collect();
+        let mut slots: Vec<Option<ServeResponse>> = lines.iter().map(|_| None).collect();
         let mut jobs: Vec<Job> = Vec::new();
 
-        for (index, request) in requests.iter().enumerate() {
+        for (index, &line) in lines.iter().enumerate() {
             let session_id = index as u32;
-            if let Err(error) = request.validate() {
-                // Invalid before admission: typed failure, no token spent.
-                self.emit_intake_reject(&sink, session_id, request, "invalid", &error);
-                slots[index] = Some(ServeResponse::invalid(request, 0, &error));
-                // Still consumes an arrival slot on the synthetic clock.
-                let _ = admission.admit(Duration::ZERO);
-                let mut sample = intake_sample(request, 0);
-                sample.invalid = true;
-                self.record_live(&sample);
-                continue;
-            }
+            let request = match line {
+                Err(error) => {
+                    let response =
+                        self.intake_invalid(&sink, &mut admission, session_id, None, error);
+                    slots[index] = Some(response);
+                    continue;
+                }
+                Ok(request) => match request.validate() {
+                    Ok(()) => request,
+                    Err(error) => {
+                        let response = self.intake_invalid(
+                            &sink,
+                            &mut admission,
+                            session_id,
+                            Some(request),
+                            &error,
+                        );
+                        slots[index] = Some(response);
+                        continue;
+                    }
+                },
+            };
             if request.kind == RequestKind::Stats {
                 // Control plane: answered here at intake, where every
                 // prior request's admission decision (and every prior
@@ -319,7 +368,7 @@ impl Server {
                     retry_after,
                 } => {
                     let error = IraError::overloaded(reason.as_str(), retry_after.as_micros());
-                    self.emit_intake_reject(&sink, session_id, request, "shed", &error);
+                    self.emit_intake_reject(&sink, session_id, &request.id, "shed", &error);
                     slots[index] = Some(ServeResponse::rejected(
                         request,
                         arrival.as_micros(),
@@ -372,8 +421,8 @@ impl Server {
         // Fold execution outcomes into the live ledger, single-threaded
         // in request order (the intake flags were recorded at admission
         // time, so they are zeroed here to avoid double counting).
-        for (request, response) in requests.iter().zip(&responses) {
-            if response.attempts > 0 {
+        for (line, response) in lines.iter().zip(&responses) {
+            if let (Ok(request), true) = (line, response.attempts > 0) {
                 let mut sample = slo_sample(request, response);
                 sample.admitted = false;
                 sample.shed = false;
@@ -384,11 +433,32 @@ impl Server {
         responses
     }
 
+    /// Answer a request line that failed to parse (`request` is
+    /// `None`) or to validate: a typed failure before admission, which
+    /// spends no token but still takes an arrival slot on the synthetic
+    /// clock.
+    fn intake_invalid(
+        &self,
+        sink: &Option<SharedCollector>,
+        admission: &mut AdmissionController,
+        session_id: u32,
+        request: Option<&ServeRequest>,
+        error: &IraError,
+    ) -> ServeResponse {
+        let id = request.map_or("", |r| r.id.as_str());
+        self.emit_intake_reject(sink, session_id, id, "invalid", error);
+        let _ = admission.admit(Duration::ZERO);
+        let mut sample = request.map_or_else(|| unparsed_sample(0), |r| intake_sample(r, 0));
+        sample.invalid = true;
+        self.record_live(&sample);
+        ServeResponse::invalid(id, 0, error)
+    }
+
     fn emit_intake_reject(
         &self,
         sink: &Option<SharedCollector>,
         session_id: u32,
-        request: &ServeRequest,
+        id: &str,
         name: &'static str,
         error: &IraError,
     ) {
@@ -402,10 +472,10 @@ impl Server {
                     0,
                     stage::SERVE,
                     name,
-                    format!("id={} kind={}", request.id, kind),
+                    format!("id={id} kind={kind}"),
                 )
             });
-            scope.finish_as(0, "rejected", || format!("id={}", request.id));
+            scope.finish_as(0, "rejected", || format!("id={id}"));
         }
     }
 

@@ -657,3 +657,77 @@ fn serve_jsonl_round_trip_is_stable() {
     assert_eq!(responses[0].status, ResponseStatus::Degraded);
     assert_eq!(responses[1].status, ResponseStatus::Ok);
 }
+
+/// A line that does not parse, or is longer than the line bound, is
+/// answered on its own: a typed `invalid` response with an empty id at
+/// its position, which takes an arrival slot but no token, exactly as a
+/// request that fails validation does. Every other response is
+/// byte-identical to the batch with those lines replaced by validation
+/// failures, and the batch is byte-identical at 1, 4 and 8 workers.
+#[test]
+fn malformed_and_over_long_lines_are_answered_in_place() {
+    let over_long = format!(
+        r#"{{"id":"long","kind":"train","question":"{}"}}"#,
+        "q".repeat(2 << 20)
+    );
+    let batch = |second: &str, fourth: &str| {
+        [
+            r#"{"id":"t1","kind":"train","deadline_us":5000000}"#,
+            second,
+            r#"{"id":"p1","kind":"panic_probe","probe_panics":0}"#,
+            fourth,
+            r#"{"id":"t2","kind":"train","deadline_us":5000000}"#,
+        ]
+        .join("\n")
+            + "\n"
+    };
+    let invalid = r#"{"id":"","kind":"train"}"#;
+    let with_bad_lines = batch("{not json", &over_long);
+    let with_invalid = batch(invalid, invalid);
+
+    let engine = Arc::new(Engine::new());
+    let serve = |workers: usize, input: &str| {
+        let config = ServeConfig {
+            workers,
+            // Two tokens: the third admitted request is shed, so a bad
+            // line that spent a token would shift who gets shed.
+            admission: AdmissionConfig {
+                burst: 2,
+                rate_per_sec: 0.001,
+                ..AdmissionConfig::default()
+            },
+            ..ServeConfig::default()
+        };
+        Server::with_engine(Arc::clone(&engine), config)
+            .serve_jsonl(input, None)
+            .expect("a bad line does not fail the batch")
+    };
+
+    let mixed = serve(1, &with_bad_lines);
+    let replaced = serve(1, &with_invalid);
+    let responses = ira_serve::parse_responses(&mixed).expect("parses back");
+    assert_eq!(responses.len(), 5);
+    for (response, line) in [(&responses[1], "line 2"), (&responses[3], "line 4")] {
+        assert_eq!(response.id, "");
+        assert_eq!(response.status, ResponseStatus::Failed);
+        assert_eq!(response.attempts, 0, "invalid, never attempted");
+        let error = response.error.as_ref().unwrap();
+        assert_eq!(error.kind, "parse");
+        assert!(error.message.contains(line), "{}", error.message);
+    }
+    assert!(responses[3]
+        .error
+        .as_ref()
+        .unwrap()
+        .message
+        .contains("limit"));
+    assert_eq!(responses[4].status, ResponseStatus::Rejected, "t2 is shed");
+    for (i, (m, r)) in mixed.lines().zip(replaced.lines()).enumerate() {
+        if i != 1 && i != 3 {
+            assert_eq!(m, r, "response {i}");
+        }
+    }
+    for workers in [4, 8] {
+        assert_eq!(serve(workers, &with_bad_lines), mixed, "{workers} workers");
+    }
+}
