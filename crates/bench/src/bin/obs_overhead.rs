@@ -6,11 +6,11 @@
 //!
 //! * `off`      — `spawn_session`: the disabled [`NullCollector`] path
 //!   every existing experiment takes (emission closures never run).
-//! * `summary`  — `spawn_session_observed` with a [`SummaryCollector`]
-//!   aggregating counters/histograms.
-//! * `jsonl`    — `spawn_session_observed` with a [`JsonlCollector`]
+//! * `summary`  — `spawn_session_with_handle` with a [`SummaryCollector`]
+//!   aggregating counters/latency sketches.
+//! * `jsonl`    — `spawn_session_with_handle` with a [`JsonlCollector`]
 //!   buffering the full replayable trace in memory.
-//! * `flight`   — `spawn_session_observed` with the always-on
+//! * `flight`   — `spawn_session_with_handle` with the always-on
 //!   [`FlightRecorder`](ira::obs::FlightRecorder): a bounded
 //!   per-session ring of recent events. No serve-stage triggers fire
 //!   in an engine sweep, so this measures the pure ring-buffer cost of
@@ -145,15 +145,17 @@ fn run_once(mode: Mode, threads: usize) -> (f64, usize, usize) {
             llm_seed: seed,
             ..SessionConfig::bob()
         };
-        let mut session = match mode {
-            Mode::Off => engine.spawn_session(config),
-            Mode::Summary => {
-                engine.spawn_session_observed(config, Arc::clone(&summary) as _, i as u32)
+        let sink: Option<SharedCollector> = match mode {
+            Mode::Off => None,
+            Mode::Summary => Some(Arc::clone(&summary) as _),
+            Mode::Jsonl => Some(Arc::clone(&jsonl) as _),
+            Mode::Flight => Some(Arc::clone(&flight) as _),
+        };
+        let mut session = match sink {
+            Some(sink) => {
+                engine.spawn_session_with_handle(config, ira::obs::ObsHandle::new(sink, i as u32))
             }
-            Mode::Jsonl => engine.spawn_session_observed(config, Arc::clone(&jsonl) as _, i as u32),
-            Mode::Flight => {
-                engine.spawn_session_observed(config, Arc::clone(&flight) as _, i as u32)
-            }
+            None => engine.spawn_session(config),
         };
         session.agent.train();
         session.agent.self_learn(QUESTION);

@@ -27,7 +27,7 @@
 
 use ira::evalkit::report::{banner, table};
 use ira::obs::diff::{diff_flat, flatten_profile};
-use ira::obs::{fold_trace, Profile, Tolerances};
+use ira::obs::{fold_trace, ObsHandle, Profile, Tolerances};
 use ira::prelude::*;
 use ira::simllm::lexicon::ops;
 use ira::webcorpus::index::opstats;
@@ -48,13 +48,12 @@ fn run_profiled(threads: usize) -> (Profile, Vec<Vec<String>>) {
             confidence_threshold: threshold,
             ..AgentConfig::default()
         };
-        let mut session = engine.spawn_session_observed(
+        let mut session = engine.spawn_session_with_handle(
             SessionConfig {
                 agent: config,
                 ..SessionConfig::bob()
             },
-            Arc::clone(&sink) as SharedCollector,
-            i as u32,
+            ObsHandle::new(Arc::clone(&sink) as SharedCollector, i as u32),
         );
         let quiz = QuizBank::from_world(session.world());
         let conclusions = session.world().conclusions();

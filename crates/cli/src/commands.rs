@@ -10,7 +10,7 @@ use ira_evalkit::quiz::QuizBank;
 use ira_evalkit::report::table;
 use ira_evalkit::runner::{evaluate_agent, evaluate_baseline, sweep};
 use ira_evalkit::trajectory::render_table;
-use ira_obs::{Fanout, JsonlCollector, SharedCollector, SummaryCollector};
+use ira_obs::{Fanout, JsonlCollector, ObsHandle, SharedCollector, SummaryCollector};
 use ira_simllm::Llm;
 use ira_simnet::{Duration, FaultPlan};
 use ira_webcorpus::CorpusConfig;
@@ -220,7 +220,7 @@ fn spawn_maybe_observed(
     id: u32,
 ) -> ira_engine::Session {
     match obs.sink() {
-        Some(sink) => engine.spawn_session_observed(config, sink, id),
+        Some(sink) => engine.spawn_session_with_handle(config, ObsHandle::new(sink, id)),
         None => engine.spawn_session(config),
     }
 }
@@ -835,12 +835,13 @@ fn obs_render(file: &str, prom: bool) -> i32 {
     };
     let snapshot = match serde_json::from_str::<ira_obs::LiveSnapshot>(text.trim()) {
         Ok(snapshot) => snapshot,
-        Err(_) => {
+        Err(snapshot_err) => {
             let responses = match ira_serve::parse_responses(&text) {
                 Ok(r) => r,
                 Err(e) => {
                     eprintln!(
-                        "error: {} is neither a snapshot JSON nor a response transcript: {e}",
+                        "error: {} is neither a snapshot JSON ({snapshot_err}) nor a response \
+                         transcript ({e})",
                         input_name(file)
                     );
                     return 1;

@@ -463,3 +463,56 @@ fn out_of_range_thresholds_are_usage_errors() {
         "a rejected learn must not touch the knowledge file"
     );
 }
+
+#[test]
+fn obs_render_rejects_a_malformed_sketch_with_one_error_line() {
+    // A stats snapshot whose queue sketch claims three values but
+    // holds none (rendering it would index past the end), and one
+    // whose lone bucket would print made-up percentiles.
+    let snapshot = |queue: &str| {
+        format!(
+            "{{\"at_us\":0,\"window_us\":60000000,\"samples\":1,\"window\":[],\"total\":\
+             [[\"solar-superstorm/train\",{{\"arrivals\":1,\"admitted\":1,\"shed\":0,\
+             \"invalid\":0,\"ok\":1,\"degraded\":0,\"deadline_miss\":0,\"failed\":0,\
+             \"retries\":0,\"queue\":{queue},\
+             \"exec\":{{\"count\":0,\"sum_us\":0,\"max_us\":0}}}}]]}}"
+        )
+    };
+    let valid = snapshot("{\"exact\":[5],\"count\":1,\"sum_us\":5,\"max_us\":5}");
+    let cases = [
+        ("missing-exact", "{\"count\":3,\"sum_us\":5,\"max_us\":5}"),
+        (
+            "short-buckets",
+            "{\"buckets\":[1],\"count\":3,\"sum_us\":5,\"max_us\":5}",
+        ),
+    ];
+    let render = |path: &str| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_ira"))
+            .args(["obs", "render", path])
+            .output()
+            .expect("ira binary runs")
+    };
+
+    let good = tmp("obs-render-valid.json");
+    std::fs::write(&good, valid).unwrap();
+    let out = render(&good);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("queue_us: p50=5"));
+    std::fs::remove_file(&good).ok();
+
+    for (name, queue) in cases {
+        let path = tmp(&format!("obs-render-{name}.json"));
+        std::fs::write(&path, snapshot(queue)).unwrap();
+        let out = render(&path);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{name}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{name}: {stderr}");
+        assert!(
+            stderr.contains("invalid QuantileSketch"),
+            "{name}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{name}: nothing is rendered");
+        std::fs::remove_file(&path).ok();
+    }
+}

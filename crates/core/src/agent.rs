@@ -16,7 +16,7 @@ use crate::selflearn::LearningTrajectory;
 use crate::stages::{HostTimer, StageStats};
 use ira_agentmem::KnowledgeStore;
 use ira_autogpt::{AutoGpt, Budget, GoalReport};
-use ira_obs::{stage, ObsHandle, SharedCollector, TraceEvent};
+use ira_obs::{stage, ObsHandle, TraceEvent};
 use ira_services::{Answer, LanguageModel, LlmStats, WebServices};
 use ira_simllm::Llm;
 use serde::{Deserialize, Serialize};
@@ -99,21 +99,13 @@ impl ResearchAgent {
         }
     }
 
-    /// Attach a trace collector under `session`: the retrieval loops
-    /// mirror their event logs into it, knowledge-test verdicts and
-    /// memory growth are recorded, and the model's inference hook is
-    /// reinstalled to emit an LLM-call span (still charging the same
-    /// virtual latency) for every call. Creates a fresh causal
-    /// context; use [`ResearchAgent::set_observer_handle`] to share a
-    /// session-wide one (so client fetch spans and agent cycle scopes
-    /// form one tree).
-    pub fn set_observer(&mut self, sink: SharedCollector, session: u32) {
-        self.set_observer_handle(ObsHandle::new(sink, session));
-    }
-
-    /// Attach a shared causal observation handle. LLM-call spans and
-    /// all agent events are parented under whatever scope the session
-    /// currently has open.
+    /// Attach an observation handle: the retrieval loops mirror their
+    /// event logs into it, knowledge-test verdicts and memory growth
+    /// are recorded, and the model's inference hook is reinstalled to
+    /// emit an LLM-call span (still charging the same virtual latency)
+    /// for every call. LLM-call spans and all agent events are
+    /// parented under whatever scope the session currently has open,
+    /// so sharing one handle with the client makes one causal tree.
     pub fn set_observer_handle(&mut self, handle: ObsHandle) {
         self.obs = handle.clone();
         // Provenance records of future memorisations carry the

@@ -6,10 +6,11 @@
 //! simulated web + one research agent each, ready to move to a worker
 //! thread.
 //!
-//! [`Engine::spawn_session`] (with its observed variants) is how
-//! everything outside `ira-core` gets an [`Environment`]. The world is
-//! read-only and corpus generation is deterministic — `Corpus::generate`
-//! over the same world and config always yields the same pages — so
+//! [`Engine::spawn_session`] (and its observed form,
+//! [`Engine::spawn_session_with_handle`]) is how everything outside
+//! `ira-core` gets an [`Environment`]. The world is read-only and
+//! corpus generation is deterministic — `Corpus::generate` over the
+//! same world and config always yields the same pages — so
 //! the engine builds the world once and each distinct corpus once, and
 //! shares both (`Arc`) across sessions. Every per-session component
 //! that carries state (network, client, model, memory) is constructed
@@ -18,7 +19,7 @@
 //! freshly built world and corpus.
 
 use ira_core::{AgentConfig, Environment, ResearchAgent, RoleDefinition};
-use ira_obs::{ObsHandle, SharedCollector};
+use ira_obs::ObsHandle;
 use ira_webcorpus::{Corpus, CorpusConfig};
 use ira_worldmodel::scenario::ScenarioSpec;
 use ira_worldmodel::World;
@@ -166,35 +167,24 @@ impl Engine {
         Session { env, agent }
     }
 
-    /// [`Engine::spawn_session`] with a trace collector attached: the
+    /// [`Engine::spawn_session`] with observation attached: the
     /// session's client (cache/retry/breaker/fetch events) and agent
     /// (cycle boundaries, LLM-call spans, knowledge-test verdicts,
-    /// memory growth) both emit into `sink`, tagged with `session_id`.
+    /// memory growth) both emit through `handle` — typically
+    /// `ObsHandle::new(sink, session_id)`.
     ///
     /// Because every session runs on exactly one thread and all
     /// timestamps come from the session's virtual clock, the events a
     /// session emits are identical whether the sweep runs on one
-    /// thread or many — `session_id` is the per-session span root that
-    /// keeps the streams apart.
+    /// thread or many — the handle's session id is the per-session
+    /// span root that keeps the streams apart.
     ///
-    /// Client and agent share one [`ObsHandle`], i.e. one span-id
+    /// Client and agent share the one handle, i.e. one span-id
     /// allocator and one current-parent slot, so fetch spans, retry
     /// waits, LLM calls, and loop events all land in a single causal
-    /// tree under the agent's cycle scopes.
-    pub fn spawn_session_observed(
-        &self,
-        config: SessionConfig,
-        sink: SharedCollector,
-        session_id: u32,
-    ) -> Session {
-        self.spawn_session_with_handle(config, ObsHandle::new(sink, session_id))
-    }
-
-    /// [`Engine::spawn_session_observed`] with a caller-supplied
-    /// [`ObsHandle`]. This lets a supervisor (the serve layer) emit its
-    /// own spans — admission, queue wait, retries — on the *same*
-    /// handle the session uses, so they nest in one causal tree with
-    /// the session's cycle/fetch/LLM spans.
+    /// tree under the agent's cycle scopes. A supervisor (the serve
+    /// layer) can emit its own spans — admission, queue wait, retries
+    /// — on a clone of the same handle, so they nest in that tree too.
     pub fn spawn_session_with_handle(&self, config: SessionConfig, handle: ObsHandle) -> Session {
         let corpus = self.corpus(config.corpus);
         let mut env = Environment::from_parts(

@@ -127,23 +127,6 @@ pub fn full_paper_run(engine: &Engine) -> (EvalRun, ConsistencyReport) {
 /// under `threads` — `sweep(items, 8, job)` is byte-identical to
 /// `sweep(items, 1, job)`, just faster. With `threads <= 1` the jobs
 /// run inline on the caller's thread.
-/// Merge per-session metric snapshots into one sweep-level rollup.
-///
-/// Counters add, gauges keep the high-watermark, histograms merge
-/// bucket-wise — all commutative, so the rollup is identical no matter
-/// what order the sessions finished in (and therefore invariant under
-/// the sweep's thread count).
-pub fn metrics_rollup<I>(snapshots: I) -> ira_obs::MetricsSnapshot
-where
-    I: IntoIterator<Item = ira_obs::MetricsSnapshot>,
-{
-    let mut total = ira_obs::MetricsSnapshot::default();
-    for snap in snapshots {
-        total.merge(&snap);
-    }
-    total
-}
-
 pub fn sweep<T, R, F>(items: Vec<T>, threads: usize, job: F) -> Vec<R>
 where
     T: Send,

@@ -4,10 +4,10 @@
 //! never builds an event at all.
 
 use ira_engine::{Engine, SessionConfig};
-use ira_evalkit::runner::{metrics_rollup, sweep};
+use ira_evalkit::runner::sweep;
 use ira_obs::{
-    Collector, Fanout, JsonlCollector, MetricsSnapshot, SharedCollector, SummaryCollector,
-    TraceEvent,
+    Collector, Fanout, JsonlCollector, MetricsSnapshot, ObsHandle, SharedCollector,
+    SummaryCollector, TraceEvent,
 };
 use std::sync::Arc;
 
@@ -30,7 +30,8 @@ fn run_observed_sweep(sessions: u32, threads: usize) -> (String, MetricsSnapshot
         let mut config = SessionConfig::bob();
         config.net_seed = 0xBEEF + i as u64 * 0x101;
         config.llm_seed = 0xB0B + i as u64;
-        let mut session = engine.spawn_session_observed(config, Arc::clone(&sink), i as u32);
+        let handle = ObsHandle::new(Arc::clone(&sink), i as u32);
+        let mut session = engine.spawn_session_with_handle(config, handle);
         session.agent.train();
         let _ = session.agent.self_learn(QUESTION);
     });
@@ -69,16 +70,15 @@ fn rollup_of_per_session_snapshots_is_order_invariant() {
         let summary = Arc::new(SummaryCollector::new());
         let mut config = SessionConfig::bob();
         config.net_seed = 0xBEEF + i as u64;
-        let mut session = engine.spawn_session_observed(
-            config,
-            Arc::clone(&summary) as SharedCollector,
-            i as u32,
-        );
+        let handle = ObsHandle::new(Arc::clone(&summary) as SharedCollector, i as u32);
+        let mut session = engine.spawn_session_with_handle(config, handle);
         session.agent.train();
         summary.snapshot()
     });
-    let forward = metrics_rollup(snapshots.clone());
-    let reverse = metrics_rollup(snapshots.into_iter().rev());
+    let mut forward = MetricsSnapshot::default();
+    snapshots.iter().for_each(|snap| forward.merge(snap));
+    let mut reverse = MetricsSnapshot::default();
+    snapshots.iter().rev().for_each(|snap| reverse.merge(snap));
     assert_eq!(forward, reverse, "rollup must be commutative");
     assert!(forward.counters.contains_key("cycle.start"));
     assert!(forward.histograms.contains_key("fetch.ok"));
@@ -175,7 +175,8 @@ fn run_flight_sweep(sessions: u32, threads: usize) -> Arc<ira_obs::FlightRecorde
         let mut config = SessionConfig::bob();
         config.net_seed = 0xBEEF + i as u64 * 0x101;
         config.llm_seed = 0xB0B + i as u64;
-        let mut session = engine.spawn_session_observed(config, Arc::clone(&sink), i as u32);
+        let handle = ObsHandle::new(Arc::clone(&sink), i as u32);
+        let mut session = engine.spawn_session_with_handle(config, handle);
         session.agent.train();
         let _ = session.agent.self_learn(QUESTION);
     });
@@ -216,11 +217,8 @@ fn flight_dumps_are_byte_identical_across_thread_counts() {
     // sweep: the ring absorbs everything and leaves zero artifacts.
     let engine = Engine::new();
     let quiet = Arc::new(ira_obs::FlightRecorder::default());
-    let mut session = engine.spawn_session_observed(
-        SessionConfig::bob(),
-        Arc::clone(&quiet) as SharedCollector,
-        0,
-    );
+    let handle = ObsHandle::new(Arc::clone(&quiet) as SharedCollector, 0);
+    let mut session = engine.spawn_session_with_handle(SessionConfig::bob(), handle);
     session.agent.train();
     assert_eq!(quiet.dump_count(), 0);
     assert_eq!(quiet.render(), "");
@@ -246,8 +244,8 @@ fn disabled_collector_costs_nothing_on_the_training_hot_loop() {
 
     // A full train + self-learn cycle with a disabled observer: the
     // tripwire proves no event is ever built on the disabled path.
-    let mut observed =
-        engine.spawn_session_observed(SessionConfig::bob(), Arc::new(TripwireCollector), 0);
+    let handle = ObsHandle::new(Arc::new(TripwireCollector), 0);
+    let mut observed = engine.spawn_session_with_handle(SessionConfig::bob(), handle);
     let mut observed_report = observed.agent.train();
     let observed_learning = observed.agent.self_learn(QUESTION);
 

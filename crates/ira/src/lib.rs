@@ -36,8 +36,7 @@ pub mod prelude {
     pub use ira_engine::{Engine, Session, SessionConfig};
     pub use ira_evalkit::quiz::QuizBank;
     pub use ira_evalkit::runner::{
-        evaluate_agent, evaluate_baseline, evaluate_scenario, full_paper_run, metrics_rollup,
-        sweep, EvalRun,
+        evaluate_agent, evaluate_baseline, evaluate_scenario, full_paper_run, sweep, EvalRun,
     };
     pub use ira_obs::{
         Collector, CollectorExt, Fanout, JsonlCollector, MetricsSnapshot, NullCollector,

@@ -15,7 +15,7 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 
 use crate::event::{EventClass, TraceEvent};
-use crate::metrics::{MetricsRegistry, MetricsSnapshot};
+use crate::metrics::MetricsSnapshot;
 
 /// A sink for trace events. Implementations must be thread-safe: in a
 /// parallel sweep every session thread shares one collector.
@@ -115,19 +115,25 @@ impl Collector for JsonlCollector {
     }
 }
 
-/// Aggregates events into a [`MetricsRegistry`] instead of retaining
-/// them: points count, spans count + feed a virtual-time histogram,
-/// gauges keep their high-watermark (a commutative merge, so snapshots
-/// are thread-count invariant).
+/// Aggregates events into a [`MetricsSnapshot`] instead of retaining
+/// them: points count, spans count + feed a virtual-time latency
+/// sketch, gauges keep their high-watermark (a commutative merge, so
+/// snapshots are thread-count invariant).
 ///
-/// The metric key is formatted into a reused buffer rather than a
-/// fresh `String` per event, and the registry updates warm keys
-/// in place, so steady-state folding allocates nothing (pinned by an
-/// assertion in the `obs_overhead` bench).
+/// One mutex guards the snapshot and a reused metric-key buffer, so an
+/// event takes one lock. Warm keys are updated in place and a warm
+/// sketch never allocates, so steady-state folding allocates nothing
+/// (pinned by the `warm_key_no_alloc` test and an assertion in the
+/// `obs_overhead` bench).
 #[derive(Debug, Default)]
 pub struct SummaryCollector {
-    registry: MetricsRegistry,
-    key_buf: Mutex<String>,
+    state: Mutex<SummaryState>,
+}
+
+#[derive(Debug, Default)]
+struct SummaryState {
+    snapshot: MetricsSnapshot,
+    key: String,
 }
 
 impl SummaryCollector {
@@ -135,12 +141,8 @@ impl SummaryCollector {
         Self::default()
     }
 
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.registry.snapshot()
+        self.state.lock().snapshot.clone()
     }
 }
 
@@ -149,17 +151,18 @@ impl Collector for SummaryCollector {
         true
     }
     fn record(&self, event: TraceEvent) {
+        let mut state = self.state.lock();
+        let SummaryState { snapshot, key } = &mut *state;
         // The buffer keeps its capacity across events; after warm-up no
         // key formatting allocates.
-        let mut key = self.key_buf.lock();
-        event.write_metric_key(&mut key);
+        event.write_metric_key(key);
         match event.class {
-            EventClass::Point => self.registry.incr(&key, 1),
+            EventClass::Point => snapshot.incr(key, 1),
             EventClass::Span => {
-                self.registry.incr(&key, 1);
-                self.registry.observe_us(&key, event.value);
+                snapshot.incr(key, 1);
+                snapshot.observe_us(key, event.value);
             }
-            EventClass::Gauge => self.registry.gauge_max(&key, event.value),
+            EventClass::Gauge => snapshot.gauge_max(key, event.value),
         }
     }
 }
@@ -299,8 +302,8 @@ mod tests {
         assert_eq!(snap.counters.get("fetch.ok"), Some(&1));
         assert_eq!(snap.gauges.get("memory.entries"), Some(&4));
         let hist = snap.histograms.get("fetch.ok").unwrap();
-        assert_eq!(hist.count, 1);
-        assert_eq!(hist.sum_us, 500);
+        assert_eq!(hist.count(), 1);
+        assert_eq!(hist.sum_us(), 500);
     }
 
     #[test]

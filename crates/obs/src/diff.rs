@@ -197,9 +197,9 @@ pub fn flatten_snapshot(snap: &MetricsSnapshot) -> BTreeMap<String, u64> {
         flat.insert(format!("gauge.{key}"), *v);
     }
     for (key, hist) in &snap.histograms {
-        flat.insert(format!("hist.{key}.count"), hist.count);
-        flat.insert(format!("hist.{key}.sum_us"), hist.sum_us);
-        flat.insert(format!("hist.{key}.max_us"), hist.max_us);
+        flat.insert(format!("hist.{key}.count"), hist.count());
+        flat.insert(format!("hist.{key}.sum_us"), hist.sum_us());
+        flat.insert(format!("hist.{key}.max_us"), hist.max_us());
     }
     flat
 }

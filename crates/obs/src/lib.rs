@@ -14,13 +14,17 @@
 //! - [`collector::Collector`] — the pluggable sink.
 //!   [`collector::NullCollector`] is the zero-cost default (event
 //!   closures never run), [`collector::JsonlCollector`] buffers a
-//!   replayable trace file, [`collector::SummaryCollector`] aggregates
-//!   into a [`metrics::MetricsRegistry`].
+//!   replayable trace file, [`collector::SummaryCollector`] folds
+//!   events into a [`metrics::MetricsSnapshot`].
 //! - [`context::ObsHandle`] — a sink plus the session's span-id
 //!   allocator; [`context::ScopedSpan`] threads the current parent
 //!   through nested scopes across crate boundaries.
-//! - [`metrics`] — counters, high-watermark gauges, and fixed-bucket
-//!   virtual-time histograms whose snapshots merge commutatively.
+//! - [`metrics`] — counters, high-watermark gauges, and virtual-time
+//!   latency sketches whose snapshots merge commutatively.
+//! - [`sketch`] — [`sketch::QuantileSketch`], the one latency
+//!   aggregator: exact up to [`SKETCH_EXACT_CAP`] values, fixed
+//!   geometric buckets beyond, exactly mergeable, and checked when
+//!   read from JSON.
 //! - [`profile`] — fold a trace into causal span trees: inclusive /
 //!   exclusive virtual time per stage, hotspots, critical paths.
 //! - [`diff`] — compare two profiles or snapshots under per-key
@@ -29,9 +33,9 @@
 //!   per-session ring of recent events, frozen into a JSONL
 //!   post-mortem dump when a trigger (panic, shed, deadline) fires.
 //! - [`live`] — sliding-window SLO aggregation on the virtual clock:
-//!   windowed counters, integer-ppm rates, and a deterministic
-//!   mergeable [`live::QuantileSketch`] for latency percentiles,
-//!   snapshot as stable text or Prometheus-style exposition.
+//!   windowed counters, integer-ppm rates, and latency percentiles
+//!   from per-cell [`sketch::QuantileSketch`]es, snapshot as stable
+//!   text or Prometheus-style exposition.
 
 pub mod collector;
 pub mod context;
@@ -41,6 +45,7 @@ pub mod flight;
 pub mod live;
 pub mod metrics;
 pub mod profile;
+pub mod sketch;
 
 pub use collector::{
     null_collector, Collector, CollectorExt, Fanout, JsonlCollector, NullCollector,
@@ -50,12 +55,10 @@ pub use context::{ObsContext, ObsHandle, ScopedSpan};
 pub use diff::{diff_profiles, diff_snapshots, flatten_json, DiffEntry, DiffReport, Tolerances};
 pub use event::{parse_jsonl, render_jsonl, stage, EventClass, TraceEvent, TraceParseError};
 pub use flight::{FlightConfig, FlightDump, FlightRecorder, FlightTrigger};
-pub use live::{
-    fmt_ppm_pct, LiveConfig, LiveSnapshot, LiveStats, QuantileSketch, SloCell, SloSample,
-    SKETCH_EXACT_CAP,
-};
-pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot, LATENCY_BUCKETS_US};
+pub use live::{fmt_ppm_pct, LiveConfig, LiveSnapshot, LiveStats, SloCell, SloSample};
+pub use metrics::MetricsSnapshot;
 pub use profile::{fold_trace, PathStep, Profile, SessionProfile, SpanNode, StageAgg};
+pub use sketch::{QuantileSketch, SKETCH_EXACT_CAP};
 
 /// Build a per-stage latency/count summary from a parsed trace — the
 /// backend of `ira trace summarize`. Deterministic: replaying the same
@@ -89,7 +92,7 @@ mod tests {
         assert_eq!(snap.counters.get("trace.events"), Some(&3));
         assert_eq!(snap.gauges.get("trace.sessions"), Some(&2));
         assert_eq!(snap.counters.get("cycle.start"), Some(&2));
-        assert_eq!(snap.histograms.get("fetch.ok").unwrap().sum_us, 400);
+        assert_eq!(snap.histograms.get("fetch.ok").unwrap().sum_us(), 400);
     }
 
     #[test]

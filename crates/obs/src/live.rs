@@ -18,179 +18,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-/// Exact-mode capacity: sketches hold a sorted vector of raw values up
-/// to this count (nearest-rank percentiles are then *exact*) and
-/// collapse to fixed geometric buckets beyond it.
-pub const SKETCH_EXACT_CAP: usize = 64;
-
-/// Inclusive geometric bucket upper bounds (virtual µs) for collapsed
-/// sketches, spanning sub-millisecond queue waits up to the serve
-/// layer's multi-minute deadline horizon. Values above the last bound
-/// land in an overflow bucket reported as the observed maximum.
-const SKETCH_BOUNDS_US: [u64; 24] = [
-    50,
-    100,
-    250,
-    500,
-    1_000,
-    2_500,
-    5_000,
-    10_000,
-    25_000,
-    50_000,
-    100_000,
-    250_000,
-    500_000,
-    1_000_000,
-    2_500_000,
-    5_000_000,
-    10_000_000,
-    25_000_000,
-    50_000_000,
-    100_000_000,
-    250_000_000,
-    500_000_000,
-    1_000_000_000,
-    2_500_000_000,
-];
-
-/// A deterministic mergeable quantile sketch over virtual durations.
-///
-/// Representation is a pure function of the observed *multiset*: a
-/// sorted exact vector while `count <= SKETCH_EXACT_CAP`, a fixed
-/// bucket histogram beyond. Bucketing is a homomorphism (the buckets
-/// of a union are the sums of the buckets) and the mode decision
-/// depends only on the total count, so [`QuantileSketch::merge`] is
-/// exactly associative and commutative — shard-and-merge yields the
-/// same bytes as a single stream.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct QuantileSketch {
-    /// Sorted raw values (exact mode only).
-    #[serde(default)]
-    exact: Vec<u64>,
-    /// Bucket counts, `SKETCH_BOUNDS_US.len() + 1` long once collapsed
-    /// (last slot is the overflow bucket); empty in exact mode.
-    #[serde(default)]
-    buckets: Vec<u64>,
-    pub count: u64,
-    pub sum_us: u64,
-    pub max_us: u64,
-}
-
-fn bucket_index(value_us: u64) -> usize {
-    SKETCH_BOUNDS_US
-        .iter()
-        .position(|&bound| value_us <= bound)
-        .unwrap_or(SKETCH_BOUNDS_US.len())
-}
-
-impl QuantileSketch {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether percentiles are still exact (small-window mode).
-    pub fn is_exact(&self) -> bool {
-        self.buckets.is_empty()
-    }
-
-    /// Record one duration.
-    pub fn observe(&mut self, value_us: u64) {
-        self.count = self.count.saturating_add(1);
-        self.sum_us = self.sum_us.saturating_add(value_us);
-        self.max_us = self.max_us.max(value_us);
-        if self.is_exact() {
-            let at = self.exact.partition_point(|&v| v <= value_us);
-            self.exact.insert(at, value_us);
-            if self.exact.len() > SKETCH_EXACT_CAP {
-                self.collapse();
-            }
-        } else {
-            self.buckets[bucket_index(value_us)] += 1;
-        }
-    }
-
-    /// Spill the exact values into the fixed bucket histogram.
-    fn collapse(&mut self) {
-        let mut buckets = vec![0u64; SKETCH_BOUNDS_US.len() + 1];
-        for &v in &self.exact {
-            buckets[bucket_index(v)] += 1;
-        }
-        self.exact.clear();
-        self.buckets = buckets;
-    }
-
-    /// Fold another sketch in. Associative and commutative: the result
-    /// depends only on the union of the observed multisets.
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        if other.count == 0 {
-            return;
-        }
-        let combined = self.count.saturating_add(other.count);
-        self.sum_us = self.sum_us.saturating_add(other.sum_us);
-        self.max_us = self.max_us.max(other.max_us);
-        if self.is_exact() && other.is_exact() && combined <= SKETCH_EXACT_CAP as u64 {
-            self.exact.extend_from_slice(&other.exact);
-            self.exact.sort_unstable();
-        } else {
-            if self.is_exact() {
-                self.collapse();
-            }
-            if other.is_exact() {
-                for &v in &other.exact {
-                    self.buckets[bucket_index(v)] += 1;
-                }
-            } else {
-                for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-                    *mine = mine.saturating_add(*theirs);
-                }
-            }
-        }
-        self.count = combined;
-    }
-
-    /// Nearest-rank quantile at `ppm` parts-per-million (500_000 =
-    /// p50). Exact in exact mode; in bucket mode returns the matched
-    /// bucket's upper bound clamped to the observed maximum.
-    pub fn quantile_ppm(&self, ppm: u64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank =
-            ((ppm as u128 * self.count as u128).div_ceil(1_000_000) as u64).clamp(1, self.count);
-        if self.is_exact() {
-            return self.exact[rank as usize - 1];
-        }
-        let mut cumulative = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            cumulative = cumulative.saturating_add(n);
-            if cumulative >= rank {
-                return if i < SKETCH_BOUNDS_US.len() {
-                    SKETCH_BOUNDS_US[i].min(self.max_us)
-                } else {
-                    self.max_us
-                };
-            }
-        }
-        self.max_us
-    }
-
-    pub fn p50_us(&self) -> u64 {
-        self.quantile_ppm(500_000)
-    }
-
-    pub fn p95_us(&self) -> u64 {
-        self.quantile_ppm(950_000)
-    }
-
-    pub fn p99_us(&self) -> u64 {
-        self.quantile_ppm(990_000)
-    }
-
-    pub fn mean_us(&self) -> u64 {
-        self.sum_us.checked_div(self.count).unwrap_or(0)
-    }
-}
+use crate::sketch::QuantileSketch;
 
 /// One request's contribution to the SLO ledger. Intake-time samples
 /// set only the admission-decision flags; outcome samples set only the
@@ -495,7 +323,7 @@ fn render_cells_text(out: &mut String, title: &str, cells: &BTreeMap<String, Slo
             cell.queue.p50_us(),
             cell.queue.p95_us(),
             cell.queue.p99_us(),
-            cell.queue.max_us,
+            cell.queue.max_us(),
             cell.queue.mean_us()
         ));
         out.push_str(&format!(
@@ -503,7 +331,7 @@ fn render_cells_text(out: &mut String, title: &str, cells: &BTreeMap<String, Slo
             cell.exec.p50_us(),
             cell.exec.p95_us(),
             cell.exec.p99_us(),
-            cell.exec.max_us,
+            cell.exec.max_us(),
             cell.exec.mean_us()
         ));
     }
@@ -577,8 +405,8 @@ impl LiveSnapshot {
                     ] {
                         out.push_str(&format!("{name}{{{labels},quantile=\"{q}\"}} {v}\n"));
                     }
-                    out.push_str(&format!("{name}_sum{{{labels}}} {}\n", sketch.sum_us));
-                    out.push_str(&format!("{name}_count{{{labels}}} {}\n", sketch.count));
+                    out.push_str(&format!("{name}_sum{{{labels}}} {}\n", sketch.sum_us()));
+                    out.push_str(&format!("{name}_count{{{labels}}} {}\n", sketch.count()));
                 }
             }
         }
@@ -589,7 +417,10 @@ impl LiveSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sketch::SKETCH_EXACT_CAP;
 
+    // The sketch algebra the SLO cells rely on; the checks on sketch
+    // JSON are in `sketch::tests`.
     fn sketch_of(values: &[u64]) -> QuantileSketch {
         let mut s = QuantileSketch::new();
         for &v in values {
@@ -622,8 +453,8 @@ mod tests {
                 "ppm {ppm}"
             );
         }
-        assert_eq!(sketch.max_us, 5_000_000);
-        assert_eq!(sketch.count, 8);
+        assert_eq!(sketch.max_us(), 5_000_000);
+        assert_eq!(sketch.count(), 8);
     }
 
     #[test]
@@ -635,7 +466,7 @@ mod tests {
         assert!(sketch.is_exact(), "at the cap the sketch is still exact");
         sketch.observe(u64::MAX);
         assert!(!sketch.is_exact(), "one past the cap collapses");
-        assert_eq!(sketch.count, SKETCH_EXACT_CAP as u64 + 1);
+        assert_eq!(sketch.count(), SKETCH_EXACT_CAP as u64 + 1);
         assert_eq!(sketch.quantile_ppm(1_000_000), u64::MAX, "overflow → max");
     }
 
@@ -747,7 +578,7 @@ mod tests {
         live.record(&admitted(11_000_000, "train", 9, 900));
         let late = live.snapshot(11_000_000);
         assert_eq!(late.window["solar-superstorm/train"].admitted, 1);
-        assert_eq!(late.window["solar-superstorm/train"].queue.max_us, 9);
+        assert_eq!(late.window["solar-superstorm/train"].queue.max_us(), 9);
         assert!(!late.window.contains_key("solar-superstorm/quiz"));
         // ...but the cumulative ledger never forgets.
         assert_eq!(late.total["solar-superstorm/train"].admitted, 3);
@@ -810,5 +641,18 @@ mod tests {
     fn empty_snapshot_renders_placeholder() {
         let snap = LiveStats::default().snapshot(0);
         assert!(snap.render_text().contains("(no samples)"));
+    }
+
+    #[test]
+    fn a_snapshot_with_a_malformed_sketch_is_rejected() {
+        let mut live = LiveStats::default();
+        live.record(&admitted(0, "train", 5, 500));
+        let json = serde_json::to_string(&live.snapshot(0)).unwrap();
+        // The queue sketch claims one value but holds none: rendering
+        // it would index past the end, so parsing must refuse it.
+        let bad = json.replacen("\"exact\":[5]", "\"exact\":[]", 1);
+        assert_ne!(bad, json);
+        let err = serde_json::from_str::<LiveSnapshot>(&bad).unwrap_err();
+        assert!(err.to_string().contains("invalid QuantileSketch"), "{err}");
     }
 }

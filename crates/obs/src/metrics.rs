@@ -1,101 +1,39 @@
 //! Deterministic metrics: counters, high-watermark gauges, and
-//! virtual-time histograms with fixed bucket boundaries.
+//! virtual-time latency sketches.
 //!
 //! Everything here is keyed by `String` in `BTreeMap`s so snapshots
 //! serialize and render in a stable order, and every aggregation is
-//! commutative (sums and maxima) so merging per-session snapshots in
-//! any order — or recording from any number of threads — yields the
-//! same result.
+//! commutative (sums, maxima and [`QuantileSketch`] merges) so merging
+//! per-session snapshots in any order — or recording from any number
+//! of threads — yields the same result.
 
 use std::collections::BTreeMap;
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-/// Fixed histogram bucket upper bounds, in virtual microseconds.
-/// Chosen to straddle the simnet latency scales: sub-millisecond cache
-/// hits up through multi-second retry storms.
-pub const LATENCY_BUCKETS_US: [u64; 12] = [
-    100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 1_000_000,
-];
+use crate::sketch::QuantileSketch;
 
-/// A fixed-bucket histogram over virtual-time durations.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Histogram {
-    /// One count per entry in [`LATENCY_BUCKETS_US`], plus a final
-    /// overflow bucket.
-    pub counts: Vec<u64>,
-    pub count: u64,
-    pub sum_us: u64,
-    pub max_us: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            counts: vec![0; LATENCY_BUCKETS_US.len() + 1],
-            count: 0,
-            sum_us: 0,
-            max_us: 0,
-        }
-    }
-}
-
-impl Histogram {
-    /// Record one duration. Bucket bounds are inclusive (`dur_us <=
-    /// bound` lands in that bucket); counts and sums saturate instead
-    /// of wrapping, so a pathological merge chain can never corrupt a
-    /// snapshot with an overflow panic or a wrapped count.
-    pub fn observe(&mut self, dur_us: u64) {
-        let idx = LATENCY_BUCKETS_US
-            .iter()
-            .position(|&bound| dur_us <= bound)
-            .unwrap_or(LATENCY_BUCKETS_US.len());
-        self.counts[idx] = self.counts[idx].saturating_add(1);
-        self.count = self.count.saturating_add(1);
-        self.sum_us = self.sum_us.saturating_add(dur_us);
-        self.max_us = self.max_us.max(dur_us);
-    }
-
-    /// Merge another histogram into this one (commutative, saturating).
-    pub fn merge(&mut self, other: &Histogram) {
-        for (slot, add) in self.counts.iter_mut().zip(&other.counts) {
-            *slot = slot.saturating_add(*add);
-        }
-        self.count = self.count.saturating_add(other.count);
-        self.sum_us = self.sum_us.saturating_add(other.sum_us);
-        self.max_us = self.max_us.max(other.max_us);
-    }
-
-    /// Mean duration in µs, rounded down; 0 when empty.
-    pub fn mean_us(&self) -> u64 {
-        self.sum_us.checked_div(self.count).unwrap_or(0)
-    }
-}
-
-/// Thread-safe registry backing the [`SummaryCollector`].
+/// Counters, gauges and latency sketches by key — the state a
+/// [`SummaryCollector`] folds events into, and the serializable
+/// snapshot it hands out. Snapshots from different sessions merge
+/// commutatively.
 ///
 /// [`SummaryCollector`]: crate::collector::SummaryCollector
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    counters: Mutex<BTreeMap<String, u64>>,
-    gauges: Mutex<BTreeMap<String, u64>>,
-    histograms: Mutex<BTreeMap<String, Histogram>>,
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct MetricsSnapshot {
+    pub counters: BTreeMap<String, u64>,
+    pub gauges: BTreeMap<String, u64>,
+    pub histograms: BTreeMap<String, QuantileSketch>,
 }
 
-impl MetricsRegistry {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn incr(&self, key: &str, by: u64) {
-        let mut counters = self.counters.lock();
-        // Look up by &str first so warm keys never allocate; only a
-        // first-seen key pays for the String.
-        if let Some(slot) = counters.get_mut(key) {
+impl MetricsSnapshot {
+    /// Add `by` to a counter (saturating). Warm keys are looked up by
+    /// `&str` and updated in place, so only a first-seen key allocates.
+    pub fn incr(&mut self, key: &str, by: u64) {
+        if let Some(slot) = self.counters.get_mut(key) {
             *slot = slot.saturating_add(by);
         } else {
-            counters.insert(key.to_string(), by);
+            self.counters.insert(key.to_string(), by);
         }
     }
 
@@ -105,51 +43,27 @@ impl MetricsRegistry {
     /// per-session snapshots folded in any order (or recorded from any
     /// number of threads) agree; "last value" would depend on arrival
     /// order and break trace determinism.
-    pub fn gauge_max(&self, key: &str, level: u64) {
-        let mut gauges = self.gauges.lock();
-        if let Some(slot) = gauges.get_mut(key) {
+    pub fn gauge_max(&mut self, key: &str, level: u64) {
+        if let Some(slot) = self.gauges.get_mut(key) {
             *slot = (*slot).max(level);
         } else {
-            gauges.insert(key.to_string(), level);
+            self.gauges.insert(key.to_string(), level);
         }
     }
 
-    pub fn observe_us(&self, key: &str, dur_us: u64) {
-        let mut histograms = self.histograms.lock();
-        if let Some(hist) = histograms.get_mut(key) {
-            hist.observe(dur_us);
+    /// Record one duration into the key's latency sketch.
+    pub fn observe_us(&mut self, key: &str, dur_us: u64) {
+        if let Some(sketch) = self.histograms.get_mut(key) {
+            sketch.observe(dur_us);
         } else {
-            let mut hist = Histogram::default();
-            hist.observe(dur_us);
-            histograms.insert(key.to_string(), hist);
+            let mut sketch = QuantileSketch::new();
+            sketch.observe(dur_us);
+            self.histograms.insert(key.to_string(), sketch);
         }
-    }
-
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self.counters.lock().clone(),
-            gauges: self.gauges.lock().clone(),
-            histograms: self.histograms.lock().clone(),
-        }
-    }
-}
-
-/// An immutable, serializable view of a registry. Snapshots from
-/// different sessions merge commutatively.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MetricsSnapshot {
-    pub counters: BTreeMap<String, u64>,
-    pub gauges: BTreeMap<String, u64>,
-    pub histograms: BTreeMap<String, Histogram>,
-}
-
-impl MetricsSnapshot {
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
     /// Merge another snapshot into this one: counters add, gauges keep
-    /// the max, histograms merge bucket-wise.
+    /// the max, latency sketches merge.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (key, add) in &other.counters {
             *self.counters.entry(key.clone()).or_insert(0) += add;
@@ -187,13 +101,13 @@ impl MetricsSnapshot {
                 "  {:<40} {:>8} {:>10} {:>10} {:>12}\n",
                 "key", "count", "mean_us", "max_us", "sum_us"
             ));
-            for (key, hist) in &self.histograms {
+            for (key, sketch) in &self.histograms {
                 out.push_str(&format!(
                     "  {key:<40} {:>8} {:>10} {:>10} {:>12}\n",
-                    hist.count,
-                    hist.mean_us(),
-                    hist.max_us,
-                    hist.sum_us
+                    sketch.count(),
+                    sketch.mean_us(),
+                    sketch.max_us(),
+                    sketch.sum_us()
                 ));
             }
         }
@@ -207,19 +121,40 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sketch::{SKETCH_BOUNDS_US, SKETCH_EXACT_CAP};
+    use serde::Serialize;
+
+    fn sketch_of(values: &[u64]) -> QuantileSketch {
+        let mut sketch = QuantileSketch::new();
+        for &v in values {
+            sketch.observe(v);
+        }
+        sketch
+    }
+
+    /// A collapsed sketch's bucket counts, read from its JSON form.
+    fn buckets(sketch: &QuantileSketch) -> Vec<u64> {
+        let value = sketch.serialize_value();
+        let list = value.get("buckets").and_then(|b| b.as_array()).unwrap();
+        list.iter().map(|n| n.as_u64().unwrap()).collect()
+    }
 
     #[test]
     fn histogram_buckets_and_overflow() {
-        let mut hist = Histogram::default();
-        hist.observe(50); // bucket 0 (<=100)
-        hist.observe(100); // bucket 0 boundary is inclusive
-        hist.observe(101); // bucket 1
-        hist.observe(2_000_000); // overflow
-        assert_eq!(hist.counts[0], 2);
-        assert_eq!(hist.counts[1], 1);
-        assert_eq!(hist.counts[LATENCY_BUCKETS_US.len()], 1);
-        assert_eq!(hist.count, 4);
-        assert_eq!(hist.max_us, 2_000_000);
+        // 61 zeros keep the sketch exact; the 65th value collapses it.
+        let mut hist = sketch_of(&[0; 61]);
+        hist.observe(50); // bucket 0 (<=50)
+        hist.observe(100); // bucket 1 boundary is inclusive
+        assert!(hist.is_exact());
+        hist.observe(101); // bucket 2
+        hist.observe(3_000_000_000); // overflow
+        let counts = buckets(&hist);
+        assert_eq!(counts[0], 62);
+        assert_eq!(counts[1], 1);
+        assert_eq!(counts[2], 1);
+        assert_eq!(counts[SKETCH_BOUNDS_US.len()], 1);
+        assert_eq!(hist.count(), 65);
+        assert_eq!(hist.max_us(), 3_000_000_000);
     }
 
     #[test]
@@ -227,17 +162,13 @@ mod tests {
         let mut a = MetricsSnapshot::default();
         a.counters.insert("x".into(), 2);
         a.gauges.insert("g".into(), 5);
-        let mut ha = Histogram::default();
-        ha.observe(300);
-        a.histograms.insert("h".into(), ha);
+        a.histograms.insert("h".into(), sketch_of(&[300]));
 
         let mut b = MetricsSnapshot::default();
         b.counters.insert("x".into(), 3);
         b.counters.insert("y".into(), 1);
         b.gauges.insert("g".into(), 4);
-        let mut hb = Histogram::default();
-        hb.observe(900);
-        b.histograms.insert("h".into(), hb);
+        b.histograms.insert("h".into(), sketch_of(&[900]));
 
         let mut ab = a.clone();
         ab.merge(&b);
@@ -246,35 +177,44 @@ mod tests {
         assert_eq!(ab, ba);
         assert_eq!(ab.counters.get("x"), Some(&5));
         assert_eq!(ab.gauges.get("g"), Some(&5));
-        assert_eq!(ab.histograms.get("h").unwrap().count, 2);
+        assert_eq!(ab.histograms.get("h").unwrap().count(), 2);
     }
 
     #[test]
     fn registry_snapshot_round_trips_through_json() {
-        let reg = MetricsRegistry::new();
-        reg.incr("llm.call", 3);
-        reg.gauge_max("memory.entries", 12);
-        reg.observe_us("fetch.ok", 750);
-        let snap = reg.snapshot();
+        let mut snap = MetricsSnapshot::default();
+        snap.incr("llm.call", 3);
+        snap.gauge_max("memory.entries", 12);
+        snap.observe_us("fetch.ok", 750);
+        for i in 0..100 {
+            snap.observe_us("fetch.slow", i * 1_000);
+        }
         let json = serde_json::to_string(&snap).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(snap, back);
+
+        // A malformed sketch fails the whole snapshot.
+        let bad = json.replace("\"exact\":[750]", "\"exact\":[]");
+        assert_ne!(bad, json);
+        let err = serde_json::from_str::<MetricsSnapshot>(&bad).unwrap_err();
+        assert!(err.to_string().contains("invalid QuantileSketch"), "{err}");
     }
 
     #[test]
     fn render_is_deterministic_and_sorted() {
-        let reg = MetricsRegistry::new();
-        reg.incr("z.last", 1);
-        reg.incr("a.first", 2);
-        reg.observe_us("fetch.ok", 500);
-        let snap = reg.snapshot();
+        let mut snap = MetricsSnapshot::default();
+        snap.incr("z.last", 1);
+        snap.incr("a.first", 2);
+        snap.observe_us("fetch.ok", 500);
+        snap.observe_us("fetch.ok", 301);
         let r1 = snap.render();
-        let r2 = snap.render();
-        assert_eq!(r1, r2);
+        assert_eq!(r1, snap.render());
         let a_pos = r1.find("a.first").unwrap();
         let z_pos = r1.find("z.last").unwrap();
         assert!(a_pos < z_pos);
-        assert!(r1.contains("latency (virtual µs)"));
+        assert!(r1.ends_with(
+            "latency (virtual µs)\n  key                                         count    mean_us     max_us       sum_us\n  fetch.ok                                        2        400        500          801\n"
+        ));
     }
 
     #[test]
@@ -287,62 +227,76 @@ mod tests {
 
     #[test]
     fn merging_an_empty_histogram_is_identity() {
-        let mut hist = Histogram::default();
-        hist.observe(300);
-        let before = hist.clone();
-        hist.merge(&Histogram::default());
-        assert_eq!(hist, before);
+        for values in [vec![300u64], (0..100).map(|i| i * 37).collect()] {
+            let mut hist = sketch_of(&values);
+            let before = hist.clone();
+            hist.merge(&QuantileSketch::new());
+            assert_eq!(hist, before);
 
-        let mut empty = Histogram::default();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-        assert_eq!(Histogram::default().mean_us(), 0, "empty mean is 0");
+            let mut empty = QuantileSketch::new();
+            empty.merge(&before);
+            assert_eq!(empty, before);
+        }
+        assert_eq!(QuantileSketch::new().mean_us(), 0, "empty mean is 0");
     }
 
     #[test]
     fn histogram_counts_saturate_instead_of_wrapping() {
-        let mut a = Histogram {
-            count: u64::MAX - 1,
-            sum_us: u64::MAX - 10,
-            ..Histogram::default()
-        };
-        a.counts[0] = u64::MAX;
-        let mut b = Histogram::default();
-        b.observe(50);
-        b.observe(60);
-        a.merge(&b);
-        assert_eq!(a.count, u64::MAX);
-        assert_eq!(a.sum_us, u64::MAX);
-        assert_eq!(a.counts[0], u64::MAX);
-        // observe on a saturated histogram is also safe
-        a.observe(70);
-        assert_eq!(a.count, u64::MAX);
+        // A collapsed sketch at the edge of u64, built through the
+        // checked JSON parse: its first bucket holds every count.
+        let mut full = vec![0u64; SKETCH_BOUNDS_US.len() + 1];
+        full[0] = u64::MAX;
+        let list: Vec<String> = full.iter().map(u64::to_string).collect();
+        let json = format!(
+            "{{\"buckets\":[{}],\"count\":{},\"sum_us\":{},\"max_us\":50}}",
+            list.join(","),
+            u64::MAX,
+            u64::MAX - 10
+        );
+        let mut a: QuantileSketch = serde_json::from_str(&json).unwrap();
+        a.merge(&sketch_of(&[40, 50])); // exact values into buckets
+        assert_eq!(a.count(), u64::MAX);
+        assert_eq!(a.sum_us(), u64::MAX);
+        assert_eq!(buckets(&a)[0], u64::MAX);
+        let other = a.clone();
+        a.merge(&other); // buckets into buckets
+        a.observe(20); // observe on a saturated sketch is also safe
+        assert_eq!(a.count(), u64::MAX);
+        assert_eq!(buckets(&a)[0], u64::MAX);
+        assert_eq!(a.quantile_ppm(1_000_000), 50);
+
+        let mut snap = MetricsSnapshot::default();
+        snap.incr("x", u64::MAX - 1);
+        snap.incr("x", 5);
+        assert_eq!(snap.counters.get("x"), Some(&u64::MAX), "counters too");
     }
 
     #[test]
     fn bucket_boundary_durations_land_in_the_lower_bucket() {
         // Bounds are inclusive: exactly `bound` µs belongs to that
         // bucket; `bound + 1` spills into the next.
-        for (i, &bound) in LATENCY_BUCKETS_US.iter().enumerate() {
-            let mut hist = Histogram::default();
-            hist.observe(bound);
-            assert_eq!(hist.counts[i], 1, "bound {bound} in bucket {i}");
-            let mut next = Histogram::default();
-            next.observe(bound + 1);
-            assert_eq!(next.counts[i], 0, "bound+1 left bucket {i}");
+        let base = sketch_of(&[u64::MAX; SKETCH_EXACT_CAP + 1]);
+        let landed = |value: u64| {
+            let mut hist = base.clone();
+            hist.observe(value);
+            let mut pairs = buckets(&hist).into_iter().zip(buckets(&base));
+            pairs.position(|(a, b)| a != b).unwrap()
+        };
+        for (i, &bound) in SKETCH_BOUNDS_US.iter().enumerate() {
+            assert_eq!(landed(bound), i, "bound {bound} in bucket {i}");
+            assert_eq!(landed(bound + 1), i + 1, "bound+1 left bucket {i}");
         }
-        let mut hist = Histogram::default();
-        hist.observe(0);
-        assert_eq!(hist.counts[0], 1, "zero lands in the first bucket");
+        assert_eq!(landed(0), 0, "zero lands in the first bucket");
+        assert_eq!(landed(u64::MAX), SKETCH_BOUNDS_US.len(), "overflow bucket");
     }
 
     #[test]
     fn gauges_keep_the_high_watermark_not_the_last_sample() {
-        let reg = MetricsRegistry::new();
-        reg.gauge_max("memory.entries", 9);
-        reg.gauge_max("memory.entries", 3); // later but lower — ignored
-        assert_eq!(reg.snapshot().gauges.get("memory.entries"), Some(&9));
-        reg.gauge_max("memory.entries", 12);
-        assert_eq!(reg.snapshot().gauges.get("memory.entries"), Some(&12));
+        let mut snap = MetricsSnapshot::default();
+        snap.gauge_max("memory.entries", 9);
+        snap.gauge_max("memory.entries", 3); // later but lower — ignored
+        assert_eq!(snap.gauges.get("memory.entries"), Some(&9));
+        snap.gauge_max("memory.entries", 12);
+        assert_eq!(snap.gauges.get("memory.entries"), Some(&12));
     }
 }

@@ -178,7 +178,7 @@ fn later_batches_see_earlier_outcomes_and_the_ledger_accumulates() {
     assert_eq!(train_cell.ok, 1, "train-full completed");
     assert_eq!(train_cell.degraded, 1, "train-cut missed its deadline");
     assert_eq!(train_cell.deadline_miss, 1);
-    assert!(train_cell.exec.count >= 2, "exec latencies were observed");
+    assert!(train_cell.exec.count() >= 2, "exec latencies were observed");
     let probe_cell = &snapshot.total["solar-superstorm/panic_probe"];
     assert_eq!(probe_cell.failed, 1);
     assert_eq!(probe_cell.retries, 2, "two retries before giving up");

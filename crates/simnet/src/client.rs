@@ -12,7 +12,7 @@ use crate::error::{NetError, NetResult};
 use crate::retry::RetryPolicy;
 use crate::server::{Network, Request, Response};
 use crate::url::Url;
-use ira_obs::{stage, ObsHandle, SharedCollector, TraceEvent};
+use ira_obs::{stage, ObsHandle, TraceEvent};
 use parking_lot::Mutex;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
@@ -90,27 +90,13 @@ impl Client {
         }
     }
 
-    /// Attach a trace collector; subsequent requests emit cache,
-    /// retry, breaker, and fetch-latency events tagged with `session`.
-    /// Set this *before* cloning the client into agent layers so every
-    /// clone shares the sink. Creates a fresh causal context; to nest
-    /// client spans under agent scopes, use
-    /// [`Client::set_observer_handle`] with the session's shared
-    /// handle instead.
-    pub fn set_observer(&mut self, sink: SharedCollector, session: u32) {
-        self.obs = ObsHandle::new(sink, session);
-    }
-
-    /// Attach a shared [`ObsHandle`] so fetch/retry/breaker events are
-    /// parented under whatever scope the session currently has open.
+    /// Attach an [`ObsHandle`]: subsequent requests emit cache, retry,
+    /// breaker, and fetch-latency events tagged with the handle's
+    /// session, parented under whatever scope the session currently
+    /// has open. Set this *before* cloning the client into agent
+    /// layers so every clone shares the handle.
     pub fn set_observer_handle(&mut self, handle: ObsHandle) {
         self.obs = handle;
-    }
-
-    /// The collector currently attached (the shared null collector by
-    /// default) and the session id requests are tagged with.
-    pub fn observer(&self) -> (SharedCollector, u32) {
-        (self.obs.sink(), self.obs.session())
     }
 
     /// (cache hits, cache misses) so far.
@@ -705,7 +691,7 @@ mod tests {
         net.register_with("ok.test", ok_host(), cfg(0.0));
         let mut client = breaker_client(net, 2, Duration::from_secs(60));
         let sink = Arc::new(JsonlCollector::new());
-        client.set_observer(sink.clone(), 7);
+        client.set_observer_handle(ObsHandle::new(sink.clone(), 7));
 
         client.get("sim://ok.test/page").unwrap();
         client.get("sim://ok.test/page").unwrap(); // cache hit
@@ -730,7 +716,7 @@ mod tests {
         // Disabled by default: a fresh client with the null collector
         // reports disabled and drops everything.
         let plain = Client::new(Arc::clone(client.network()));
-        assert!(!plain.observer().0.enabled());
+        assert!(!plain.obs.sink().enabled());
     }
 
     #[test]
@@ -755,7 +741,7 @@ mod tests {
             },
         );
         let sink = Arc::new(JsonlCollector::new());
-        client.set_observer(sink.clone(), 0);
+        client.set_observer_handle(ObsHandle::new(sink.clone(), 0));
 
         let _ = client.get("sim://dead.test/"); // fails with retries
 
