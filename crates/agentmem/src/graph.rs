@@ -3,18 +3,17 @@
 //! provenance.
 //!
 //! This is the plexus design transplanted onto the agent's memory:
-//! knowledge is not a flat list of pages but a graph of *claims*
-//! (salient terms), each carrying the provenance of every document
-//! that asserted it. Structure buys three things the flat store cannot
-//! offer:
+//! alongside the flat list of pages the store keeps a graph of
+//! *claims* (salient terms), each carrying the provenance of every
+//! document that asserted it. Retrieval never scores it; it answers
+//! questions the flat store cannot:
 //!
 //! * **Corroboration** — a claim supported by many *distinct hosts* is
 //!   worth more than one a single source repeats loudly. Support is
 //!   counted per host, so an adversary cannot manufacture agreement by
 //!   publishing the same fake ten times.
-//! * **Neighborhood retrieval** — a query activates its matched claim
-//!   nodes plus their strongest co-occurrence neighbors, bridging
-//!   vocabulary gaps term-coverage retrieval misses.
+//! * **Neighborhood** — a claim's strongest co-occurrence neighbors
+//!   ([`ClaimGraph::neighbors`]).
 //! * **Decay** — claims no document has reinforced within a horizon
 //!   (and that no second source ever corroborated) can be forgotten,
 //!   bounding graph growth over long virtual horizons.
@@ -49,21 +48,14 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Graph construction and retrieval knobs. Deliberately *not* part of
-/// the serialized [`crate::StoreConfig`], so enabling the graph never
-/// perturbs `knowledge.json` bytes.
+/// Graph construction knobs. Deliberately *not* part of the serialized
+/// [`crate::StoreConfig`], so the graph never perturbs
+/// `knowledge.json` bytes.
 #[derive(Debug, Clone, Copy)]
 pub struct GraphConfig {
     /// Distinct significant terms absorbed per document (first-seen
     /// order). Bounds per-document edge fan-out quadratically.
     pub max_terms_per_doc: usize,
-    /// Strongest edges followed per matched node during neighborhood
-    /// expansion.
-    pub expansion_per_node: usize,
-    /// Weight of the corroboration term in graph-mode retrieval
-    /// scoring (added to the legacy relevance/recency/importance
-    /// score).
-    pub corroboration_weight: f64,
     /// Forget un-corroborated claims not reinforced for this many
     /// virtual µs (0 disables decay, the default).
     pub decay_after_us: u64,
@@ -73,8 +65,6 @@ impl Default for GraphConfig {
     fn default() -> Self {
         GraphConfig {
             max_terms_per_doc: 24,
-            expansion_per_node: 3,
-            corroboration_weight: 0.35,
             decay_after_us: 0,
         }
     }
@@ -94,7 +84,7 @@ pub struct ClaimNode {
     pub first_seen_us: u64,
     pub last_seen_us: u64,
     /// Decayed nodes keep their id (so edges/entry refs stay valid)
-    /// but drop provenance and stop contributing to retrieval.
+    /// but drop provenance and drop out of the statistics.
     pub decayed: bool,
     /// One provenance record id per live document that asserted the
     /// claim, in absorb order (see [`ClaimGraph::sources`]).
@@ -474,9 +464,7 @@ impl ClaimGraph {
     }
 
     /// A node's co-occurrence neighbors as `(weight, neighbor id)`,
-    /// sorted weight-descending with ties broken on neighbor id —
-    /// the same deterministic order [`activate`](Self::activate)
-    /// expands in.
+    /// sorted weight-descending with ties broken on neighbor id.
     pub fn neighbors(&self, id: u32) -> Vec<(u32, u32)> {
         let Some(adjacent) = self.adjacent.get(id as usize) else {
             return Vec::new();
@@ -487,59 +475,6 @@ impl ClaimGraph {
             .collect();
         neighbors.sort_unstable_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)));
         neighbors
-    }
-
-    /// Activate the graph for a query: matched nodes at 1.0, plus each
-    /// matched node's strongest co-occurrence neighbors at an
-    /// edge-weight-scaled fraction. Deterministic: ties break on node
-    /// id.
-    pub fn activate(&self, query: &str) -> BTreeMap<u32, f64> {
-        let mut activation: BTreeMap<u32, f64> = BTreeMap::new();
-        let matched: Vec<u32> = significant_terms(query, self.config.max_terms_per_doc)
-            .iter()
-            .filter_map(|t| self.interner.get(t))
-            .filter(|&id| !self.nodes[id as usize].decayed)
-            .collect();
-        for &id in &matched {
-            activation.insert(id, 1.0);
-        }
-        for &id in &matched {
-            let neighbors = self.neighbors(id);
-            for &(w, n) in neighbors.iter().take(self.config.expansion_per_node) {
-                if self.nodes[n as usize].decayed {
-                    continue;
-                }
-                let strength = 0.5 * (w as f64 / (w as f64 + 1.0));
-                let slot = activation.entry(n).or_insert(0.0);
-                if strength > *slot {
-                    *slot = strength;
-                }
-            }
-        }
-        activation
-    }
-
-    /// Graph support of one entry under an activation map: mean over
-    /// the entry's claim nodes of `activation × ln(1 + corroboration)`.
-    /// Uncorroborated claims (support 1) contribute `ln 2 ≈ 0.69`; a
-    /// claim four hosts agree on contributes `ln 5 ≈ 1.6`.
-    pub fn entry_support(&self, entry_id: u64, activation: &BTreeMap<u32, f64>) -> f64 {
-        let Some(ids) = self.entry_nodes.get(&entry_id) else {
-            return 0.0;
-        };
-        if ids.is_empty() {
-            return 0.0;
-        }
-        let mut total = 0.0;
-        for &id in ids {
-            if self.nodes[id as usize].decayed {
-                continue;
-            }
-            if let Some(act) = activation.get(&id) {
-                total += act * (1.0 + self.corroboration(id) as f64).ln();
-            }
-        }
-        total / ids.len() as f64
     }
 
     /// Aggregate statistics over live nodes.
@@ -644,8 +579,8 @@ impl ClaimGraph {
     /// the caller re-applies its own.
     ///
     /// Only snapshots `to_bytes` can produce are accepted: term texts
-    /// are distinct, every edge `(a, b)` has `a < b`, and edges and
-    /// entry ids are strictly ascending. Sources with equal fields
+    /// are distinct, decayed flags are 0 or 1, every edge `(a, b)` has
+    /// `a < b`, and edges and entry ids are strictly ascending. Sources with equal fields
     /// share one provenance record.
     pub fn from_bytes(bytes: &[u8], config: GraphConfig) -> Result<Self, GraphDecodeError> {
         let mut r = Reader { bytes, pos: 0 };
@@ -668,7 +603,15 @@ impl ClaimGraph {
             let occurrences = r.u32()?;
             let first_seen_us = r.u64()?;
             let last_seen_us = r.u64()?;
-            let decayed = r.u8()? != 0;
+            let decayed = match r.u8()? {
+                0 => false,
+                1 => true,
+                other => {
+                    return Err(GraphDecodeError(format!(
+                        "node {id} has decayed flag {other}, not 0 or 1"
+                    )))
+                }
+            };
             let source_count = r.u32()? as usize;
             let mut sources = Vec::with_capacity(source_count.min(1024));
             for _ in 0..source_count {
@@ -882,24 +825,6 @@ fn each_term(text: &str, mut f: impl FnMut(&str) -> bool) {
     }
 }
 
-/// Extract the distinct significant terms of a text: lowercased
-/// alphanumeric words of length ≥ 4 that are not stopwords, in
-/// first-seen order, capped at `max`. Pure and deterministic — the
-/// vocabulary layer of every graph operation.
-pub fn significant_terms(text: &str, max: usize) -> Vec<String> {
-    let mut terms: Vec<String> = Vec::new();
-    each_term(text, |word| {
-        if terms.len() >= max {
-            return false;
-        }
-        if !terms.iter().any(|t| t == word) {
-            terms.push(word.to_string());
-        }
-        true
-    });
-    terms
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -920,12 +845,24 @@ mod tests {
 
     #[test]
     fn significant_terms_are_stable_and_filtered() {
-        let terms = significant_terms(
-            "The EllaLink submarine cable connects Brazil to Portugal. EllaLink again!",
-            8,
-        );
+        // The claim nodes one absorb creates are the document's distinct
+        // significant terms, in first-seen order, capped per document.
+        let terms = |text: &str, max_terms_per_doc: usize| {
+            let mut g = ClaimGraph::new(GraphConfig {
+                max_terms_per_doc,
+                ..GraphConfig::default()
+            });
+            g.absorb(0, text, src("a.test", "/1", 1));
+            g.nodes()
+                .iter()
+                .map(|n| g.term_text(n.id).unwrap().to_string())
+                .collect::<Vec<_>>()
+        };
         assert_eq!(
-            terms,
+            terms(
+                "The EllaLink submarine cable connects Brazil to Portugal. EllaLink again!",
+                8
+            ),
             vec![
                 "ellalink",
                 "submarine",
@@ -935,11 +872,8 @@ mod tests {
                 "portugal"
             ]
         );
-        assert_eq!(
-            significant_terms("a of to in 123 45.6", 8),
-            Vec::<String>::new()
-        );
-        assert_eq!(significant_terms("alpha beta gamma delta", 2).len(), 2);
+        assert_eq!(terms("a of to in 123 45.6", 8), Vec::<String>::new());
+        assert_eq!(terms("alpha beta gamma delta", 2).len(), 2);
     }
 
     #[test]
@@ -980,62 +914,6 @@ mod tests {
         let node = g.node_by_text("bulletin").unwrap();
         assert_eq!(node.occurrences, 5);
         assert_eq!(g.corroboration(node.id), 1, "one host, however loud");
-    }
-
-    #[test]
-    fn activation_expands_to_strong_neighbors() {
-        let mut g = graph();
-        g.absorb(
-            0,
-            "geomagnetic latitude threatens cable",
-            src("a.test", "/1", 1),
-        );
-        g.absorb(
-            1,
-            "geomagnetic latitude threatens cable",
-            src("b.test", "/2", 2),
-        );
-        g.absorb(
-            2,
-            "unrelated gardening trivia roses",
-            src("c.test", "/3", 3),
-        );
-        let activation = g.activate("geomagnetic");
-        let matched = g.node_by_text("geomagnetic").unwrap().id;
-        assert_eq!(activation.get(&matched), Some(&1.0));
-        let neighbor = g.node_by_text("latitude").unwrap().id;
-        let strength = activation.get(&neighbor).copied().unwrap();
-        assert!(strength > 0.0 && strength < 1.0, "neighbor at {strength}");
-        let roses = g.node_by_text("roses").unwrap().id;
-        assert!(!activation.contains_key(&roses));
-    }
-
-    #[test]
-    fn entry_support_prefers_corroborated_content() {
-        let mut g = graph();
-        // The honest claim appears on two hosts; the fake on one.
-        g.absorb(
-            0,
-            "cable apex latitude degrees",
-            src("honest-a.test", "/1", 1),
-        );
-        g.absorb(
-            1,
-            "cable apex latitude degrees",
-            src("honest-b.test", "/2", 2),
-        );
-        g.absorb(
-            2,
-            "cable apex latitude degrees bulletin exclusive",
-            src("adversary.test", "/3", 3),
-        );
-        let activation = g.activate("cable apex latitude");
-        let honest = g.entry_support(0, &activation);
-        let poison = g.entry_support(2, &activation);
-        assert!(
-            honest > poison,
-            "corroborated entry must outscore the stuffed one ({honest} vs {poison})"
-        );
     }
 
     #[test]
@@ -1289,6 +1167,22 @@ mod tests {
         let bytes = snapshot(&["alpha", "beta", "alpha"], &[], &[]);
         let err = decode(&bytes).unwrap_err();
         assert!(err.0.contains("repeats the term"), "{err}");
+    }
+
+    #[test]
+    fn snapshot_with_a_decayed_flag_other_than_0_or_1_is_rejected() {
+        let mut bytes = snapshot(&["alpha"], &[], &[]);
+        // Magic, node count, "alpha", occurrences, first and last seen.
+        let flag = MAGIC.len() + 4 + (4 + 5) + 4 + 8 + 8;
+        for value in [0, 1] {
+            bytes[flag] = value;
+            assert_eq!(decode(&bytes).unwrap().to_bytes(), bytes);
+        }
+        for value in [2, 0xff] {
+            bytes[flag] = value;
+            let err = decode(&bytes).unwrap_err();
+            assert!(err.0.contains("decayed flag"), "{err}");
+        }
     }
 
     #[test]

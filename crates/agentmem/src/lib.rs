@@ -21,8 +21,9 @@
 //!   fallback on load.
 //! * [`graph`] — the weighted claim graph: interned-term claim nodes
 //!   with per-source provenance, co-occurrence edges that strengthen
-//!   across distinct documents, corroboration-weighted retrieval
-//!   support, and a compact checksummed binary snapshot.
+//!   across distinct documents, per-host corroboration (the poisoning
+//!   detector's input), and a compact checksummed binary snapshot.
+//!   Retrieval never scores it.
 //! * [`provenance`] — [`provenance::SourceRef`] records (host, path,
 //!   fetch virtual-time, absorbing session) attached to every claim.
 

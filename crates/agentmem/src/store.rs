@@ -2,12 +2,12 @@
 //! `knowledge.json` persistence — plus the weighted claim graph
 //! maintained alongside the entries (see [`crate::graph`]).
 //!
-//! The graph is always *built* (every memorise absorbs its content,
-//! every eviction drops its provenance), but only *consulted* when
-//! graph retrieval is switched on via
-//! [`KnowledgeStore::set_graph_retrieval`]. With the flag off,
-//! retrieval scoring, `knowledge.json` bytes, and therefore quiz
-//! answers are byte-identical to the flat-store path.
+//! The graph is built and persisted, never scored: every memorise
+//! absorbs its content and every eviction drops its provenance, but
+//! retrieval ranks entries on relevance, recency and importance alone.
+//! The graph serves provenance, corroboration and poisoning analysis
+//! (`ira mem`, the X5 detector), and `knowledge.json` bytes do not
+//! depend on it.
 
 use crate::embed::{embed, nonzero_buckets, sparse_dot, sparse_dots};
 use crate::entry::KnowledgeEntry;
@@ -17,7 +17,7 @@ use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use thiserror::Error;
 
 /// Weights of the three retrieval components, following the
@@ -106,15 +106,11 @@ struct StoreFile {
     entries: Vec<KnowledgeEntry>,
 }
 
-/// The agent's knowledge memory. Thread-safe: retrieval fan-out reads
-/// concurrently while the memoriser writes.
+/// The agent's knowledge memory. Thread-safe: readers share it while
+/// the memoriser writes.
 pub struct KnowledgeStore {
     inner: RwLock<Inner>,
     config: StoreConfig,
-    /// When set, retrieval scoring adds the graph corroboration term.
-    /// Runtime-only (never serialized) so `knowledge.json` stays
-    /// byte-identical either way.
-    graph_retrieval: AtomicBool,
     /// Session id stamped into provenance records (0 outside
     /// multi-session runs).
     session: AtomicU32,
@@ -202,7 +198,6 @@ impl KnowledgeStore {
                 graph: ClaimGraph::new(GraphConfig::default()),
             }),
             config,
-            graph_retrieval: AtomicBool::new(false),
             session: AtomicU32::new(0),
         }
     }
@@ -213,18 +208,6 @@ impl KnowledgeStore {
 
     pub fn config(&self) -> &StoreConfig {
         &self.config
-    }
-
-    /// Switch the graph corroboration term in retrieval scoring on or
-    /// off (default off). Off ⇒ scoring is byte-identical to the flat
-    /// store; the graph is still built either way.
-    pub fn set_graph_retrieval(&self, enabled: bool) {
-        self.graph_retrieval.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether graph-mode retrieval is active.
-    pub fn graph_retrieval(&self) -> bool {
-        self.graph_retrieval.load(Ordering::Relaxed)
     }
 
     /// Set the session id stamped into provenance records of future
@@ -357,11 +340,6 @@ impl KnowledgeStore {
     /// highest-scoring remaining entry is chosen after subtracting the
     /// diversity penalty against what is already selected.
     ///
-    /// With graph retrieval on, each entry's score additionally earns
-    /// `corroboration_weight × entry_support` — the graph activation of
-    /// its claims (query matches plus strong co-occurrence neighbors)
-    /// weighted by how many *distinct hosts* corroborate each claim.
-    ///
     /// The result is exactly that of the plain greedy loop: at every
     /// step, rescan all remaining entries in the base order (score desc,
     /// id asc) for the greatest `score − diversity × max_sim`, where
@@ -402,25 +380,17 @@ impl KnowledgeStore {
     /// [`KnowledgeStore::retrieve`] returns, in selection order.
     fn select(&self, inner: &Inner, query: &str, k: usize, now: u64) -> Vec<usize> {
         let q = nonzero_buckets(&embed(query));
-        let activation = self.graph_retrieval().then(|| inner.graph.activate(query));
-        let corroboration_weight = inner.graph.config().corroboration_weight;
         let mut candidates: Vec<Candidate> = inner
             .entries
             .iter()
             .enumerate()
-            .map(|(index, e)| {
-                let mut score = self.score(e, &q, now);
-                if let Some(activation) = &activation {
-                    score += corroboration_weight * inner.graph.entry_support(e.id, activation);
-                }
-                Candidate {
-                    score,
-                    id: e.id,
-                    index,
-                    max_sim: 0.0,
-                    folded: 0,
-                    taken: false,
-                }
+            .map(|(index, e)| Candidate {
+                score: self.score(e, &q, now),
+                id: e.id,
+                index,
+                max_sim: 0.0,
+                folded: 0,
+                taken: false,
             })
             .collect();
         let k = k.min(candidates.len());
@@ -561,7 +531,6 @@ impl KnowledgeStore {
                 graph,
             }),
             config: file.config,
-            graph_retrieval: AtomicBool::new(false),
             session: AtomicU32::new(0),
         })
     }
@@ -997,97 +966,6 @@ mod tests {
         });
         let hosts = s.graph_host_stats();
         assert!(hosts.contains_key("a.test") && hosts.contains_key("b.test"));
-    }
-
-    #[test]
-    fn graph_flag_off_means_flat_scoring() {
-        // Two stores fed identically, one with graph retrieval toggled
-        // on and back off — retrieval must be byte-identical.
-        let feed = |s: &KnowledgeStore| {
-            s.memorize(
-                "t",
-                "alpha cable latitude fact",
-                "sim://a.test/1",
-                "news",
-                1,
-                0.5,
-            );
-            s.memorize(
-                "t",
-                "beta storm latitude fact",
-                "sim://b.test/2",
-                "news",
-                2,
-                0.5,
-            );
-            s.memorize(
-                "t",
-                "gardening trivia roses",
-                "sim://c.test/3",
-                "forum",
-                3,
-                0.5,
-            );
-        };
-        let plain = store();
-        feed(&plain);
-        let toggled = store();
-        toggled.set_graph_retrieval(true);
-        feed(&toggled);
-        toggled.set_graph_retrieval(false);
-        assert_eq!(
-            plain.retrieve_texts("latitude fact", 2, 10),
-            toggled.retrieve_texts("latitude fact", 2, 10)
-        );
-        assert_eq!(plain.to_json(), toggled.to_json());
-    }
-
-    #[test]
-    fn graph_mode_lifts_corroborated_entries() {
-        // Entries tie on flat scoring (disjoint vocab, same recency /
-        // importance weights zeroed), but one claim set is asserted by
-        // two hosts. Graph mode must prefer the corroborated entry.
-        let config = StoreConfig {
-            weights: RetrievalWeights {
-                relevance: 1.0,
-                recency: 0.0,
-                importance: 0.0,
-                half_life_secs: 3600.0,
-                diversity: 0.0,
-            },
-            ..StoreConfig::default()
-        };
-        let s = KnowledgeStore::new(config);
-        s.memorize(
-            "t",
-            "apex latitude figure corroborated",
-            "sim://a.test/1",
-            "news",
-            1,
-            0.5,
-        );
-        s.memorize(
-            "t",
-            "apex latitude figure confirmed independently",
-            "sim://b.test/2",
-            "news",
-            2,
-            0.5,
-        );
-        s.memorize(
-            "t",
-            "apex latitude bulletin exclusive fabricated",
-            "sim://evil.test/3",
-            "news",
-            3,
-            0.5,
-        );
-        s.set_graph_retrieval(true);
-        let hits = s.retrieve("apex latitude", 1, 10);
-        assert!(
-            !hits[0].source_url.contains("evil"),
-            "corroborated claims must outrank the single-host exclusive"
-        );
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //! * each graph's `to_bytes`, `stats` and `host_stats`, and the
 //!   re-encoding of `from_bytes(to_bytes)`;
 //! * every node's `neighbors` and corroboration;
-//! * `activate` and every entry's `entry_support` for every quiz
-//!   question of the four scenarios;
 //! * a `KnowledgeStore::from_json` rebuild whose file repeats an entry
 //!   id, before and after memorizing past the store's capacity.
 //!
@@ -21,7 +19,7 @@
 
 use ira_agentmem::{split_url, ClaimGraph, GraphConfig, KnowledgeStore, SourceRef};
 use ira_webcorpus::{Corpus, CorpusConfig};
-use ira_worldmodel::scenario::{self, ScenarioRegistry};
+use ira_worldmodel::scenario::ScenarioRegistry;
 use ira_worldmodel::World;
 
 const GOLDEN: &str = include_str!("graph_golden.golden");
@@ -47,19 +45,6 @@ fn pages() -> Vec<Page> {
         );
     }
     pages
-}
-
-/// Every quiz question of the four scenarios, labelled.
-fn questions() -> Vec<(String, String)> {
-    let world = World::standard();
-    let mut out = Vec::new();
-    for name in ScenarioRegistry::standard().names() {
-        let sc = scenario::lookup(name).expect("registered");
-        for c in sc.conclusions(&world) {
-            out.push((format!("{name}/{}", c.id), c.question));
-        }
-    }
-    out
 }
 
 /// Absorb every page, entry `i` from page `i`, removing every fifth
@@ -113,20 +98,6 @@ fn graph_items(name: &str, g: &ClaimGraph, items: &mut Vec<(String, String)>) {
     items.push((format!("{name}/from_bytes"), fp(&back.to_bytes())));
 }
 
-/// `activate` and every entry's support, per quiz question.
-fn quiz_items(name: &str, g: &ClaimGraph, entries: u64, items: &mut Vec<(String, String)>) {
-    for (label, question) in questions() {
-        let activation = g.activate(&question);
-        let support: Vec<f64> = (0..entries)
-            .map(|e| g.entry_support(e, &activation))
-            .collect();
-        items.push((
-            format!("{name}/quiz/{label}"),
-            fp(format!("{activation:?} {support:?}").as_bytes()),
-        ));
-    }
-}
-
 /// A store file whose entries repeat an id, rebuilt through `from_json`
 /// and then pushed past its capacity so evictions hit the repeated id.
 fn store_items(pages: &[Page], items: &mut Vec<(String, String)>) {
@@ -171,7 +142,6 @@ fn items() -> Vec<(String, String)> {
             fp(line.as_bytes()),
         ));
     }
-    quiz_items("graph", &g, pages.len() as u64, &mut items);
 
     let decaying = build(
         &pages,
@@ -186,7 +156,6 @@ fn items() -> Vec<(String, String)> {
         "decay must forget some claims, not all"
     );
     graph_items("decay", &decaying, &mut items);
-    quiz_items("decay", &decaying, pages.len() as u64, &mut items);
 
     store_items(&pages, &mut items);
     items

@@ -1,9 +1,14 @@
-//! Property-based tests for embeddings and the knowledge store.
+//! Property-based tests for embeddings, the knowledge store and the
+//! `IRAGRPH1` graph snapshot decoder.
 
-use ira_agentmem::{cosine, embed, KnowledgeStore, StoreConfig, EMBED_DIM};
+use ira_agentmem::graph::GraphDecodeError;
+use ira_agentmem::{
+    cosine, embed, ClaimGraph, GraphConfig, KnowledgeStore, SourceRef, StoreConfig, EMBED_DIM,
+};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// A unique scratch directory per test case (proptest shrinks rerun the
 /// closure many times, so the path must never collide across cases).
@@ -311,5 +316,106 @@ fn dedup_decisions_at_the_threshold_match_the_dense_scan() {
                 assert_eq!(id.is_none(), duplicate, "{similarity} at {at} of {len}");
             }
         }
+    }
+}
+
+/// A real snapshot with every section non-empty: documents from three
+/// hosts (so some claims corroborate), a removed entry, decayed nodes,
+/// and a source record shared by several nodes.
+fn real_snapshot() -> &'static [u8] {
+    static SNAPSHOT: OnceLock<Vec<u8>> = OnceLock::new();
+    SNAPSHOT.get_or_init(|| {
+        let mut g = ClaimGraph::new(GraphConfig {
+            decay_after_us: 50,
+            ..GraphConfig::default()
+        });
+        let docs = [
+            ("a.test", "cable apex latitude degrees storm"),
+            ("b.test", "cable apex latitude repeaters"),
+            ("a.test", "gardening roses pasta"),
+            ("c.test", "storm latitude outage grid"),
+        ];
+        for (i, (host, text)) in docs.into_iter().enumerate() {
+            let entry_id = i as u64;
+            let source = SourceRef {
+                host: host.to_string(),
+                path: format!("/doc/{i}"),
+                fetched_at_us: 10 * entry_id,
+                session: (i % 2) as u32,
+                entry_id,
+            };
+            g.absorb(entry_id, text, source);
+        }
+        g.remove_entry(1);
+        assert!(g.decay(100) > 0, "the fixture must hold decayed nodes");
+        g.to_bytes()
+    })
+}
+
+/// The decoder contract: any input yields `Ok` or a `GraphDecodeError`
+/// (a panic fails the test), and a graph it accepts re-encodes to the
+/// very bytes it was decoded from.
+fn decode_is_total_and_canonical(bytes: &[u8]) -> Result<(), TestCaseError> {
+    match ClaimGraph::from_bytes(bytes, GraphConfig::default()) {
+        Ok(graph) => {
+            let again = graph.to_bytes();
+            let first_difference = again.iter().zip(bytes).position(|(x, y)| x != y);
+            prop_assert!(
+                again == bytes,
+                "an accepted snapshot of {} bytes re-encodes to {} bytes, first difference at {:?}",
+                bytes.len(),
+                again.len(),
+                first_difference
+            );
+        }
+        Err(GraphDecodeError(message)) => prop_assert!(!message.is_empty()),
+    }
+    Ok(())
+}
+
+#[test]
+fn every_truncation_and_flipped_byte_of_a_real_snapshot_decodes_safely() {
+    let snapshot = real_snapshot();
+    let graph = ClaimGraph::from_bytes(snapshot, GraphConfig::default()).unwrap();
+    assert_eq!(graph.to_bytes(), snapshot);
+    for len in 0..snapshot.len() {
+        assert!(
+            ClaimGraph::from_bytes(&snapshot[..len], GraphConfig::default()).is_err(),
+            "a snapshot cut to {len} bytes decoded"
+        );
+    }
+    for at in 0..snapshot.len() {
+        for byte in [0x00, 0x01, 0x02, 0x7f, 0x80, 0xff, snapshot[at] ^ 0x01] {
+            let mut bytes = snapshot.to_vec();
+            bytes[at] = byte;
+            if let Err(e) = decode_is_total_and_canonical(&bytes) {
+                panic!("byte {at} set to {byte:#04x}: {e}");
+            }
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn graph_decoder_survives_arbitrary_bytes(
+        magic in 0u8..2,
+        tail in prop::collection::vec(0u8..=255, 0..512),
+    ) {
+        // Half the inputs carry the magic, so the body parser is reached.
+        let mut bytes = real_snapshot()[..8 * magic as usize].to_vec();
+        bytes.extend_from_slice(&tail);
+        decode_is_total_and_canonical(&bytes)?;
+    }
+
+    #[test]
+    fn graph_decoder_survives_truncated_and_mutated_snapshots(
+        at in 0..real_snapshot().len(),
+        byte in 0u8..=255,
+        cut in 0..=real_snapshot().len(),
+    ) {
+        let mut bytes = real_snapshot().to_vec();
+        bytes[at] = byte;
+        bytes.truncate(cut);
+        decode_is_total_and_canonical(&bytes)?;
     }
 }

@@ -44,54 +44,44 @@ fn quadratic_retrieve(
     let q = embed(query);
     let entries = store.entries();
     let weights = store.config().weights;
-    store.with_graph(|graph| {
-        let activation = store.graph_retrieval().then(|| graph.activate(query));
-        let corroboration_weight = graph.config().corroboration_weight;
-        let mut candidates: Vec<(f64, &KnowledgeEntry)> = entries
-            .iter()
-            .map(|e| {
-                let mut score = quadratic_score(&weights, e, &q, now);
-                if let Some(activation) = &activation {
-                    score += corroboration_weight * graph.entry_support(e.id, activation);
-                }
-                (score, e)
-            })
+    let mut candidates: Vec<(f64, &KnowledgeEntry)> = entries
+        .iter()
+        .map(|e| (quadratic_score(&weights, e, &q, now), e))
+        .collect();
+    // Deterministic base order: score desc, id asc.
+    candidates.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.id.cmp(&b.1.id)));
+
+    let diversity = weights.diversity;
+    if diversity <= 0.0 {
+        return candidates
+            .into_iter()
+            .take(k)
+            .map(|(_, e)| e.clone())
             .collect();
-        // Deterministic base order: score desc, id asc.
-        candidates.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.id.cmp(&b.1.id)));
+    }
 
-        let diversity = weights.diversity;
-        if diversity <= 0.0 {
-            return candidates
-                .into_iter()
-                .take(k)
-                .map(|(_, e)| e.clone())
-                .collect();
-        }
-
-        let mut selected: Vec<KnowledgeEntry> = Vec::with_capacity(k.min(candidates.len()));
-        while selected.len() < k && !candidates.is_empty() {
-            let best = candidates
-                .iter()
-                .enumerate()
-                .map(|(i, (score, e))| {
-                    let max_sim = selected
-                        .iter()
-                        .map(|s| cosine(&s.embedding, &e.embedding) as f64)
-                        .fold(0.0f64, f64::max);
-                    (i, score - diversity * max_sim)
-                })
-                .max_by(|a, b| a.1.total_cmp(&b.1));
-            match best {
-                Some((i, _)) => {
-                    let (_, e) = candidates.remove(i);
-                    selected.push(e.clone());
-                }
-                None => break,
+    let mut selected: Vec<KnowledgeEntry> = Vec::with_capacity(k.min(candidates.len()));
+    while selected.len() < k && !candidates.is_empty() {
+        let best = candidates
+            .iter()
+            .enumerate()
+            .map(|(i, (score, e))| {
+                let max_sim = selected
+                    .iter()
+                    .map(|s| cosine(&s.embedding, &e.embedding) as f64)
+                    .fold(0.0f64, f64::max);
+                (i, score - diversity * max_sim)
+            })
+            .max_by(|a, b| a.1.total_cmp(&b.1));
+        match best {
+            Some((i, _)) => {
+                let (_, e) = candidates.remove(i);
+                selected.push(e.clone());
             }
+            None => break,
         }
-        selected
-    })
+    }
+    selected
 }
 
 fn ids(entries: &[KnowledgeEntry]) -> Vec<u64> {
@@ -110,12 +100,11 @@ proptest! {
             (prop::collection::vec(0..WORDS.len(), 0..6), 0u64..4, 0usize..3),
             0..=300,
         ),
-        // (dedup threshold, capacity, graph retrieval): a threshold
-        // above 1 keeps exact duplicates; the small capacity evicts.
-        (dedup_threshold, capacity, graph) in (
+        // (dedup threshold, capacity): a threshold above 1 keeps exact
+        // duplicates; the small capacity evicts.
+        (dedup_threshold, capacity) in (
             prop::sample::select(vec![0.98f32, 2.0]),
             prop::sample::select(vec![2_000usize, 120]),
-            prop::sample::select(vec![false, true]),
         ),
         (recency, importance, diversity) in (
             prop::sample::select(vec![0.0f64, 0.1, 1.0]),
@@ -138,7 +127,6 @@ proptest! {
                 diversity,
             },
         });
-        store.set_graph_retrieval(graph);
         for (i, (words, learned_s, importance_step)) in pages.iter().enumerate() {
             store.memorize(
                 "t",

@@ -15,8 +15,8 @@
 //!   (claims other hosts independently assert), so repetition from one
 //!   host cannot move the consensus and the adversary stays visible at
 //!   every dose.
-//! * **Verdict resistance** — the flagship question asked with legacy
-//!   retrieval vs graph-mode retrieval (corroboration term in scoring).
+//! * **Verdict resistance** — the flagship question asked after the
+//!   injection.
 //!
 //! Output is deterministic: fixed seeds, virtual time only.
 
@@ -32,15 +32,8 @@ const QUESTION: &str = "Which is more vulnerable to solar activity? The fiber op
 /// Degrees of deviation from consensus at which a host is flagged.
 const TOLERANCE: f64 = 5.0;
 
-fn trained_bob(engine: &Engine, graph_retrieval: bool) -> Session {
-    let agent = AgentConfig {
-        graph_retrieval,
-        ..AgentConfig::default()
-    };
-    let mut session = engine.spawn_session(SessionConfig {
-        agent,
-        ..SessionConfig::bob()
-    });
+fn trained_bob(engine: &Engine) -> Session {
+    let mut session = engine.spawn_session(SessionConfig::bob());
     session.agent.train();
     let _ = session.agent.self_learn(QUESTION); // honest knowledge in memory
     session
@@ -74,7 +67,7 @@ fn main() {
             "X5",
             "poisoned-source detection: flat vs claim-graph corroboration",
             "(extension) adversarial entries in knowledge.json; detection P/R per dose, \
-             plus verdict resistance with legacy vs graph retrieval"
+             plus verdict resistance"
         )
     );
 
@@ -83,24 +76,18 @@ fn main() {
     let mut graph_caught_where_flat_missed = 0usize;
     let engine = Engine::new();
     for poison_count in [0usize, 1, 2, 4, 8] {
-        // Legacy-retrieval agent: detection baseline + verdict.
-        let mut flat_session = trained_bob(&engine, false);
-        let flat_bob = &mut flat_session.agent;
-        inject(flat_bob, flat_session.env.now_us(), poison_count);
+        let mut session = trained_bob(&engine);
+        let bob = &mut session.agent;
+        inject(bob, session.env.now_us(), poison_count);
         let flat =
-            detect_poisoned_sources(flat_bob.memory(), TOLERANCE, false).score_against(&adversary);
+            detect_poisoned_sources(bob.memory(), TOLERANCE, false).score_against(&adversary);
         let graph =
-            detect_poisoned_sources(flat_bob.memory(), TOLERANCE, true).score_against(&adversary);
+            detect_poisoned_sources(bob.memory(), TOLERANCE, true).score_against(&adversary);
         if graph.true_positives > flat.true_positives {
             graph_caught_where_flat_missed += 1;
         }
-        let stored = poisoned_entry_count(flat_bob.memory());
-        let flat_verdict = verdict_cell(flat_bob);
-
-        // Graph-retrieval agent: same training, same injection.
-        let mut graph_session = trained_bob(&engine, true);
-        inject(&graph_session.agent, graph_session.now_us(), poison_count);
-        let graph_verdict = verdict_cell(&mut graph_session.agent);
+        let stored = poisoned_entry_count(bob.memory());
+        let verdict = verdict_cell(bob);
 
         let (fp, fr) = fmt_scores(&flat);
         let (gp, gr) = fmt_scores(&graph);
@@ -111,8 +98,7 @@ fn main() {
             fr,
             gp,
             gr,
-            flat_verdict,
-            graph_verdict,
+            verdict,
         ]);
     }
     println!(
@@ -126,7 +112,6 @@ fn main() {
                 "graph P",
                 "graph R",
                 "flat verdict",
-                "graph verdict"
             ],
             &rows
         )

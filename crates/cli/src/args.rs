@@ -3,7 +3,8 @@
 //! Deliberately dependency-free: the grammar is small (one subcommand,
 //! a handful of `--flag value` options, one positional), and keeping it
 //! in-tree means the whole workspace builds from the offline
-//! dependency set.
+//! dependency set. Each subcommand lists the flags it defines; any
+//! other `--flag` is a usage error that names it.
 
 use std::fmt;
 
@@ -103,9 +104,6 @@ pub enum Command {
         deadline_us: Option<u64>,
         /// Write the serve trace (a `serve.request` span per request).
         trace: Option<String>,
-        /// Run every session's memory in graph-retrieval mode (claim
-        /// graph corroboration joins the retrieval score).
-        graph: bool,
         /// Print a sample request batch and exit.
         example: bool,
         /// Print a live-telemetry snapshot to stderr every N requests.
@@ -141,9 +139,7 @@ pub enum MemAction {
     /// Print graph statistics: nodes, edges, corroboration histogram,
     /// per-host trust table.
     Stats { knowledge: String },
-    /// Preview retrieval for a query with graph activation: matched
-    /// claim nodes, their expansions, and the top entries with flat
-    /// vs graph-mode scores.
+    /// The top entries retrieval returns for a query, in rank order.
     Query {
         knowledge: String,
         query: String,
@@ -241,7 +237,6 @@ COMMANDS:
                   --burst <n>             admission burst size (default 8)
                   --deadline-us <µs>      default virtual deadline
                   --trace <file>          write the serve trace
-                  --graph                 graph-retrieval memory mode
                   --example               print a sample request batch
                   --stats-every <n>       print a live-telemetry snapshot
                                           to stderr every n requests
@@ -295,10 +290,8 @@ COMMANDS:
                 knowledge.json)
                   stats                   node/edge counts, corroboration
                                           histogram, per-host trust table
-                  query \"<terms>\"         preview retrieval: matched claim
-                                          nodes, expansions, and top
-                                          entries with flat vs graph-mode
-                                          scores
+                  query \"<terms>\"         the top entries retrieval returns
+                                          for the query, in rank order
                     --top <n>             entries to show (default 5)
                   provenance \"<term>\"     every source that asserted a
                                           claim term: host, path, fetch
@@ -354,53 +347,96 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     let mut it = args.iter().map(String::as_str);
     let cmd = it.next().unwrap_or("help");
     let rest: Vec<&str> = it.collect();
+    // The action of a command that has actions, and its arguments.
+    let action = rest.first().copied();
+    let sub = rest.get(1..).unwrap_or(&[]);
 
     match cmd {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "train" => {
-            let role = match flag(&rest, "--role")?.unwrap_or("bob") {
+            let a = Args::new(
+                "train",
+                &rest,
+                &[
+                    "--role",
+                    "--out",
+                    "--crawl",
+                    "--distractors",
+                    "--faults",
+                    "--parallel",
+                    "--trace",
+                ],
+                &["--resume", "--metrics"],
+            )?;
+            let role = match a.value("--role")?.unwrap_or("bob") {
                 "bob" => RoleChoice::Bob,
                 "alice" => RoleChoice::Alice,
                 other => return Err(ParseError(format!("unknown role {other:?}"))),
             };
             Ok(Command::Train {
                 role,
-                out: flag(&rest, "--out")?
-                    .unwrap_or("knowledge.json")
-                    .to_string(),
-                crawl_links: num_flag(&rest, "--crawl", 0)?,
-                distractors: num_flag(&rest, "--distractors", 150)?,
-                faults: float_flag(&rest, "--faults", 0.0)?,
-                resume: rest.contains(&"--resume"),
-                parallel: num_flag(&rest, "--parallel", 1)?.max(1),
-                trace: flag(&rest, "--trace")?.map(str::to_string),
-                metrics: rest.contains(&"--metrics"),
+                out: a.value("--out")?.unwrap_or("knowledge.json").to_string(),
+                crawl_links: a.num("--crawl", 0)?,
+                distractors: a.num("--distractors", 150)?,
+                faults: a.fraction("--faults", 0.0)?,
+                resume: a.switch("--resume"),
+                parallel: a.num("--parallel", 1)?.max(1),
+                trace: a.value("--trace")?.map(str::to_string),
+                metrics: a.switch("--metrics"),
             })
         }
-        "ask" => Ok(Command::Ask {
-            knowledge: flag(&rest, "--knowledge")?
-                .unwrap_or("knowledge.json")
-                .to_string(),
-            question: positional(&rest).ok_or_else(|| ParseError("ask needs a question".into()))?,
-        }),
-        "learn" => Ok(Command::Learn {
-            knowledge: flag(&rest, "--knowledge")?
-                .unwrap_or("knowledge.json")
-                .to_string(),
-            threshold: num_flag(&rest, "--threshold", 7)?,
-            question: positional(&rest)
-                .ok_or_else(|| ParseError("learn needs a question".into()))?,
-        }),
-        "quiz" => Ok(Command::Quiz {
-            incidents: rest.contains(&"--incidents"),
-            threshold: num_flag(&rest, "--threshold", 7)?,
-            report: flag(&rest, "--report")?.map(str::to_string),
-            parallel: num_flag(&rest, "--parallel", 1)?.max(1),
-            trace: flag(&rest, "--trace")?.map(str::to_string),
-            metrics: rest.contains(&"--metrics"),
-        }),
+        "ask" => {
+            let a = Args::new("ask", &rest, &["--knowledge"], &[])?;
+            Ok(Command::Ask {
+                knowledge: a.knowledge()?,
+                question: a
+                    .positional()
+                    .ok_or_else(|| ParseError("ask needs a question".into()))?,
+            })
+        }
+        "learn" => {
+            let a = Args::new("learn", &rest, &["--knowledge", "--threshold"], &[])?;
+            Ok(Command::Learn {
+                knowledge: a.knowledge()?,
+                threshold: a.num("--threshold", 7)?,
+                question: a
+                    .positional()
+                    .ok_or_else(|| ParseError("learn needs a question".into()))?,
+            })
+        }
+        "quiz" => {
+            let a = Args::new(
+                "quiz",
+                &rest,
+                &["--threshold", "--report", "--parallel", "--trace"],
+                &["--incidents", "--metrics"],
+            )?;
+            Ok(Command::Quiz {
+                incidents: a.switch("--incidents"),
+                threshold: a.num("--threshold", 7)?,
+                report: a.value("--report")?.map(str::to_string),
+                parallel: a.num("--parallel", 1)?.max(1),
+                trace: a.value("--trace")?.map(str::to_string),
+                metrics: a.switch("--metrics"),
+            })
+        }
         "serve" => {
-            let rate = match flag(&rest, "--rate")? {
+            let a = Args::new(
+                "serve",
+                &rest,
+                &[
+                    "--input",
+                    "--workers",
+                    "--rate",
+                    "--burst",
+                    "--deadline-us",
+                    "--trace",
+                    "--stats-every",
+                    "--flight",
+                ],
+                &["--example"],
+            )?;
+            let rate = match a.value("--rate")? {
                 Some(v) => v.parse::<f64>().map_err(|_| {
                     ParseError(format!("--rate expects requests per second, got {v:?}"))
                 })?,
@@ -409,40 +445,39 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             if rate.is_nan() || rate <= 0.0 {
                 return Err(ParseError(format!("--rate must be positive, got {rate}")));
             }
-            let deadline_us = match flag(&rest, "--deadline-us")? {
+            let deadline_us = match a.value("--deadline-us")? {
                 Some(v) => Some(v.parse::<u64>().map_err(|_| {
                     ParseError(format!("--deadline-us expects microseconds, got {v:?}"))
                 })?),
                 None => None,
             };
             Ok(Command::Serve {
-                input: flag(&rest, "--input")?.map(str::to_string),
-                workers: num_flag(&rest, "--workers", 4)?.max(1),
+                input: a.value("--input")?.map(str::to_string),
+                workers: a.num("--workers", 4)?.max(1),
                 rate,
-                burst: num_flag(&rest, "--burst", 8)?.max(1) as u32,
+                burst: a.num("--burst", 8)?.max(1) as u32,
                 deadline_us,
-                trace: flag(&rest, "--trace")?.map(str::to_string),
-                graph: rest.contains(&"--graph"),
-                example: rest.contains(&"--example"),
-                stats_every: match flag(&rest, "--stats-every")? {
+                trace: a.value("--trace")?.map(str::to_string),
+                example: a.switch("--example"),
+                stats_every: match a.value("--stats-every")? {
                     Some(v) => Some(v.parse::<usize>().map_err(|_| {
                         ParseError(format!("--stats-every expects a request count, got {v:?}"))
                     })?)
                     .filter(|n| *n > 0),
                     None => None,
                 },
-                flight: flag(&rest, "--flight")?.map(str::to_string),
+                flight: a.value("--flight")?.map(str::to_string),
             })
         }
-        "obs" => match rest.first().copied() {
+        "obs" => match action {
             Some("render") => {
-                let sub = &rest[1..];
-                let file = positional(sub).ok_or_else(|| {
+                let a = Args::new("obs render", sub, &[], &["--prom"])?;
+                let file = a.positional().ok_or_else(|| {
                     ParseError("obs render needs a snapshot or transcript file (or -)".into())
                 })?;
                 Ok(Command::ObsRender {
                     file,
-                    prom: sub.contains(&"--prom"),
+                    prom: a.switch("--prom"),
                 })
             }
             Some(other) => Err(ParseError(format!(
@@ -450,45 +485,13 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             ))),
             None => Err(ParseError("obs needs an action: render".into())),
         },
-        "bench" => match rest.first().copied() {
+        "bench" => match action {
             Some("diff") => {
-                let sub = &rest[1..];
-                let positionals: Vec<&str> = {
-                    let mut skip = false;
-                    sub.iter()
-                        .filter(|a| {
-                            if skip {
-                                skip = false;
-                                return false;
-                            }
-                            if a.starts_with("--") {
-                                skip = **a == "--max-regress";
-                                return false;
-                            }
-                            true
-                        })
-                        .copied()
-                        .collect()
-                };
-                let [base, current] = positionals[..] else {
-                    return Err(ParseError(
-                        "bench diff needs two inputs: <base> <current> (either may be -)".into(),
-                    ));
-                };
-                let max_regress = match flag(sub, "--max-regress")? {
-                    Some(v) => v.parse::<f64>().map_err(|_| {
-                        ParseError(format!("--max-regress expects a percentage, got {v:?}"))
-                    })?,
-                    None => 0.0,
-                };
-                if !(0.0..=100.0).contains(&max_regress) {
-                    return Err(ParseError(format!(
-                        "--max-regress must be in [0, 100], got {max_regress}"
-                    )));
-                }
+                let a = Args::new("bench diff", sub, &["--max-regress"], &[])?;
+                let (base, current, max_regress) = a.diff_inputs("bench diff")?;
                 Ok(Command::BenchDiff {
-                    base: base.to_string(),
-                    current: current.to_string(),
+                    base,
+                    current,
                     max_regress,
                 })
             }
@@ -497,52 +500,71 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             ))),
             None => Err(ParseError("bench needs an action: diff".into())),
         },
-        "plan" => Ok(Command::Plan),
-        "mem" => {
-            let sub = rest.get(1..).unwrap_or(&[]);
-            let knowledge = flag(sub, "--knowledge")?
-                .unwrap_or("knowledge.json")
-                .to_string();
-            match rest.first().copied() {
-                Some("stats") => Ok(Command::Mem {
-                    action: MemAction::Stats { knowledge },
-                }),
-                Some("query") => Ok(Command::Mem {
-                    action: MemAction::Query {
-                        knowledge,
-                        query: positional(sub)
-                            .ok_or_else(|| ParseError("mem query needs a query string".into()))?,
-                        top: num_flag(sub, "--top", 5)?.max(1),
-                    },
-                }),
-                Some("provenance") => Ok(Command::Mem {
-                    action: MemAction::Provenance {
-                        knowledge,
-                        term: positional(sub)
-                            .ok_or_else(|| ParseError("mem provenance needs a term".into()))?,
-                    },
-                }),
-                Some(other) => Err(ParseError(format!(
-                    "unknown mem action {other:?}; expected stats|query|provenance"
-                ))),
-                None => Err(ParseError(
-                    "mem needs an action: stats|query|provenance".into(),
-                )),
-            }
+        "plan" => {
+            Args::new("plan", &rest, &[], &[])?;
+            Ok(Command::Plan)
         }
-        "audit" => Ok(Command::Audit),
-        "questions" => Ok(Command::Questions {
-            knowledge: flag(&rest, "--knowledge")?
-                .unwrap_or("knowledge.json")
-                .to_string(),
-            max: num_flag(&rest, "--max", 10)?,
-        }),
-        "corpus" => Ok(Command::Corpus {
-            distractors: num_flag(&rest, "--distractors", 150)?,
-            faults: float_flag(&rest, "--faults", 0.0)?,
-        }),
+        "mem" => {
+            let action = match action {
+                Some("stats") => {
+                    let a = Args::new("mem stats", sub, &["--knowledge"], &[])?;
+                    MemAction::Stats {
+                        knowledge: a.knowledge()?,
+                    }
+                }
+                Some("query") => {
+                    let a = Args::new("mem query", sub, &["--knowledge", "--top"], &[])?;
+                    MemAction::Query {
+                        knowledge: a.knowledge()?,
+                        query: a
+                            .positional()
+                            .ok_or_else(|| ParseError("mem query needs a query string".into()))?,
+                        top: a.num("--top", 5)?.max(1),
+                    }
+                }
+                Some("provenance") => {
+                    let a = Args::new("mem provenance", sub, &["--knowledge"], &[])?;
+                    MemAction::Provenance {
+                        knowledge: a.knowledge()?,
+                        term: a
+                            .positional()
+                            .ok_or_else(|| ParseError("mem provenance needs a term".into()))?,
+                    }
+                }
+                Some(other) => {
+                    return Err(ParseError(format!(
+                        "unknown mem action {other:?}; expected stats|query|provenance"
+                    )))
+                }
+                None => {
+                    return Err(ParseError(
+                        "mem needs an action: stats|query|provenance".into(),
+                    ))
+                }
+            };
+            Ok(Command::Mem { action })
+        }
+        "audit" => {
+            Args::new("audit", &rest, &[], &[])?;
+            Ok(Command::Audit)
+        }
+        "questions" => {
+            let a = Args::new("questions", &rest, &["--knowledge", "--max"], &[])?;
+            Ok(Command::Questions {
+                knowledge: a.knowledge()?,
+                max: a.num("--max", 10)?,
+            })
+        }
+        "corpus" => {
+            let a = Args::new("corpus", &rest, &["--distractors", "--faults"], &[])?;
+            Ok(Command::Corpus {
+                distractors: a.num("--distractors", 150)?,
+                faults: a.fraction("--faults", 0.0)?,
+            })
+        }
         "simulate" => {
-            let what = match positional(&rest).as_deref() {
+            let a = Args::new("simulate", &rest, &[], &[])?;
+            let what = match a.positional().as_deref() {
                 Some("storms") | None => SimChoice::Storms,
                 Some("outage") => SimChoice::Outage,
                 Some("economics") => SimChoice::Economics,
@@ -555,100 +577,73 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             Ok(Command::Simulate { what })
         }
         "scenario" => {
-            let sub = rest.get(1..).unwrap_or(&[]);
+            let a = Args::new("scenario", sub, &[], &[])?;
             let name = || {
-                positional(sub)
+                a.positional()
                     .ok_or_else(|| ParseError("scenario action needs a scenario name".into()))
             };
-            match rest.first().copied() {
-                Some("list") => Ok(Command::Scenario {
-                    action: ScenarioAction::List,
-                }),
-                Some("describe") => Ok(Command::Scenario {
-                    action: ScenarioAction::Describe { name: name()? },
-                }),
-                Some("quiz") => Ok(Command::Scenario {
-                    action: ScenarioAction::Quiz { name: name()? },
-                }),
-                Some(other) => Err(ParseError(format!(
-                    "unknown scenario action {other:?}; expected list|describe|quiz"
-                ))),
-                None => Err(ParseError(
-                    "scenario needs an action: list|describe|quiz".into(),
-                )),
-            }
+            let action = match action {
+                Some("list") => ScenarioAction::List,
+                Some("describe") => ScenarioAction::Describe { name: name()? },
+                Some("quiz") => ScenarioAction::Quiz { name: name()? },
+                Some(other) => {
+                    return Err(ParseError(format!(
+                        "unknown scenario action {other:?}; expected list|describe|quiz"
+                    )))
+                }
+                None => {
+                    return Err(ParseError(
+                        "scenario needs an action: list|describe|quiz".into(),
+                    ))
+                }
+            };
+            Ok(Command::Scenario { action })
         }
-        "trace" => match rest.first().copied() {
+        "trace" => match action {
             Some("summarize") => {
-                let file = rest.get(1).copied().ok_or_else(|| {
+                let a = Args::new("trace summarize", sub, &[], &[])?;
+                let file = a.positional().ok_or_else(|| {
                     ParseError("trace summarize needs a trace file (or -)".into())
                 })?;
-                Ok(Command::TraceSummarize {
-                    file: file.to_string(),
-                })
+                Ok(Command::TraceSummarize { file })
             }
             Some("profile") => {
-                let sub = &rest[1..];
-                let file = positional(sub)
+                let a = Args::new("trace profile", sub, &["--top"], &["--json"])?;
+                let file = a
+                    .positional()
                     .ok_or_else(|| ParseError("trace profile needs a trace file (or -)".into()))?;
                 Ok(Command::TraceProfile {
                     file,
-                    json: sub.contains(&"--json"),
-                    top: num_flag(sub, "--top", 10)?,
+                    json: a.switch("--json"),
+                    top: a.num("--top", 10)?,
                 })
             }
             Some("diff") => {
-                let sub = &rest[1..];
-                let positionals: Vec<&str> = {
-                    let mut skip = false;
-                    sub.iter()
-                        .filter(|a| {
-                            if skip {
-                                skip = false;
-                                return false;
-                            }
-                            if a.starts_with("--") {
-                                skip = **a == "--max-regress";
-                                return false;
-                            }
-                            true
-                        })
-                        .copied()
-                        .collect()
-                };
-                let [base, current] = positionals[..] else {
-                    return Err(ParseError(
-                        "trace diff needs two inputs: <base> <current> (either may be -)".into(),
-                    ));
-                };
-                let max_regress = match flag(sub, "--max-regress")? {
-                    Some(v) => v.parse::<f64>().map_err(|_| {
-                        ParseError(format!("--max-regress expects a percentage, got {v:?}"))
-                    })?,
-                    None => 0.0,
-                };
-                if !(0.0..=100.0).contains(&max_regress) {
-                    return Err(ParseError(format!(
-                        "--max-regress must be in [0, 100], got {max_regress}"
-                    )));
-                }
+                let a = Args::new("trace diff", sub, &["--max-regress"], &[])?;
+                let (base, current, max_regress) = a.diff_inputs("trace diff")?;
                 Ok(Command::TraceDiff {
-                    base: base.to_string(),
-                    current: current.to_string(),
+                    base,
+                    current,
                     max_regress,
                 })
             }
             Some("query") => {
-                let sub = &rest[1..];
-                let file = positional(sub)
+                let a = Args::new(
+                    "trace query",
+                    sub,
+                    &["--stage", "--session", "--slower-than"],
+                    &[],
+                )?;
+                let file = a
+                    .positional()
                     .ok_or_else(|| ParseError("trace query needs a trace file (or -)".into()))?;
-                let session = match flag(sub, "--session")? {
+                let session = match a.value("--session")? {
                     Some(v) => Some(v.parse::<u32>().map_err(|_| {
                         ParseError(format!("--session expects a number, got {v:?}"))
                     })?),
                     None => None,
                 };
-                let slower_than = match flag(sub, "--slower-than")? {
+                let slower_than = match a.value("--slower-than")? {
                     Some(v) => Some(v.parse::<u64>().map_err(|_| {
                         ParseError(format!("--slower-than expects microseconds, got {v:?}"))
                     })?),
@@ -656,7 +651,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 };
                 Ok(Command::TraceQuery {
                     file,
-                    stage: flag(sub, "--stage")?.map(str::to_string),
+                    stage: a.value("--stage")?.map(str::to_string),
                     session,
                     slower_than,
                 })
@@ -674,65 +669,134 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     }
 }
 
-/// Value of `--name` if present.
-fn flag<'a>(rest: &[&'a str], name: &str) -> Result<Option<&'a str>, ParseError> {
-    match rest.iter().position(|a| *a == name) {
-        Some(i) => rest
-            .get(i + 1)
-            .copied()
-            .map(Some)
-            .ok_or_else(|| ParseError(format!("{name} needs a value"))),
-        None => Ok(None),
-    }
+/// The arguments of one (sub)command, checked against the flags it
+/// defines: `values` take an argument, `switches` take none. Every
+/// other argument is a positional.
+struct Args<'a> {
+    rest: &'a [&'a str],
+    values: &'static [&'static str],
 }
 
-/// Numeric flag with default.
-fn num_flag(rest: &[&str], name: &str, default: usize) -> Result<usize, ParseError> {
-    match flag(rest, name)? {
-        Some(v) => v
-            .parse()
-            .map_err(|_| ParseError(format!("{name} expects a number, got {v:?}"))),
-        None => Ok(default),
-    }
-}
-
-/// Float flag with default, clamped to [0, 1].
-fn float_flag(rest: &[&str], name: &str, default: f64) -> Result<f64, ParseError> {
-    match flag(rest, name)? {
-        Some(v) => v
-            .parse::<f64>()
-            .map(|f| f.clamp(0.0, 1.0))
-            .map_err(|_| ParseError(format!("{name} expects a number in [0, 1], got {v:?}"))),
-        None => Ok(default),
-    }
-}
-
-/// The first argument that is neither a flag name nor a flag value.
-fn positional(rest: &[&str]) -> Option<String> {
-    let mut skip_next = false;
-    for (i, a) in rest.iter().enumerate() {
-        if skip_next {
-            skip_next = false;
-            continue;
+impl<'a> Args<'a> {
+    /// Reject any `--flag` that `cmd` does not define, naming it: a
+    /// misspelled flag must never run the command with a default.
+    fn new(
+        cmd: &str,
+        rest: &'a [&'a str],
+        values: &'static [&'static str],
+        switches: &'static [&'static str],
+    ) -> Result<Self, ParseError> {
+        let args = Args { rest, values };
+        if let Some(a) = args
+            .flags()
+            .find(|a| !values.contains(a) && !switches.contains(a))
+        {
+            return Err(ParseError(format!("unknown flag {a} for `ira {cmd}`")));
         }
-        if a.starts_with("--") {
-            // Boolean flags take no value.
-            skip_next = !matches!(
-                *a,
-                "--incidents"
-                    | "--resume"
-                    | "--metrics"
-                    | "--json"
-                    | "--example"
-                    | "--graph"
-                    | "--prom"
-            );
-            let _ = i;
-            continue;
-        }
-        return Some(a.to_string());
+        Ok(args)
     }
-    None
+
+    /// Each argument, paired with whether it is the value of the flag
+    /// before it.
+    fn walk(&self) -> impl Iterator<Item = (usize, &'a str, bool)> + '_ {
+        let mut skip = false;
+        self.rest.iter().enumerate().map(move |(i, &a)| {
+            let is_value = std::mem::take(&mut skip);
+            if !is_value && a.starts_with("--") {
+                skip = self.values.contains(&a);
+            }
+            (i, a, is_value)
+        })
+    }
+
+    /// The flag names given, in order.
+    fn flags(&self) -> impl Iterator<Item = &'a str> + '_ {
+        self.walk()
+            .filter(|&(_, a, is_value)| !is_value && a.starts_with("--"))
+            .map(|(_, a, _)| a)
+    }
+
+    /// Value of `--name` if present.
+    fn value(&self, name: &str) -> Result<Option<&'a str>, ParseError> {
+        match self.walk().find(|&(_, a, is_value)| !is_value && a == name) {
+            Some((i, _, _)) => self
+                .rest
+                .get(i + 1)
+                .copied()
+                .map(Some)
+                .ok_or_else(|| ParseError(format!("{name} needs a value"))),
+            None => Ok(None),
+        }
+    }
+
+    /// Whether the switch `--name` is present.
+    fn switch(&self, name: &str) -> bool {
+        self.flags().any(|a| a == name)
+    }
+
+    /// Numeric flag with default.
+    fn num(&self, name: &str, default: usize) -> Result<usize, ParseError> {
+        match self.value(name)? {
+            Some(v) => v
+                .parse()
+                .map_err(|_| ParseError(format!("{name} expects a number, got {v:?}"))),
+            None => Ok(default),
+        }
+    }
+
+    /// Float flag with default, clamped to [0, 1].
+    fn fraction(&self, name: &str, default: f64) -> Result<f64, ParseError> {
+        match self.value(name)? {
+            Some(v) => v
+                .parse::<f64>()
+                .map(|f| f.clamp(0.0, 1.0))
+                .map_err(|_| ParseError(format!("{name} expects a number in [0, 1], got {v:?}"))),
+            None => Ok(default),
+        }
+    }
+
+    /// `--knowledge`, defaulting to `knowledge.json`.
+    fn knowledge(&self) -> Result<String, ParseError> {
+        Ok(self
+            .value("--knowledge")?
+            .unwrap_or("knowledge.json")
+            .to_string())
+    }
+
+    /// The arguments that are neither flag names nor flag values.
+    fn positionals(&self) -> Vec<&'a str> {
+        self.walk()
+            .filter(|&(_, a, is_value)| !is_value && !a.starts_with("--"))
+            .map(|(_, a, _)| a)
+            .collect()
+    }
+
+    /// The first positional.
+    fn positional(&self) -> Option<String> {
+        self.positionals().first().map(|a| a.to_string())
+    }
+
+    /// `<base> <current>` and `--max-regress` (percent, default 0) of
+    /// `trace diff` and `bench diff`.
+    fn diff_inputs(&self, cmd: &str) -> Result<(String, String, f64), ParseError> {
+        let [base, current] = self.positionals()[..] else {
+            return Err(ParseError(format!(
+                "{cmd} needs two inputs: <base> <current> (either may be -)"
+            )));
+        };
+        let max_regress = match self.value("--max-regress")? {
+            Some(v) => v.parse::<f64>().map_err(|_| {
+                ParseError(format!("--max-regress expects a percentage, got {v:?}"))
+            })?,
+            None => 0.0,
+        };
+        if !(0.0..=100.0).contains(&max_regress) {
+            return Err(ParseError(format!(
+                "--max-regress must be in [0, 100], got {max_regress}"
+            )));
+        }
+        Ok((base.to_string(), current.to_string(), max_regress))
+    }
 }
 
 #[cfg(test)]
@@ -794,7 +858,6 @@ mod tests {
                 burst: 8,
                 deadline_us: None,
                 trace: None,
-                graph: false,
                 example: false,
                 stats_every: None,
                 flight: None,
@@ -827,7 +890,6 @@ mod tests {
                 burst: 3,
                 deadline_us: Some(120_000_000),
                 trace: Some("serve.jsonl".into()),
-                graph: false,
                 example: false,
                 stats_every: Some(4),
                 flight: Some("dumps/".into()),
@@ -1099,14 +1161,10 @@ mod tests {
             })
         );
         assert!(p(&["train", "--trace"]).is_err());
-        // --metrics is a boolean flag: it must not swallow a positional.
-        assert_eq!(
-            p(&["learn", "--metrics", "what is a CME?"]).map(|c| match c {
-                Command::Learn { question, .. } => question,
-                _ => unreachable!(),
-            }),
-            Ok("what is a CME?".to_string())
-        );
+        // `learn` defines no --metrics: the flag is rejected, not
+        // skipped or taken for the question.
+        let err = p(&["learn", "--metrics", "what is a CME?"]).unwrap_err();
+        assert!(err.0.contains("--metrics"), "{err}");
     }
 
     #[test]
@@ -1288,5 +1346,52 @@ mod tests {
         );
         assert!(p(&["trace", "query"]).is_err());
         assert!(p(&["trace", "query", "t.jsonl", "--session", "x"]).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_by_every_subcommand() {
+        for argv in [
+            &["train", "--distractorz", "5"][..],
+            &["ask", "--knowlege", "k.json", "q?"],
+            &["learn", "--treshold", "9", "q?"],
+            &["quiz", "--incident"],
+            &["serve", "--worker", "2"],
+            &["obs", "render", "--prometheus", "snap.json"],
+            &["bench", "diff", "a", "b", "--max-regression", "5"],
+            &["plan", "--verbose"],
+            &["mem", "stats", "--knowlege", "k.json"],
+            &["mem", "query", "latitude", "--topk", "3"],
+            &["mem", "provenance", "--knowlege", "k.json", "ellalink"],
+            &["audit", "--strict"],
+            &["questions", "--maximum", "3"],
+            &["corpus", "--distractorz", "5"],
+            &["simulate", "--storm"],
+            &["scenario", "describe", "--verbose", "cable-cut"],
+            &["trace", "summarize", "--json", "t.jsonl"],
+            &["trace", "profile", "--jsonl", "t.jsonl"],
+            &["trace", "diff", "a", "b", "--max-regres", "5"],
+            &["trace", "query", "t.jsonl", "--stages", "fetch"],
+        ] {
+            let err = p(argv).unwrap_err();
+            let typo = argv.iter().find(|a| a.starts_with("--")).unwrap();
+            assert!(
+                err.0.contains(&format!("unknown flag {typo} ")),
+                "{argv:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn serve_graph_is_an_unknown_flag() {
+        let err = p(&["serve", "--graph"]).unwrap_err();
+        assert_eq!(err.0, "unknown flag --graph for `ira serve`");
+    }
+
+    #[test]
+    fn flag_values_that_look_like_flags_are_values() {
+        assert!(matches!(
+            p(&["train", "--out", "--metrics"]),
+            Ok(Command::Train { ref out, metrics: false, .. }) if out == "--metrics"
+        ));
     }
 }

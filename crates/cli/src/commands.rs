@@ -122,7 +122,6 @@ pub fn run(cmd: Command) -> i32 {
             burst,
             deadline_us,
             trace,
-            graph,
             example,
             stats_every,
             flight,
@@ -133,7 +132,6 @@ pub fn run(cmd: Command) -> i32 {
             burst,
             deadline_us,
             trace.as_deref(),
-            graph,
             example,
             stats_every,
             flight.as_deref(),
@@ -219,10 +217,10 @@ fn spawn_maybe_observed(
     obs: &ObsSinks,
     id: u32,
 ) -> ira_engine::Session {
-    match obs.sink() {
-        Some(sink) => engine.spawn_session_with_handle(config, ObsHandle::new(sink, id)),
-        None => engine.spawn_session(config),
-    }
+    let handle = obs
+        .sink()
+        .map_or_else(ObsHandle::disabled, |sink| ObsHandle::new(sink, id));
+    engine.spawn_session_with_handle(config, handle)
 }
 
 fn role_definition(choice: RoleChoice) -> RoleDefinition {
@@ -709,7 +707,6 @@ fn serve_cmd(
     burst: u32,
     deadline_us: Option<u64>,
     trace: Option<&str>,
-    graph: bool,
     example: bool,
     stats_every: Option<usize>,
     flight: Option<&str>,
@@ -736,7 +733,6 @@ fn serve_cmd(
             ..AdmissionConfig::default()
         },
         default_deadline_us: deadline_us,
-        graph_retrieval: graph,
         ..ServeConfig::default()
     };
     let server = Server::new(config);
@@ -1283,9 +1279,8 @@ fn mem_stats(knowledge: &str) -> i32 {
     0
 }
 
-/// `ira mem query`: preview retrieval for a query — which claim nodes
-/// the query activates (matches plus co-occurrence expansions), and the
-/// top entries under flat vs graph-mode scoring.
+/// `ira mem query`: the top entries retrieval returns for a query,
+/// in rank order.
 fn mem_query(knowledge: &str, query: &str, top: usize) -> i32 {
     let store = match load_store(knowledge) {
         Ok(s) => s,
@@ -1299,74 +1294,14 @@ fn mem_query(knowledge: &str, query: &str, top: usize) -> i32 {
         .map(|e| e.learned_at)
         .max()
         .unwrap_or(0);
-
-    let activation = store.with_graph(|g| g.activate(query));
-    let mut node_rows: Vec<(f64, Vec<String>)> = store.with_graph(|g| {
-        activation
-            .iter()
-            .map(|(&id, &act)| {
-                let node = &g.nodes()[id as usize];
-                let row = vec![
-                    g.term_text(id).unwrap_or("?").to_string(),
-                    format!("{act:.2}"),
-                    g.corroboration(id).to_string(),
-                    node.occurrences.to_string(),
-                ];
-                (act, row)
-            })
-            .collect()
-    });
-    node_rows.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1[0].cmp(&b.1[0])));
-    println!("query: {query:?}");
-    if node_rows.is_empty() {
-        println!("no claim nodes activated — the graph has no matching terms");
-    } else {
-        println!(
-            "{}",
-            table(
-                &["claim node", "activation", "corroboration", "occurrences"],
-                &node_rows.into_iter().map(|(_, r)| r).collect::<Vec<_>>()
-            )
-        );
-    }
-
-    let was_on = store.graph_retrieval();
-    store.set_graph_retrieval(false);
-    let flat: Vec<u64> = store
+    let rows: Vec<Vec<String>> = store
         .retrieve(query, top, now)
         .into_iter()
-        .map(|e| e.id)
-        .collect();
-    store.set_graph_retrieval(true);
-    let graph_top = store.retrieve(query, top, now);
-    store.set_graph_retrieval(was_on);
-
-    let rows: Vec<Vec<String>> = graph_top
-        .iter()
         .enumerate()
-        .map(|(i, e)| {
-            let support = store.with_graph(|g| g.entry_support(e.id, &activation));
-            let flat_rank = flat
-                .iter()
-                .position(|&id| id == e.id)
-                .map(|p| (p + 1).to_string())
-                .unwrap_or_else(|| "-".into());
-            vec![
-                (i + 1).to_string(),
-                flat_rank,
-                format!("{support:.2}"),
-                e.source_url.clone(),
-                e.topic.clone(),
-            ]
-        })
+        .map(|(i, e)| vec![(i + 1).to_string(), e.source_url, e.topic])
         .collect();
-    println!(
-        "{}",
-        table(
-            &["graph-rank", "flat-rank", "support", "source", "topic"],
-            &rows
-        )
-    );
+    println!("query: {query:?}");
+    println!("{}", table(&["rank", "source", "topic"], &rows));
     0
 }
 

@@ -15,7 +15,7 @@ use crate::role::RoleDefinition;
 use crate::selflearn::LearningTrajectory;
 use crate::stages::{HostTimer, StageStats};
 use ira_agentmem::KnowledgeStore;
-use ira_autogpt::{AutoGpt, Budget, GoalReport};
+use ira_autogpt::{AutoGpt, GoalReport};
 use ira_obs::{stage, ObsHandle, TraceEvent};
 use ira_services::{Answer, LanguageModel, LlmStats, WebServices};
 use ira_simllm::Llm;
@@ -82,18 +82,12 @@ impl ResearchAgent {
         llm.set_inference_hook(Arc::new(move |prompt, completion| {
             clock.advance_us(latency.charge_us(prompt, completion));
         }));
-        let memory = KnowledgeStore::new(config.memory);
-        memory.set_graph_retrieval(config.graph_retrieval);
-        // Graph-mode retrieval feeds different knowledge into the
-        // prompt, so grounded answers must be cached under a distinct
-        // mode (0 = legacy, byte-identical to the pre-graph cache).
-        llm.set_grounding_mode(config.graph_retrieval as u64);
         ResearchAgent {
             role,
             config,
             web,
             llm,
-            memory,
+            memory: KnowledgeStore::new(config.memory),
             stages: StageStats::default(),
             obs: ObsHandle::disabled(),
         }
@@ -131,11 +125,7 @@ impl ResearchAgent {
             }));
     }
 
-    /// Record the current memory size as a high-watermark gauge —
-    /// plus, in graph-retrieval mode, the claim graph's shape (node /
-    /// edge counts, corroboration histogram, decay evictions). The
-    /// graph gauges are gated on the flag so legacy traces stay
-    /// byte-identical.
+    /// Record the current memory size as a high-watermark gauge.
     fn emit_memory_gauge(&self) {
         self.obs.emit(|| {
             TraceEvent::gauge(
@@ -146,29 +136,6 @@ impl ResearchAgent {
                 self.memory.len() as u64,
             )
         });
-        if !self.config.graph_retrieval {
-            return;
-        }
-        let gauge = |name: &'static str, value: u64| {
-            self.obs.emit(|| {
-                TraceEvent::gauge(
-                    self.obs.session(),
-                    self.now_us(),
-                    stage::MEMORY,
-                    name,
-                    value,
-                )
-            });
-        };
-        let stats = self.memory.graph_stats();
-        gauge("graph_nodes", stats.live_nodes);
-        gauge("graph_edges", stats.edges);
-        gauge("graph_corroborated", stats.corroborated_nodes);
-        gauge("graph_support1", stats.corroboration_histogram[0]);
-        gauge("graph_support2", stats.corroboration_histogram[1]);
-        gauge("graph_support3", stats.corroboration_histogram[2]);
-        gauge("graph_support4plus", stats.corroboration_histogram[3]);
-        gauge("graph_decay_evictions", stats.decay_evictions);
     }
 
     /// Create an agent around an existing knowledge store — the
@@ -183,9 +150,6 @@ impl ResearchAgent {
     ) -> Self {
         let mut agent = ResearchAgent::new(role, env, config, seed);
         agent.memory = memory;
-        // The adopted store carries its own runtime flags; align them
-        // with this agent's config.
-        agent.memory.set_graph_retrieval(config.graph_retrieval);
         agent.llm.invalidate_grounding();
         agent
     }
@@ -271,7 +235,6 @@ impl ResearchAgent {
             if ckpt.role_name == self.role.name {
                 if let Ok(memory) = KnowledgeStore::from_json(&ckpt.memory) {
                     self.memory = memory;
-                    self.memory.set_graph_retrieval(self.config.graph_retrieval);
                     self.memory.set_session(self.obs.session());
                     self.llm.invalidate_grounding();
                     per_goal = ckpt.per_goal;
@@ -399,7 +362,7 @@ impl ResearchAgent {
 
     /// Phase 2: knowledge testing + iterative self-learning on one
     /// question (§3 step 4). Searches proposed by the model are pursued
-    /// (optionally in parallel), memory grows, and the question is
+    /// one after another, memory grows, and the question is
     /// re-assessed, until the confidence threshold or round budget.
     pub fn self_learn(&mut self, question: &str) -> LearningTrajectory {
         // One causal scope for the whole test-and-learn loop, with a
@@ -473,52 +436,24 @@ impl ResearchAgent {
         });
     }
 
-    /// Pursue a batch of queries, sequentially or in parallel threads.
+    /// Pursue a batch of queries, one after another.
     fn pursue_all(&mut self, topic: &str, queries: &[String]) -> u32 {
         let host = HostTimer::start();
         let virtual_start = self.now_us();
-        let memorized: u32 = if self.config.parallel_retrieval && queries.len() > 1 {
-            let web = &*self.web;
-            let llm = &*self.llm;
-            let memory = &self.memory;
-            let autogpt = self.config.autogpt;
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = queries
-                    .iter()
-                    .map(|q| {
-                        scope.spawn(move |_| {
-                            let mut loop_ =
-                                AutoGpt::new(web, llm, memory, autogpt, Budget::new(8, 24, 16));
-                            loop_.pursue_query(topic, q).memorized
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("retrieval thread"))
-                    .sum()
-            })
-            .expect("retrieval scope")
-        } else {
-            let mut loop_ = AutoGpt::new(
-                &*self.web,
-                &*self.llm,
-                &self.memory,
-                self.config.autogpt,
-                self.config.budget,
-            );
-            // Only the single-threaded path feeds the trace: with
-            // `parallel_retrieval` the intra-session interleaving (and
-            // the shared virtual clock) is scheduler-dependent, so the
-            // determinism guarantee only covers the default serial mode.
-            if self.obs.enabled() {
-                loop_.attach_observer_handle(self.obs.clone());
-            }
-            queries
-                .iter()
-                .map(|q| loop_.pursue_query(topic, q).memorized)
-                .sum()
-        };
+        let mut loop_ = AutoGpt::new(
+            &*self.web,
+            &*self.llm,
+            &self.memory,
+            self.config.autogpt,
+            self.config.budget,
+        );
+        if self.obs.enabled() {
+            loop_.attach_observer_handle(self.obs.clone());
+        }
+        let memorized: u32 = queries
+            .iter()
+            .map(|q| loop_.pursue_query(topic, q).memorized)
+            .sum();
         self.llm.invalidate_grounding();
         self.stages.retrieval_virtual_us += self.now_us() - virtual_start;
         self.stages.retrieval_host_us += host.elapsed_us();
@@ -794,44 +729,6 @@ mod tests {
     }
 
     #[test]
-    fn graph_retrieval_agent_still_resolves_the_cable_question() {
-        // Graph-mode retrieval changes ranking, not correctness: the
-        // trained agent must still reach the paper's verdict, and its
-        // claim graph must be populated with provenance.
-        let env = Environment::fixture();
-        let config = AgentConfig {
-            graph_retrieval: true,
-            ..AgentConfig::default()
-        };
-        let mut bob = ResearchAgent::new(RoleDefinition::bob(), &env, config, 0xB0B);
-        bob.train();
-        assert!(bob.memory().graph_retrieval(), "flag must reach the store");
-        let stats = bob.memory().graph_stats();
-        assert!(stats.nodes > 0 && stats.edges > 0, "graph must be built");
-        assert!(
-            stats.corroborated_nodes > 0,
-            "training reads multiple hosts; some claims must corroborate"
-        );
-        let trajectory = bob.self_learn(CABLE_Q);
-        assert!(
-            trajectory.final_confidence().unwrap() >= 8,
-            "series: {:?}",
-            trajectory.confidence_series()
-        );
-        let verdict = trajectory
-            .rounds
-            .last()
-            .unwrap()
-            .verdict
-            .as_deref()
-            .unwrap();
-        assert!(
-            verdict.to_lowercase().contains("united states"),
-            "verdict: {verdict}"
-        );
-    }
-
-    #[test]
     fn reflection_synthesises_extractable_insights() {
         use ira_simllm::extract::Extraction;
         let env = Environment::fixture();
@@ -883,41 +780,6 @@ mod tests {
             plan.text
         );
         assert!(plan.text.contains("Redundancy Utilization"));
-    }
-
-    #[test]
-    fn parallel_retrieval_matches_sequential_learning() {
-        let env = Environment::fixture();
-        let mut seq = ResearchAgent::new(
-            RoleDefinition::bob(),
-            &env,
-            AgentConfig {
-                parallel_retrieval: false,
-                ..AgentConfig::default()
-            },
-            1,
-        );
-        seq.train();
-        let t_seq = seq.self_learn(CABLE_Q);
-
-        let env2 = Environment::fixture();
-        let mut par = ResearchAgent::new(
-            RoleDefinition::bob(),
-            &env2,
-            AgentConfig {
-                parallel_retrieval: true,
-                ..AgentConfig::default()
-            },
-            1,
-        );
-        par.train();
-        let t_par = par.self_learn(CABLE_Q);
-
-        assert_eq!(
-            t_seq.final_confidence(),
-            t_par.final_confidence(),
-            "parallel retrieval must not change the learning outcome"
-        );
     }
 
     #[test]

@@ -67,8 +67,6 @@ pub struct AgentConfig {
     pub max_rounds: u32,
     /// Maximum searches proposed per self-learning round.
     pub searches_per_round: usize,
-    /// Run the searches of one round in parallel threads.
-    pub parallel_retrieval: bool,
     /// Two-pass retrieval: the model reads the question-retrieved
     /// context, names its knowledge gaps, and the gap queries'
     /// vocabulary joins the retrieval query. On by default — the paper
@@ -81,12 +79,6 @@ pub struct AgentConfig {
     pub inference: InferenceLatency,
     /// Knowledge-memory behaviour (dedup threshold, retrieval weights).
     pub memory: StoreConfig,
-    /// Graph-mode retrieval: add the claim-graph corroboration term to
-    /// retrieval scoring and salt the grounding cache accordingly. Off
-    /// by default, and `#[serde(skip)]` so `knowledge.json` (which
-    /// embeds this config) stays byte-identical either way.
-    #[serde(skip)]
-    pub graph_retrieval: bool,
     #[serde(skip, default = "default_autogpt")]
     pub autogpt: AutoGptConfig,
     #[serde(skip, default = "default_budget")]
@@ -131,11 +123,9 @@ impl Default for AgentConfig {
             confidence_threshold: 7,
             max_rounds: 4,
             searches_per_round: 4,
-            parallel_retrieval: false,
             query_expansion: true,
             inference: InferenceLatency::default(),
             memory: StoreConfig::default(),
-            graph_retrieval: false,
             autogpt: AutoGptConfig::default(),
             budget: Budget::standard(),
         }
@@ -212,20 +202,6 @@ mod tests {
             assert_eq!(err.kind(), "config", "{field}");
             assert!(err.to_string().contains(field), "{err}");
         }
-    }
-
-    #[test]
-    fn graph_retrieval_is_runtime_only() {
-        // The flag must never leak into serialized configs (it would
-        // change knowledge.json bytes).
-        let c = AgentConfig {
-            graph_retrieval: true,
-            ..AgentConfig::default()
-        };
-        let json = serde_json::to_string(&c).unwrap();
-        assert!(!json.contains("graph_retrieval"));
-        let back: AgentConfig = serde_json::from_str(&json).unwrap();
-        assert!(!back.graph_retrieval, "serde must not round-trip the flag");
     }
 
     #[test]

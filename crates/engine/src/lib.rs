@@ -151,24 +151,18 @@ impl Engine {
         self.builds.load(Ordering::Relaxed)
     }
 
+    /// Spawn one unobserved session:
+    /// [`Engine::spawn_session_with_handle`] with
+    /// [`ObsHandle::disabled`].
+    pub fn spawn_session(&self, config: SessionConfig) -> Session {
+        self.spawn_session_with_handle(config, ObsHandle::disabled())
+    }
+
     /// Spawn one session: `Environment::from_parts` over the shared
     /// world and cached corpus — fresh network on `net_seed`, sites
     /// registered, then a plain or resilient client — followed by
-    /// `ResearchAgent::new` on `llm_seed`.
-    pub fn spawn_session(&self, config: SessionConfig) -> Session {
-        let corpus = self.corpus(config.corpus);
-        let env = Environment::from_parts(
-            Arc::clone(&self.world),
-            corpus,
-            config.net_seed,
-            config.faults,
-        );
-        let agent = ResearchAgent::new(config.role, &env, config.agent, config.llm_seed);
-        Session { env, agent }
-    }
-
-    /// [`Engine::spawn_session`] with observation attached: the
-    /// session's client (cache/retry/breaker/fetch events) and agent
+    /// `ResearchAgent::new` on `llm_seed`, with observation attached:
+    /// the session's client (cache/retry/breaker/fetch events) and agent
     /// (cycle boundaries, LLM-call spans, knowledge-test verdicts,
     /// memory growth) both emit through `handle` — typically
     /// `ObsHandle::new(sink, session_id)`.

@@ -39,8 +39,8 @@ pub mod prelude {
         evaluate_agent, evaluate_baseline, evaluate_scenario, full_paper_run, sweep, EvalRun,
     };
     pub use ira_obs::{
-        Collector, CollectorExt, Fanout, JsonlCollector, MetricsSnapshot, NullCollector,
-        SharedCollector, SummaryCollector, TraceEvent,
+        Collector, Fanout, JsonlCollector, MetricsSnapshot, NullCollector, SharedCollector,
+        SummaryCollector, TraceEvent,
     };
     pub use ira_serve::{ServeConfig, ServeRequest, ServeResponse, Server};
     pub use ira_services::{IraError, IraResult, ServiceError};

@@ -1,11 +1,11 @@
 //! Pluggable trace sinks.
 //!
 //! The contract that keeps observability off the hot path: callers go
-//! through [`CollectorExt::emit`], which takes a *closure* building the
-//! event. When the collector is disabled (the [`NullCollector`]
-//! default) the closure never runs, so no strings are formatted and no
-//! allocations happen — tracing that is off costs one virtual call and
-//! one branch.
+//! through [`ObsHandle::emit`](crate::ObsHandle::emit), which takes a
+//! *closure* building the event. When the collector is disabled (the
+//! [`NullCollector`] default) the closure never runs, so no strings
+//! are formatted and no allocations happen — tracing that is off costs
+//! one virtual call and one branch.
 
 use std::io::Write;
 use std::path::Path;
@@ -21,7 +21,8 @@ use crate::metrics::MetricsSnapshot;
 /// parallel sweep every session thread shares one collector.
 pub trait Collector: Send + Sync {
     /// Whether events should be built at all. Hot paths consult this
-    /// (via [`CollectorExt::emit`]) before doing any formatting work.
+    /// (via [`ObsHandle::emit`](crate::ObsHandle::emit)) before doing
+    /// any formatting work.
     fn enabled(&self) -> bool;
     /// Record one event. Only called when [`Collector::enabled`] is true.
     fn record(&self, event: TraceEvent);
@@ -29,20 +30,6 @@ pub trait Collector: Send + Sync {
 
 /// Shared handle to a collector; cheap to clone into every layer.
 pub type SharedCollector = Arc<dyn Collector>;
-
-/// Lazy emission: the event-building closure only runs when the
-/// collector is enabled.
-pub trait CollectorExt {
-    fn emit(&self, build: impl FnOnce() -> TraceEvent);
-}
-
-impl<C: Collector + ?Sized> CollectorExt for C {
-    fn emit(&self, build: impl FnOnce() -> TraceEvent) {
-        if self.enabled() {
-            self.record(build());
-        }
-    }
-}
 
 /// The zero-cost default: always disabled, drops everything.
 #[derive(Debug, Default, Clone, Copy)]
@@ -192,62 +179,11 @@ impl Collector for Fanout {
     }
 }
 
-/// A span in flight: remembers its virtual start time and emits a
-/// `Span` event when finished. Inert (no allocations) when the
-/// collector is disabled.
-pub struct SpanGuard<'a> {
-    sink: &'a dyn Collector,
-    session: u32,
-    start_us: u64,
-    stage: &'static str,
-    name: &'static str,
-    active: bool,
-}
-
-impl<'a> SpanGuard<'a> {
-    /// Open a span at virtual time `start_us`.
-    pub fn start(
-        sink: &'a dyn Collector,
-        session: u32,
-        start_us: u64,
-        stage: &'static str,
-        name: &'static str,
-    ) -> Self {
-        SpanGuard {
-            session,
-            start_us,
-            stage,
-            name,
-            active: sink.enabled(),
-            sink,
-        }
-    }
-
-    /// Close the span at virtual time `end_us` with a detail payload.
-    /// The detail closure only runs when the span is active.
-    pub fn finish(self, end_us: u64, detail: impl FnOnce() -> String) {
-        if self.active {
-            let dur = end_us.saturating_sub(self.start_us);
-            self.sink.record(TraceEvent::span(
-                self.session,
-                self.start_us,
-                self.stage,
-                self.name,
-                detail(),
-                dur,
-            ));
-        }
-    }
-
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::stage;
+    use crate::ObsHandle;
 
     /// A collector that panics if an event is ever built or recorded —
     /// used to prove the disabled path never evaluates closures.
@@ -263,9 +199,9 @@ mod tests {
 
     #[test]
     fn disabled_collector_never_builds_events() {
-        let sink = TripwireCollector;
-        sink.emit(|| panic!("event closure ran on a disabled collector"));
-        let span = SpanGuard::start(&sink, 0, 10, stage::FETCH, "ok");
+        let handle = ObsHandle::new(Arc::new(TripwireCollector), 0);
+        handle.emit(|| panic!("event closure ran on a disabled collector"));
+        let span = handle.scope(10, stage::FETCH, "ok");
         assert!(!span.is_active());
         span.finish(20, || panic!("detail closure ran on a disabled collector"));
     }
@@ -316,15 +252,17 @@ mod tests {
             Arc::new(NullCollector) as SharedCollector,
         ]);
         assert!(fan.enabled());
-        fan.emit(|| TraceEvent::point(0, 0, stage::SEARCH, "issued", "q"));
+        ObsHandle::new(Arc::new(fan), 0)
+            .emit(|| TraceEvent::point(0, 0, stage::SEARCH, "issued", "q"));
         assert_eq!(trace.events().len(), 1);
         assert_eq!(summary.snapshot().counters.get("search.issued"), Some(&1));
     }
 
     #[test]
     fn span_guard_charges_virtual_duration() {
-        let sink = JsonlCollector::new();
-        let span = SpanGuard::start(&sink, 3, 100, stage::LLM, "call");
+        let sink = Arc::new(JsonlCollector::new());
+        let handle = ObsHandle::new(sink.clone(), 3);
+        let span = handle.scope(100, stage::LLM, "call");
         span.finish(460, || "prompt=12".to_string());
         let events = sink.events();
         assert_eq!(events.len(), 1);

@@ -251,20 +251,6 @@ fn flatten_json_into(flat: &mut BTreeMap<String, u64>, prefix: String, value: &s
     }
 }
 
-/// Diff two profiles under the given tolerances.
-pub fn diff_profiles(base: &Profile, current: &Profile, tol: &Tolerances) -> DiffReport {
-    diff_flat(&flatten_profile(base), &flatten_profile(current), tol)
-}
-
-/// Diff two metrics snapshots under the given tolerances.
-pub fn diff_snapshots(
-    base: &MetricsSnapshot,
-    current: &MetricsSnapshot,
-    tol: &Tolerances,
-) -> DiffReport {
-    diff_flat(&flatten_snapshot(base), &flatten_snapshot(current), tol)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,7 +268,11 @@ mod tests {
     #[test]
     fn identical_profiles_are_clean_at_zero_tolerance() {
         let a = profile_with_llm_call(100);
-        let report = diff_profiles(&a, &profile_with_llm_call(100), &Tolerances::zero());
+        let report = diff_flat(
+            &flatten_profile(&a),
+            &flatten_profile(&profile_with_llm_call(100)),
+            &Tolerances::zero(),
+        );
         assert!(report.is_clean(), "{}", report.render());
         assert!(report.render().starts_with("OK:"));
     }
@@ -291,7 +281,11 @@ mod tests {
     fn ten_percent_regression_is_caught_and_named() {
         let base = profile_with_llm_call(100);
         let slow = profile_with_llm_call(110); // +10 % llm virtual time
-        let report = diff_profiles(&base, &slow, &Tolerances::zero());
+        let report = diff_flat(
+            &flatten_profile(&base),
+            &flatten_profile(&slow),
+            &Tolerances::zero(),
+        );
         assert!(!report.is_clean());
         let keys: Vec<&str> = report.regressions.iter().map(|e| e.key.as_str()).collect();
         assert!(
@@ -308,9 +302,17 @@ mod tests {
     fn tolerance_absorbs_small_drift_but_not_large() {
         let base = profile_with_llm_call(100);
         let slow = profile_with_llm_call(110);
-        let lenient = diff_profiles(&base, &slow, &Tolerances::uniform(0.15));
+        let lenient = diff_flat(
+            &flatten_profile(&base),
+            &flatten_profile(&slow),
+            &Tolerances::uniform(0.15),
+        );
         assert!(lenient.is_clean(), "{}", lenient.render());
-        let strict = diff_profiles(&base, &slow, &Tolerances::uniform(0.05));
+        let strict = diff_flat(
+            &flatten_profile(&base),
+            &flatten_profile(&slow),
+            &Tolerances::uniform(0.05),
+        );
         assert!(!strict.is_clean());
     }
 
@@ -318,7 +320,11 @@ mod tests {
     fn speedups_also_trip_a_zero_tolerance_gate() {
         let base = profile_with_llm_call(100);
         let fast = profile_with_llm_call(90);
-        let report = diff_profiles(&base, &fast, &Tolerances::zero());
+        let report = diff_flat(
+            &flatten_profile(&base),
+            &flatten_profile(&fast),
+            &Tolerances::zero(),
+        );
         assert!(!report.is_clean(), "unexpected speedup must be visible");
         assert!(report.regressions.iter().any(|e| e.rel_change < 0.0));
     }
@@ -351,9 +357,10 @@ mod tests {
         base.counters.insert("net.cache_hit".to_string(), 10);
         let mut cur = base.clone();
         cur.counters.insert("net.cache_hit".to_string(), 12);
-        let report = diff_snapshots(&base, &cur, &Tolerances::zero());
+        let flat = flatten_snapshot(&base);
+        let report = diff_flat(&flat, &flatten_snapshot(&cur), &Tolerances::zero());
         assert_eq!(report.regressions[0].key, "counter.net.cache_hit");
-        assert!(diff_snapshots(&base, &base, &Tolerances::zero()).is_clean());
+        assert!(diff_flat(&flat, &flat, &Tolerances::zero()).is_clean());
     }
 
     #[test]

@@ -48,11 +48,11 @@ pub mod profile;
 pub mod sketch;
 
 pub use collector::{
-    null_collector, Collector, CollectorExt, Fanout, JsonlCollector, NullCollector,
-    SharedCollector, SpanGuard, SummaryCollector,
+    null_collector, Collector, Fanout, JsonlCollector, NullCollector, SharedCollector,
+    SummaryCollector,
 };
 pub use context::{ObsContext, ObsHandle, ScopedSpan};
-pub use diff::{diff_profiles, diff_snapshots, flatten_json, DiffEntry, DiffReport, Tolerances};
+pub use diff::{flatten_json, DiffEntry, DiffReport, Tolerances};
 pub use event::{parse_jsonl, render_jsonl, stage, EventClass, TraceEvent, TraceParseError};
 pub use flight::{FlightConfig, FlightDump, FlightRecorder, FlightTrigger};
 pub use live::{fmt_ppm_pct, LiveConfig, LiveSnapshot, LiveStats, SloCell, SloSample};

@@ -76,12 +76,6 @@ pub struct ServeConfig {
     /// Corpus seed shared by every session (the cache key's first
     /// half), so all tenants at one distractor count share one corpus.
     pub corpus_seed: u64,
-    /// Run every session's memory in graph-retrieval mode (the claim
-    /// graph's corroboration term joins the retrieval score). Off by
-    /// default: legacy-parity answers, byte-identical to earlier
-    /// releases. A runtime toggle only — it never changes what is
-    /// persisted.
-    pub graph_retrieval: bool,
 }
 
 impl Default for ServeConfig {
@@ -92,7 +86,6 @@ impl Default for ServeConfig {
             retry: RetrySpec::default(),
             default_deadline_us: None,
             corpus_seed: 0xC0FFEE,
-            graph_retrieval: false,
         }
     }
 }
@@ -641,10 +634,7 @@ impl Server {
     ) -> Result<AttemptOk, AttemptFault> {
         let session_config = SessionConfig {
             role: RoleDefinition::bob(),
-            agent: AgentConfig {
-                graph_retrieval: self.config.graph_retrieval,
-                ..AgentConfig::default()
-            },
+            agent: AgentConfig::default(),
             corpus: CorpusConfig {
                 seed: self.config.corpus_seed,
                 distractor_count: request.distractors,

@@ -264,55 +264,6 @@ fn blackout_quiz_degrades_identically_across_worker_counts() {
     assert!(!control_response.degraded);
 }
 
-/// Graph-retrieval mode (ISSUE 7) keeps the serve determinism bar:
-/// the same batch with `graph_retrieval: true` is byte-identical in
-/// transcript and trace at 1, 4, and 8 workers — and the flag-off
-/// transcript is byte-identical to the default server's, because the
-/// claim graph is only *consulted* when the flag is on.
-#[test]
-fn graph_retrieval_batches_are_deterministic_across_workers() {
-    let engine = Arc::new(Engine::new());
-    let mut ask = ServeRequest::new("ask-graph", RequestKind::Ask);
-    ask.question = Some(SOLAR_QUESTION.to_string());
-    ask.seed = 2;
-    let train = ServeRequest::new("train-graph", RequestKind::Train);
-    let requests = vec![train, ask];
-
-    let runs: Vec<(String, String, Vec<ServeResponse>)> = [1usize, 4, 8]
-        .into_iter()
-        .map(|workers| {
-            let config = ServeConfig {
-                workers,
-                graph_retrieval: true,
-                ..ServeConfig::default()
-            };
-            run_batch(&engine, config, &requests)
-        })
-        .collect();
-    assert_eq!(runs[0].0, runs[1].0, "graph transcript: workers 1 vs 4");
-    assert_eq!(runs[0].0, runs[2].0, "graph transcript: workers 1 vs 8");
-    assert_eq!(runs[0].1, runs[1].1, "graph trace: workers 1 vs 4");
-    assert_eq!(runs[0].1, runs[2].1, "graph trace: workers 1 vs 8");
-    match runs[0].2[1].result.as_ref().unwrap() {
-        ResponsePayload::Ask { verdict, .. } => {
-            assert!(verdict.is_some(), "graph retrieval still reaches a verdict");
-        }
-        other => panic!("expected ask payload, got {other:?}"),
-    }
-
-    // Legacy parity at the serve layer: flag off == default server.
-    let (flag_off, _, _) = run_batch(
-        &engine,
-        ServeConfig {
-            graph_retrieval: false,
-            ..ServeConfig::default()
-        },
-        &requests,
-    );
-    let (default_cfg, _, _) = run_batch(&engine, ServeConfig::default(), &requests);
-    assert_eq!(flag_off, default_cfg, "flag-off serve must stay legacy");
-}
-
 /// Overload produces a typed `serve.overloaded` response within the
 /// arrival's own virtual tick — every request is answered, none hang,
 /// none queue.

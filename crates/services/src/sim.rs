@@ -46,10 +46,6 @@ impl LanguageModel for Llm {
     fn invalidate_grounding(&self) {
         Llm::invalidate_grounding(self)
     }
-
-    fn set_grounding_mode(&self, mode: u64) {
-        Llm::set_grounding_mode(self, mode)
-    }
 }
 
 /// Classify a network failure at the service boundary: a fast-failed

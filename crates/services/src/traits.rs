@@ -40,11 +40,10 @@ pub trait LanguageModel: Send + Sync {
     /// without such state ignore this (the default).
     fn invalidate_grounding(&self) {}
 
-    /// Declare the retrieval mode producing the knowledge this model
-    /// is grounded on (0 = legacy flat retrieval, the default). Models
-    /// with a grounding cache must salt their answer keys with it so
-    /// answers cached under one retrieval mode are never replayed
-    /// under another. Stateless models ignore this.
+    /// Does nothing, and nothing in the workspace calls it: retrieval
+    /// has one mode, so no model salts its cache by mode. Kept only so
+    /// that existing decorators that forward it still compile; it is
+    /// slated for removal.
     fn set_grounding_mode(&self, _mode: u64) {}
 }
 

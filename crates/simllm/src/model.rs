@@ -15,7 +15,6 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Model configuration.
@@ -74,17 +73,15 @@ struct CachedAnswer {
 ///   absorbing the concatenated text sequentially: subject binding in
 ///   `Extraction::absorb` is local to each call, fact dedup is
 ///   order-preserving `contains`, and principles live in a `BTreeSet`.
-/// * `answers` maps `(grounding mode, fingerprint64(question),
+/// * `answers` maps `(fingerprint64(question),
 ///   fingerprint_texts(kept_knowledge))` to the full answer. Because
 ///   retrieval (which is recency-dependent) happens *outside* the
 ///   model, the fingerprinted texts capture everything the answer
-///   depends on; the mode component (see
-///   [`Llm::set_grounding_mode`]) keeps answers computed under one
-///   retrieval regime from ever being replayed under another.
+///   depends on.
 #[derive(Default)]
 struct GroundingState {
     chunks: HashMap<String, Arc<Extraction>>,
-    answers: HashMap<(u64, u64, u64), CachedAnswer>,
+    answers: HashMap<(u64, u64), CachedAnswer>,
 }
 
 /// The simulated language model.
@@ -94,9 +91,6 @@ pub struct Llm {
     rng: Mutex<ChaCha8Rng>,
     hook: Mutex<Option<InferenceHook>>,
     grounding: Mutex<GroundingState>,
-    /// Retrieval-mode salt of the answer-cache key (0 = legacy flat
-    /// retrieval). See [`Llm::set_grounding_mode`].
-    grounding_mode: AtomicU64,
 }
 
 impl Llm {
@@ -106,7 +100,6 @@ impl Llm {
             rng: Mutex::new(ChaCha8Rng::seed_from_u64(config.seed)),
             hook: Mutex::new(None),
             grounding: Mutex::new(GroundingState::default()),
-            grounding_mode: AtomicU64::new(0),
             config,
         }
     }
@@ -182,11 +175,7 @@ impl Llm {
     /// memoized answer — and its exact token charges — instead of
     /// re-extracting and re-reasoning.
     pub fn answer(&self, question: &str, knowledge: &[String]) -> Answer {
-        let key = (
-            self.grounding_mode.load(Ordering::Relaxed),
-            fingerprint64(question),
-            fingerprint_texts(knowledge),
-        );
+        let key = (fingerprint64(question), fingerprint_texts(knowledge));
         let hit = self
             .grounding
             .lock()
@@ -236,17 +225,6 @@ impl Llm {
             .expect("grounding lock")
             .answers
             .clear();
-    }
-
-    /// Declare the retrieval mode producing this model's grounding
-    /// knowledge (0 = legacy flat retrieval, the default; the agent
-    /// layer passes 1 for graph-mode retrieval). The mode salts every
-    /// answer-cache key, so answers cached under one retrieval regime
-    /// are never replayed under another — with the default mode the
-    /// keys (and therefore all cache behaviour, op counters, and token
-    /// charges) are identical to the pre-mode cache.
-    pub fn set_grounding_mode(&self, mode: u64) {
-        self.grounding_mode.store(mode, Ordering::Relaxed);
     }
 
     /// The paper's confidence probe: "rate confidence on a scale from
