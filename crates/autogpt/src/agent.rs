@@ -652,6 +652,45 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_search_page_is_a_counted_error_not_fatal() {
+        use ira_simnet::{Duration, FaultKind, FaultPlan, Instant};
+
+        for truncate in [true, false] {
+            let (client, llm, memory) = setup();
+            // Damage only the opening search: the window closes before
+            // its round trip ends.
+            client
+                .network()
+                .set_fault_plan(FaultPlan::new().with_window(
+                    "search.test",
+                    Instant::EPOCH,
+                    Instant::EPOCH + Duration::from_micros(1),
+                    FaultKind::CorruptBody { truncate },
+                ));
+            let mut agent = AutoGpt::new(
+                &client,
+                &llm,
+                &memory,
+                AutoGptConfig::default(),
+                Budget::standard(),
+            );
+            let report = agent.run_goal(
+                "Understand solar superstorms and Coronal Mass Ejection, and principles of \
+                 their formation and effects.",
+            );
+            assert_eq!(client.network().fault_stats().corrupted_bodies, 1);
+            assert!(report.errors >= 1, "truncate = {truncate}: {report:?}");
+            assert_eq!(
+                agent.log().count(EventKind::Error) as u32,
+                report.errors,
+                "every error is logged"
+            );
+            // The run goes on past the failed search and still learns.
+            assert!(report.searches > 1 && report.memorized >= 1, "{report:?}");
+        }
+    }
+
+    #[test]
     fn source_kind_inference() {
         assert_eq!(
             source_kind_of("sim://encyclopedia.test/wiki/x"),

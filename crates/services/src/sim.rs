@@ -233,6 +233,41 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_search_pages_are_transport_errors() {
+        use ira_simnet::{FaultKind, FaultPlan, Instant};
+
+        // A cut or garbled page fails as transport (never as an
+        // unavailable source) whatever its length, including an empty
+        // result list. The message text is not checked: whether a cut
+        // page fails as bad UTF-8 or as bad JSON depends on its layout.
+        let searches = [
+            ("xylophone quixotic", 8),
+            ("submarine cable", 1),
+            ("solar superstorm coronal mass ejection", 5),
+            ("power grid geomagnetic latitude", 25),
+        ];
+        for truncate in [true, false] {
+            // The search host damages every page it serves.
+            let c = client();
+            c.network().set_fault_plan(FaultPlan::new().with_window(
+                SEARCH_HOST,
+                Instant::EPOCH,
+                Instant::EPOCH + Duration::from_secs(86_400),
+                FaultKind::CorruptBody { truncate },
+            ));
+            for (query, k) in searches {
+                let err = SearchProvider::search(&c, query, k).unwrap_err();
+                assert!(
+                    matches!(err, ServiceError::Transport(_)),
+                    "truncate = {truncate}, {query:?}: {err:?}"
+                );
+            }
+            let damaged = c.network().fault_stats().corrupted_bodies;
+            assert_eq!(damaged, searches.len() as u64);
+        }
+    }
+
+    #[test]
     fn unknown_host_is_transport_not_unavailable() {
         let c = client();
         let err = Fetcher::fetch(&c, "sim://nosuch.test/x").unwrap_err();

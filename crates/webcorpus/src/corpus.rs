@@ -56,10 +56,10 @@ pub struct Corpus {
     docs: Vec<Document>,
     engine: SearchEngine,
     by_url: HashMap<String, DocId>,
-    /// `(host, path) -> id` index behind [`Corpus::doc_by_host_path`].
+    /// `host -> path -> id` index behind [`Corpus::doc_by_host_path`].
     /// First occurrence wins, matching what a linear scan in document
     /// order returns for (hypothetical) duplicate addresses.
-    by_host_path: HashMap<(String, String), DocId>,
+    by_host_path: HashMap<&'static str, HashMap<String, DocId>>,
 }
 
 impl Corpus {
@@ -92,10 +92,12 @@ impl Corpus {
 
         let engine = SearchEngine::build(docs.iter());
         let by_url = docs.iter().map(|d| (d.url().to_string(), d.id)).collect();
-        let mut by_host_path = HashMap::with_capacity(docs.len());
+        let mut by_host_path: HashMap<&'static str, HashMap<String, DocId>> = HashMap::new();
         for d in &docs {
             by_host_path
-                .entry((d.source.host().to_string(), d.path.clone()))
+                .entry(d.source.host())
+                .or_default()
+                .entry(d.path.clone())
                 .or_insert(d.id);
         }
         Corpus {
@@ -128,11 +130,11 @@ impl Corpus {
     pub fn doc_by_host_path(&self, host: &str, path: &str) -> Option<&Document> {
         opstats::lookup_call();
         opstats::docs_scanned(1);
-        // The owned-tuple key costs two small allocations per lookup;
-        // avoiding them needs unstable raw-entry APIs, and they are
-        // noise next to the hundreds-of-documents scan they replace.
+        // Nested maps let both levels look up by `&str`, so a lookup
+        // allocates nothing.
         self.by_host_path
-            .get(&(host.to_string(), path.to_string()))
+            .get(host)
+            .and_then(|paths| paths.get(path))
             .and_then(|&id| self.doc(id))
     }
 

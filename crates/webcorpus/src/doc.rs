@@ -127,19 +127,6 @@ impl Document {
     pub fn full_text(&self) -> String {
         format!("{}\n{}", self.title, self.body)
     }
-
-    /// A short snippet for search result pages.
-    pub fn snippet(&self, max_chars: usize) -> String {
-        let mut out = String::with_capacity(max_chars.min(self.body.len()));
-        for ch in self.body.chars() {
-            if out.len() + ch.len_utf8() > max_chars {
-                break;
-            }
-            let ch = if ch == '\n' { ' ' } else { ch };
-            out.push(ch);
-        }
-        out
-    }
 }
 
 /// Turn a free-form title into a URL slug.
@@ -183,21 +170,6 @@ mod tests {
             doc().url().to_string(),
             "sim://encyclopedia.test/wiki/ellalink"
         );
-    }
-
-    #[test]
-    fn snippet_truncates_and_flattens_newlines() {
-        let s = doc().snippet(30);
-        assert!(s.len() <= 30);
-        assert!(!s.contains('\n'));
-        assert!(s.starts_with("The EllaLink"));
-    }
-
-    #[test]
-    fn snippet_shorter_than_limit_is_whole_body() {
-        let d = doc();
-        let s = d.snippet(10_000);
-        assert_eq!(s.len(), d.body.len());
     }
 
     #[test]

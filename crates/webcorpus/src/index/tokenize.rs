@@ -42,7 +42,53 @@ pub fn stem(word: &str) -> String {
     word.to_string()
 }
 
-/// Tokenize text into stemmed index terms.
+/// [`stem`] applied to `word` in place, with no allocation.
+fn stem_in_place(word: &mut String) {
+    if word.len() >= 6 && word.ends_with("ies") {
+        word.truncate(word.len() - 3);
+        word.push('y');
+        return;
+    }
+    for suffix in ["ing", "ed", "ly", "s"] {
+        if word.len() >= suffix.len() + 3 && word.ends_with(suffix) {
+            word.truncate(word.len() - suffix.len());
+            return;
+        }
+    }
+}
+
+/// Stream the stemmed index terms of `text` to `emit`, in order,
+/// building each one in `buf` (cleared first). Yields exactly the terms
+/// [`tokenize`] returns without allocating per token; `buf` can be
+/// reused across calls.
+pub fn for_each_term(text: &str, buf: &mut String, mut emit: impl FnMut(&str)) {
+    buf.clear();
+    for ch in text.chars() {
+        // ASCII first: the same classes and case mapping, but cheaper.
+        if ch.is_ascii_alphanumeric() {
+            buf.push(ch.to_ascii_lowercase());
+        } else if !ch.is_ascii() && ch.is_alphanumeric() {
+            buf.extend(ch.to_lowercase());
+        } else if !buf.is_empty() {
+            emit_term(buf, &mut emit);
+        }
+    }
+    if !buf.is_empty() {
+        emit_term(buf, &mut emit);
+    }
+}
+
+/// Filter, stem and emit the token in `buf`, leaving `buf` empty.
+fn emit_term(buf: &mut String, emit: &mut impl FnMut(&str)) {
+    if buf.len() >= 2 && !is_stopword(buf) {
+        stem_in_place(buf);
+        emit(buf);
+    }
+    buf.clear();
+}
+
+/// Tokenize text into stemmed index terms. This is the reference that
+/// [`for_each_term`], the path the search engine takes, must match.
 pub fn tokenize(text: &str) -> Vec<String> {
     let mut out = Vec::new();
     let mut current = String::new();
