@@ -98,21 +98,100 @@ pub fn nonzero_buckets(v: &[f32]) -> Vec<(usize, f32)> {
 /// `f32: Sum` starts from, so vectors that share no bucket give `+0.0`
 /// like `cosine` does.
 pub fn sparse_dot(sparse: &[(usize, f32)], dense: &[f32]) -> f32 {
-    sparse_dots(sparse, [dense])[0]
+    let mut sum = 0.0f32;
+    for &(i, x) in sparse {
+        sum += dense[i] * x;
+    }
+    sum
 }
 
-/// [`sparse_dot`] of one sparse embedding against `N` dense ones at
-/// once. Each lane is its own sum, in the same order, so each equals
-/// the single [`sparse_dot`] bit for bit; computing them together only
-/// overlaps their add latencies.
-pub(crate) fn sparse_dots<const N: usize>(sparse: &[(usize, f32)], dense: [&[f32]; N]) -> [f32; N] {
-    let mut sums = [0.0f32; N];
-    for &(i, x) in sparse {
-        for (sum, d) in sums.iter_mut().zip(dense) {
-            *sum += d[i] * x;
+/// Entries per tile of an [`EmbeddingMatrix`].
+const TILE: usize = 32;
+
+/// The embeddings of [`TILE`] consecutive entries, bucket-major:
+/// `tile[b][slot]` is bucket `b` of the tile's entry `slot`.
+type Tile = [[f32; TILE]; EMBED_DIM];
+
+/// The embeddings of a sequence of entries, stored once, bucket-major:
+/// row `b` holds bucket `b` of every entry, in entry order. The rows
+/// are cut into tiles of [`TILE`] entries, so the matrix grows one
+/// fixed-size tile at a time and never copies what it holds; slots past
+/// the last entry are zero.
+///
+/// [`EmbeddingMatrix::dots`] is the one similarity scan over it.
+#[derive(Default)]
+pub(crate) struct EmbeddingMatrix {
+    tiles: Vec<Box<Tile>>,
+    len: usize,
+}
+
+impl EmbeddingMatrix {
+    /// Append an entry's [`EMBED_DIM`]-long embedding.
+    pub(crate) fn push(&mut self, embedding: &[f32]) {
+        assert_eq!(embedding.len(), EMBED_DIM, "embedding length");
+        if self.len == self.tiles.len() * TILE {
+            let zeros = vec![[0.0; TILE]; EMBED_DIM].into_boxed_slice();
+            self.tiles.push(zeros.try_into().expect("EMBED_DIM rows"));
         }
+        let slot = self.len % TILE;
+        for (row, &x) in self.tiles[self.len / TILE].iter_mut().zip(embedding) {
+            row[slot] = x;
+        }
+        self.len += 1;
     }
-    sums
+
+    /// Remove entry `i` from every row, keeping the order of the rest.
+    pub(crate) fn remove(&mut self, i: usize) {
+        assert!(i < self.len, "entry {i} of {}", self.len);
+        let used = self.len.div_ceil(TILE);
+        for t in i / TILE..used {
+            let start = if t == i / TILE { i % TILE } else { 0 };
+            for b in 0..EMBED_DIM {
+                // The next tile's first entry moves into this tile's
+                // last slot; past the last entry, a zero does.
+                let carry = if t + 1 < used {
+                    self.tiles[t + 1][b][0]
+                } else {
+                    0.0
+                };
+                let row = &mut self.tiles[t][b];
+                row.copy_within(start + 1.., start);
+                row[TILE - 1] = carry;
+            }
+        }
+        self.len -= 1;
+    }
+
+    /// Entry `i`'s embedding, as [`embed`] returned it.
+    pub(crate) fn column(&self, i: usize) -> Vec<f32> {
+        assert!(i < self.len, "entry {i} of {}", self.len);
+        let slot = i % TILE;
+        self.tiles[i / TILE].iter().map(|row| row[slot]).collect()
+    }
+
+    /// Set `out[e]` to the [`sparse_dot`] of `sparse` (from
+    /// [`nonzero_buckets`]) with entry `e`'s embedding, for every entry.
+    /// Per entry these are the same products, added in the same
+    /// ascending bucket order from `+0.0`, so each result is
+    /// bit-identical to `sparse_dot`, and to [`cosine`] on embeddings
+    /// from [`embed`]. The inner loop runs along a row over one tile's
+    /// entries, whose sums stay in a local array the compiler can keep
+    /// in vector registers.
+    pub(crate) fn dots(&self, sparse: &[(usize, f32)], out: &mut Vec<f32>) {
+        out.clear();
+        out.resize(self.len.div_ceil(TILE) * TILE, 0.0);
+        let (sums, _) = out.as_chunks_mut::<TILE>();
+        for (tile, sums) in self.tiles.iter().zip(sums) {
+            let mut acc = [0.0f32; TILE];
+            for &(b, x) in sparse {
+                for (sum, &v) in acc.iter_mut().zip(&tile[b]) {
+                    *sum += v * x;
+                }
+            }
+            *sums = acc;
+        }
+        out.truncate(self.len);
+    }
 }
 
 #[cfg(test)]
@@ -203,6 +282,63 @@ mod tests {
         #[test]
         fn tokens_match_on_mixed_case_words(text in "[a-zA-Z ÉéΣσς.-]{0,80}") {
             proptest::prop_assert_eq!(tokens(&text), allocating_tokens(&text));
+        }
+    }
+
+    /// Texts that share words, so their dots are mostly non-zero.
+    fn page(i: usize) -> String {
+        let words = [
+            "cable", "storm", "latitude", "grid", "outage", "route", "solar",
+        ];
+        (0..=i % 5)
+            .map(|j| words[(i + j * 3) % words.len()])
+            .collect::<Vec<_>>()
+            .join(" ")
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn matrix_matches_its_entries_through_pushes_and_removals(
+            // Push this many pages, then remove at these positions
+            // (each taken modulo the length at the time).
+            n in 0usize..200,
+            removals in proptest::collection::vec(0usize..200, 0..70),
+            query in 0usize..40,
+        ) {
+            let mut matrix = EmbeddingMatrix::default();
+            let mut texts: Vec<String> = (0..n).map(page).collect();
+            for text in &texts {
+                matrix.push(&embed(text));
+            }
+            for r in removals {
+                if !texts.is_empty() {
+                    let i = r % texts.len();
+                    texts.remove(i);
+                    matrix.remove(i);
+                }
+            }
+            let q = nonzero_buckets(&embed(&page(query)));
+            let mut sims = vec![7.0; 3];
+            matrix.dots(&q, &mut sims);
+            proptest::prop_assert_eq!(sims.len(), texts.len());
+            for (i, text) in texts.iter().enumerate() {
+                let v = embed(text);
+                proptest::prop_assert_eq!(matrix.column(i), v.clone());
+                proptest::prop_assert_eq!(sims[i].to_bits(), sparse_dot(&q, &v).to_bits());
+            }
+            // An empty operand (an empty query) gives `+0.0`, as
+            // `sparse_dot` and `cosine` do.
+            matrix.dots(&[], &mut sims);
+            proptest::prop_assert!(sims.iter().all(|s| s.to_bits() == 0));
+            for (t, tile) in matrix.tiles.iter().enumerate() {
+                for row in tile.iter() {
+                    for (slot, &x) in row.iter().enumerate() {
+                        if t * TILE + slot >= texts.len() {
+                            proptest::prop_assert_eq!(x.to_bits(), 0, "slot past the end");
+                        }
+                    }
+                }
+            }
         }
     }
 

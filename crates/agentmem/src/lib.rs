@@ -8,7 +8,9 @@
 //! * [`mod@embed`] — feature-hashed bag-of-words embeddings with cosine
 //!   similarity (a deterministic, dependency-free stand-in for a
 //!   sentence-embedding model), plus a sparse dot over one side's
-//!   non-zero buckets that is bit-identical to it.
+//!   non-zero buckets that is bit-identical to it, and the store's
+//!   bucket-major embedding matrix, which runs that dot against every
+//!   entry in one sweep.
 //! * [`entry`] — the knowledge entry record, with provenance (source
 //!   URL and kind) so the evaluation can audit where conclusions came
 //!   from, as §4.2 of the paper does.

@@ -9,7 +9,7 @@
 //! (`ira mem`, the X5 detector), and `knowledge.json` bytes do not
 //! depend on it.
 
-use crate::embed::{embed, nonzero_buckets, sparse_dot, sparse_dots};
+use crate::embed::{embed, nonzero_buckets, EmbeddingMatrix};
 use crate::entry::KnowledgeEntry;
 use crate::graph::{ClaimGraph, GraphConfig, GraphStats, HostStats};
 use crate::provenance::{split_url, SourceRef};
@@ -117,9 +117,27 @@ pub struct KnowledgeStore {
 }
 
 struct Inner {
+    /// The entries, each with an empty `embedding`: theirs are in
+    /// `embeddings`, in the same order, and are filled in only when an
+    /// entry leaves the store ([`Inner::entry`]).
     entries: Vec<KnowledgeEntry>,
+    embeddings: EmbeddingMatrix,
     next_id: u64,
     graph: ClaimGraph,
+}
+
+impl Inner {
+    /// Entry `i` as it leaves the store, with its embedding.
+    fn entry(&self, i: usize) -> KnowledgeEntry {
+        KnowledgeEntry {
+            embedding: self.embeddings.column(i),
+            ..self.entries[i].clone()
+        }
+    }
+
+    fn all_entries(&self) -> Vec<KnowledgeEntry> {
+        (0..self.entries.len()).map(|i| self.entry(i)).collect()
+    }
 }
 
 /// One entry's state during a [`KnowledgeStore::retrieve`] selection.
@@ -129,9 +147,8 @@ struct Candidate {
     id: u64,
     /// Position in `Inner::entries`.
     index: usize,
-    /// Max cosine to the first `folded` selected entries.
+    /// Max cosine to the entries selected so far.
     max_sim: f64,
-    folded: usize,
     taken: bool,
 }
 
@@ -145,48 +162,14 @@ fn base_order(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
         .then(a.index.cmp(&b.index))
 }
 
-/// Sort the `want` candidates that come next in the base order into
-/// place after the sorted prefix `candidates[..sorted]`, leaving every
-/// later candidate after them. Returns the new prefix length.
-fn sort_more(candidates: &mut [Candidate], sorted: usize, want: usize) -> usize {
-    let rest = &mut candidates[sorted..];
-    let m = want.min(rest.len());
-    if m < rest.len() {
-        rest.select_nth_unstable_by(m, base_order);
+/// Sort the `want` candidates that come first in the base order into
+/// place at the front.
+fn sort_first(candidates: &mut [Candidate], want: usize) {
+    let m = want.min(candidates.len());
+    if m < candidates.len() {
+        candidates.select_nth_unstable_by(m, base_order);
     }
-    rest[..m].sort_unstable_by(base_order);
-    sorted + m
-}
-
-/// Candidates whose max similarities are brought up to date together.
-const LANES: usize = 4;
-
-/// Bring the `max_sim` of the candidates at `lanes` (positions, maybe
-/// repeated) up to date: each folds in the selected entries it has not
-/// seen yet, in selection order.
-fn fold_selected(
-    candidates: &mut [Candidate],
-    lanes: [usize; LANES],
-    selected: &[Vec<(usize, f32)>],
-    entries: &[KnowledgeEntry],
-) {
-    let from = lanes
-        .iter()
-        .map(|&p| candidates[p].folded)
-        .min()
-        .unwrap_or_default();
-    let dense = lanes.map(|p| entries[candidates[p].index].embedding.as_slice());
-    for (j, s) in selected.iter().enumerate().skip(from) {
-        for (&p, sim) in lanes.iter().zip(sparse_dots(s, dense)) {
-            let c = &mut candidates[p];
-            if c.folded <= j {
-                c.max_sim = c.max_sim.max(sim as f64);
-            }
-        }
-    }
-    for p in lanes {
-        candidates[p].folded = selected.len();
-    }
+    candidates[..m].sort_unstable_by(base_order);
 }
 
 impl KnowledgeStore {
@@ -194,6 +177,7 @@ impl KnowledgeStore {
         KnowledgeStore {
             inner: RwLock::new(Inner {
                 entries: Vec::new(),
+                embeddings: EmbeddingMatrix::default(),
                 next_id: 0,
                 graph: ClaimGraph::new(GraphConfig::default()),
             }),
@@ -249,13 +233,14 @@ impl KnowledgeStore {
     /// if it was dropped as a near-duplicate: if some stored entry's
     /// [`cosine`](crate::embed::cosine) to it reaches `dedup_threshold`.
     ///
-    /// The dedup scan computes that cosine as a [`sparse_dot`] over the
-    /// new content's non-zero buckets, found once per call, against a
-    /// few stored entries at a time. The new embedding and every stored
-    /// one come from [`embed`], so both are finite, non-negative and
-    /// `EMBED_DIM` long, and on such vectors `sparse_dot` is
-    /// bit-identical to `cosine`: every accept/reject decision is the
-    /// same as the dense scan's, with no rounding margin.
+    /// The dedup scan is one sweep of the embedding matrix over the new
+    /// content's non-zero buckets, giving every stored entry's
+    /// [`sparse_dot`](crate::embed::sparse_dot) with it. The new
+    /// embedding and every stored one come from [`embed`], so both are
+    /// finite, non-negative and `EMBED_DIM` long, and on such vectors
+    /// `sparse_dot` is bit-identical to `cosine`: every accept/reject
+    /// decision is the same as the dense scan's, with no rounding
+    /// margin.
     pub fn memorize(
         &self,
         topic: &str,
@@ -269,18 +254,10 @@ impl KnowledgeStore {
         let sparse = nonzero_buckets(&embedding);
         let inner = &mut *self.inner.write();
 
+        let mut sims = Vec::new();
+        inner.embeddings.dots(&sparse, &mut sims);
         let threshold = self.config.dedup_threshold;
-        let mut groups = inner.entries.chunks_exact(LANES);
-        let duplicate = groups.any(|group| {
-            let dense = std::array::from_fn(|lane| group[lane].embedding.as_slice());
-            sparse_dots::<LANES>(&sparse, dense)
-                .iter()
-                .any(|&sim| sim >= threshold)
-        }) || groups
-            .remainder()
-            .iter()
-            .any(|e| sparse_dot(&sparse, &e.embedding) >= threshold);
-        if duplicate {
+        if sims.iter().any(|&sim| sim >= threshold) {
             return None;
         }
 
@@ -294,8 +271,9 @@ impl KnowledgeStore {
             source_kind: source_kind.to_string(),
             learned_at,
             importance: importance.clamp(0.0, 1.0),
-            embedding,
+            embedding: Vec::new(),
         });
+        inner.embeddings.push(&embedding);
 
         // Absorb into the claim graph with full provenance.
         let (host, path) = split_url(source_url);
@@ -326,6 +304,7 @@ impl KnowledgeStore {
                 .map(|(i, _)| i);
             if let Some(i) = victim {
                 let evicted = inner.entries.remove(i);
+                inner.embeddings.remove(i);
                 // The page is gone; its provenance records go with it.
                 // The claims it asserted persist in the graph.
                 inner.graph.remove_entry(evicted.id);
@@ -340,56 +319,50 @@ impl KnowledgeStore {
     /// highest-scoring remaining entry is chosen after subtracting the
     /// diversity penalty against what is already selected.
     ///
-    /// The result is exactly that of the plain greedy loop: at every
-    /// step, rescan all remaining entries in the base order (score desc,
-    /// id asc) for the greatest `score − diversity × max_sim`, where
-    /// `max_sim` is the `f64::max` fold from `0.0` of the entry's
-    /// [`cosine`](crate::embed::cosine) to each selected entry, and let the *last* maximum
-    /// win ties (`Iterator::max_by`). This loop does far less work:
+    /// That is the plain greedy loop. At every step it takes the
+    /// remaining entry with the greatest `score − diversity × max_sim`,
+    /// where `max_sim` is the `f64::max` fold from `0.0` of the entry's
+    /// [`cosine`](crate::embed::cosine) to each selected entry, in
+    /// selection order, and lets the *last* maximum in the base order
+    /// (score desc, id asc) win ties, as `Iterator::max_by` over the
+    /// sorted entries would. Every similarity comes from one sweep of
+    /// the embedding matrix:
     ///
-    /// - **Cached max.** Each candidate keeps its `max_sim` and folds in
-    ///   only the entries selected since it was last examined — the
-    ///   same fold over the same values in the same order.
-    /// - **Early exit.** The penalty is never negative (diversity > 0,
-    ///   `max_sim ≥ 0`), so no adjusted score is above its base score.
-    ///   Once a base score is strictly below the best adjusted score of
-    ///   the step, neither that candidate nor any later one can win or
-    ///   tie, and the scan stops. A candidate that ties the best
-    ///   replaces it, as the last maximum does under `max_by`.
-    /// - **Lazy order.** Only the prefix of the base order the scans
-    ///   reach is sorted, in doubling chunks.
-    /// - **Sparse dots.** Relevance and the similarity to a selected
-    ///   entry are [`sparse_dot`]s over the query's or selected entry's
-    ///   non-zero buckets, in ascending order from a `+0.0` accumulator:
-    ///   bit-identical to [`cosine`](crate::embed::cosine) on finite, non-negative,
-    ///   `EMBED_DIM`-long embeddings, which every stored embedding is
-    ///   (they come from [`embed`], also in a loaded store — see
-    ///   [`KnowledgeStore::from_json`]). A few candidates' sums are run
-    ///   side by side, each in its own order.
-    /// - Selected candidates are marked, not removed, and only the `k`
-    ///   winners are cloned.
+    /// - **Relevance** is one sweep over the query's non-zero buckets.
+    /// - **Max similarity.** After each pick but the last, one sweep
+    ///   over the pick's non-zero buckets folds its similarity into
+    ///   every candidate's `max_sim`.
+    ///
+    /// Each sweep result is bit-identical to `cosine`: every stored
+    /// embedding comes from [`embed`], also in a loaded store (see
+    /// [`KnowledgeStore::from_json`]). With `diversity <= 0` the
+    /// selection is the first `k` of the base order, and only those are
+    /// sorted. Only the `k` winners are cloned.
     pub fn retrieve(&self, query: &str, k: usize, now: u64) -> Vec<KnowledgeEntry> {
         let inner = self.inner.read();
         self.select(&inner, query, k, now)
             .into_iter()
-            .map(|i| inner.entries[i].clone())
+            .map(|i| inner.entry(i))
             .collect()
     }
 
     /// The positions in `inner.entries` of what
     /// [`KnowledgeStore::retrieve`] returns, in selection order.
     fn select(&self, inner: &Inner, query: &str, k: usize, now: u64) -> Vec<usize> {
-        let q = nonzero_buckets(&embed(query));
+        let mut sims = Vec::new();
+        inner
+            .embeddings
+            .dots(&nonzero_buckets(&embed(query)), &mut sims);
         let mut candidates: Vec<Candidate> = inner
             .entries
             .iter()
+            .zip(&sims)
             .enumerate()
-            .map(|(index, e)| Candidate {
-                score: self.score(e, &q, now),
+            .map(|(index, (e, &relevance))| Candidate {
+                score: self.score(e, relevance, now),
                 id: e.id,
                 index,
                 max_sim: 0.0,
-                folded: 0,
                 taken: false,
             })
             .collect();
@@ -397,54 +370,46 @@ impl KnowledgeStore {
 
         let diversity = self.config.weights.diversity;
         if diversity <= 0.0 {
-            sort_more(&mut candidates, 0, k);
+            sort_first(&mut candidates, k);
             return candidates[..k].iter().map(|c| c.index).collect();
         }
 
-        // `candidates[..sorted]` is in the base order; all later
-        // candidates come after it.
-        let mut sorted = 0;
-        // Sparse embeddings of the selected entries, in selection order.
-        let mut selected: Vec<Vec<(usize, f32)>> = Vec::with_capacity(k);
+        // `candidates[i]` is entry `i`.
         let mut picks = Vec::with_capacity(k);
         while picks.len() < k {
             let mut best: Option<(usize, f64)> = None;
-            for pos in 0..candidates.len() {
-                if pos == sorted {
-                    sorted = sort_more(&mut candidates, sorted, sorted.max(64));
-                }
-                let c = &candidates[pos];
-                if c.taken {
-                    continue;
-                }
-                if best.is_some_and(|(_, b)| c.score.total_cmp(&b).is_lt()) {
-                    break;
-                }
-                if c.folded < selected.len() {
-                    // The next few candidates are likely examined next.
-                    let lanes = std::array::from_fn(|lane| (pos + lane).min(sorted - 1));
-                    fold_selected(&mut candidates, lanes, &selected, &inner.entries);
-                }
-                let c = &candidates[pos];
+            for (i, c) in candidates.iter().enumerate().filter(|(_, c)| !c.taken) {
                 let adjusted = c.score - diversity * c.max_sim;
-                if best.is_none_or(|(_, b)| adjusted.total_cmp(&b).is_ge()) {
-                    best = Some((pos, adjusted));
+                let wins = best.is_none_or(|(b, best_adjusted)| {
+                    adjusted
+                        .total_cmp(&best_adjusted)
+                        .then_with(|| base_order(c, &candidates[b]))
+                        .is_gt()
+                });
+                if wins {
+                    best = Some((i, adjusted));
                 }
             }
             // `picks.len() < k <= candidates.len()` leaves one untaken.
-            let Some((pos, _)) = best else { break };
-            let winner = &mut candidates[pos];
-            winner.taken = true;
-            selected.push(nonzero_buckets(&inner.entries[winner.index].embedding));
-            picks.push(winner.index);
+            let Some((i, _)) = best else { break };
+            candidates[i].taken = true;
+            picks.push(i);
+            if picks.len() < k {
+                let pick = nonzero_buckets(&inner.embeddings.column(i));
+                inner.embeddings.dots(&pick, &mut sims);
+                for (c, &sim) in candidates.iter_mut().zip(&sims) {
+                    c.max_sim = c.max_sim.max(sim as f64);
+                }
+            }
         }
         picks
     }
 
-    /// The retrieval score of an entry for a query's non-zero buckets.
-    fn score(&self, e: &KnowledgeEntry, query: &[(usize, f32)], now: u64) -> f64 {
+    /// The retrieval score of an entry whose relevance to the query is
+    /// `relevance`.
+    fn score(&self, e: &KnowledgeEntry, relevance: f32, now: u64) -> f64 {
         let w = &self.config.weights;
-        let relevance = sparse_dot(query, &e.embedding) as f64;
+        let relevance = relevance as f64;
         let age_secs = now.saturating_sub(e.learned_at) as f64 / 1e6;
         let recency = 0.5f64.powf(age_secs / w.half_life_secs);
         w.relevance * relevance + w.recency * recency + w.importance * e.importance
@@ -474,7 +439,7 @@ impl KnowledgeStore {
 
     /// Every entry, in insertion order (for audits and persistence).
     pub fn entries(&self) -> Vec<KnowledgeEntry> {
-        self.inner.read().entries.clone()
+        self.inner.read().all_entries()
     }
 
     /// Distinct (topic, count) pairs — what the agent has studied.
@@ -505,7 +470,7 @@ impl KnowledgeStore {
         let file = StoreFile {
             config: self.config,
             next_id: inner.next_id,
-            entries: inner.entries.clone(),
+            entries: inner.all_entries(),
         };
         serde_json::to_string_pretty(&file).expect("store serializes")
     }
@@ -520,13 +485,16 @@ impl KnowledgeStore {
     /// see [`KnowledgeStore::load`]).
     pub fn from_json(json: &str) -> Result<Self, StoreError> {
         let mut file: StoreFile = serde_json::from_str(json)?;
+        let mut embeddings = EmbeddingMatrix::default();
         for e in &mut file.entries {
-            e.embedding = embed(&e.content);
+            embeddings.push(&embed(&e.content));
+            e.embedding = Vec::new();
         }
         let graph = rebuild_graph(&file.entries);
         Ok(KnowledgeStore {
             inner: RwLock::new(Inner {
                 entries: file.entries,
+                embeddings,
                 next_id: file.next_id,
                 graph,
             }),

@@ -257,14 +257,15 @@ fn counted(counts: &[usize; 4]) -> String {
 }
 
 /// The oracle: the dense dedup scan — does any stored entry's cosine
-/// to `content` reach the store's threshold?
+/// to `content` reach the store's threshold? It embeds each stored
+/// content itself rather than trust the store's vectors.
 fn dense_duplicate(store: &KnowledgeStore, content: &str) -> bool {
     let v = embed(content);
     let threshold = store.config().dedup_threshold;
     store
         .entries()
         .iter()
-        .any(|e| cosine(&e.embedding, &v) >= threshold)
+        .any(|e| cosine(&embed(&e.content), &v) >= threshold)
 }
 
 proptest! {
@@ -285,9 +286,9 @@ proptest! {
 
 /// Pairs whose cosine lies within 1e-6 of the default 0.98 threshold:
 /// one ulp below it, exactly on it, and one ulp above it. The stored
-/// page sits at every position of stores of up to eight entries, so
-/// the scan meets it both in a group of entries compared together and
-/// among the leftovers.
+/// page sits at every position of stores of up to eight entries, and
+/// first, last and on either side of the 32-entry tile boundaries of
+/// the embedding matrix in larger stores.
 #[test]
 fn dedup_decisions_at_the_threshold_match_the_dense_scan() {
     let cases = [
@@ -299,22 +300,27 @@ fn dedup_decisions_at_the_threshold_match_the_dense_scan() {
         let (stored, new) = (counted(&stored), counted(&new));
         let similarity = cosine(&embed(&stored), &embed(&new));
         assert!((similarity - 0.98).abs() <= 1e-6, "{similarity}");
-        for len in 1..=8 {
-            for at in 0..len {
-                let store = KnowledgeStore::with_defaults();
-                for i in 0..len {
-                    let page = if i == at {
-                        stored.clone()
-                    } else {
-                        format!("filler{i} garden rose pasta")
-                    };
-                    let url = format!("u{i}");
-                    assert!(store.memorize("t", &page, &url, "news", 0, 0.5).is_some());
-                }
-                assert_eq!(dense_duplicate(&store, &new), duplicate, "{similarity}");
-                let id = store.memorize("t", &new, "new", "news", 1, 0.5);
-                assert_eq!(id.is_none(), duplicate, "{similarity} at {at} of {len}");
+        let small = (1..=8).flat_map(|len| (0..len).map(move |at| (len, at)));
+        let large = [32, 33, 65].into_iter().flat_map(|len: usize| {
+            [0, 30, 31, 32, 33, len - 1]
+                .into_iter()
+                .filter(move |&at| at < len)
+                .map(move |at| (len, at))
+        });
+        for (len, at) in small.chain(large) {
+            let store = KnowledgeStore::with_defaults();
+            for i in 0..len {
+                let page = if i == at {
+                    stored.clone()
+                } else {
+                    format!("filler{i} garden{i} rose{i} pasta")
+                };
+                let url = format!("u{i}");
+                assert!(store.memorize("t", &page, &url, "news", 0, 0.5).is_some());
             }
+            assert_eq!(dense_duplicate(&store, &new), duplicate, "{similarity}");
+            let id = store.memorize("t", &new, "new", "news", 1, 0.5);
+            assert_eq!(id.is_none(), duplicate, "{similarity} at {at} of {len}");
         }
     }
 }

@@ -1,6 +1,9 @@
 //! `KnowledgeStore::retrieve` against the quadratic MMR loop it
 //! replaced: random stores must give the same entries in the same
 //! order, and the sparse relevance dot must match `cosine` bit for bit.
+//! The oracle embeds every entry's content itself, so it does not share
+//! the store's embedding matrix; a third property pins what the store
+//! hands out from that matrix to `embed(content)`.
 
 use ira_agentmem::{
     cosine, embed, nonzero_buckets, sparse_dot, KnowledgeEntry, KnowledgeStore, RetrievalWeights,
@@ -25,7 +28,7 @@ fn text(words: &[usize]) -> String {
 
 /// The retrieval score `quadratic_retrieve` ranks by.
 fn quadratic_score(w: &RetrievalWeights, e: &KnowledgeEntry, query: &[f32], now: u64) -> f64 {
-    let relevance = cosine(&e.embedding, query) as f64;
+    let relevance = cosine(&embed(&e.content), query) as f64;
     let age_secs = now.saturating_sub(e.learned_at) as f64 / 1e6;
     let recency = 0.5f64.powf(age_secs / w.half_life_secs);
     w.relevance * relevance + w.recency * recency + w.importance * e.importance
@@ -60,15 +63,16 @@ fn quadratic_retrieve(
             .collect();
     }
 
-    let mut selected: Vec<KnowledgeEntry> = Vec::with_capacity(k.min(candidates.len()));
+    let mut selected: Vec<(KnowledgeEntry, Vec<f32>)> = Vec::with_capacity(k.min(candidates.len()));
     while selected.len() < k && !candidates.is_empty() {
         let best = candidates
             .iter()
             .enumerate()
             .map(|(i, (score, e))| {
+                let v = embed(&e.content);
                 let max_sim = selected
                     .iter()
-                    .map(|s| cosine(&s.embedding, &e.embedding) as f64)
+                    .map(|(_, s)| cosine(s, &v) as f64)
                     .fold(0.0f64, f64::max);
                 (i, score - diversity * max_sim)
             })
@@ -76,12 +80,12 @@ fn quadratic_retrieve(
         match best {
             Some((i, _)) => {
                 let (_, e) = candidates.remove(i);
-                selected.push(e.clone());
+                selected.push((e.clone(), embed(&e.content)));
             }
             None => break,
         }
     }
-    selected
+    selected.into_iter().map(|(e, _)| e).collect()
 }
 
 fn ids(entries: &[KnowledgeEntry]) -> Vec<u64> {
@@ -195,6 +199,45 @@ proptest! {
             urls(&store.retrieve(&query, k, 3_000_000)),
             urls(&quadratic_retrieve(&store, &query, k, 3_000_000))
         );
+    }
+
+    #[test]
+    fn stored_embeddings_are_the_embeddings_of_their_contents(
+        pages in prop::collection::vec(
+            (prop::collection::vec(0..WORDS.len(), 0..6), 0u64..4, 0usize..3),
+            0..=150,
+        ),
+        capacity in prop::sample::select(vec![1usize, 7, 64, 65, 2_000]),
+        (query, k) in (prop::collection::vec(0..WORDS.len(), 0..5), 0usize..=15),
+    ) {
+        let store = KnowledgeStore::new(StoreConfig {
+            capacity,
+            dedup_threshold: 2.0,
+            ..StoreConfig::default()
+        });
+        for (i, (words, learned_s, importance_step)) in pages.iter().enumerate() {
+            store.memorize(
+                "t",
+                &text(words),
+                &format!("u{i}"),
+                "news",
+                learned_s * 1_000_000,
+                *importance_step as f64 / 2.0,
+            );
+        }
+        prop_assert!(store.len() <= capacity);
+        let json = store.to_json();
+        let loaded = KnowledgeStore::from_json(&json).unwrap();
+        prop_assert_eq!(loaded.to_json(), json, "to_json -> from_json -> to_json");
+        for s in [&store, &loaded] {
+            let query = text(&query);
+            let handed_out = s.entries().into_iter().chain(s.retrieve(&query, k, 0));
+            for e in handed_out {
+                let want: Vec<u32> = embed(&e.content).iter().map(|x| x.to_bits()).collect();
+                let got: Vec<u32> = e.embedding.iter().map(|x| x.to_bits()).collect();
+                prop_assert_eq!(got, want, "entry {}", e.id);
+            }
+        }
     }
 
     #[test]

@@ -676,22 +676,6 @@ fn quiz(incidents: bool, config: AgentConfig, report_path: Option<&str>, obs: &O
     obs.finish()
 }
 
-/// The sample batch printed by `ira serve --example`: one of each
-/// request kind, exercising a deadline and a blackout. Questions come
-/// from the incident quiz bank so the agent's verdict matching has
-/// something to latch onto.
-fn serve_example() -> String {
-    [
-        r#"{"id":"train-bob","kind":"train"}"#,
-        r#"{"id":"ask-solar","kind":"ask","seed":1,"question":"Which is more vulnerable to solar activity? The fiber optic cable that connects Brazil to Europe or the one that connects the US to Europe?"}"#,
-        r#"{"id":"quiz-quick","kind":"quiz","deadline_us":120000000}"#,
-        r#"{"id":"quiz-blackout","kind":"quiz","fault_intensity":0.25,"fault_seed":7,"deadline_us":110000000}"#,
-        r#"{"id":"stats-tail","kind":"stats"}"#,
-    ]
-    .map(|line| format!("{line}\n"))
-    .concat()
-}
-
 /// `ira serve`: one JSONL batch through the resilient serve layer —
 /// requests on stdin (or `--input`), responses on stdout in request
 /// order, diagnostics on stderr so the response stream stays clean.
@@ -715,7 +699,7 @@ fn serve_cmd(
     use ira_serve::{AdmissionConfig, ServeConfig, Server};
 
     if example {
-        print!("{}", serve_example());
+        print!("{}", ira_serve::EXAMPLE_BATCH);
         return 0;
     }
     let text = match read_trace_input(input.unwrap_or("-")) {

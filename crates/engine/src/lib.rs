@@ -11,8 +11,11 @@
 //! `ira-core` gets an [`Environment`]. The world is read-only and
 //! corpus generation is deterministic — `Corpus::generate` over the
 //! same world and config always yields the same pages — so
-//! the engine builds the world once and each distinct corpus once, and
-//! shares both (`Arc`) across sessions. Every per-session component
+//! the engine builds the world once and each distinct corpus once while
+//! it stays cached, and shares both (`Arc`) across sessions. The cache
+//! keeps the most recently used corpora up to a fixed number of
+//! documents; a corpus evicted and asked for again is regenerated, byte
+//! for byte the same. Every per-session component
 //! that carries state (network, client, model, memory) is constructed
 //! fresh through `Environment::from_parts` and `ResearchAgent::new`,
 //! so a session behaves byte-for-byte like one wired by hand from a
@@ -98,15 +101,60 @@ impl Session {
 /// str` from the registry), so the key stays cheap to hash and clone.
 type CorpusKey = (&'static str, u64, usize);
 
-/// Shared experiment state: one world, each distinct corpus generated
-/// once.
+/// The most documents the corpus cache keeps. Four 6,000-distractor
+/// webs (~24,600 documents, the largest set of corpora one benchmark
+/// workload uses at once) fit, and so does the largest corpus a serve
+/// request can ask for (10,000 distractors, ~10,150 documents), so a
+/// tenant cycling through distractor counts holds the cache to this
+/// size instead of growing it without bound.
+const CACHE_DOCUMENTS: usize = 32_768;
+
+/// The corpus cache: one `OnceLock` cell per key, so two threads asking
+/// for *different* corpora build in parallel — the lock is held only to
+/// hand out a cell or to evict, never during generation.
+#[derive(Default)]
+struct CorpusCache {
+    cells: HashMap<CorpusKey, Cached>,
+    /// Counts requests; stamps `Cached::used`.
+    clock: u64,
+}
+
+struct Cached {
+    cell: Arc<OnceLock<Arc<Corpus>>>,
+    /// `CorpusCache::clock` at the last request for this key.
+    used: u64,
+}
+
+impl CorpusCache {
+    /// Drop least recently used corpora, never `keep` and never one
+    /// still being generated, until at most `limit` documents are
+    /// cached or only `keep` is left to drop.
+    fn evict(&mut self, keep: CorpusKey, limit: usize) {
+        let documents = |cached: &Cached| cached.cell.get().map_or(0, |c| c.len());
+        let mut resident: usize = self.cells.values().map(documents).sum();
+        while resident > limit {
+            let victim = self
+                .cells
+                .iter()
+                .filter(|(key, cached)| **key != keep && cached.cell.get().is_some())
+                .min_by_key(|(_, cached)| cached.used)
+                .map(|(key, _)| *key);
+            let Some(victim) = victim else { break };
+            let evicted = self.cells.remove(&victim).expect("victim is cached");
+            resident -= documents(&evicted);
+        }
+    }
+}
+
+/// Shared experiment state: one world and a bounded cache of the
+/// corpora generated over it.
 pub struct Engine {
     /// Shared by every spawned session's environment, never cloned.
     world: Arc<World>,
-    /// Per-key `OnceLock` cells so two threads asking for *different*
-    /// corpora build in parallel — the map lock is held only to hand
-    /// out the cell, never during generation.
-    corpora: Mutex<HashMap<CorpusKey, Arc<OnceLock<Arc<Corpus>>>>>,
+    corpora: Mutex<CorpusCache>,
+    /// The cache's bound in documents: `CACHE_DOCUMENTS`, held in a
+    /// field so a test can cycle through a smaller one.
+    cache_documents: usize,
     builds: AtomicUsize,
 }
 
@@ -120,7 +168,8 @@ impl Engine {
     pub fn with_world(world: World) -> Self {
         Engine {
             world: Arc::new(world),
-            corpora: Mutex::new(HashMap::new()),
+            corpora: Mutex::new(CorpusCache::default()),
+            cache_documents: CACHE_DOCUMENTS,
             builds: AtomicUsize::new(0),
         }
     }
@@ -130,23 +179,40 @@ impl Engine {
     }
 
     /// The corpus for `config`, generated on first request and shared
-    /// afterwards. Generation is deterministic, so the cached corpus is
-    /// indistinguishable from a rebuild.
+    /// while it stays cached. Generation is deterministic, so the cached
+    /// corpus is indistinguishable from a rebuild. A request that
+    /// generates evicts least recently used corpora until the cache
+    /// holds at most `CACHE_DOCUMENTS` documents.
     pub fn corpus(&self, config: CorpusConfig) -> Arc<Corpus> {
+        let key = (config.scenario, config.seed, config.distractor_count);
         let cell = {
-            let mut map = self.corpora.lock().expect("corpus map poisoned");
-            Arc::clone(
-                map.entry((config.scenario, config.seed, config.distractor_count))
-                    .or_default(),
-            )
+            let cache = &mut *self.corpora.lock().expect("corpus cache poisoned");
+            cache.clock += 1;
+            let used = cache.clock;
+            let cached = cache.cells.entry(key).or_insert_with(|| Cached {
+                cell: Arc::default(),
+                used,
+            });
+            cached.used = used;
+            Arc::clone(&cached.cell)
         };
-        Arc::clone(cell.get_or_init(|| {
+        let mut generated = false;
+        let corpus = Arc::clone(cell.get_or_init(|| {
+            generated = true;
             self.builds.fetch_add(1, Ordering::Relaxed);
             Arc::new(Corpus::generate(&self.world, config))
-        }))
+        }));
+        if generated {
+            self.corpora
+                .lock()
+                .expect("corpus cache poisoned")
+                .evict(key, self.cache_documents);
+        }
+        corpus
     }
 
-    /// How many corpora have actually been generated (cache misses).
+    /// How many corpora have actually been generated: first requests
+    /// and regenerations after eviction.
     pub fn corpus_builds(&self) -> usize {
         self.builds.load(Ordering::Relaxed)
     }
@@ -228,6 +294,56 @@ mod tests {
         });
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(engine.corpus_builds(), 2);
+    }
+
+    /// Documents the cache holds.
+    fn cached_documents(engine: &Engine) -> usize {
+        let cache = engine.corpora.lock().unwrap();
+        cache
+            .cells
+            .values()
+            .filter_map(|c| c.cell.get())
+            .map(|c| c.len())
+            .sum()
+    }
+
+    fn pages(corpus: &Corpus) -> String {
+        serde_json::to_string(&corpus.iter().collect::<Vec<_>>()).unwrap()
+    }
+
+    #[test]
+    fn corpus_cache_is_bounded_and_regenerates_identical_corpora() {
+        let config = |distractor_count| CorpusConfig {
+            distractor_count,
+            ..CorpusConfig::default()
+        };
+        let mut engine = Engine::new();
+        let smallest = engine.corpus(config(0)).len();
+        // Room for two of the corpora below, not three.
+        engine.cache_documents = 2 * smallest + 10;
+        let first: Vec<Arc<Corpus>> = (0..4).map(|d| engine.corpus(config(d))).collect();
+        // 0 was cached; 1, 2 and 3 were built, each evicting the least
+        // recently used corpus once two were held.
+        assert_eq!(engine.corpus_builds(), 4);
+        for round in 0..2 {
+            for (d, first) in first.iter().enumerate() {
+                let again = engine.corpus(config(d));
+                assert!(cached_documents(&engine) <= engine.cache_documents);
+                assert!(
+                    !Arc::ptr_eq(&again, first),
+                    "round {round}: {d} regenerated"
+                );
+                assert_eq!(pages(&again), pages(first), "distractors {d}");
+            }
+        }
+        assert_eq!(engine.corpus_builds(), 12, "every request misses");
+
+        // The least recently used corpus goes first: 2 was used after
+        // 3, so asking for 1 evicts 3 and 2 stays.
+        let two = engine.corpus(config(2));
+        engine.corpus(config(1));
+        assert!(Arc::ptr_eq(&engine.corpus(config(2)), &two));
+        assert_eq!(engine.corpus_builds(), 13);
     }
 
     #[test]

@@ -42,6 +42,6 @@ pub mod server;
 pub use admission::{Admission, AdmissionConfig, AdmissionController, ShedReason};
 pub use protocol::{
     parse_request_lines, parse_requests, parse_responses, render_responses, QuizConclusion,
-    RequestKind, ResponsePayload, ResponseStatus, ServeRequest, ServeResponse,
+    RequestKind, ResponsePayload, ResponseStatus, ServeRequest, ServeResponse, EXAMPLE_BATCH,
 };
 pub use server::{line_slo_sample, nominal_cost, slo_sample, RetrySpec, ServeConfig, Server};

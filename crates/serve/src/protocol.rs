@@ -89,6 +89,23 @@ const MAX_QUESTION_BYTES: usize = 4_096;
 /// field's own validation error.
 const MAX_LINE_BYTES: usize = 2 << 20;
 
+/// The sample batch `ira serve --example` prints: one of each request
+/// kind, exercising a deadline and a blackout. Questions come from the
+/// incident quiz bank so the agent's verdict matching has something to
+/// latch onto.
+pub const EXAMPLE_BATCH: &str = concat!(
+    r#"{"id":"train-bob","kind":"train"}"#,
+    "\n",
+    r#"{"id":"ask-solar","kind":"ask","seed":1,"question":"Which is more vulnerable to solar activity? The fiber optic cable that connects Brazil to Europe or the one that connects the US to Europe?"}"#,
+    "\n",
+    r#"{"id":"quiz-quick","kind":"quiz","deadline_us":120000000}"#,
+    "\n",
+    r#"{"id":"quiz-blackout","kind":"quiz","fault_intensity":0.25,"fault_seed":7,"deadline_us":110000000}"#,
+    "\n",
+    r#"{"id":"stats-tail","kind":"stats"}"#,
+    "\n",
+);
+
 fn default_distractors() -> usize {
     ira_webcorpus::CorpusConfig::default().distractor_count
 }
