@@ -5,6 +5,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use ira_simllm::extract::Extraction;
 use ira_simllm::intent::classify;
 use ira_simllm::Llm;
+use ira_webcorpus::{Corpus, CorpusConfig, SourceKind};
+use ira_worldmodel::World;
 
 const CABLE_Q: &str = "Which is more vulnerable to solar activity? The fiber optic cable that \
                        connects Brazil to Europe or the one that connects the US to Europe?";
@@ -45,6 +47,23 @@ fn bench_grounded_answer(c: &mut Criterion) {
     });
 }
 
+/// The cold path: ten encyclopedia pages of the default web, read by a
+/// fresh model each iteration, so every call misses the answer cache
+/// and every chunk misses the extraction cache.
+fn bench_answer_miss(c: &mut Criterion) {
+    let corpus = Corpus::generate(&World::standard(), CorpusConfig::default());
+    let pages: Vec<String> = corpus
+        .iter()
+        .filter(|d| d.source == SourceKind::Encyclopedia)
+        .take(10)
+        .map(|d| d.full_text())
+        .collect();
+    assert_eq!(pages.len(), 10);
+    c.bench_function("llm_answer_miss", |b| {
+        b.iter(|| std::hint::black_box(Llm::gpt4(1).answer(CABLE_Q, &pages)))
+    });
+}
+
 fn bench_ungrounded_answer(c: &mut Criterion) {
     let llm = Llm::gpt4(1);
     c.bench_function("llm_answer_ungrounded", |b| {
@@ -57,6 +76,7 @@ criterion_group!(
     bench_extraction,
     bench_classify,
     bench_grounded_answer,
+    bench_answer_miss,
     bench_ungrounded_answer
 );
 criterion_main!(benches);

@@ -195,139 +195,186 @@ impl Extraction {
             }
         }
 
+        let open = Gates::of(text);
         let mut subject: Option<String> = subject_hint.map(str::to_owned);
         for sentence in split_sentences(text) {
-            if let Some(fact) = parse_route(sentence) {
-                if let Fact::CableRoute { name, .. } = &fact {
-                    subject = Some(name.clone());
+            if open.route {
+                if let Some(fact) = parse_route(sentence) {
+                    if let Fact::CableRoute { name, .. } = &fact {
+                        subject = Some(name.clone());
+                    }
+                    self.push(fact);
                 }
-                self.push(fact);
             }
-            if let Some(deg) = parse_apex(sentence) {
-                let entity = apex_entity(sentence).or_else(|| subject.clone());
-                if let Some(entity) = entity {
-                    self.push(Fact::MaxGeomagLatitude {
-                        entity,
-                        degrees: deg,
+            if open.apex {
+                if let Some(deg) = parse_apex(sentence) {
+                    let entity = apex_entity(sentence).or_else(|| subject.clone());
+                    if let Some(entity) = entity {
+                        self.push(Fact::MaxGeomagLatitude {
+                            entity,
+                            degrees: deg,
+                        });
+                    }
+                }
+            }
+            if open.spans {
+                if let Some(km) = parse_after_number(sentence, SPANS_PREFIX, " kilometres") {
+                    if let Some(entity) = subject.clone() {
+                        self.push(Fact::LengthKm { entity, km });
+                    }
+                }
+            }
+            if open.powered {
+                if let Some(n) = parse_after_number(sentence, POWERED_PREFIX, " optical repeaters")
+                {
+                    if let Some(entity) = subject.clone() {
+                        self.push(Fact::RepeaterCount {
+                            entity,
+                            count: n as u32,
+                        });
+                    }
+                }
+            }
+            if open.coverage {
+                if let Some(fact) = parse_coverage(sentence) {
+                    self.push(fact);
+                }
+            }
+            if open.low_lat_share {
+                if let Some(fact) = parse_low_lat_share(sentence) {
+                    self.push(fact);
+                }
+            }
+            if open.presence {
+                if let Some(fact) = parse_presence(sentence) {
+                    self.push(fact);
+                }
+            }
+            if open.storm {
+                if let Some(fact) = parse_storm(sentence) {
+                    self.push(fact);
+                }
+            }
+            if open.grid {
+                if let Some(fact) = parse_grid(sentence) {
+                    self.push(fact);
+                }
+            }
+            if open.cause {
+                if let Some(fact) = parse_incident_cause(sentence) {
+                    if let Fact::IncidentCause { incident, .. } = &fact {
+                        subject = Some(incident.clone());
+                    }
+                    self.push(fact);
+                }
+            }
+            if open.effect {
+                if let Some(effect) = parse_after_marker(sentence, EFFECT_MARKER) {
+                    if let Some(incident) = subject.clone() {
+                        self.push(Fact::IncidentEffect { incident, effect });
+                    }
+                }
+            }
+            if open.duration {
+                if let Some(hours) = parse_after_number(sentence, DURATION_PREFIX, " hours") {
+                    if let Some(incident) = subject.clone() {
+                        self.push(Fact::IncidentDuration { incident, hours });
+                    }
+                }
+            }
+            if open.cables_cut {
+                if let Some(fact) = parse_cables_cut(sentence) {
+                    self.push(fact);
+                }
+            }
+            if open.traffic {
+                if let Some(fact) = parse_incident_traffic(sentence) {
+                    self.push(fact);
+                }
+            }
+            if open.cable_cut {
+                if let Some(fact) = parse_cable_cut(sentence) {
+                    if let Fact::CableCut { cable, .. } = &fact {
+                        subject = Some(cable.clone());
+                    }
+                    self.push(fact);
+                }
+            }
+            if open.cable_span {
+                if let Some(fact) = parse_cable_span(sentence) {
+                    if let Fact::LengthKm { entity, .. } = &fact {
+                        subject = Some(entity.clone());
+                    }
+                    self.push(fact);
+                }
+            }
+            if open.break_took {
+                if let Some(n) =
+                    parse_after_number(sentence, BREAK_TOOK_PREFIX, " optical repeaters")
+                {
+                    if let Some(entity) = subject.clone() {
+                        self.push(Fact::RepeaterCount {
+                            entity,
+                            count: n as u32,
+                        });
+                    }
+                }
+            }
+            if open.corridor {
+                for (prefix, suffix) in CORRIDOR_FORMS {
+                    if let Some(n) = parse_after_number(sentence, prefix, suffix) {
+                        self.push(Fact::CorridorSurvivors { count: n as u32 });
+                    }
+                }
+            }
+            if open.grid_collapse {
+                if let Some(fact) = parse_grid_collapse(sentence) {
+                    self.push(fact);
+                }
+            }
+            if open.most_exposed {
+                if let Some(fact) = parse_grid_most_exposed(sentence) {
+                    self.push(fact);
+                }
+            }
+            if open.grid_low_latitude {
+                if let Some(fact) = parse_grid_low_latitude(sentence) {
+                    self.push(fact);
+                }
+            }
+            if open.edge_during {
+                if let Some(p) = parse_after_number(sentence, EDGE_DURING_PREFIX, EDGE_DURING_TAIL)
+                {
+                    self.push(Fact::EdgeAvailability {
+                        during: true,
+                        percent: p,
                     });
                 }
             }
-            if let Some(km) = parse_after_number(sentence, "spans approximately ", " kilometres") {
-                if let Some(entity) = subject.clone() {
-                    self.push(Fact::LengthKm { entity, km });
-                }
-            }
-            if let Some(n) =
-                parse_after_number(sentence, "powered through roughly ", " optical repeaters")
+            if open.restored
+                && sentence.contains(RESTORED_PREFIX)
+                && sentence.contains(REANNOUNCED_MARKER)
             {
-                if let Some(entity) = subject.clone() {
-                    self.push(Fact::RepeaterCount {
-                        entity,
-                        count: n as u32,
-                    });
-                }
-            }
-            if let Some(fact) = parse_coverage(sentence) {
-                self.push(fact);
-            }
-            if let Some(fact) = parse_low_lat_share(sentence) {
-                self.push(fact);
-            }
-            if let Some(fact) = parse_presence(sentence) {
-                self.push(fact);
-            }
-            if let Some(fact) = parse_storm(sentence) {
-                self.push(fact);
-            }
-            if let Some(fact) = parse_grid(sentence) {
-                self.push(fact);
-            }
-            if let Some(fact) = parse_incident_cause(sentence) {
-                if let Fact::IncidentCause { incident, .. } = &fact {
-                    subject = Some(incident.clone());
-                }
-                self.push(fact);
-            }
-            if let Some(effect) =
-                parse_after_marker(sentence, "The main effect on the Internet was ")
-            {
-                if let Some(incident) = subject.clone() {
-                    self.push(Fact::IncidentEffect { incident, effect });
-                }
-            }
-            if let Some(hours) = parse_after_number(sentence, "disrupted for about ", " hours") {
-                if let Some(incident) = subject.clone() {
-                    self.push(Fact::IncidentDuration { incident, hours });
-                }
-            }
-            if let Some(fact) = parse_cables_cut(sentence) {
-                self.push(fact);
-            }
-            if let Some(fact) = parse_incident_traffic(sentence) {
-                self.push(fact);
-            }
-            if let Some(fact) = parse_cable_cut(sentence) {
-                if let Fact::CableCut { cable, .. } = &fact {
-                    subject = Some(cable.clone());
-                }
-                self.push(fact);
-            }
-            if let Some(fact) = parse_cable_span(sentence) {
-                if let Fact::LengthKm { entity, .. } = &fact {
-                    subject = Some(entity.clone());
-                }
-                self.push(fact);
-            }
-            if let Some(n) = parse_after_number(sentence, "break took about ", " optical repeaters")
-            {
-                if let Some(entity) = subject.clone() {
-                    self.push(Fact::RepeaterCount {
-                        entity,
-                        count: n as u32,
-                    });
-                }
-            }
-            for (prefix, suffix) in [
-                ("rerouted onto ", " parallel"),
-                ("Because ", " parallel systems"),
-            ] {
-                if let Some(n) = parse_after_number(sentence, prefix, suffix) {
-                    self.push(Fact::CorridorSurvivors { count: n as u32 });
-                }
-            }
-            if let Some(fact) = parse_grid_collapse(sentence) {
-                self.push(fact);
-            }
-            if let Some(fact) = parse_grid_most_exposed(sentence) {
-                self.push(fact);
-            }
-            if let Some(fact) = parse_grid_low_latitude(sentence) {
-                self.push(fact);
-            }
-            if let Some(p) = parse_after_number(sentence, "Only ", " percent of edge networks") {
-                self.push(Fact::EdgeAvailability {
-                    during: true,
-                    percent: p,
-                });
-            }
-            if sentence.contains("restored to ") && sentence.contains("re-announced") {
-                if let Some(p) = parse_after_number(sentence, "restored to ", " percent") {
+                if let Some(p) = parse_after_number(sentence, RESTORED_PREFIX, " percent") {
                     self.push(Fact::EdgeAvailability {
                         during: false,
                         percent: p,
                     });
                 }
             }
-            if sentence.contains("content prefixes stayed announced") {
+            if open.content_prefixes && sentence.contains(CONTENT_PREFIXES_MARKER) {
                 self.push(Fact::ContentPrefixesAnnounced);
             }
         }
     }
 
-    /// Merge another extraction into this one, deduplicating.
+    /// Merge another extraction into this one, deduplicating. A fact
+    /// is cloned only when it is new.
     pub fn merge(&mut self, other: &Extraction) {
         for f in &other.facts {
-            self.push(f.clone());
+            if !self.facts.contains(f) {
+                self.facts.push(f.clone());
+            }
         }
         self.principles.extend(other.principles.iter().copied());
     }
@@ -720,6 +767,88 @@ pub fn incident_matches(incident: &str, needle: &str) -> bool {
     a.contains(&b) || b.contains(&a)
 }
 
+// Markers of the fact forms `Extraction::absorb` parses inline (the
+// parser functions below keep theirs beside them).
+const SPANS_PREFIX: &str = "spans approximately ";
+const POWERED_PREFIX: &str = "powered through roughly ";
+const EFFECT_MARKER: &str = "The main effect on the Internet was ";
+const DURATION_PREFIX: &str = "disrupted for about ";
+const BREAK_TOOK_PREFIX: &str = "break took about ";
+/// The two corridor-survivor forms, `(prefix, suffix)`.
+const CORRIDOR_FORMS: [(&str, &str); 2] = [
+    ("rerouted onto ", " parallel"),
+    ("Because ", " parallel systems"),
+];
+const EDGE_DURING_PREFIX: &str = "Only ";
+const EDGE_DURING_TAIL: &str = " percent of edge networks";
+const RESTORED_PREFIX: &str = "restored to ";
+const REANNOUNCED_MARKER: &str = "re-announced";
+const CONTENT_PREFIXES_MARKER: &str = "content prefixes stayed announced";
+
+/// Which fact parsers can fire on one text. Each parser's first step
+/// finds its marker in the sentence, and every sentence is a slice of
+/// the text, so a parser whose marker the whole text lacks returns
+/// `None` on every sentence; `absorb` skips it. A gate is one
+/// `contains` per text instead of one `find` per sentence.
+struct Gates {
+    route: bool,
+    apex: bool,
+    spans: bool,
+    powered: bool,
+    coverage: bool,
+    low_lat_share: bool,
+    presence: bool,
+    storm: bool,
+    grid: bool,
+    cause: bool,
+    effect: bool,
+    duration: bool,
+    cables_cut: bool,
+    traffic: bool,
+    cable_cut: bool,
+    cable_span: bool,
+    break_took: bool,
+    corridor: bool,
+    grid_collapse: bool,
+    most_exposed: bool,
+    grid_low_latitude: bool,
+    edge_during: bool,
+    restored: bool,
+    content_prefixes: bool,
+}
+
+impl Gates {
+    fn of(text: &str) -> Gates {
+        let has = |marker: &str| text.contains(marker);
+        Gates {
+            route: has(ROUTE_MARKER),
+            apex: has(APEX_MARKER),
+            spans: has(SPANS_PREFIX),
+            powered: has(POWERED_PREFIX),
+            coverage: has(COVERAGE_MARKER),
+            low_lat_share: has(LOW_LAT_SHARE_TAIL),
+            presence: has(PRESENCE_MARKER),
+            storm: has(STORM_MARKER),
+            grid: has(GRID_SERVES) && has(GRID_SITS),
+            cause: has(CAUSE_MARKER),
+            effect: has(EFFECT_MARKER),
+            duration: has(DURATION_PREFIX),
+            cables_cut: has(CABLES_CUT_MARKER),
+            traffic: has(TRAFFIC_HEAD) && has(TRAFFIC_MARKER),
+            cable_cut: has(CABLE_CUT_MARKER),
+            cable_span: has(CABLE_SPAN_MARKER),
+            break_took: has(BREAK_TOOK_PREFIX),
+            corridor: CORRIDOR_FORMS.iter().any(|(prefix, _)| has(prefix)),
+            grid_collapse: has(GRID_COLLAPSE_MARKER),
+            most_exposed: has(MOST_EXPOSED_HIGHEST) || has(MOST_EXPOSED_FIND),
+            grid_low_latitude: has(GRID_LOW_LAT_MARKER),
+            edge_during: has(EDGE_DURING_PREFIX),
+            restored: has(RESTORED_PREFIX) && has(REANNOUNCED_MARKER),
+            content_prefixes: has(CONTENT_PREFIXES_MARKER),
+        }
+    }
+}
+
 /// Split text into sentences, avoiding splits after short capitalised
 /// abbreviations ("St. Ghislain").
 pub fn split_sentences(text: &str) -> Vec<&str> {
@@ -782,16 +911,17 @@ fn parse_after_number(sentence: &str, prefix: &str, suffix: &str) -> Option<f64>
         .or_else(|| rest.contains(suffix).then_some(n))
 }
 
+const ROUTE_MARKER: &str = " submarine cable connects ";
+
 fn parse_route(sentence: &str) -> Option<Fact> {
-    const MARKER: &str = " submarine cable connects ";
-    let idx = sentence.find(MARKER)?;
+    let idx = sentence.find(ROUTE_MARKER)?;
     let mut name = sentence[..idx].trim();
     name = name.strip_prefix("The ").unwrap_or(name);
     // Guard against prose like "...systems. The submarine cable connects…"
     if name.is_empty() || name.len() > 60 {
         return None;
     }
-    let rest = &sentence[idx + MARKER.len()..];
+    let rest = &sentence[idx + ROUTE_MARKER.len()..];
     let (from_part, rest) = rest.split_once(" to ")?;
     let (to_part, regions) = rest.split_once(", linking ")?;
     let (from_city, from_country) = from_part.split_once(", ")?;
@@ -809,10 +939,11 @@ fn parse_route(sentence: &str) -> Option<Fact> {
     })
 }
 
+const APEX_MARKER: &str = "maximum geomagnetic latitude of ";
+
 fn parse_apex(sentence: &str) -> Option<f64> {
-    const MARKER: &str = "maximum geomagnetic latitude of ";
-    let idx = sentence.find(MARKER)?;
-    let rest = &sentence[idx + MARKER.len()..];
+    let idx = sentence.find(APEX_MARKER)?;
+    let rest = &sentence[idx + APEX_MARKER.len()..];
     let deg = leading_number(rest)?;
     rest.contains("degrees").then_some(deg)
 }
@@ -827,20 +958,22 @@ fn apex_entity(sentence: &str) -> Option<String> {
     (!name.is_empty()).then(|| name.to_string())
 }
 
+const COVERAGE_MARKER: &str = " operates data centers in ";
+
 fn parse_coverage(sentence: &str) -> Option<Fact> {
-    const MARKER: &str = " operates data centers in ";
-    let idx = sentence.find(MARKER)?;
+    let idx = sentence.find(COVERAGE_MARKER)?;
     let operator = last_word_span(&sentence[..idx])?;
-    let rest = &sentence[idx + MARKER.len()..];
+    let rest = &sentence[idx + COVERAGE_MARKER.len()..];
     let regions = leading_number(rest)? as u32;
     rest.contains("major regions")
         .then_some(Fact::RegionCoverage { operator, regions })
 }
 
+const LOW_LAT_SHARE_TAIL: &str = "'s data center sites sit at low geomagnetic latitudes";
+
 fn parse_low_lat_share(sentence: &str) -> Option<Fact> {
     const MARKER: &str = " percent of ";
-    const TAIL: &str = "'s data center sites sit at low geomagnetic latitudes";
-    let tail_idx = sentence.find(TAIL)?;
+    let tail_idx = sentence.find(LOW_LAT_SHARE_TAIL)?;
     let idx = sentence[..tail_idx].find(MARKER)?;
     let operator = sentence[idx + MARKER.len()..tail_idx].trim().to_string();
     let head = &sentence[..idx];
@@ -849,11 +982,12 @@ fn parse_low_lat_share(sentence: &str) -> Option<Fact> {
     Some(Fact::LowLatShare { operator, percent })
 }
 
+const PRESENCE_MARKER: &str = " operates a data center in ";
+
 fn parse_presence(sentence: &str) -> Option<Fact> {
-    const MARKER: &str = " operates a data center in ";
-    let idx = sentence.find(MARKER)?;
+    let idx = sentence.find(PRESENCE_MARKER)?;
     let operator = last_word_span(&sentence[..idx])?;
-    let rest = sentence[idx + MARKER.len()..].trim_end_matches('.');
+    let rest = sentence[idx + PRESENCE_MARKER.len()..].trim_end_matches('.');
     let (site, region) = rest.rsplit_once(", in ")?;
     let (city, country) = site.rsplit_once(", ")?;
     Some(Fact::DcPresence {
@@ -864,9 +998,10 @@ fn parse_presence(sentence: &str) -> Option<Fact> {
     })
 }
 
+const STORM_MARKER: &str = " reached an estimated Dst of ";
+
 fn parse_storm(sentence: &str) -> Option<Fact> {
-    const MARKER: &str = " reached an estimated Dst of ";
-    let idx = sentence.find(MARKER)?;
+    let idx = sentence.find(STORM_MARKER)?;
     let head = sentence[..idx].trim();
     let head = head.strip_prefix("The ").unwrap_or(head);
     let (year, name) = match head.split_once(' ') {
@@ -875,17 +1010,18 @@ fn parse_storm(sentence: &str) -> Option<Fact> {
         }
         _ => (None, head.to_string()),
     };
-    let rest = &sentence[idx + MARKER.len()..];
+    let rest = &sentence[idx + STORM_MARKER.len()..];
     let dst = leading_number(rest)?;
     rest.contains("nanotesla")
         .then_some(Fact::StormDst { name, year, dst })
 }
 
+const GRID_SERVES: &str = " serves ";
+const GRID_SITS: &str = " and sits at about ";
+
 fn parse_grid(sentence: &str) -> Option<Fact> {
-    const SERVES: &str = " serves ";
-    const SITS: &str = " and sits at about ";
-    let serves_idx = sentence.find(SERVES)?;
-    let sits_idx = sentence.find(SITS)?;
+    let serves_idx = sentence.find(GRID_SERVES)?;
+    let sits_idx = sentence.find(GRID_SITS)?;
     if sits_idx <= serves_idx {
         return None;
     }
@@ -894,10 +1030,10 @@ fn parse_grid(sentence: &str) -> Option<Fact> {
         .strip_prefix("The ")
         .unwrap_or(&sentence[..serves_idx])
         .to_string();
-    let region = sentence[serves_idx + SERVES.len()..sits_idx]
+    let region = sentence[serves_idx + GRID_SERVES.len()..sits_idx]
         .trim()
         .to_string();
-    let rest = &sentence[sits_idx + SITS.len()..];
+    let rest = &sentence[sits_idx + GRID_SITS.len()..];
     let degrees = leading_number(rest)?;
     rest.contains("degrees geomagnetic latitude")
         .then_some(Fact::RegionGridLatitude {
@@ -907,9 +1043,10 @@ fn parse_grid(sentence: &str) -> Option<Fact> {
         })
 }
 
+const CAUSE_MARKER: &str = " was caused by ";
+
 fn parse_incident_cause(sentence: &str) -> Option<Fact> {
-    const MARKER: &str = " was caused by ";
-    let idx = sentence.find(MARKER)?;
+    let idx = sentence.find(CAUSE_MARKER)?;
     let head = sentence[..idx].trim();
     let head = head.strip_prefix("The ").unwrap_or(head);
     // Require the "{year} {name}" shape so prose like "the outage was
@@ -918,7 +1055,9 @@ fn parse_incident_cause(sentence: &str) -> Option<Fact> {
     if !(year.len() == 4 && year.chars().all(|c| c.is_ascii_digit())) {
         return None;
     }
-    let cause = sentence[idx + MARKER.len()..].trim_end_matches('.').trim();
+    let cause = sentence[idx + CAUSE_MARKER.len()..]
+        .trim_end_matches('.')
+        .trim();
     (!cause.is_empty()).then(|| Fact::IncidentCause {
         incident: head.to_string(),
         cause: cause.to_string(),
@@ -932,13 +1071,14 @@ fn parse_after_marker(sentence: &str, marker: &str) -> Option<String> {
     (!rest.is_empty()).then(|| rest.to_string())
 }
 
+const CABLES_CUT_MARKER: &str = " severed ";
+
 fn parse_cables_cut(sentence: &str) -> Option<Fact> {
-    const MARKER: &str = " severed ";
     const TAIL: &str = " submarine cables";
-    let idx = sentence.find(MARKER)?;
+    let idx = sentence.find(CABLES_CUT_MARKER)?;
     let head = sentence[..idx].trim();
     let head = head.strip_prefix("The ").unwrap_or(head);
-    let rest = &sentence[idx + MARKER.len()..];
+    let rest = &sentence[idx + CABLES_CUT_MARKER.len()..];
     let count = leading_number(rest)? as u32;
     rest.contains(TAIL.trim_start())
         .then(|| Fact::IncidentCablesCut {
@@ -947,51 +1087,56 @@ fn parse_cables_cut(sentence: &str) -> Option<Fact> {
         })
 }
 
+const TRAFFIC_HEAD: &str = "During the ";
+const TRAFFIC_MARKER: &str = "global Internet traffic grew by about ";
+
 fn parse_incident_traffic(sentence: &str) -> Option<Fact> {
-    const HEAD: &str = "During the ";
-    const MARKER: &str = "global Internet traffic grew by about ";
-    let head_idx = sentence.find(HEAD)?;
-    let marker_idx = sentence.find(MARKER)?;
+    let head_idx = sentence.find(TRAFFIC_HEAD)?;
+    let marker_idx = sentence.find(TRAFFIC_MARKER)?;
     if marker_idx <= head_idx {
         return None;
     }
-    let incident = sentence[head_idx + HEAD.len()..marker_idx]
+    let incident = sentence[head_idx + TRAFFIC_HEAD.len()..marker_idx]
         .trim_end_matches(|c: char| c == ',' || c.is_whitespace())
         .to_string();
-    let rest = &sentence[marker_idx + MARKER.len()..];
+    let rest = &sentence[marker_idx + TRAFFIC_MARKER.len()..];
     let percent = leading_number(rest)?;
     rest.contains("percent")
         .then_some(Fact::IncidentTraffic { incident, percent })
 }
 
+const CABLE_CUT_MARKER: &str = " cable was severed by ";
+
 /// "The {cable} cable was severed by {cause}."
 fn parse_cable_cut(sentence: &str) -> Option<Fact> {
-    const MARKER: &str = " cable was severed by ";
-    let idx = sentence.find(MARKER)?;
+    let idx = sentence.find(CABLE_CUT_MARKER)?;
     let head = sentence[..idx].trim();
     let cable = head.strip_prefix("The ").unwrap_or(head);
     if cable.is_empty() || cable.len() > 60 {
         return None;
     }
-    let cause = sentence[idx + MARKER.len()..].trim_end_matches('.').trim();
+    let cause = sentence[idx + CABLE_CUT_MARKER.len()..]
+        .trim_end_matches('.')
+        .trim();
     (!cause.is_empty()).then(|| Fact::CableCut {
         cable: cable.to_string(),
         cause: cause.to_string(),
     })
 }
 
+const CABLE_SPAN_MARKER: &str = " system spans about ";
+
 /// "The {cable} system spans about {n} km." — the scenario-doc length
 /// form carries its own entity (unlike the solar "spans approximately
 /// … kilometres" form, which binds to the running subject).
 fn parse_cable_span(sentence: &str) -> Option<Fact> {
-    const MARKER: &str = " system spans about ";
-    let idx = sentence.find(MARKER)?;
+    let idx = sentence.find(CABLE_SPAN_MARKER)?;
     let head = sentence[..idx].trim();
     let entity = head.strip_prefix("The ").unwrap_or(head);
     if entity.is_empty() || entity.len() > 60 {
         return None;
     }
-    let rest = &sentence[idx + MARKER.len()..];
+    let rest = &sentence[idx + CABLE_SPAN_MARKER.len()..];
     let km = leading_number(rest)?;
     rest.contains(" km").then(|| Fact::LengthKm {
         entity: entity.to_string(),
@@ -999,26 +1144,32 @@ fn parse_cable_span(sentence: &str) -> Option<Fact> {
     })
 }
 
+const GRID_COLLAPSE_MARKER: &str = " power grid collapsed when ";
+
 /// "The {grid} power grid collapsed when {cause}."
 fn parse_grid_collapse(sentence: &str) -> Option<Fact> {
-    const MARKER: &str = " power grid collapsed when ";
-    let idx = sentence.find(MARKER)?;
+    let idx = sentence.find(GRID_COLLAPSE_MARKER)?;
     let head = sentence[..idx].trim();
     let grid = head.strip_prefix("The ").unwrap_or(head);
     if grid.is_empty() || grid.len() > 60 {
         return None;
     }
-    let cause = sentence[idx + MARKER.len()..].trim_end_matches('.').trim();
+    let cause = sentence[idx + GRID_COLLAPSE_MARKER.len()..]
+        .trim_end_matches('.')
+        .trim();
     (!cause.is_empty()).then(|| Fact::GridCollapse {
         grid: grid.to_string(),
         cause: cause.to_string(),
     })
 }
 
+const MOST_EXPOSED_HIGHEST: &str = " has the highest GIC exposure";
+const MOST_EXPOSED_FIND: &str = "and find ";
+
 /// "{grid} has the highest GIC exposure of any major grid." /
 /// "We rank grids by GIC exposure and find {grid} most exposed."
 fn parse_grid_most_exposed(sentence: &str) -> Option<Fact> {
-    if let Some(idx) = sentence.find(" has the highest GIC exposure") {
+    if let Some(idx) = sentence.find(MOST_EXPOSED_HIGHEST) {
         let head = sentence[..idx].trim();
         let grid = head.strip_prefix("The ").unwrap_or(head);
         if !grid.is_empty() && grid.len() <= 60 {
@@ -1027,10 +1178,9 @@ fn parse_grid_most_exposed(sentence: &str) -> Option<Fact> {
             });
         }
     }
-    const FIND: &str = "and find ";
     const TAIL: &str = " most exposed";
-    let idx = sentence.find(FIND)?;
-    let rest = &sentence[idx + FIND.len()..];
+    let idx = sentence.find(MOST_EXPOSED_FIND)?;
+    let rest = &sentence[idx + MOST_EXPOSED_FIND.len()..];
     let end = rest.find(TAIL)?;
     let grid = rest[..end].trim();
     (!grid.is_empty() && grid.len() <= 60).then(|| Fact::GridMostExposed {
@@ -1038,10 +1188,12 @@ fn parse_grid_most_exposed(sentence: &str) -> Option<Fact> {
     })
 }
 
+const GRID_LOW_LAT_MARKER: &str = "low geomagnetic latitude";
+
 /// "Grids at low geomagnetic latitude, such as {grid}, show
 /// negligible exposure."
 fn parse_grid_low_latitude(sentence: &str) -> Option<Fact> {
-    if !sentence.contains("low geomagnetic latitude") {
+    if !sentence.contains(GRID_LOW_LAT_MARKER) {
         return None;
     }
     const FIND: &str = "such as ";
@@ -1409,6 +1561,252 @@ mod tests {
                 | Fact::EdgeAvailability { .. }
                 | Fact::ContentPrefixesAnnounced
         )));
+    }
+
+    /// Every gated parser as `absorb` calls it: (name, its gate, does
+    /// it fire on this sentence).
+    type GatedParser = (&'static str, fn(&Gates) -> bool, fn(&str) -> bool);
+
+    fn gated_parsers() -> Vec<GatedParser> {
+        vec![
+            ("route", |g| g.route, |s| parse_route(s).is_some()),
+            ("apex", |g| g.apex, |s| parse_apex(s).is_some()),
+            (
+                "spans",
+                |g| g.spans,
+                |s| parse_after_number(s, SPANS_PREFIX, " kilometres").is_some(),
+            ),
+            (
+                "powered",
+                |g| g.powered,
+                |s| parse_after_number(s, POWERED_PREFIX, " optical repeaters").is_some(),
+            ),
+            ("coverage", |g| g.coverage, |s| parse_coverage(s).is_some()),
+            (
+                "low_lat_share",
+                |g| g.low_lat_share,
+                |s| parse_low_lat_share(s).is_some(),
+            ),
+            ("presence", |g| g.presence, |s| parse_presence(s).is_some()),
+            ("storm", |g| g.storm, |s| parse_storm(s).is_some()),
+            ("grid", |g| g.grid, |s| parse_grid(s).is_some()),
+            ("cause", |g| g.cause, |s| parse_incident_cause(s).is_some()),
+            (
+                "effect",
+                |g| g.effect,
+                |s| parse_after_marker(s, EFFECT_MARKER).is_some(),
+            ),
+            (
+                "duration",
+                |g| g.duration,
+                |s| parse_after_number(s, DURATION_PREFIX, " hours").is_some(),
+            ),
+            (
+                "cables_cut",
+                |g| g.cables_cut,
+                |s| parse_cables_cut(s).is_some(),
+            ),
+            (
+                "traffic",
+                |g| g.traffic,
+                |s| parse_incident_traffic(s).is_some(),
+            ),
+            (
+                "cable_cut",
+                |g| g.cable_cut,
+                |s| parse_cable_cut(s).is_some(),
+            ),
+            (
+                "cable_span",
+                |g| g.cable_span,
+                |s| parse_cable_span(s).is_some(),
+            ),
+            (
+                "break_took",
+                |g| g.break_took,
+                |s| parse_after_number(s, BREAK_TOOK_PREFIX, " optical repeaters").is_some(),
+            ),
+            (
+                "corridor",
+                |g| g.corridor,
+                |s| {
+                    CORRIDOR_FORMS
+                        .iter()
+                        .any(|(prefix, suffix)| parse_after_number(s, prefix, suffix).is_some())
+                },
+            ),
+            (
+                "grid_collapse",
+                |g| g.grid_collapse,
+                |s| parse_grid_collapse(s).is_some(),
+            ),
+            (
+                "most_exposed",
+                |g| g.most_exposed,
+                |s| parse_grid_most_exposed(s).is_some(),
+            ),
+            (
+                "grid_low_latitude",
+                |g| g.grid_low_latitude,
+                |s| parse_grid_low_latitude(s).is_some(),
+            ),
+            (
+                "edge_during",
+                |g| g.edge_during,
+                |s| parse_after_number(s, EDGE_DURING_PREFIX, EDGE_DURING_TAIL).is_some(),
+            ),
+            (
+                "restored",
+                |g| g.restored,
+                |s| {
+                    s.contains(RESTORED_PREFIX)
+                        && s.contains(REANNOUNCED_MARKER)
+                        && parse_after_number(s, RESTORED_PREFIX, " percent").is_some()
+                },
+            ),
+            (
+                "content_prefixes",
+                |g| g.content_prefixes,
+                |s| s.contains(CONTENT_PREFIXES_MARKER),
+            ),
+        ]
+    }
+
+    /// Text pieces: every parser marker, the tails and separators the
+    /// fact shapes need after them, glue (names, years, numbers,
+    /// sentence breaks), and one whole sentence of each fact form.
+    fn gate_pieces() -> Vec<&'static str> {
+        let mut pieces = vec![
+            ROUTE_MARKER,
+            APEX_MARKER,
+            SPANS_PREFIX,
+            POWERED_PREFIX,
+            COVERAGE_MARKER,
+            LOW_LAT_SHARE_TAIL,
+            PRESENCE_MARKER,
+            STORM_MARKER,
+            GRID_SERVES,
+            GRID_SITS,
+            CAUSE_MARKER,
+            EFFECT_MARKER,
+            DURATION_PREFIX,
+            CABLES_CUT_MARKER,
+            TRAFFIC_HEAD,
+            TRAFFIC_MARKER,
+            CABLE_CUT_MARKER,
+            CABLE_SPAN_MARKER,
+            BREAK_TOOK_PREFIX,
+            GRID_COLLAPSE_MARKER,
+            MOST_EXPOSED_HIGHEST,
+            MOST_EXPOSED_FIND,
+            GRID_LOW_LAT_MARKER,
+            EDGE_DURING_PREFIX,
+            EDGE_DURING_TAIL,
+            RESTORED_PREFIX,
+            REANNOUNCED_MARKER,
+            CONTENT_PREFIXES_MARKER,
+            " kilometres",
+            " optical repeaters",
+            " hours",
+            " percent",
+            " percent of ",
+            " degrees",
+            " nanotesla",
+            " km",
+            " major regions",
+            " most exposed",
+            ", show negligible",
+            "such as ",
+            " submarine cables",
+            " degrees geomagnetic latitude",
+            ", linking ",
+            " to ",
+            " and ",
+            ", in ",
+            ", ",
+            "The ",
+            "Anjana",
+            "2021 Facebook outage",
+            "12",
+            "46.5",
+            "-1760",
+            "x",
+            ". ",
+            "\n",
+            " ",
+        ];
+        for (prefix, suffix) in CORRIDOR_FORMS {
+            pieces.extend([prefix, suffix]);
+        }
+        pieces.extend(GATED_FORMS);
+        pieces
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn a_closed_gate_means_the_parser_cannot_fire(
+            picks in proptest::collection::vec(
+                proptest::sample::select(gate_pieces()),
+                0..24,
+            ),
+        ) {
+            let text = picks.concat();
+            let gates = Gates::of(&text);
+            for sentence in split_sentences(&text) {
+                for (name, gate, fires) in gated_parsers() {
+                    proptest::prop_assert!(
+                        gate(&gates) || !fires(sentence),
+                        "{name} fired behind a closed gate on {sentence:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// One sentence of each gated parser's fact form.
+    const GATED_FORMS: &[&str] = &[
+        "The EllaLink submarine cable connects Fortaleza, Brazil to Sines, Portugal, linking \
+         South America and Europe.",
+        "It reaches a maximum geomagnetic latitude of 46.0 degrees.",
+        "The system spans approximately 6134 kilometres.",
+        "It is powered through roughly 87 optical repeaters.",
+        "Google operates data centers in 7 of the world's 7 major regions.",
+        "About 26 percent of Google's data center sites sit at low geomagnetic latitudes.",
+        "Google operates a data center in Mons, Belgium, in Europe.",
+        "The 1859 Carrington event reached an estimated Dst of -1760 nanotesla.",
+        "The Nordic Grid serves Europe and sits at about 60 degrees geomagnetic latitude.",
+        "The 2021 Facebook outage was caused by a bad change.",
+        "The main effect on the Internet was silence.",
+        "Service was disrupted for about 7 hours.",
+        "The 2006 Hengchun earthquake severed 8 submarine cables.",
+        "During the 2020 surge, global Internet traffic grew by about 20 percent.",
+        "The Anjana cable was severed by a landslide.",
+        "The Anjana system spans about 7675 km.",
+        "The break took about 109 optical repeaters out of service.",
+        "Traffic rerouted onto 14 parallel systems.",
+        "Because 14 parallel systems serve the corridor, it stayed up.",
+        "The Quebec power grid collapsed when currents rose.",
+        "Quebec has the highest GIC exposure of any major grid.",
+        "We rank grids by GIC exposure and find Quebec most exposed.",
+        "Grids at low geomagnetic latitude, such as Singapore Grid, show negligible exposure.",
+        "Only 0 percent of edge networks could reach it.",
+        "It was restored to 100 percent once re-announced.",
+        "The content prefixes stayed announced.",
+    ];
+
+    #[test]
+    fn every_gated_parser_fires_on_its_own_form() {
+        // The gate property above is only as strong as the parsers'
+        // reach: each one must fire on some form its gate opens on.
+        let text = GATED_FORMS.join(" ");
+        let gates = Gates::of(&text);
+        for (name, gate, fires) in gated_parsers() {
+            assert!(gate(&gates), "{name}: gate closed");
+            assert!(
+                GATED_FORMS.iter().any(|form| fires(form)),
+                "{name}: never fired"
+            );
+        }
     }
 
     #[test]

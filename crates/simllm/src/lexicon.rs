@@ -10,15 +10,19 @@
 //!   Identical input sequences always produce identical symbol
 //!   assignments, so interned structures are safe inside the
 //!   byte-identical determinism envelope.
-//! * [`fingerprint64`] / [`fingerprint_texts`] — stable 64-bit FNV-1a
-//!   content fingerprints, the cache keys of the grounding cache in
-//!   [`crate::model::Llm`].
+//! * [`fingerprint64`] — a stable 64-bit FNV-1a content fingerprint
+//!   for goldens and digests that must not change across builds.
+//! * `WordHasher` — a word-at-a-time (FxHash-style) hasher for the
+//!   grounding caches in [`crate::model::Llm`]. It reads 8 bytes per
+//!   step; the caches compare the full keys on every hit, so its
+//!   collisions cost a recomputation, never a wrong answer.
 //! * [`ops`] — process-wide virtual-op counters (characters
 //!   normalized, extraction/answer cache hits and misses). These count
 //!   *deterministic work units*, not time, so a perf baseline built on
 //!   them can be checked with strict equality in CI.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A dense interned-term symbol. Symbols are assigned in first-seen
@@ -83,21 +87,56 @@ pub fn fingerprint64(s: &str) -> u64 {
     h
 }
 
-/// Fingerprint of an ordered sequence of texts. Each text's length is
-/// folded in before its bytes so `["ab","c"]` and `["a","bc"]` differ.
-pub fn fingerprint_texts(texts: &[String]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for t in texts {
-        for b in (t.len() as u64).to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
+/// Word-at-a-time hasher (the FxHash mixing step: rotate, xor, multiply)
+/// for in-process cache keys. Unlike [`fingerprint64`] it is not a
+/// stable format: nothing may persist or print its values.
+#[derive(Default)]
+pub(crate) struct WordHasher {
+    hash: u64,
+}
+
+/// `BuildHasher` for maps keyed through [`WordHasher`].
+pub(crate) type WordBuildHasher = BuildHasherDefault<WordHasher>;
+
+const WORD_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+impl WordHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(WORD_SEED);
+    }
+}
+
+impl Hasher for WordHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
         }
-        for b in t.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            // The tail length is folded in so "a\0" and "a" differ.
+            self.add(u64::from_le_bytes(last) ^ ((tail.len() as u64) << 59));
         }
     }
-    h
+
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.add(n as u64);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
 }
 
 /// Process-wide deterministic virtual-op counters for the grounding
@@ -238,13 +277,28 @@ mod tests {
     }
 
     #[test]
-    fn text_sequence_fingerprint_is_boundary_aware() {
-        let ab_c = fingerprint_texts(&["ab".into(), "c".into()]);
-        let a_bc = fingerprint_texts(&["a".into(), "bc".into()]);
-        let abc = fingerprint_texts(&["abc".into()]);
-        assert_ne!(ab_c, a_bc);
-        assert_ne!(ab_c, abc);
-        assert_eq!(ab_c, fingerprint_texts(&["ab".into(), "c".into()]));
+    fn word_hasher_reads_every_byte_and_length() {
+        let hash = |parts: &[&[u8]]| {
+            let mut h = WordHasher::default();
+            for p in parts {
+                h.write(p);
+            }
+            h.finish()
+        };
+        // Tails shorter than a word, and zero bytes in them, still count.
+        assert_ne!(hash(&[b"a"]), hash(&[b"a\0"]));
+        assert_ne!(hash(&[b"abcdefgh"]), hash(&[b"abcdefgh\0"]));
+        assert_ne!(hash(&[b"abcdefghi"]), hash(&[b"abcdefghj"]));
+        assert_eq!(hash(&[b"abcdefghi"]), hash(&[b"abcdefghi"]));
+        // `str` hashing appends a terminator, so boundaries count too.
+        let key = |texts: &[&str]| {
+            use std::hash::Hash;
+            let mut h = WordHasher::default();
+            texts.hash(&mut h);
+            h.finish()
+        };
+        assert_ne!(key(&["ab", "c"]), key(&["a", "bc"]));
+        assert_ne!(key(&["ab", "c"]), key(&["abc"]));
     }
 
     #[test]

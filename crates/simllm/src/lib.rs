@@ -23,7 +23,8 @@
 //! * [`intent`] — question understanding: classifies a question into
 //!   one of the investigation intents and fills its slots.
 //! * [`lexicon`] — deterministic term interning, content fingerprints,
-//!   and the virtual-op counters behind the hot-path perf baseline.
+//!   the grounding caches' hasher, and the virtual-op counters behind
+//!   the hot-path perf baseline.
 //! * [`reason`] — the reasoning engine: evidence slots per intent,
 //!   verdict selection, calibrated confidence, missing-knowledge
 //!   reporting.
@@ -47,7 +48,7 @@ pub mod token;
 pub use chat::{Message, Prompt, Role};
 pub use extract::{Extraction, ExtractionIndex, Fact, Principle};
 pub use intent::{Intent, RouteSpec};
-pub use lexicon::{fingerprint64, fingerprint_texts, Interner, Term};
+pub use lexicon::{fingerprint64, Interner, Term};
 pub use model::{Llm, LlmConfig, LlmStats};
 pub use plangen::{ActionPlan, PlanStep};
 pub use reason::{Answer, MissingKnowledge};

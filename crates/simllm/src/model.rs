@@ -7,7 +7,7 @@
 use crate::chat::{Message, Prompt};
 use crate::extract::{Extraction, Principle};
 use crate::intent::classify;
-use crate::lexicon::{fingerprint64, fingerprint_texts, ops};
+use crate::lexicon::{ops, WordBuildHasher, WordHasher};
 use crate::plangen::{self, ActionPlan};
 use crate::reason::{self, Answer, MissingKnowledge};
 use crate::token::{count_tokens, ContextWindow};
@@ -15,6 +15,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
 /// Model configuration.
@@ -53,12 +54,13 @@ pub struct LlmStats {
 /// real agent's wall time is dominated by API calls.
 pub type InferenceHook = Arc<dyn Fn(usize, usize) + Send + Sync>;
 
-/// A memoized grounded answer together with the token charges it
-/// incurred when first computed. Replaying the charges on a hit keeps
-/// [`LlmStats`] and the inference hook (and hence the virtual clock)
-/// identical to recomputing the answer.
-#[derive(Clone)]
+/// A memoized grounded answer together with the inputs it answers and
+/// the token charges it incurred when first computed. Replaying the
+/// charges on a hit keeps [`LlmStats`] and the inference hook (and
+/// hence the virtual clock) identical to recomputing the answer.
 struct CachedAnswer {
+    question: String,
+    knowledge: Vec<String>,
     answer: Answer,
     prompt_tokens: usize,
     completion_tokens: usize,
@@ -67,21 +69,38 @@ struct CachedAnswer {
 /// Memoization state for the grounding hot path.
 ///
 /// * `chunks` maps a knowledge chunk's exact text to its extraction.
-///   Keyed by content (not a fingerprint) so a hash collision can never
-///   substitute the wrong extraction. Absorbing chunks in kept order
-///   from cached per-chunk extractions is provably identical to
+///   Keyed by content (the map hashes it with the word-at-a-time
+///   `WordHasher` and compares it in full) so a hash collision can
+///   never substitute the wrong extraction. Chunks are texts of the
+///   agent's own memory (pages it fetched, or its knowledge file), not
+///   request input. Absorbing chunks in kept
+///   order from cached per-chunk extractions is provably identical to
 ///   absorbing the concatenated text sequentially: subject binding in
 ///   `Extraction::absorb` is local to each call, fact dedup is
 ///   order-preserving `contains`, and principles live in a `BTreeSet`.
-/// * `answers` maps `(fingerprint64(question),
-///   fingerprint_texts(kept_knowledge))` to the full answer. Because
+/// * `answers` maps the `WordHasher` hash of `(question, knowledge)`
+///   to the full answer, and the entry keeps both inputs: a hit
+///   compares them in full, so a collision is a miss (whose insert
+///   replaces the entry), never another question's answer. Questions
+///   can come from outside the program (serve requests), so this map
+///   hashes its `u64` keys with the default hasher. Because
 ///   retrieval (which is recency-dependent) happens *outside* the
-///   model, the fingerprinted texts capture everything the answer
-///   depends on.
+///   model, the question and the retrieved texts are everything the
+///   answer depends on.
 #[derive(Default)]
 struct GroundingState {
-    chunks: HashMap<String, Arc<Extraction>>,
-    answers: HashMap<(u64, u64), CachedAnswer>,
+    chunks: HashMap<String, Arc<Extraction>, WordBuildHasher>,
+    answers: HashMap<u64, CachedAnswer>,
+}
+
+/// The answer-cache key: `(question, knowledge)` through `WordHasher`.
+/// Slice and `str` hashing fold in lengths and terminators, so chunk
+/// boundaries count.
+fn answer_key(question: &str, knowledge: &[String]) -> u64 {
+    let mut h = WordHasher::default();
+    question.hash(&mut h);
+    knowledge.hash(&mut h);
+    h.finish()
 }
 
 /// The simulated language model.
@@ -138,7 +157,7 @@ impl Llm {
     /// the prompt-token charge it incurred.
     fn grounded_extraction(&self, question: &str, knowledge: &[String]) -> (Extraction, usize) {
         let reserved = count_tokens(question) + 64;
-        let (kept, _dropped) = self.config.context.fit(knowledge, reserved);
+        let (kept, _dropped, kept_tokens) = self.config.context.fit(knowledge, reserved);
         let mut ex = Extraction::default();
         let mut g = self.grounding.lock().expect("grounding lock");
         for chunk in kept {
@@ -164,7 +183,7 @@ impl Llm {
             ex.merge(&one);
         }
         drop(g);
-        let prompt_tokens: usize = kept.iter().map(|c| count_tokens(c)).sum::<usize>() + reserved;
+        let prompt_tokens = kept_tokens + reserved;
         self.charge(prompt_tokens, 0);
         (ex, prompt_tokens)
     }
@@ -175,19 +194,20 @@ impl Llm {
     /// memoized answer — and its exact token charges — instead of
     /// re-extracting and re-reasoning.
     pub fn answer(&self, question: &str, knowledge: &[String]) -> Answer {
-        let key = (fingerprint64(question), fingerprint_texts(knowledge));
+        let key = answer_key(question, knowledge);
         let hit = self
             .grounding
             .lock()
             .expect("grounding lock")
             .answers
             .get(&key)
-            .cloned();
-        if let Some(hit) = hit {
+            .filter(|hit| hit.question == question && hit.knowledge == knowledge)
+            .map(|hit| (hit.answer.clone(), hit.prompt_tokens, hit.completion_tokens));
+        if let Some((answer, prompt_tokens, completion_tokens)) = hit {
             ops::answer_hit();
-            self.charge(hit.prompt_tokens, 0);
-            self.charge(0, hit.completion_tokens);
-            return hit.answer;
+            self.charge(prompt_tokens, 0);
+            self.charge(0, completion_tokens);
+            return answer;
         }
         ops::answer_miss();
         let intent = classify(question);
@@ -202,6 +222,8 @@ impl Llm {
             .insert(
                 key,
                 CachedAnswer {
+                    question: question.to_string(),
+                    knowledge: knowledge.to_vec(),
                     answer: ans.clone(),
                     prompt_tokens,
                     completion_tokens,
@@ -216,9 +238,9 @@ impl Llm {
     /// retrieved texts must not be trusted blindly. (Per-chunk
     /// extractions are content-addressed and stay valid forever.)
     ///
-    /// Note the answer key already fingerprints the retrieved texts, so
-    /// this is a belt-and-braces measure: it also bounds the map's
-    /// growth across training epochs.
+    /// Note the answer cache already matches the retrieved texts in
+    /// full, so this is a belt-and-braces measure: it also bounds the
+    /// map's growth across training epochs.
     pub fn invalidate_grounding(&self) {
         self.grounding
             .lock()
@@ -532,6 +554,36 @@ mod tests {
         // Same inputs again must reproduce the first results exactly.
         assert_eq!(llm.answer(CABLE_Q, &knowledge()).text, grounded.text);
         assert_eq!(llm.answer(CABLE_Q, &[]).text, ungrounded.text);
+    }
+
+    #[test]
+    fn answer_cache_collision_is_a_miss_not_a_wrong_answer() {
+        let llm = Llm::gpt4(1);
+        let grounded = llm.answer(CABLE_Q, &knowledge());
+        // Plant the grounded answer under the key of the ungrounded
+        // call, as a hash collision between the two would.
+        {
+            let mut g = llm.grounding.lock().unwrap();
+            let planted = CachedAnswer {
+                question: CABLE_Q.to_string(),
+                knowledge: knowledge(),
+                answer: grounded.clone(),
+                prompt_tokens: 1,
+                completion_tokens: 1,
+            };
+            g.answers.insert(answer_key(CABLE_Q, &[]), planted);
+        }
+        let before = llm.stats();
+        let ungrounded = llm.answer(CABLE_Q, &[]);
+        let fresh = Llm::gpt4(1);
+        assert_eq!(ungrounded.text, fresh.answer(CABLE_Q, &[]).text);
+        assert_ne!(ungrounded.text, grounded.text);
+        // The charges are the recomputation's, not the planted ones.
+        let after = llm.stats();
+        assert_eq!(
+            after.prompt_tokens - before.prompt_tokens,
+            fresh.stats().prompt_tokens
+        );
     }
 
     #[test]

@@ -14,8 +14,31 @@
 /// models the *extra* subword pieces long words split into. Checked-in
 /// experiment results (E6 training cost) and context-fit behaviour are
 /// pinned to this formula — see `count_pins_the_divisor` below.
+///
+/// ASCII text is counted in one byte loop that splits on the six ASCII
+/// bytes `split_whitespace` splits on (space, `\t`, `\n`, `\x0B`,
+/// `\x0C`, `\r`; `u8::is_ascii_whitespace` leaves out `\x0B`). Text
+/// with any non-ASCII byte takes the `split_whitespace` path, which
+/// also splits on Unicode spaces.
 pub fn count_tokens(text: &str) -> usize {
-    text.split_whitespace().map(|w| 1 + w.len() / 8).sum()
+    let mut tokens = 0;
+    let mut word = 0;
+    for &b in text.as_bytes() {
+        match b {
+            b' ' | b'\t' | b'\n' | b'\x0B' | b'\x0C' | b'\r' => {
+                if word > 0 {
+                    tokens += 1 + word / 8;
+                    word = 0;
+                }
+            }
+            0x80..=0xFF => return text.split_whitespace().map(|w| 1 + w.len() / 8).sum(),
+            _ => word += 1,
+        }
+    }
+    if word > 0 {
+        tokens += 1 + word / 8;
+    }
+    tokens
 }
 
 /// A context-window budget tracker.
@@ -37,8 +60,10 @@ impl ContextWindow {
     }
 
     /// Select a suffix of `chunks` (newest last) that fits alongside
-    /// `reserved` tokens of fixed prompt content. Returns the number of
-    /// chunks dropped from the front.
+    /// `reserved` tokens of fixed prompt content. Returns the kept
+    /// suffix, the number of chunks dropped from the front, and the
+    /// kept chunks' total [`count_tokens`] cost, so a caller charging
+    /// the prompt never counts the kept text a second time.
     ///
     /// Boundary behaviour (pinned by tests):
     /// * a chunk that lands exactly on the remaining budget is kept;
@@ -49,7 +74,7 @@ impl ContextWindow {
     ///   skipping the newest to admit older ones would violate the
     ///   newest-first retention contract, so the model simply answers
     ///   ungrounded.
-    pub fn fit<'a>(&self, chunks: &'a [String], reserved: usize) -> (&'a [String], usize) {
+    pub fn fit<'a>(&self, chunks: &'a [String], reserved: usize) -> (&'a [String], usize, usize) {
         let budget = self.max_tokens.saturating_sub(reserved);
         let mut used = 0;
         let mut start = chunks.len();
@@ -62,7 +87,7 @@ impl ContextWindow {
             used += cost;
             start = i;
         }
-        (&chunks[start..], start)
+        (&chunks[start..], start, used)
     }
 }
 
@@ -84,7 +109,7 @@ mod tests {
         let chunks: Vec<String> = (0..10)
             .map(|i| format!("chunk {i} with a handful of words inside"))
             .collect();
-        let (kept, dropped) = window.fit(&chunks, 0);
+        let (kept, dropped, _) = window.fit(&chunks, 0);
         assert!(dropped > 0, "should not all fit");
         assert_eq!(kept.len() + dropped, 10);
         // Newest chunk must be present.
@@ -97,8 +122,8 @@ mod tests {
         let chunks: Vec<String> = (0..10)
             .map(|i| format!("word word word word {i}"))
             .collect();
-        let (no_reserve, _) = window.fit(&chunks, 0);
-        let (reserved, _) = window.fit(&chunks, 80);
+        let (no_reserve, _, _) = window.fit(&chunks, 0);
+        let (reserved, _, _) = window.fit(&chunks, 80);
         assert!(reserved.len() < no_reserve.len());
     }
 
@@ -106,9 +131,10 @@ mod tests {
     fn everything_fits_in_a_large_window() {
         let window = ContextWindow::gpt4();
         let chunks: Vec<String> = (0..5).map(|i| format!("small {i}")).collect();
-        let (kept, dropped) = window.fit(&chunks, 100);
+        let (kept, dropped, tokens) = window.fit(&chunks, 100);
         assert_eq!(kept.len(), 5);
         assert_eq!(dropped, 0);
+        assert_eq!(tokens, 10);
     }
 
     #[test]
@@ -127,6 +153,11 @@ mod tests {
         assert_eq!(count_tokens("antidisestablishmentarianism"), 4); // 28 chars: +3
         assert_eq!(count_tokens("a bb ccc dddd"), 4);
         assert_eq!(count_tokens("  spaced   out  "), 2);
+        // Vertical tab separates words, like `split_whitespace`.
+        assert_eq!(count_tokens("a\x0Bb\x0C\r\n\tc"), 3);
+        // Unicode spaces separate words only on the non-ASCII path.
+        assert_eq!(count_tokens("a\u{00A0}b\u{3000}c"), 3);
+        assert_eq!(count_tokens("\u{00E9}t\u{00E9}"), 1);
     }
 
     #[test]
@@ -136,13 +167,15 @@ mod tests {
         let chunk = vec!["w"; 32].join(" ");
         assert_eq!(count_tokens(&chunk), 32);
         let chunks = vec![chunk];
-        let (kept, dropped) = window.fit(&chunks, 32);
+        let (kept, dropped, tokens) = window.fit(&chunks, 32);
         assert_eq!(kept.len(), 1, "exact fit must be kept, not dropped");
         assert_eq!(dropped, 0);
+        assert_eq!(tokens, 32);
         // One token over the line and it no longer fits.
-        let (kept, dropped) = window.fit(&chunks, 33);
+        let (kept, dropped, tokens) = window.fit(&chunks, 33);
         assert!(kept.is_empty());
         assert_eq!(dropped, 1);
+        assert_eq!(tokens, 0);
     }
 
     #[test]
@@ -150,7 +183,7 @@ mod tests {
         let window = ContextWindow::new(64);
         let chunks: Vec<String> = vec!["tiny".into()];
         for reserved in [64, 65, 1000] {
-            let (kept, dropped) = window.fit(&chunks, reserved);
+            let (kept, dropped, _) = window.fit(&chunks, reserved);
             assert!(kept.is_empty(), "reserved={reserved} leaves no budget");
             assert_eq!(dropped, 1);
         }
@@ -161,7 +194,7 @@ mod tests {
         let window = ContextWindow::new(64);
         let oversized = vec!["w"; 200].join(" ");
         let chunks = vec!["old but small".to_string(), oversized];
-        let (kept, dropped) = window.fit(&chunks, 0);
+        let (kept, dropped, _) = window.fit(&chunks, 0);
         // Chunks are atomic and retention is strictly newest-first: an
         // oversized newest chunk blocks the walk immediately, so even
         // the older chunk that would fit is not admitted.

@@ -1,6 +1,7 @@
 //! Property-based tests for the simulated LLM: total functions over
-//! arbitrary text, bounded confidence, calibration monotonicity, and
-//! memoized grounding that matches a fresh derivation.
+//! arbitrary text, bounded confidence, calibration monotonicity,
+//! memoized grounding that matches a fresh derivation, and token
+//! counting and context fitting against their plain definitions.
 
 use ira_simllm::extract::Extraction;
 use ira_simllm::intent::classify;
@@ -50,7 +51,7 @@ fn grounding_pool() -> Vec<String> {
 /// window keeps, in order, and reason over the result.
 fn fresh_answer(question: &str, knowledge: &[String]) -> (String, u64, u64) {
     let reserved = count_tokens(question) + 64;
-    let (kept, _) = ContextWindow::gpt4().fit(knowledge, reserved);
+    let (kept, _, _) = ContextWindow::gpt4().fit(knowledge, reserved);
     let mut ex = Extraction::default();
     for chunk in kept {
         ex.absorb(chunk, None);
@@ -61,7 +62,83 @@ fn fresh_answer(question: &str, knowledge: &[String]) -> (String, u64, u64) {
     (format!("{ans:?}"), prompt as u64, completion as u64)
 }
 
+/// The definition `count_tokens` implements: one token per
+/// `split_whitespace` word plus one per 8 bytes of its length.
+fn reference_count(text: &str) -> usize {
+    text.split_whitespace().map(|w| 1 + w.len() / 8).sum()
+}
+
+/// `fit` as a plain newest-first walk: keep chunks from the back while
+/// their counted cost fits the budget. Returns (kept, dropped).
+fn reference_fit(window: ContextWindow, chunks: &[String], reserved: usize) -> (usize, usize) {
+    let budget = window.max_tokens.saturating_sub(reserved);
+    let mut used = 0;
+    let mut kept = 0;
+    for chunk in chunks.iter().rev() {
+        used += reference_count(chunk);
+        if used > budget {
+            break;
+        }
+        kept += 1;
+    }
+    (kept, chunks.len() - kept)
+}
+
+/// Characters for token-count strings: the six ASCII whitespace bytes
+/// (`\x0B` included), ASCII separators that are *not* whitespace,
+/// Unicode spaces (NEL, NBSP, ogham, em, line separator, ideographic),
+/// a zero-width no-break space (not whitespace), and word characters
+/// of one to four UTF-8 bytes.
+fn unicode_pool() -> Vec<char> {
+    let mut pool = ascii_pool();
+    pool.extend([
+        '\u{0085}', '\u{00A0}', '\u{1680}', '\u{2003}', '\u{2028}', '\u{3000}', '\u{FEFF}', 'é',
+        'λ', '中', '😀',
+    ]);
+    pool
+}
+
+fn ascii_pool() -> Vec<char> {
+    vec![
+        ' ', '\t', '\n', '\x0B', '\x0C', '\r', '\x1C', '\x1F', '\0', 'a', 'b', 'Z', '7', '.', '-',
+    ]
+}
+
+fn text_from(pool: Vec<char>, len: std::ops::Range<usize>) -> impl Strategy<Value = String> {
+    prop::collection::vec(prop::sample::select(pool), len)
+        .prop_map(|chars| chars.into_iter().collect::<String>())
+}
+
 proptest! {
+    #[test]
+    fn count_tokens_matches_split_whitespace_on_unicode(text in text_from(unicode_pool(), 0..200)) {
+        prop_assert_eq!(count_tokens(&text), reference_count(&text));
+    }
+
+    #[test]
+    fn count_tokens_matches_split_whitespace_on_ascii(text in text_from(ascii_pool(), 0..400)) {
+        prop_assert!(text.is_ascii());
+        prop_assert_eq!(count_tokens(&text), reference_count(&text));
+    }
+
+    #[test]
+    fn fit_total_is_the_kept_chunks_token_sum(
+        chunks in prop::collection::vec(
+            // Half the chunks ASCII, so both counting paths run.
+            (0u8..2, text_from(ascii_pool(), 0..120), text_from(unicode_pool(), 0..120))
+                .prop_map(|(pick, ascii, unicode)| if pick == 0 { ascii } else { unicode }),
+            0..12,
+        ),
+        max_tokens in 64usize..200,
+        reserved in 0usize..220,
+    ) {
+        let window = ContextWindow::new(max_tokens);
+        let (kept, dropped, tokens) = window.fit(&chunks, reserved);
+        prop_assert_eq!((kept.len(), dropped), reference_fit(window, &chunks, reserved));
+        prop_assert_eq!(kept, &chunks[dropped..]);
+        prop_assert_eq!(tokens, kept.iter().map(|c| reference_count(c)).sum::<usize>());
+    }
+
     #[test]
     fn extraction_never_panics(text in "\\PC{0,1000}") {
         let _ = Extraction::from_text(&text, None);
