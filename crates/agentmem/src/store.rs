@@ -1,13 +1,16 @@
 //! The knowledge store: dedup, scored retrieval, eviction, and
 //! `knowledge.json` persistence — plus the weighted claim graph
-//! maintained alongside the entries (see [`crate::graph`]).
+//! kept over the entries (see [`crate::graph`]).
 //!
-//! The graph is built and persisted, never scored: every memorise
-//! absorbs its content and every eviction drops its provenance, but
-//! retrieval ranks entries on relevance, recency and importance alone.
-//! The graph serves provenance, corroboration and poisoning analysis
-//! (`ira mem`, the X5 detector), and `knowledge.json` bytes do not
-//! depend on it.
+//! The graph is built and persisted, never scored: retrieval ranks
+//! entries on relevance, recency and importance alone. The graph serves
+//! provenance, corroboration and poisoning analysis (`ira mem`, `save`,
+//! the X5 detector), so it lags the entries: a memorise only queues its
+//! entry, and the graph absorbs the queue, in insertion order, when it
+//! is read or when an eviction must drop an entry's provenance. Every
+//! graph therefore sees the absorb/remove sequence an eager one would,
+//! and at most `capacity + 1` entries wait. `knowledge.json` bytes do
+//! not depend on the graph.
 
 use crate::embed::{embed, nonzero_buckets, EmbeddingMatrix};
 use crate::entry::KnowledgeEntry;
@@ -124,9 +127,48 @@ struct Inner {
     embeddings: EmbeddingMatrix,
     next_id: u64,
     graph: ClaimGraph,
+    /// `entries[absorbed..]` are not in the graph yet.
+    absorbed: usize,
+    /// The session that memorised each entry of `entries[absorbed..]`.
+    sessions: Vec<u32>,
 }
 
 impl Inner {
+    fn new(entries: Vec<KnowledgeEntry>, embeddings: EmbeddingMatrix, next_id: u64) -> Self {
+        Inner {
+            sessions: vec![0; entries.len()],
+            entries,
+            embeddings,
+            next_id,
+            graph: ClaimGraph::new(GraphConfig::default()),
+            absorbed: 0,
+        }
+    }
+
+    /// Absorb the pending entries into the claim graph, in insertion
+    /// order, with the provenance their memorise recorded.
+    fn catch_up(&mut self) -> &ClaimGraph {
+        for (e, session) in self.entries[self.absorbed..]
+            .iter()
+            .zip(self.sessions.drain(..))
+        {
+            let (host, path) = split_url(&e.source_url);
+            self.graph.absorb(
+                e.id,
+                &e.content,
+                SourceRef {
+                    host,
+                    path,
+                    fetched_at_us: e.learned_at,
+                    session,
+                    entry_id: e.id,
+                },
+            );
+        }
+        self.absorbed = self.entries.len();
+        &self.graph
+    }
+
     /// Entry `i` as it leaves the store, with its embedding.
     fn entry(&self, i: usize) -> KnowledgeEntry {
         KnowledgeEntry {
@@ -175,12 +217,7 @@ fn sort_first(candidates: &mut [Candidate], want: usize) {
 impl KnowledgeStore {
     pub fn new(config: StoreConfig) -> Self {
         KnowledgeStore {
-            inner: RwLock::new(Inner {
-                entries: Vec::new(),
-                embeddings: EmbeddingMatrix::default(),
-                next_id: 0,
-                graph: ClaimGraph::new(GraphConfig::default()),
-            }),
+            inner: RwLock::new(Inner::new(Vec::new(), EmbeddingMatrix::default(), 0)),
             config,
             session: AtomicU32::new(0),
         }
@@ -202,23 +239,31 @@ impl KnowledgeStore {
 
     /// Aggregate claim-graph statistics (the observability surface).
     pub fn graph_stats(&self) -> GraphStats {
-        self.inner.read().graph.stats()
+        self.with_graph(ClaimGraph::stats)
     }
 
     /// Per-host contribution summary from the claim graph.
     pub fn graph_host_stats(&self) -> BTreeMap<String, HostStats> {
-        self.inner.read().graph.host_stats()
+        self.with_graph(ClaimGraph::host_stats)
     }
 
-    /// Run a closure against the claim graph under the read lock (for
-    /// audits, CLI queries, and tests).
+    /// Run a closure against the claim graph, caught up with every
+    /// entry, under the write lock (for audits, CLI queries, and
+    /// tests). The closure must not call back into the store.
     pub fn with_graph<R>(&self, f: impl FnOnce(&ClaimGraph) -> R) -> R {
-        f(&self.inner.read().graph)
+        f(self.inner.write().catch_up())
     }
 
     /// Serialize the claim graph to its compact binary snapshot.
     pub fn graph_to_bytes(&self) -> Vec<u8> {
-        self.inner.read().graph.to_bytes()
+        self.with_graph(ClaimGraph::to_bytes)
+    }
+
+    /// How many memorised entries the claim graph has not absorbed yet
+    /// (never more than `capacity + 1` after a memorise).
+    pub fn graph_backlog(&self) -> usize {
+        let inner = self.inner.read();
+        inner.entries.len() - inner.absorbed
     }
 
     pub fn len(&self) -> usize {
@@ -274,22 +319,13 @@ impl KnowledgeStore {
             embedding: Vec::new(),
         });
         inner.embeddings.push(&embedding);
-
-        // Absorb into the claim graph with full provenance.
-        let (host, path) = split_url(source_url);
-        inner.graph.absorb(
-            id,
-            content,
-            SourceRef {
-                host,
-                path,
-                fetched_at_us: learned_at,
-                session: self.session.load(Ordering::Relaxed),
-                entry_id: id,
-            },
-        );
+        // The claim graph absorbs the entry when it is next read.
+        inner.sessions.push(self.session.load(Ordering::Relaxed));
 
         if inner.entries.len() > self.config.capacity {
+            // The graph must hold the victim before it can drop the
+            // victim's provenance.
+            inner.catch_up();
             // Evict the entry with the lowest standing value
             // (importance + recency, computed once per entry; the first
             // minimum wins), never the one just added.
@@ -305,6 +341,7 @@ impl KnowledgeStore {
             if let Some(i) = victim {
                 let evicted = inner.entries.remove(i);
                 inner.embeddings.remove(i);
+                inner.absorbed -= 1;
                 // The page is gone; its provenance records go with it.
                 // The claims it asserted persist in the graph.
                 inner.graph.remove_entry(evicted.id);
@@ -479,10 +516,11 @@ impl KnowledgeStore {
     /// re-embedded from its `content`: the embedding is a pure function
     /// of the content, and a stored one is not trusted — an edited file
     /// could otherwise rig retrieval with an oversized, infinite or
-    /// wrong-length vector. The claim graph is rebuilt
-    /// deterministically from the surviving entries (historical claims
-    /// of evicted entries are only recoverable from a graph snapshot —
-    /// see [`KnowledgeStore::load`]).
+    /// wrong-length vector. The claim graph starts empty with every
+    /// entry pending at session 0, so it is rebuilt deterministically
+    /// from the surviving entries when first read (historical claims of
+    /// evicted entries are only recoverable from a graph snapshot — see
+    /// [`KnowledgeStore::load`]).
     pub fn from_json(json: &str) -> Result<Self, StoreError> {
         let mut file: StoreFile = serde_json::from_str(json)?;
         let mut embeddings = EmbeddingMatrix::default();
@@ -490,14 +528,8 @@ impl KnowledgeStore {
             embeddings.push(&embed(&e.content));
             e.embedding = Vec::new();
         }
-        let graph = rebuild_graph(&file.entries);
         Ok(KnowledgeStore {
-            inner: RwLock::new(Inner {
-                entries: file.entries,
-                embeddings,
-                next_id: file.next_id,
-                graph,
-            }),
+            inner: RwLock::new(Inner::new(file.entries, embeddings, file.next_id)),
             config: file.config,
             session: AtomicU32::new(0),
         })
@@ -543,32 +575,14 @@ impl KnowledgeStore {
         let snapshot = KnowledgeStore::graph_snapshot_path(path);
         if let Ok(bytes) = crate::persist::load_bytes_with_backup(&snapshot) {
             if let Ok(graph) = ClaimGraph::from_bytes(&bytes, GraphConfig::default()) {
-                store.inner.write().graph = graph;
+                let inner = &mut *store.inner.write();
+                inner.graph = graph;
+                inner.absorbed = inner.entries.len();
+                inner.sessions.clear();
             }
         }
         Ok(store)
     }
-}
-
-/// Rebuild the claim graph from surviving entries, in insertion order.
-/// The deterministic fallback when no graph snapshot is available.
-fn rebuild_graph(entries: &[KnowledgeEntry]) -> ClaimGraph {
-    let mut graph = ClaimGraph::new(GraphConfig::default());
-    for e in entries {
-        let (host, path) = split_url(&e.source_url);
-        graph.absorb(
-            e.id,
-            &e.content,
-            SourceRef {
-                host,
-                path,
-                fetched_at_us: e.learned_at,
-                session: 0,
-                entry_id: e.id,
-            },
-        );
-    }
-    graph
 }
 
 fn standing(e: &KnowledgeEntry, now: u64, w: &RetrievalWeights) -> f64 {
@@ -937,6 +951,25 @@ mod tests {
     }
 
     #[test]
+    fn the_graph_absorbs_pending_entries_when_read_or_before_an_eviction() {
+        let s = KnowledgeStore::new(StoreConfig {
+            capacity: 3,
+            ..StoreConfig::default()
+        });
+        let page = |i: u64| format!("bulletin{i} reports cable{i} outage{i}");
+        for i in 0..3 {
+            s.memorize("t", &page(i), "sim://a.test/p", "news", i, 0.5);
+        }
+        assert_eq!(s.graph_backlog(), 3, "memorise does not absorb");
+        assert!(s.graph_stats().nodes >= 9);
+        assert_eq!(s.graph_backlog(), 0, "a read catches the graph up");
+        for i in 3..6 {
+            s.memorize("t", &page(i), "sim://a.test/p", "news", i, 0.5);
+            assert_eq!(s.graph_backlog(), 0, "each write over capacity evicts");
+        }
+    }
+
+    #[test]
     fn eviction_removes_provenance_from_graph() {
         let config = StoreConfig {
             capacity: 2,
@@ -1001,12 +1034,14 @@ mod tests {
         assert!(sidecar.exists(), "sidecar snapshot must be written");
 
         let back = KnowledgeStore::load(&path).unwrap();
+        assert_eq!(back.graph_backlog(), 0, "the snapshot holds every entry");
         assert_eq!(back.graph_to_bytes(), s.graph_to_bytes());
 
         // Corrupt the sidecar: load must fall back to a JSON rebuild.
         std::fs::write(&sidecar, b"garbage").unwrap();
         std::fs::remove_file(crate::persist::backup_path(&sidecar)).ok();
         let rebuilt = KnowledgeStore::load(&path).unwrap();
+        assert_eq!(rebuilt.graph_backlog(), 2, "rebuilt when first read");
         assert_eq!(
             rebuilt.graph_to_bytes(),
             s.graph_to_bytes(),

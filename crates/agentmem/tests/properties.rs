@@ -3,7 +3,8 @@
 
 use ira_agentmem::graph::GraphDecodeError;
 use ira_agentmem::{
-    cosine, embed, ClaimGraph, GraphConfig, KnowledgeStore, SourceRef, StoreConfig, EMBED_DIM,
+    cosine, embed, split_url, ClaimGraph, GraphConfig, KnowledgeStore, SourceRef, StoreConfig,
+    EMBED_DIM,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -281,6 +282,93 @@ proptest! {
             let id = store.memorize("t", &content, &format!("sim://h.test/{i}"), "news", i as u64, 0.5);
             prop_assert_eq!(id.is_none(), duplicate, "page {} {:?}", i, counts);
         }
+    }
+}
+
+/// The words graph-equivalence pages are built from: few enough that
+/// claims recur across pages and hosts, and some pages are duplicates.
+const GRAPH_WORDS: [&str; 6] = ["cable", "storm", "latitude", "outage", "grid", "repeater"];
+
+/// One step of a graph-equivalence run.
+#[derive(Debug, Clone)]
+enum GraphOp {
+    /// Memorise the page of these [`GRAPH_WORDS`] indices from this
+    /// host, at this importance (tenths).
+    Memorize(Vec<usize>, usize, u8),
+    SetSession(u32),
+    Read,
+}
+
+/// Six memorises to one session change to two reads, on average. The
+/// last draw is the importance of a memorise (in tenths) or the new
+/// session.
+fn graph_op() -> impl Strategy<Value = GraphOp> {
+    (
+        0u8..9,
+        prop::collection::vec(0usize..GRAPH_WORDS.len(), 1..6),
+        0usize..3,
+        0u8..=10,
+    )
+        .prop_map(|(kind, words, host, n)| match kind {
+            0..=5 => GraphOp::Memorize(words, host, n),
+            6 => GraphOp::SetSession(u32::from(n % 4)),
+            _ => GraphOp::Read,
+        })
+}
+
+proptest! {
+    /// The store's deferred claim graph reads the same as an oracle
+    /// graph that absorbs every accepted write at once and drops every
+    /// evicted entry's provenance at once.
+    #[test]
+    fn deferred_graph_reads_equal_an_eagerly_built_one(
+        capacity in 1usize..=8,
+        ops in prop::collection::vec(graph_op(), 1..60),
+    ) {
+        let store = KnowledgeStore::new(StoreConfig { capacity, ..StoreConfig::default() });
+        let mut oracle = ClaimGraph::new(GraphConfig::default());
+        let mut absorbed: Vec<u64> = Vec::new();
+        let mut session = 0;
+        for (step, op) in ops.iter().enumerate() {
+            match op {
+                GraphOp::Memorize(words, host, importance) => {
+                    let content: Vec<&str> = words.iter().map(|&w| GRAPH_WORDS[w]).collect();
+                    let content = content.join(" ");
+                    let url = format!("sim://host{host}.test/page/{step}");
+                    let learned_at = step as u64 * 1_000_000;
+                    let importance = f64::from(*importance) / 10.0;
+                    let Some(id) =
+                        store.memorize("t", &content, &url, "news", learned_at, importance)
+                    else {
+                        continue;
+                    };
+                    let (host, path) = split_url(&url);
+                    oracle.absorb(
+                        id,
+                        &content,
+                        SourceRef { host, path, fetched_at_us: learned_at, session, entry_id: id },
+                    );
+                    absorbed.push(id);
+                    let live: Vec<u64> = store.entries().iter().map(|e| e.id).collect();
+                    for id in absorbed.iter().filter(|id| !live.contains(id)) {
+                        oracle.remove_entry(*id);
+                    }
+                    absorbed.retain(|id| live.contains(id));
+                }
+                GraphOp::SetSession(s) => {
+                    session = *s;
+                    store.set_session(*s);
+                }
+                GraphOp::Read => {
+                    prop_assert_eq!(store.graph_to_bytes(), oracle.to_bytes());
+                    prop_assert_eq!(store.graph_stats(), oracle.stats());
+                    prop_assert_eq!(store.graph_host_stats(), oracle.host_stats());
+                    prop_assert_eq!(store.graph_backlog(), 0);
+                }
+            }
+            prop_assert!(store.graph_backlog() <= capacity + 1, "step {}", step);
+        }
+        prop_assert_eq!(store.graph_to_bytes(), oracle.to_bytes());
     }
 }
 
