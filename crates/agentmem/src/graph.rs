@@ -1,6 +1,4 @@
-//! The weighted claim graph: interned-term claim nodes, co-occurrence
-//! edges that strengthen across distinct documents, and per-node
-//! provenance.
+//! The claim graph: interned-term claim nodes and per-node provenance.
 //!
 //! This is the plexus design transplanted onto the agent's memory:
 //! alongside the flat list of pages the store keeps a graph of
@@ -12,11 +10,9 @@
 //!   worth more than one a single source repeats loudly. Support is
 //!   counted per host, so an adversary cannot manufacture agreement by
 //!   publishing the same fake ten times.
-//! * **Neighborhood** — a claim's strongest co-occurrence neighbors
-//!   ([`ClaimGraph::neighbors`]).
-//! * **Decay** — claims no document has reinforced within a horizon
-//!   (and that no second source ever corroborated) can be forgotten,
-//!   bounding graph growth over long virtual horizons.
+//! * **Provenance** — every live source that asserted a claim
+//!   ([`ClaimGraph::sources`]), so an auditor can check where a belief
+//!   came from.
 //!
 //! # Layout
 //!
@@ -29,63 +25,36 @@
 //!   so corroboration counts distinct host ids. Records and hosts are
 //!   reference-counted and their slots reused once no node lists them:
 //!   the table holds only live provenance, whatever the history of
-//!   evictions, decays and repeated entry ids.
-//! * **Edges.** Edge weights live in a hash map keyed by the packed
-//!   pair `a << 32 | b`, `a < b`: one lookup per co-occurring pair.
-//!   Each node also lists its neighbors, unordered, so a node's edges
-//!   are found without scanning the graph's.
+//!   evictions and repeated entry ids.
+//! * **Entries.** Each entry id maps to the nodes its latest absorb
+//!   touched, so an eviction finds the records to drop.
 //!
 //! Everything is deterministic: ids are assigned in first-seen order,
-//! and every order that can be observed is sorted where it is observed
-//! — edges by `(a, b)` in the snapshot, neighbors by weight then id —
-//! so [`ClaimGraph::to_bytes`] produces byte-identical snapshots for
+//! sources are listed in absorb order and entries in id order, so
+//! [`ClaimGraph::to_bytes`] produces byte-identical snapshots for
 //! identical absorb sequences, at any thread or worker count.
 
 use crate::provenance::SourceRef;
-use ira_simllm::lexicon::{Interner, Term};
-use std::collections::hash_map::Entry;
+use ira_simllm::lexicon::Interner;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
-/// Graph construction knobs. Deliberately *not* part of the serialized
-/// [`crate::StoreConfig`], so the graph never perturbs
-/// `knowledge.json` bytes.
-#[derive(Debug, Clone, Copy)]
-pub struct GraphConfig {
-    /// Distinct significant terms absorbed per document (first-seen
-    /// order). Bounds per-document edge fan-out quadratically.
-    pub max_terms_per_doc: usize,
-    /// Forget un-corroborated claims not reinforced for this many
-    /// virtual µs (0 disables decay, the default).
-    pub decay_after_us: u64,
-}
-
-impl Default for GraphConfig {
-    fn default() -> Self {
-        GraphConfig {
-            max_terms_per_doc: 24,
-            decay_after_us: 0,
-        }
-    }
-}
+/// Distinct significant terms absorbed per document, in first-seen
+/// order.
+const MAX_TERMS_PER_DOC: usize = 24;
 
 /// One claim node: an interned salient term plus its provenance.
 #[derive(Debug, Clone)]
 pub struct ClaimNode {
-    /// Dense id, assigned in first-seen order.
+    /// Dense id, assigned in first-seen order; also the term's symbol
+    /// in the graph's interner.
     pub id: u32,
-    /// Symbol in the graph's interner (equal to `id`).
-    pub term: Term,
     /// Total documents that mentioned the claim (historical count;
     /// unaffected by store eviction).
     pub occurrences: u32,
     /// Virtual time of first and latest mention.
     pub first_seen_us: u64,
     pub last_seen_us: u64,
-    /// Decayed nodes keep their id (so edges/entry refs stay valid)
-    /// but drop provenance and drop out of the statistics.
-    pub decayed: bool,
     /// One provenance record id per live document that asserted the
     /// claim, in absorb order (see [`ClaimGraph::sources`]).
     sources: Vec<u32>,
@@ -95,14 +64,11 @@ pub struct ClaimNode {
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct GraphStats {
     pub nodes: u64,
-    pub live_nodes: u64,
-    pub edges: u64,
-    /// Live nodes supported by ≥ 2 distinct hosts.
+    /// Nodes supported by ≥ 2 distinct hosts.
     pub corroborated_nodes: u64,
-    /// Histogram of live-node corroboration: counts for support
-    /// 1, 2, 3, and ≥ 4 (always four buckets).
+    /// Histogram of corroboration over nodes with live provenance:
+    /// counts for support 1, 2, 3, and ≥ 4 (always four buckets).
     pub corroboration_histogram: Vec<u64>,
-    pub decay_evictions: u64,
 }
 
 /// Per-host contribution summary, the basis of source-trust weighting.
@@ -118,7 +84,7 @@ pub struct HostStats {
 
 /// Snapshot decode failure: truncation, bad magic, garbage counts, or
 /// a snapshot [`ClaimGraph::to_bytes`] cannot produce (a repeated term,
-/// edges or entries out of order).
+/// entries out of order).
 #[derive(Debug, Clone)]
 pub struct GraphDecodeError(pub String);
 
@@ -224,13 +190,6 @@ impl Provenance {
         }
     }
 
-    /// Whether the records name fewer than two distinct hosts.
-    fn single_host(&self, sources: &[u32]) -> bool {
-        let mut hosts = sources.iter().map(|&r| self.host(r));
-        let first = hosts.next();
-        hosts.all(|h| Some(h) == first)
-    }
-
     /// The distinct hosts the records name, ascending, into `out`.
     fn hosts_of(&self, sources: &[u32], out: &mut Vec<u32>) {
         out.clear();
@@ -259,53 +218,25 @@ fn reuse<T>(slots: &mut Vec<T>, free: &mut Vec<u32>, value: T) -> u32 {
 /// write lock, so it needs no interior synchronization of its own.
 #[derive(Debug, Default, Clone)]
 pub struct ClaimGraph {
-    config: GraphConfig,
     interner: Interner,
     nodes: Vec<ClaimNode>,
     provenance: Provenance,
-    /// [`edge_key`]`(a, b)` → distinct documents where both terms
-    /// co-occurred.
-    weights: HashMap<u64, u32, BuildHasherDefault<EdgeHasher>>,
-    /// Node → every node it shares an edge with, unordered.
-    adjacent: Vec<Vec<u32>>,
     /// Entry id → the claim nodes its content contributed.
     entry_nodes: BTreeMap<u64, Vec<u32>>,
-    decay_evictions: u64,
 }
 
 impl ClaimGraph {
-    pub fn new(config: GraphConfig) -> Self {
-        ClaimGraph {
-            config,
-            ..ClaimGraph::default()
-        }
-    }
-
-    pub fn config(&self) -> &GraphConfig {
-        &self.config
-    }
-
     pub fn node_count(&self) -> usize {
         self.nodes.len()
-    }
-
-    pub fn edge_count(&self) -> usize {
-        self.weights.len()
     }
 
     pub fn nodes(&self) -> &[ClaimNode] {
         &self.nodes
     }
 
-    pub fn decay_evictions(&self) -> u64 {
-        self.decay_evictions
-    }
-
     /// The text behind a node's term.
     pub fn term_text(&self, node_id: u32) -> Option<&str> {
-        self.nodes
-            .get(node_id as usize)
-            .and_then(|n| self.interner.resolve(n.term))
+        self.interner.resolve(node_id)
     }
 
     /// Look a claim node up by its (normalized) term text.
@@ -344,37 +275,30 @@ impl ClaimGraph {
     }
 
     /// Absorb one memorised document: upsert claim nodes for its
-    /// significant terms, record its provenance once for all of them,
-    /// and strengthen every pairwise co-occurrence edge by one (this
-    /// document).
+    /// significant terms and record its provenance once for all of
+    /// them.
     pub fn absorb(&mut self, entry_id: u64, content: &str, source: SourceRef) {
         let now = source.fetched_at_us;
-        let max = self.config.max_terms_per_doc;
-        let mut ids: Vec<u32> = Vec::with_capacity(max);
+        let mut ids: Vec<u32> = Vec::with_capacity(MAX_TERMS_PER_DOC);
         each_term(content, |word| {
-            if ids.len() >= max {
+            if ids.len() >= MAX_TERMS_PER_DOC {
                 return false;
             }
             let id = self.interner.intern(word);
             if id as usize == self.nodes.len() {
                 self.nodes.push(ClaimNode {
                     id,
-                    term: id,
                     occurrences: 0,
                     first_seen_us: now,
                     last_seen_us: now,
-                    decayed: false,
                     sources: Vec::new(),
                 });
-                self.adjacent.push(Vec::new());
             }
             if !ids.contains(&id) {
                 let node = &mut self.nodes[id as usize];
                 node.occurrences += 1;
                 node.first_seen_us = node.first_seen_us.min(now);
                 node.last_seen_us = node.last_seen_us.max(now);
-                // A reinforced claim is no longer forgotten.
-                node.decayed = false;
                 ids.push(id);
             }
             true
@@ -385,40 +309,13 @@ impl ClaimGraph {
                 self.nodes[id as usize].sources.push(record);
             }
         }
-        for (i, &a) in ids.iter().enumerate() {
-            for &b in &ids[i + 1..] {
-                match self.weights.entry(edge_key(a, b)) {
-                    Entry::Occupied(mut weight) => *weight.get_mut() += 1,
-                    Entry::Vacant(slot) => {
-                        slot.insert(1);
-                        self.adjacent[a as usize].push(b);
-                        self.adjacent[b as usize].push(a);
-                    }
-                }
-            }
-        }
         self.entry_nodes.insert(entry_id, ids);
-        if self.config.decay_after_us > 0 {
-            self.decay(now);
-        }
-    }
-
-    /// Remove every edge of node `x`.
-    fn cut_edges(&mut self, x: u32) {
-        for y in std::mem::take(&mut self.adjacent[x as usize]) {
-            self.weights.remove(&edge_key(x, y));
-            let others = &mut self.adjacent[y as usize];
-            if let Some(i) = others.iter().position(|&n| n == x) {
-                others.swap_remove(i);
-            }
-        }
     }
 
     /// The store evicted an entry: its provenance records disappear,
-    /// but the claims themselves (and the co-occurrence evidence)
-    /// persist — the plexus rule that knowledge outlives the page it
-    /// was read from. Every record under the entry id leaves the nodes
-    /// of the entry's latest absorb.
+    /// but the claims themselves persist — the plexus rule that
+    /// knowledge outlives the page it was read from. Every record under
+    /// the entry id leaves the nodes of the entry's latest absorb.
     pub fn remove_entry(&mut self, entry_id: u64) {
         let Some(ids) = self.entry_nodes.remove(&entry_id) else {
             return;
@@ -435,80 +332,35 @@ impl ClaimGraph {
         }
     }
 
-    /// Forget un-corroborated claims not reinforced within the decay
-    /// horizon: provenance is dropped, edges are cut, the id survives
-    /// as a tombstone. Returns how many nodes were evicted.
-    pub fn decay(&mut self, now_us: u64) -> u64 {
-        let horizon = self.config.decay_after_us;
-        if horizon == 0 {
-            return 0;
-        }
-        let mut evicted: Vec<u32> = Vec::new();
-        for node in &mut self.nodes {
-            if !node.decayed
-                && node.last_seen_us.saturating_add(horizon) < now_us
-                && self.provenance.single_host(&node.sources)
-            {
-                node.decayed = true;
-                for r in std::mem::take(&mut node.sources) {
-                    self.provenance.release(r);
-                }
-                evicted.push(node.id);
-            }
-        }
-        for &id in &evicted {
-            self.cut_edges(id);
-        }
-        self.decay_evictions += evicted.len() as u64;
-        evicted.len() as u64
-    }
-
-    /// A node's co-occurrence neighbors as `(weight, neighbor id)`,
-    /// sorted weight-descending with ties broken on neighbor id.
-    pub fn neighbors(&self, id: u32) -> Vec<(u32, u32)> {
-        let Some(adjacent) = self.adjacent.get(id as usize) else {
-            return Vec::new();
-        };
-        let mut neighbors: Vec<(u32, u32)> = adjacent
-            .iter()
-            .map(|&n| (self.weights[&edge_key(id, n)], n))
-            .collect();
-        neighbors.sort_unstable_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)));
-        neighbors
-    }
-
-    /// Aggregate statistics over live nodes.
+    /// Aggregate statistics; the histogram counts only nodes with live
+    /// provenance.
     pub fn stats(&self) -> GraphStats {
         let mut stats = GraphStats {
             nodes: self.nodes.len() as u64,
-            edges: self.weights.len() as u64,
-            decay_evictions: self.decay_evictions,
             corroboration_histogram: vec![0; 4],
             ..GraphStats::default()
         };
         let mut hosts = Vec::new();
         for node in &self.nodes {
-            if node.decayed {
-                continue;
-            }
-            stats.live_nodes += 1;
             self.provenance.hosts_of(&node.sources, &mut hosts);
             let support = hosts.len();
+            if support == 0 {
+                continue;
+            }
             if support >= 2 {
                 stats.corroborated_nodes += 1;
             }
-            let bucket = support.clamp(1, 4) - 1;
-            stats.corroboration_histogram[bucket] += 1;
+            stats.corroboration_histogram[support.min(4) - 1] += 1;
         }
         stats
     }
 
-    /// Per-host contribution summary over live nodes.
+    /// Per-host contribution summary over nodes with live provenance.
     pub fn host_stats(&self) -> BTreeMap<String, HostStats> {
         let mut by_id = vec![HostStats::default(); self.provenance.hosts.len()];
         let mut hosts = Vec::new();
         for node in &self.nodes {
-            if node.decayed || node.sources.is_empty() {
+            if node.sources.is_empty() {
                 continue;
             }
             self.provenance.hosts_of(&node.sources, &mut hosts);
@@ -539,11 +391,10 @@ impl ClaimGraph {
         out.extend_from_slice(MAGIC);
         put_u32(&mut out, self.nodes.len() as u32);
         for node in &self.nodes {
-            put_str(&mut out, self.interner.resolve(node.term).unwrap_or(""));
+            put_str(&mut out, self.interner.resolve(node.id).unwrap_or(""));
             put_u32(&mut out, node.occurrences);
             put_u64(&mut out, node.first_seen_us);
             put_u64(&mut out, node.last_seen_us);
-            out.push(node.decayed as u8);
             put_u32(&mut out, node.sources.len() as u32);
             for &r in &node.sources {
                 let record = &self.provenance.records[r as usize];
@@ -554,14 +405,6 @@ impl ClaimGraph {
                 put_u64(&mut out, record.entry_id);
             }
         }
-        let mut edges: Vec<(u64, u32)> = self.weights.iter().map(|(&k, &w)| (k, w)).collect();
-        edges.sort_unstable_by_key(|&(k, _)| k);
-        put_u32(&mut out, edges.len() as u32);
-        for (key, w) in edges {
-            put_u32(&mut out, (key >> 32) as u32);
-            put_u32(&mut out, key as u32);
-            put_u32(&mut out, w);
-        }
         put_u32(&mut out, self.entry_nodes.len() as u32);
         for (&entry_id, ids) in &self.entry_nodes {
             put_u64(&mut out, entry_id);
@@ -570,25 +413,21 @@ impl ClaimGraph {
                 put_u32(&mut out, id);
             }
         }
-        put_u64(&mut out, self.decay_evictions);
         out
     }
 
-    /// Decode a snapshot produced by [`ClaimGraph::to_bytes`]. The
-    /// config is *not* serialized (it is runtime tuning, not state);
-    /// the caller re-applies its own.
+    /// Decode a snapshot produced by [`ClaimGraph::to_bytes`].
     ///
     /// Only snapshots `to_bytes` can produce are accepted: term texts
-    /// are distinct, decayed flags are 0 or 1, every edge `(a, b)` has
-    /// `a < b`, and edges and entry ids are strictly ascending. Sources with equal fields
-    /// share one provenance record.
-    pub fn from_bytes(bytes: &[u8], config: GraphConfig) -> Result<Self, GraphDecodeError> {
+    /// are distinct and entry ids are strictly ascending. Sources with
+    /// equal fields share one provenance record.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, GraphDecodeError> {
         let mut r = Reader { bytes, pos: 0 };
         let magic = r.take(MAGIC.len())?;
         if magic != MAGIC {
             return Err(GraphDecodeError("bad magic".into()));
         }
-        let mut graph = ClaimGraph::new(config);
+        let mut graph = ClaimGraph::default();
         let mut records: HashMap<SourceRef, u32> = HashMap::new();
         let node_count = r.u32()? as usize;
         for id in 0..node_count {
@@ -603,15 +442,6 @@ impl ClaimGraph {
             let occurrences = r.u32()?;
             let first_seen_us = r.u64()?;
             let last_seen_us = r.u64()?;
-            let decayed = match r.u8()? {
-                0 => false,
-                1 => true,
-                other => {
-                    return Err(GraphDecodeError(format!(
-                        "node {id} has decayed flag {other}, not 0 or 1"
-                    )))
-                }
-            };
             let source_count = r.u32()? as usize;
             let mut sources = Vec::with_capacity(source_count.min(1024));
             for _ in 0..source_count {
@@ -638,36 +468,11 @@ impl ClaimGraph {
             }
             graph.nodes.push(ClaimNode {
                 id,
-                term,
                 occurrences,
                 first_seen_us,
                 last_seen_us,
-                decayed,
                 sources,
             });
-            graph.adjacent.push(Vec::new());
-        }
-        let edge_count = r.u32()? as usize;
-        let mut previous: Option<(u32, u32)> = None;
-        for _ in 0..edge_count {
-            let a = r.u32()?;
-            let b = r.u32()?;
-            let w = r.u32()?;
-            if a as usize >= node_count || b as usize >= node_count {
-                return Err(GraphDecodeError(format!("edge ({a},{b}) out of range")));
-            }
-            if a >= b {
-                return Err(GraphDecodeError(format!("edge ({a},{b}) is not a < b")));
-            }
-            if previous.is_some_and(|p| p >= (a, b)) {
-                return Err(GraphDecodeError(format!(
-                    "edge ({a},{b}) is not after the edge before it"
-                )));
-            }
-            previous = Some((a, b));
-            graph.weights.insert(edge_key(a, b), w);
-            graph.adjacent[a as usize].push(b);
-            graph.adjacent[b as usize].push(a);
         }
         let entry_count = r.u32()? as usize;
         for _ in 0..entry_count {
@@ -692,7 +497,6 @@ impl ClaimGraph {
             }
             graph.entry_nodes.insert(entry_id, ids);
         }
-        graph.decay_evictions = r.u64()?;
         if r.pos != bytes.len() {
             return Err(GraphDecodeError(format!(
                 "{} trailing bytes",
@@ -703,41 +507,7 @@ impl ClaimGraph {
     }
 }
 
-/// The weight-map key of the edge between `a` and `b`: the pair packed
-/// low id first, so keys sort in the snapshot's `(a, b)` order.
-fn edge_key(a: u32, b: u32) -> u64 {
-    (u64::from(a.min(b)) << 32) | u64::from(a.max(b))
-}
-
-/// Hashes edge keys with the 64-bit MurmurHash3 finalizer: every key bit
-/// reaches every hash bit, at a fraction of the default hasher's cost.
-/// The keys are pairs of node ids the graph assigns itself, densely and
-/// in first-seen order, not values a page or snapshot can choose.
-#[derive(Default)]
-struct EdgeHasher(u64);
-
-impl Hasher for EdgeHasher {
-    fn finish(&self) -> u64 {
-        let mut h = self.0;
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-        h ^ (h >> 33)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(b);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-}
-
-const MAGIC: &[u8] = b"IRAGRPH1";
+const MAGIC: &[u8] = b"IRAGRPH2";
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -768,10 +538,6 @@ impl<'a> Reader<'a> {
         let slice = &self.bytes[self.pos..self.pos + n];
         self.pos += n;
         Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, GraphDecodeError> {
-        Ok(self.take(1)?[0])
     }
 
     fn u32(&mut self) -> Result<u32, GraphDecodeError> {
@@ -840,18 +606,15 @@ mod tests {
     }
 
     fn graph() -> ClaimGraph {
-        ClaimGraph::new(GraphConfig::default())
+        ClaimGraph::default()
     }
 
     #[test]
     fn significant_terms_are_stable_and_filtered() {
         // The claim nodes one absorb creates are the document's distinct
         // significant terms, in first-seen order, capped per document.
-        let terms = |text: &str, max_terms_per_doc: usize| {
-            let mut g = ClaimGraph::new(GraphConfig {
-                max_terms_per_doc,
-                ..GraphConfig::default()
-            });
+        let terms = |text: &str| {
+            let mut g = graph();
             g.absorb(0, text, src("a.test", "/1", 1));
             g.nodes()
                 .iter()
@@ -859,10 +622,7 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(
-            terms(
-                "The EllaLink submarine cable connects Brazil to Portugal. EllaLink again!",
-                8
-            ),
+            terms("The EllaLink submarine cable connects Brazil to Portugal. EllaLink again!"),
             vec![
                 "ellalink",
                 "submarine",
@@ -872,8 +632,9 @@ mod tests {
                 "portugal"
             ]
         );
-        assert_eq!(terms("a of to in 123 45.6", 8), Vec::<String>::new());
-        assert_eq!(terms("alpha beta gamma delta", 2).len(), 2);
+        assert_eq!(terms("a of to in 123 45.6"), Vec::<String>::new());
+        let long: Vec<String> = (0..30).map(|i| format!("term{i}")).collect();
+        assert_eq!(terms(&long.join(" ")), long[..MAX_TERMS_PER_DOC]);
     }
 
     #[test]
@@ -893,12 +654,13 @@ mod tests {
         assert_eq!(cable.last_seen_us, 20);
         let ellalink = g.node_by_text("ellalink").unwrap();
         assert_eq!(g.corroboration(ellalink.id), 1);
-        // cable—connects co-occurred in both documents.
-        let (a, b) = (cable.id.min(g.node_by_text("connects").unwrap().id), {
-            cable.id.max(g.node_by_text("connects").unwrap().id)
-        });
-        assert_eq!(g.weights[&edge_key(a, b)], 2);
-        assert_eq!(g.edge_count(), 15, "6 + 10 pairs, cable—connects in both");
+        assert_eq!(g.nodes_of_entry(0), [0, 1, 2, 3], "its four terms");
+        let sources = g.sources(cable.id);
+        assert_eq!(sources.len(), 2);
+        assert_eq!(
+            (sources[1].host.as_str(), sources[1].entry_id),
+            ("b.test", 1)
+        );
     }
 
     #[test]
@@ -928,41 +690,27 @@ mod tests {
     }
 
     #[test]
-    fn decay_forgets_stale_uncorroborated_claims() {
-        let mut g = ClaimGraph::new(GraphConfig {
-            decay_after_us: 100,
-            ..GraphConfig::default()
-        });
-        g.absorb(0, "transient rumor claims nonsense", src("a.test", "/1", 0));
-        g.absorb(1, "durable fact cable latitude", src("a.test", "/2", 0));
-        g.absorb(2, "durable fact cable latitude", src("b.test", "/3", 50));
-        let evicted = g.decay(500);
-        assert!(evicted >= 1);
-        assert!(g.node_by_text("rumor").unwrap().decayed);
-        assert!(
-            !g.node_by_text("durable").unwrap().decayed,
-            "corroborated claims survive"
-        );
-        assert_eq!(g.decay_evictions(), evicted);
-        let stats = g.stats();
-        assert_eq!(stats.decay_evictions, evicted);
-        assert!(stats.live_nodes < stats.nodes);
-        // Re-mention resurrects the claim.
-        g.absorb(3, "transient rumor resurfaces", src("c.test", "/4", 600));
-        assert!(!g.node_by_text("rumor").unwrap().decayed);
-    }
-
-    #[test]
     fn stats_histogram_counts_support_levels() {
         let mut g = graph();
         g.absorb(0, "alpha shared claim", src("a.test", "/1", 1));
         g.absorb(1, "alpha shared claim", src("b.test", "/2", 2));
         g.absorb(2, "lonely solitary statement", src("a.test", "/3", 3));
         let stats = g.stats();
-        assert_eq!(stats.nodes, stats.live_nodes);
+        assert_eq!(stats.nodes, 6);
         assert!(stats.corroborated_nodes >= 2);
         assert!(stats.corroboration_histogram[0] >= 2, "support-1 bucket");
         assert!(stats.corroboration_histogram[1] >= 2, "support-2 bucket");
+    }
+
+    #[test]
+    fn stats_histogram_skips_nodes_without_live_provenance() {
+        let mut g = graph();
+        g.absorb(0, "alpha shared claim", src("a.test", "/1", 1));
+        g.remove_entry(0);
+        let stats = g.stats();
+        assert_eq!(stats.nodes, 3, "the claims themselves persist");
+        assert_eq!(stats.corroboration_histogram, [0, 0, 0, 0]);
+        assert!(g.host_stats().is_empty());
     }
 
     #[test]
@@ -1004,14 +752,13 @@ mod tests {
         );
         g.remove_entry(0);
         let bytes = g.to_bytes();
-        let back = ClaimGraph::from_bytes(&bytes, GraphConfig::default()).unwrap();
+        let back = ClaimGraph::from_bytes(&bytes).unwrap();
         assert_eq!(
             back.to_bytes(),
             bytes,
             "decode/encode must be a fixed point"
         );
         assert_eq!(back.node_count(), g.node_count());
-        assert_eq!(back.edge_count(), g.edge_count());
         let cable = g.node_by_text("cable").unwrap().id;
         assert_eq!(back.sources(cable), g.sources(cable));
     }
@@ -1032,11 +779,11 @@ mod tests {
         let mut g = graph();
         g.absorb(0, "alpha beta gamma", src("a.test", "/1", 1));
         let bytes = g.to_bytes();
-        assert!(ClaimGraph::from_bytes(&bytes[..bytes.len() / 2], GraphConfig::default()).is_err());
-        assert!(ClaimGraph::from_bytes(b"NOTAGRPH", GraphConfig::default()).is_err());
+        assert!(ClaimGraph::from_bytes(&bytes[..bytes.len() / 2]).is_err());
+        assert!(ClaimGraph::from_bytes(b"NOTAGRPH").is_err());
         let mut trailing = bytes.clone();
         trailing.push(0);
-        assert!(ClaimGraph::from_bytes(&trailing, GraphConfig::default()).is_err());
+        assert!(ClaimGraph::from_bytes(&trailing).is_err());
     }
 
     #[test]
@@ -1048,30 +795,8 @@ mod tests {
     }
 
     #[test]
-    fn neighbors_cover_edges_on_both_sides() {
-        let mut g = graph();
-        g.absorb(0, "alpha beta gamma", src("a.test", "/1", 1));
-        g.absorb(1, "beta gamma delta", src("b.test", "/2", 2));
-        let id = |t: &str| g.node_by_text(t).unwrap().id;
-        // beta—gamma co-occurred twice, so it leads both lists; ties
-        // break on the neighbor id.
-        assert_eq!(
-            g.neighbors(id("beta")),
-            vec![(2, id("gamma")), (1, id("alpha")), (1, id("delta"))]
-        );
-        assert_eq!(
-            g.neighbors(id("gamma")),
-            vec![(2, id("beta")), (1, id("alpha")), (1, id("delta"))]
-        );
-        assert!(g.neighbors(99).is_empty());
-    }
-
-    #[test]
     fn provenance_table_holds_only_live_records() {
-        let mut g = ClaimGraph::new(GraphConfig {
-            decay_after_us: 1_000,
-            ..GraphConfig::default()
-        });
+        let mut g = graph();
         for i in 0..200u64 {
             let host = format!("h{}.test", i % 7);
             g.absorb(i, "shared claim words here", src(&host, "/p", i * 10));
@@ -1117,7 +842,7 @@ mod tests {
     }
 
     /// A snapshot with source-less nodes, written field by field.
-    fn snapshot(terms: &[&str], edges: &[(u32, u32, u32)], entries: &[(u64, &[u32])]) -> Vec<u8> {
+    fn snapshot(terms: &[&str], entries: &[(u64, &[u32])]) -> Vec<u8> {
         let mut out = MAGIC.to_vec();
         put_u32(&mut out, terms.len() as u32);
         for term in terms {
@@ -1125,14 +850,7 @@ mod tests {
             put_u32(&mut out, 1);
             put_u64(&mut out, 0);
             put_u64(&mut out, 0);
-            out.push(0);
             put_u32(&mut out, 0);
-        }
-        put_u32(&mut out, edges.len() as u32);
-        for &(a, b, w) in edges {
-            put_u32(&mut out, a);
-            put_u32(&mut out, b);
-            put_u32(&mut out, w);
         }
         put_u32(&mut out, entries.len() as u32);
         for &(entry_id, ids) in entries {
@@ -1142,70 +860,29 @@ mod tests {
                 put_u32(&mut out, id);
             }
         }
-        put_u64(&mut out, 0);
         out
-    }
-
-    fn decode(bytes: &[u8]) -> Result<ClaimGraph, GraphDecodeError> {
-        ClaimGraph::from_bytes(bytes, GraphConfig::default())
     }
 
     #[test]
     fn canonical_snapshot_decodes() {
-        let bytes = snapshot(
-            &["alpha", "beta", "gamma"],
-            &[(0, 1, 2), (0, 2, 1), (1, 2, 1)],
-            &[(3, &[0, 1]), (8, &[2])],
-        );
-        let g = decode(&bytes).unwrap();
+        let bytes = snapshot(&["alpha", "beta", "gamma"], &[(3, &[0, 1]), (8, &[2])]);
+        let g = ClaimGraph::from_bytes(&bytes).unwrap();
         assert_eq!(g.to_bytes(), bytes);
-        assert_eq!(g.neighbors(2), vec![(1, 0), (1, 1)]);
+        assert_eq!(g.nodes_of_entry(3), [0, 1]);
+        assert_eq!(g.term_text(2), Some("gamma"));
     }
 
     #[test]
     fn snapshot_with_a_repeated_term_is_rejected() {
-        let bytes = snapshot(&["alpha", "beta", "alpha"], &[], &[]);
-        let err = decode(&bytes).unwrap_err();
+        let bytes = snapshot(&["alpha", "beta", "alpha"], &[]);
+        let err = ClaimGraph::from_bytes(&bytes).unwrap_err();
         assert!(err.0.contains("repeats the term"), "{err}");
-    }
-
-    #[test]
-    fn snapshot_with_a_decayed_flag_other_than_0_or_1_is_rejected() {
-        let mut bytes = snapshot(&["alpha"], &[], &[]);
-        // Magic, node count, "alpha", occurrences, first and last seen.
-        let flag = MAGIC.len() + 4 + (4 + 5) + 4 + 8 + 8;
-        for value in [0, 1] {
-            bytes[flag] = value;
-            assert_eq!(decode(&bytes).unwrap().to_bytes(), bytes);
-        }
-        for value in [2, 0xff] {
-            bytes[flag] = value;
-            let err = decode(&bytes).unwrap_err();
-            assert!(err.0.contains("decayed flag"), "{err}");
-        }
-    }
-
-    #[test]
-    fn snapshot_with_an_edge_not_low_to_high_is_rejected() {
-        for edge in [(1, 0, 1), (1, 1, 1)] {
-            let err = decode(&snapshot(&["alpha", "beta"], &[edge], &[])).unwrap_err();
-            assert!(err.0.contains("not a < b"), "{err}");
-        }
-    }
-
-    #[test]
-    fn snapshot_with_edges_out_of_order_is_rejected() {
-        let terms = ["alpha", "beta", "gamma"];
-        for edges in [[(0, 2, 1), (0, 1, 1)], [(0, 1, 1), (0, 1, 2)]] {
-            let err = decode(&snapshot(&terms, &edges, &[])).unwrap_err();
-            assert!(err.0.contains("not after the edge before it"), "{err}");
-        }
     }
 
     #[test]
     fn snapshot_with_entries_out_of_order_is_rejected() {
         for entries in [[(5, &[0u32][..]), (3, &[1])], [(5, &[0]), (5, &[1])]] {
-            let err = decode(&snapshot(&["alpha", "beta"], &[], &entries)).unwrap_err();
+            let err = ClaimGraph::from_bytes(&snapshot(&["alpha", "beta"], &entries)).unwrap_err();
             assert!(err.0.contains("not after the entry before it"), "{err}");
         }
     }

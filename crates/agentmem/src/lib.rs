@@ -21,9 +21,8 @@
 //!   writes JSON state: atomic temp-file + fsync + rename writes,
 //!   checksum envelopes (JSON and binary), and `.bak` rotation with
 //!   fallback on load.
-//! * [`graph`] — the weighted claim graph: interned-term claim nodes
-//!   with per-source provenance, co-occurrence edges that strengthen
-//!   across distinct documents, per-host corroboration (the poisoning
+//! * [`graph`] — the claim graph: interned-term claim nodes with
+//!   per-source provenance, per-host corroboration (the poisoning
 //!   detector's input), and a compact checksummed binary snapshot.
 //!   Retrieval never scores it.
 //! * [`provenance`] — [`provenance::SourceRef`] records (host, path,
@@ -38,7 +37,7 @@ pub mod store;
 
 pub use embed::{cosine, embed, nonzero_buckets, sparse_dot, EMBED_DIM};
 pub use entry::KnowledgeEntry;
-pub use graph::{ClaimGraph, ClaimNode, GraphConfig, GraphStats, HostStats};
+pub use graph::{ClaimGraph, ClaimNode, GraphStats, HostStats};
 pub use persist::{load_bytes_with_backup, load_with_backup, save_atomic, save_atomic_bytes};
 pub use provenance::{split_url, SourceRef};
 pub use store::{KnowledgeStore, RetrievalWeights, StoreConfig};

@@ -2,13 +2,12 @@
 //!
 //! Every page (`full_text`, URL) of the four default scenario webs is
 //! absorbed into one graph, in order, with varying sessions, and every
-//! fifth entry is removed along the way. A second graph absorbs the
-//! same pages with decay switched on. One `label fingerprint` line per
-//! item is compared with `graph_golden.golden`:
+//! fifth entry is removed along the way. One `label fingerprint` line
+//! per item is compared with `graph_golden.golden`:
 //!
-//! * each graph's `to_bytes`, `stats` and `host_stats`, and the
+//! * the graph's `to_bytes`, `stats` and `host_stats`, and the
 //!   re-encoding of `from_bytes(to_bytes)`;
-//! * every node's `neighbors` and corroboration;
+//! * every node's `sources` and corroboration;
 //! * a `KnowledgeStore::from_json` rebuild whose file repeats an entry
 //!   id, before and after memorizing past the store's capacity.
 //!
@@ -17,7 +16,7 @@
 //! differing label, then the full replacement golden text. Replace the
 //! golden file with that text only after a deliberate change.
 
-use ira_agentmem::{split_url, ClaimGraph, GraphConfig, KnowledgeStore, SourceRef};
+use ira_agentmem::{split_url, ClaimGraph, KnowledgeStore, SourceRef};
 use ira_webcorpus::{Corpus, CorpusConfig};
 use ira_worldmodel::scenario::ScenarioRegistry;
 use ira_worldmodel::World;
@@ -49,8 +48,8 @@ fn pages() -> Vec<Page> {
 
 /// Absorb every page, entry `i` from page `i`, removing every fifth
 /// entry four absorbs after it went in.
-fn build(pages: &[Page], config: GraphConfig) -> ClaimGraph {
-    let mut g = ClaimGraph::new(config);
+fn build(pages: &[Page]) -> ClaimGraph {
+    let mut g = ClaimGraph::default();
     for (i, (web, text, url)) in pages.iter().enumerate() {
         let (host, path) = split_url(url);
         let entry_id = i as u64;
@@ -82,20 +81,20 @@ fn fp(bytes: &[u8]) -> String {
     format!("{h:016x}")
 }
 
-/// The graph-wide items of one graph.
-fn graph_items(name: &str, g: &ClaimGraph, items: &mut Vec<(String, String)>) {
+/// The graph-wide items of the graph.
+fn graph_items(g: &ClaimGraph, items: &mut Vec<(String, String)>) {
     let bytes = g.to_bytes();
-    items.push((format!("{name}/to_bytes"), fp(&bytes)));
+    items.push(("graph/to_bytes".into(), fp(&bytes)));
     items.push((
-        format!("{name}/stats"),
+        "graph/stats".into(),
         fp(format!("{:?}", g.stats()).as_bytes()),
     ));
     items.push((
-        format!("{name}/host_stats"),
+        "graph/host_stats".into(),
         fp(format!("{:?}", g.host_stats()).as_bytes()),
     ));
-    let back = ClaimGraph::from_bytes(&bytes, *g.config()).expect("own snapshot decodes");
-    items.push((format!("{name}/from_bytes"), fp(&back.to_bytes())));
+    let back = ClaimGraph::from_bytes(&bytes).expect("own snapshot decodes");
+    items.push(("graph/from_bytes".into(), fp(&back.to_bytes())));
 }
 
 /// A store file whose entries repeat an id, rebuilt through `from_json`
@@ -132,30 +131,16 @@ fn items() -> Vec<(String, String)> {
     let pages = pages();
     let mut items = Vec::new();
 
-    let g = build(&pages, GraphConfig::default());
-    graph_items("graph", &g, &mut items);
+    let g = build(&pages);
+    graph_items(&g, &mut items);
     for node in g.nodes() {
-        let line = format!("{:?} {}", g.neighbors(node.id), g.corroboration(node.id));
+        let line = format!("{:?} {}", g.sources(node.id), g.corroboration(node.id));
         let term = g.term_text(node.id).unwrap_or("?");
         items.push((
             format!("graph/node/{}/{term}", node.id),
             fp(line.as_bytes()),
         ));
     }
-
-    let decaying = build(
-        &pages,
-        GraphConfig {
-            decay_after_us: 40_000,
-            ..GraphConfig::default()
-        },
-    );
-    let live = decaying.stats().live_nodes;
-    assert!(
-        decaying.decay_evictions() > 0 && live > 0,
-        "decay must forget some claims, not all"
-    );
-    graph_items("decay", &decaying, &mut items);
 
     store_items(&pages, &mut items);
     items

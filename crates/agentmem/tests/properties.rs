@@ -1,10 +1,9 @@
 //! Property-based tests for embeddings, the knowledge store and the
-//! `IRAGRPH1` graph snapshot decoder.
+//! `IRAGRPH2` graph snapshot decoder.
 
 use ira_agentmem::graph::GraphDecodeError;
 use ira_agentmem::{
-    cosine, embed, split_url, ClaimGraph, GraphConfig, KnowledgeStore, SourceRef, StoreConfig,
-    EMBED_DIM,
+    cosine, embed, split_url, ClaimGraph, KnowledgeStore, SourceRef, StoreConfig, EMBED_DIM,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -326,7 +325,7 @@ proptest! {
         ops in prop::collection::vec(graph_op(), 1..60),
     ) {
         let store = KnowledgeStore::new(StoreConfig { capacity, ..StoreConfig::default() });
-        let mut oracle = ClaimGraph::new(GraphConfig::default());
+        let mut oracle = ClaimGraph::default();
         let mut absorbed: Vec<u64> = Vec::new();
         let mut session = 0;
         for (step, op) in ops.iter().enumerate() {
@@ -414,15 +413,12 @@ fn dedup_decisions_at_the_threshold_match_the_dense_scan() {
 }
 
 /// A real snapshot with every section non-empty: documents from three
-/// hosts (so some claims corroborate), a removed entry, decayed nodes,
-/// and a source record shared by several nodes.
+/// hosts (so some claims corroborate), a removed entry, and a source
+/// record shared by several nodes.
 fn real_snapshot() -> &'static [u8] {
     static SNAPSHOT: OnceLock<Vec<u8>> = OnceLock::new();
     SNAPSHOT.get_or_init(|| {
-        let mut g = ClaimGraph::new(GraphConfig {
-            decay_after_us: 50,
-            ..GraphConfig::default()
-        });
+        let mut g = ClaimGraph::default();
         let docs = [
             ("a.test", "cable apex latitude degrees storm"),
             ("b.test", "cable apex latitude repeaters"),
@@ -441,7 +437,6 @@ fn real_snapshot() -> &'static [u8] {
             g.absorb(entry_id, text, source);
         }
         g.remove_entry(1);
-        assert!(g.decay(100) > 0, "the fixture must hold decayed nodes");
         g.to_bytes()
     })
 }
@@ -450,7 +445,7 @@ fn real_snapshot() -> &'static [u8] {
 /// (a panic fails the test), and a graph it accepts re-encodes to the
 /// very bytes it was decoded from.
 fn decode_is_total_and_canonical(bytes: &[u8]) -> Result<(), TestCaseError> {
-    match ClaimGraph::from_bytes(bytes, GraphConfig::default()) {
+    match ClaimGraph::from_bytes(bytes) {
         Ok(graph) => {
             let again = graph.to_bytes();
             let first_difference = again.iter().zip(bytes).position(|(x, y)| x != y);
@@ -470,11 +465,11 @@ fn decode_is_total_and_canonical(bytes: &[u8]) -> Result<(), TestCaseError> {
 #[test]
 fn every_truncation_and_flipped_byte_of_a_real_snapshot_decodes_safely() {
     let snapshot = real_snapshot();
-    let graph = ClaimGraph::from_bytes(snapshot, GraphConfig::default()).unwrap();
+    let graph = ClaimGraph::from_bytes(snapshot).unwrap();
     assert_eq!(graph.to_bytes(), snapshot);
     for len in 0..snapshot.len() {
         assert!(
-            ClaimGraph::from_bytes(&snapshot[..len], GraphConfig::default()).is_err(),
+            ClaimGraph::from_bytes(&snapshot[..len]).is_err(),
             "a snapshot cut to {len} bytes decoded"
         );
     }

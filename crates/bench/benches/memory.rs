@@ -119,8 +119,7 @@ fn bench_memorize_page(c: &mut Criterion) {
 }
 
 /// The same pages memorized, then one graph snapshot: the deferred
-/// absorb of every page (up to 24 terms and 276 co-occurrence pairs
-/// each) lands in the read. Less `memorize_page`, this is what an
+/// absorb of every page (up to 24 terms each) lands in the read. Less `memorize_page`, this is what an
 /// audit or a `save` pays.
 fn bench_graph_catch_up(c: &mut Criterion) {
     let pages = default_web_pages();

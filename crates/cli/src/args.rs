@@ -136,7 +136,7 @@ pub enum Command {
 /// What `ira mem` does.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MemAction {
-    /// Print graph statistics: nodes, edges, corroboration histogram,
+    /// Print graph statistics: node count, corroboration histogram,
     /// per-host trust table.
     Stats { knowledge: String },
     /// The top entries retrieval returns for a query, in rank order.
@@ -288,7 +288,7 @@ COMMANDS:
     mem         Inspect the claim graph behind a knowledge file (all
                 actions accept --knowledge <file>, default
                 knowledge.json)
-                  stats                   node/edge counts, corroboration
+                  stats                   node count, corroboration
                                           histogram, per-host trust table
                   query \"<terms>\"         the top entries retrieval returns
                                           for the query, in rank order

@@ -1211,9 +1211,9 @@ fn load_store(path: &str) -> Result<KnowledgeStore, i32> {
     })
 }
 
-/// `ira mem stats`: the claim graph behind a knowledge file — node and
-/// edge counts, the corroboration histogram, and the per-host trust
-/// table the poisoning detector votes with.
+/// `ira mem stats`: the claim graph behind a knowledge file — node
+/// count, the corroboration histogram, and the per-host trust table the
+/// poisoning detector votes with.
 fn mem_stats(knowledge: &str) -> i32 {
     let store = match load_store(knowledge) {
         Ok(s) => s,
@@ -1221,10 +1221,7 @@ fn mem_stats(knowledge: &str) -> i32 {
     };
     let stats = store.graph_stats();
     println!("entries: {}", store.len());
-    println!(
-        "claim graph: {} nodes ({} live), {} co-occurrence edges",
-        stats.nodes, stats.live_nodes, stats.edges
-    );
+    println!("claim graph: {} nodes", stats.nodes);
     println!(
         "corroborated claims (≥2 hosts): {}",
         stats.corroborated_nodes
@@ -1238,9 +1235,6 @@ fn mem_stats(knowledge: &str) -> i32 {
         "corroboration histogram [1, 2, 3, 4+ hosts]: {}",
         hist.join(" / ")
     );
-    if stats.decay_evictions > 0 {
-        println!("decay evictions: {}", stats.decay_evictions);
-    }
     let rows: Vec<Vec<String>> = store
         .graph_host_stats()
         .into_iter()
@@ -1289,8 +1283,8 @@ fn mem_query(knowledge: &str, query: &str, top: usize) -> i32 {
     0
 }
 
-/// `ira mem provenance`: every source that asserted a claim term, plus
-/// its strongest co-occurrence neighbors — where a belief came from.
+/// `ira mem provenance`: every source that asserted a claim term —
+/// where a belief came from.
 fn mem_provenance(knowledge: &str, term: &str) -> i32 {
     let store = match load_store(knowledge) {
         Ok(s) => s,
@@ -1303,11 +1297,10 @@ fn mem_provenance(knowledge: &str, term: &str) -> i32 {
         }
         Some(node) => {
             println!(
-                "claim {:?}: {} occurrences, corroborated by {} host(s){}",
+                "claim {:?}: {} occurrences, corroborated by {} host(s)",
                 term,
                 node.occurrences,
-                g.corroboration(node.id),
-                if node.decayed { ", decayed" } else { "" }
+                g.corroboration(node.id)
             );
             println!(
                 "first seen {:.1}s, last seen {:.1}s (virtual)",
@@ -1334,13 +1327,6 @@ fn mem_provenance(knowledge: &str, term: &str) -> i32 {
                     "{}",
                     table(&["host", "path", "fetched-s", "session", "entry"], &rows)
                 );
-            }
-            let neighbors = g.neighbors(node.id);
-            if !neighbors.is_empty() {
-                println!("strongest co-occurrences:");
-                for &(w, n) in neighbors.iter().take(8) {
-                    println!("  {:<24} weight {}", g.term_text(n).unwrap_or("?"), w);
-                }
             }
             0
         }

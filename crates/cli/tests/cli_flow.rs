@@ -516,3 +516,92 @@ fn obs_render_rejects_a_malformed_sketch_with_one_error_line() {
         std::fs::remove_file(&path).ok();
     }
 }
+
+/// The previous format (`IRAGRPH1`) of an `IRAGRPH2` claim-graph
+/// snapshot: a decayed flag of 0 after each node's last-seen time, an
+/// empty edge section before the entries, and a decay count of 0 at
+/// the end.
+fn graph_v1(v2: &[u8]) -> Vec<u8> {
+    assert_eq!(&v2[..8], b"IRAGRPH2");
+    let u32_at = |at: usize| u32::from_le_bytes(v2[at..at + 4].try_into().unwrap()) as usize;
+    let str_end = |at: usize| at + 4 + u32_at(at);
+    let mut out = b"IRAGRPH1".to_vec();
+    out.extend_from_slice(&v2[8..12]);
+    let mut at = 12;
+    for _ in 0..u32_at(8) {
+        // Term, occurrences, first and last seen.
+        let start = at;
+        at = str_end(at) + 4 + 8 + 8;
+        out.extend_from_slice(&v2[start..at]);
+        out.push(0);
+        // Sources: host, path, fetch time, session, entry id.
+        let start = at;
+        let sources = u32_at(at);
+        at += 4;
+        for _ in 0..sources {
+            at = str_end(str_end(at)) + 8 + 4 + 8;
+        }
+        out.extend_from_slice(&v2[start..at]);
+    }
+    out.extend_from_slice(&0u32.to_le_bytes());
+    out.extend_from_slice(&v2[at..]);
+    out.extend_from_slice(&0u64.to_le_bytes());
+    out
+}
+
+#[test]
+fn mem_inspects_the_claim_graph_and_rebuilds_from_a_stale_sidecar() {
+    let knowledge = tmp("mem-knowledge.json");
+    let sidecar = ira_agentmem::KnowledgeStore::graph_snapshot_path(knowledge.as_ref());
+    let backup = ira_agentmem::persist::backup_path(&sidecar);
+    for path in [knowledge.as_ref(), sidecar.as_path(), backup.as_path()] {
+        std::fs::remove_file(path).ok();
+    }
+    let ira = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ira"))
+            .args(args)
+            .output()
+            .expect("ira binary runs");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        (out.status.code(), stdout)
+    };
+    assert_eq!(ira(&["train", "--out", &knowledge]).0, Some(0));
+    let mem = |action: &[&str]| {
+        let mut args = vec!["mem"];
+        args.extend_from_slice(action);
+        args.extend_from_slice(&["--knowledge", &knowledge]);
+        ira(&args)
+    };
+
+    let (code, stats) = mem(&["stats"]);
+    assert_eq!(code, Some(0), "{stats}");
+    assert!(stats.contains("\nclaim graph: "), "{stats}");
+    assert!(stats.contains(" nodes\n"), "{stats}");
+    assert!(stats.contains("host "), "{stats}");
+    assert!(stats.contains("encyclopedia.test"), "{stats}");
+    let (code, provenance) = mem(&["provenance", "geomagnetic"]);
+    assert_eq!(code, Some(0), "{provenance}");
+    assert!(
+        provenance.starts_with("claim \"geomagnetic\": "),
+        "{provenance}"
+    );
+    assert!(provenance.contains("fetched-s"), "{provenance}");
+    assert!(provenance.contains("/wiki/"), "{provenance}");
+    assert!(!provenance.contains("co-occurrence"), "{provenance}");
+    assert_eq!(mem(&["query", "geomagnetic latitude"]).0, Some(0));
+    let (code, missing) = mem(&["provenance", "zzzunknownzzz"]);
+    assert_eq!(code, Some(1));
+    assert!(missing.contains("no claim node"), "{missing}");
+
+    // A sidecar in the previous format does not decode, so the graph is
+    // rebuilt from the entries: with no evictions, the same graph.
+    let payload = ira_agentmem::load_bytes_with_backup(&sidecar).unwrap();
+    ira_agentmem::save_atomic_bytes(&sidecar, &graph_v1(&payload)).unwrap();
+    std::fs::remove_file(&backup).unwrap();
+    assert_eq!(mem(&["stats"]), (Some(0), stats));
+    assert_eq!(mem(&["provenance", "geomagnetic"]), (Some(0), provenance));
+
+    for path in [knowledge.as_ref(), sidecar.as_path()] {
+        std::fs::remove_file(path).ok();
+    }
+}

@@ -1,5 +1,5 @@
 //! Claim-graph determinism contract: the graph a session builds —
-//! node ids, edge weights, provenance, the whole serialized snapshot —
+//! node ids, provenance, the whole serialized snapshot —
 //! is a pure function of the session's seeds. Thread count is an
 //! implementation detail and must never change a single byte of any
 //! graph.
