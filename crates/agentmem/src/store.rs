@@ -18,7 +18,7 @@ use crate::graph::{ClaimGraph, GraphStats, HostStats};
 use crate::provenance::{split_url, SourceRef};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use thiserror::Error;
@@ -109,8 +109,14 @@ struct StoreFile {
     entries: Vec<KnowledgeEntry>,
 }
 
-/// The agent's knowledge memory. Thread-safe: readers share it while
-/// the memoriser writes.
+/// At most this many floats (2 MiB) of similarity rows are memoized
+/// (see [`Inner::similarity_row`]); one row alone may exceed it.
+const MEMO_FLOATS: usize = 1 << 19;
+
+/// The agent's knowledge memory. Thread-safe behind one lock, which
+/// retrieval takes for writing too, since it fills the similarity-row
+/// memo. Each store is read by its one agent's thread, so that costs no
+/// contention.
 pub struct KnowledgeStore {
     inner: RwLock<Inner>,
     config: StoreConfig,
@@ -131,6 +137,10 @@ struct Inner {
     absorbed: usize,
     /// The session that memorised each entry of `entries[absorbed..]`.
     sessions: Vec<u32>,
+    /// Memoized MMR rows: `rows[&i]` is entry `i`'s similarity to every
+    /// entry. Rows are keyed by position, which only a write moves, so
+    /// every accepted write clears them all.
+    rows: HashMap<usize, Vec<f32>>,
 }
 
 impl Inner {
@@ -142,7 +152,27 @@ impl Inner {
             next_id,
             graph: ClaimGraph::default(),
             absorbed: 0,
+            rows: HashMap::new(),
         }
+    }
+
+    /// Entry `i`'s similarity to every entry: the [`EmbeddingMatrix::dots`]
+    /// sweep over its non-zero buckets, computed the first time it is
+    /// asked for after a write. A row that would take the memo past
+    /// [`MEMO_FLOATS`] clears it first.
+    fn similarity_row(&mut self, i: usize) -> &[f32] {
+        if !self.rows.contains_key(&i) {
+            let mut row = Vec::new();
+            self.embeddings
+                .dots(&nonzero_buckets(&self.embeddings.column(i)), &mut row);
+            // Every held row is as long as this one: a write clears
+            // them all.
+            if (self.rows.len() + 1) * row.len() > MEMO_FLOATS {
+                self.rows.clear();
+            }
+            self.rows.insert(i, row);
+        }
+        &self.rows[&i]
     }
 
     /// Absorb the pending entries into the claim graph, in insertion
@@ -305,6 +335,8 @@ impl KnowledgeStore {
         if sims.iter().any(|&sim| sim >= threshold) {
             return None;
         }
+        // The push and any eviction below change the similarity rows.
+        inner.rows.clear();
 
         let id = inner.next_id;
         inner.next_id += 1;
@@ -366,9 +398,13 @@ impl KnowledgeStore {
     /// the embedding matrix:
     ///
     /// - **Relevance** is one sweep over the query's non-zero buckets.
-    /// - **Max similarity.** After each pick but the last, one sweep
-    ///   over the pick's non-zero buckets folds its similarity into
-    ///   every candidate's `max_sim`.
+    /// - **Max similarity.** After each pick but the last, the pick's
+    ///   similarity row (one sweep over its non-zero buckets) folds
+    ///   into every candidate's `max_sim`. The row is memoized: between
+    ///   two writes, an entry picked again reuses the row its first pick
+    ///   swept, the same sums computed once. Every accepted write clears
+    ///   the memo; a duplicate-rejected one changes nothing and keeps
+    ///   it.
     ///
     /// Each sweep result is bit-identical to `cosine`: every stored
     /// embedding comes from [`embed`], also in a loaded store (see
@@ -376,8 +412,8 @@ impl KnowledgeStore {
     /// selection is the first `k` of the base order, and only those are
     /// sorted. Only the `k` winners are cloned.
     pub fn retrieve(&self, query: &str, k: usize, now: u64) -> Vec<KnowledgeEntry> {
-        let inner = self.inner.read();
-        self.select(&inner, query, k, now)
+        let inner = &mut *self.inner.write();
+        self.select(inner, query, k, now)
             .into_iter()
             .map(|i| inner.entry(i))
             .collect()
@@ -385,7 +421,7 @@ impl KnowledgeStore {
 
     /// The positions in `inner.entries` of what
     /// [`KnowledgeStore::retrieve`] returns, in selection order.
-    fn select(&self, inner: &Inner, query: &str, k: usize, now: u64) -> Vec<usize> {
+    fn select(&self, inner: &mut Inner, query: &str, k: usize, now: u64) -> Vec<usize> {
         let mut sims = Vec::new();
         inner
             .embeddings
@@ -432,9 +468,8 @@ impl KnowledgeStore {
             candidates[i].taken = true;
             picks.push(i);
             if picks.len() < k {
-                let pick = nonzero_buckets(&inner.embeddings.column(i));
-                inner.embeddings.dots(&pick, &mut sims);
-                for (c, &sim) in candidates.iter_mut().zip(&sims) {
+                let row = inner.similarity_row(i);
+                for (c, &sim) in candidates.iter_mut().zip(row) {
                     c.max_sim = c.max_sim.max(sim as f64);
                 }
             }
@@ -456,8 +491,8 @@ impl KnowledgeStore {
     /// closest to the question in the prompt (and survives context
     /// truncation longest).
     pub fn retrieve_texts(&self, query: &str, k: usize, now: u64) -> Vec<String> {
-        let inner = self.inner.read();
-        self.select(&inner, query, k, now)
+        let inner = &mut *self.inner.write();
+        self.select(inner, query, k, now)
             .into_iter()
             .rev()
             .map(|i| inner.entries[i].content.clone())
@@ -1130,6 +1165,76 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The similarity-row memo: each row's position and bits, in
+    /// position order.
+    fn memo(s: &KnowledgeStore) -> Vec<(usize, Vec<u32>)> {
+        let inner = s.inner.read();
+        let mut rows: Vec<(usize, Vec<u32>)> = inner
+            .rows
+            .iter()
+            .map(|(&i, row)| (i, row.iter().map(|x| x.to_bits()).collect()))
+            .collect();
+        rows.sort();
+        rows
+    }
+
+    /// A store offered `n` pages that share one word: dedup keeps
+    /// nearly all of them (all of four).
+    fn distinct_pages(capacity: usize, n: u64) -> KnowledgeStore {
+        let s = KnowledgeStore::new(StoreConfig {
+            capacity,
+            ..StoreConfig::default()
+        });
+        for i in 0..n {
+            let page = format!("bulletin{i} reports cable{i} outage{i}");
+            s.memorize("t", &page, "sim://a.test/p", "news", i, 0.5);
+        }
+        s
+    }
+
+    #[test]
+    fn the_row_memo_stays_under_its_cap() {
+        let s = distinct_pages(StoreConfig::default().capacity, 1_000);
+        let n = s.len();
+        assert!(n > 900, "dedup kept {n}");
+        let inner = &mut *s.inner.write();
+        let mut peak = 0;
+        for i in 0..n {
+            let mut fresh = Vec::new();
+            inner
+                .embeddings
+                .dots(&nonzero_buckets(&inner.embeddings.column(i)), &mut fresh);
+            assert_eq!(inner.similarity_row(i), fresh, "row {i}");
+            let held: usize = inner.rows.values().map(Vec::len).sum();
+            assert!(held <= MEMO_FLOATS, "{held} floats after row {i}");
+            peak = peak.max(held);
+        }
+        assert!(peak + n > MEMO_FLOATS, "the cap was reached");
+        assert!(inner.rows.len() < n, "and the memo cleared");
+    }
+
+    #[test]
+    fn an_accepted_write_empties_the_row_memo() {
+        for capacity in [4, 2_000] {
+            let s = distinct_pages(capacity, 4);
+            s.retrieve("bulletin0 cable1 outage2", 3, 10);
+            assert_eq!(memo(&s).len(), 2, "two picks with picks to come");
+            let id = mem(&s, "t", "a fresh page about solar storms", 11);
+            assert!(id.is_some());
+            assert!(memo(&s).is_empty(), "capacity {capacity}");
+        }
+    }
+
+    #[test]
+    fn a_rejected_write_keeps_the_row_memo() {
+        let s = distinct_pages(2_000, 4);
+        s.retrieve_texts("bulletin0 cable1 outage2", 4, 10);
+        let before = memo(&s);
+        assert_eq!(before.len(), 3);
+        assert!(mem(&s, "t", "bulletin1 reports cable1 outage1", 11).is_none());
+        assert_eq!(memo(&s), before);
     }
 
     #[test]

@@ -96,6 +96,67 @@ fn urls(entries: &[KnowledgeEntry]) -> Vec<String> {
     entries.iter().map(|e| e.source_url.clone()).collect()
 }
 
+/// One step of a staleness run.
+#[derive(Debug, Clone)]
+enum Op {
+    /// Memorise the page of these [`WORDS`] indices at this second.
+    Memorize(Vec<usize>, u64),
+    /// Offer the `n`th page memorised so far (modulo their count)
+    /// again, a duplicate the store rejects.
+    Remember(usize),
+    /// Query `n` of the run's pool (modulo its size): the same query
+    /// again, so picks repeat between writes. `texts` asks
+    /// `retrieve_texts` instead of `retrieve`.
+    Repeat { n: usize, texts: bool },
+    /// A query of these words, top-`k` at this second.
+    Fresh {
+        words: Vec<usize>,
+        k: usize,
+        now_s: u64,
+        texts: bool,
+    },
+    /// Reload the store from its own `to_json`.
+    Reload,
+}
+
+/// Half the steps offer a page (one in five of them a page offered
+/// before), nearly half retrieve (two in three of those a pool query),
+/// and one in twenty reloads.
+fn op() -> impl Strategy<Value = Op> {
+    (
+        0u8..40,
+        prop::collection::vec(0..WORDS.len(), 0..6),
+        0usize..=15,
+        0u64..6,
+    )
+        .prop_map(|(kind, words, n, now_s)| {
+            // The low bit picks `retrieve_texts`.
+            let texts = kind % 2 == 1;
+            match kind / 2 {
+                0..=7 => Op::Memorize(words, now_s),
+                8..=9 => Op::Remember(n),
+                10..=15 => Op::Repeat { n, texts },
+                16..=18 => Op::Fresh {
+                    words,
+                    k: n,
+                    now_s,
+                    texts,
+                },
+                _ => Op::Reload,
+            }
+        })
+}
+
+/// The same retrieval as `quadratic_retrieve`, in the shape `texts`
+/// asks for: ids in selection order, or contents least relevant first.
+fn answer(entries: Vec<KnowledgeEntry>, texts: bool) -> Vec<String> {
+    if texts {
+        entries.into_iter().rev().map(|e| e.content).collect()
+    } else {
+        entries.iter().map(|e| e.id.to_string()).collect()
+    }
+}
+
 proptest! {
     #[test]
     fn retrieve_matches_the_quadratic_oracle(
@@ -199,6 +260,78 @@ proptest! {
             urls(&store.retrieve(&query, k, 3_000_000)),
             urls(&quadratic_retrieve(&store, &query, k, 3_000_000))
         );
+    }
+
+    /// Retrieval state kept between calls must follow every write:
+    /// each retrieve of a random interleaving of accepted, rejected and
+    /// evicting writes, repeated and fresh queries, and reloads equals
+    /// the oracle's on the store as it is at that step.
+    #[test]
+    fn retrieve_after_every_write_matches_the_quadratic_oracle(
+        capacity in prop::sample::select(vec![1usize, 7, 120]),
+        diversity in prop::sample::select(vec![0.25f64, 1.0, 3.0]),
+        pool in prop::collection::vec(
+            (prop::collection::vec(0..WORDS.len(), 0..5), 0usize..=15, 0u64..6),
+            1..4,
+        ),
+        ops in prop::collection::vec(op(), 1..120),
+    ) {
+        let mut store = KnowledgeStore::new(StoreConfig {
+            capacity,
+            weights: RetrievalWeights {
+                relevance: 1.0,
+                recency: 0.1,
+                importance: 0.1,
+                half_life_secs: 1.0,
+                diversity,
+            },
+            ..StoreConfig::default()
+        });
+        let mut pages: Vec<String> = Vec::new();
+        for (step, op) in ops.into_iter().enumerate() {
+            let (query, k, now_s, texts) = match op {
+                Op::Memorize(words, learned_s) => {
+                    let page = text(&words);
+                    let importance = (step % 3) as f64 / 2.0;
+                    let url = format!("u{step}");
+                    store.memorize("t", &page, &url, "news", learned_s * 1_000_000, importance);
+                    pages.push(page);
+                    continue;
+                }
+                Op::Remember(n) => {
+                    if let Some(page) = pages.get(n % pages.len().max(1)) {
+                        let url = format!("u{step}");
+                        let len = store.len();
+                        let accepted = store.memorize("t", page, &url, "news", 0, 0.5);
+                        // Rejected unless eviction took its twin, or it
+                        // is empty (a zero embedding matches nothing).
+                        prop_assert!(accepted.is_none() || len == capacity || page.is_empty());
+                    }
+                    continue;
+                }
+                Op::Reload => {
+                    let json = store.to_json();
+                    store = KnowledgeStore::from_json(&json).unwrap();
+                    continue;
+                }
+                Op::Repeat { n, texts } => {
+                    let (words, k, now_s) = &pool[n % pool.len()];
+                    (text(words), *k, *now_s, texts)
+                }
+                Op::Fresh { words, k, now_s, texts } => (text(&words), k, now_s, texts),
+            };
+            let now = now_s * 1_000_000;
+            let got = if texts {
+                store.retrieve_texts(&query, k, now)
+            } else {
+                answer(store.retrieve(&query, k, now), false)
+            };
+            prop_assert_eq!(
+                got,
+                answer(quadratic_retrieve(&store, &query, k, now), texts),
+                "step {}: query {:?}, k {}, {} entries", step, query, k, store.len()
+            );
+        }
     }
 
     #[test]

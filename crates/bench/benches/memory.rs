@@ -1,8 +1,8 @@
 //! Knowledge-memory operations: embed, memorize (with dedup scan, and
 //! eviction at capacity), the claim graph's deferred absorb, and scored
-//! retrieval at several store sizes.
+//! retrieval at several store sizes, warm and cold.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use ira_agentmem::{embed, KnowledgeStore};
 use ira_webcorpus::{Corpus, CorpusConfig};
 use ira_worldmodel::World;
@@ -132,8 +132,10 @@ fn bench_graph_catch_up(c: &mut Criterion) {
     group.finish();
 }
 
+/// k = 10, the agent's `AgentConfig::retrieval_k`, over one store: all
+/// but the first iteration find every pick's similarity row memoized,
+/// since nothing writes in between.
 fn bench_retrieve(c: &mut Criterion) {
-    // k = 10, the agent's `AgentConfig::retrieval_k`.
     let mut group = c.benchmark_group("retrieve_top10");
     for size in [100usize, 1000] {
         let store = filled_store(size);
@@ -146,6 +148,28 @@ fn bench_retrieve(c: &mut Criterion) {
     group.finish();
 }
 
+/// The same retrieve on a store fresh from `from_json` each iteration,
+/// so every pick sweeps the matrix for its row: what the first retrieve
+/// after a write costs.
+fn bench_retrieve_cold(c: &mut Criterion) {
+    let mut group = c.benchmark_group("retrieve_top10_cold");
+    for size in [100usize, 1000] {
+        let json = filled_store(size).to_json();
+        group.bench_with_input(BenchmarkId::from_parameter(size), &json, |b, json| {
+            b.iter_batched(
+                || KnowledgeStore::from_json(json).expect("store loads"),
+                |store| {
+                    let hits = store.retrieve("cable system latitude degrees", 10, u64::MAX);
+                    // Handed back, so the store's drop is not timed.
+                    (store, hits)
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_embed,
@@ -153,6 +177,7 @@ criterion_group!(
     bench_memorize_at_capacity,
     bench_memorize_page,
     bench_graph_catch_up,
-    bench_retrieve
+    bench_retrieve,
+    bench_retrieve_cold
 );
 criterion_main!(benches);
