@@ -18,13 +18,14 @@
 //! `ira_simllm::Llm`, `ira_agentmem::KnowledgeStore`), but nothing
 //! here depends on those concrete types.
 //!
-//! Every command respects the [`Budget`] and is recorded in the
-//! [`EventLog`].
+//! Every command respects the [`Budget`]. Each step is a trace point
+//! (`cycle.start`, `search.issued`, `fetch.page`, `memory.memorize`,
+//! `memory.duplicate_dropped`, `breaker.rerouted`, `cycle.error`,
+//! `cycle.goal_complete`) emitted through the loop's [`ObsHandle`];
+//! with tracing off nothing is built.
 
 use crate::budget::Budget;
-use crate::command::Command;
-use crate::cycle::AgentCycle;
-use crate::events::{EventKind, EventLog};
+use ira_obs::{stage, ObsHandle, TraceEvent};
 use ira_services::{LanguageModel, Memory, SearchHit, ServiceError, StepAction, WebServices};
 use serde::{Deserialize, Serialize};
 
@@ -55,7 +56,7 @@ impl Default for AutoGptConfig {
 }
 
 /// Summary of one goal run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct GoalReport {
     pub goal: String,
     pub cycles: u32,
@@ -80,8 +81,7 @@ pub struct AutoGpt<'a> {
     memory: &'a dyn Memory,
     config: AutoGptConfig,
     budget: Budget,
-    log: EventLog,
-    cycles: Vec<AgentCycle>,
+    obs: ObsHandle,
 }
 
 impl<'a> AutoGpt<'a> {
@@ -98,40 +98,30 @@ impl<'a> AutoGpt<'a> {
             memory,
             config,
             budget,
-            log: EventLog::new(),
-            cycles: Vec::new(),
+            obs: ObsHandle::disabled(),
         }
     }
 
-    /// Mirror every logged event into an `ira-obs` collector tagged
-    /// with `session`. Cycle/command boundaries then appear on the
-    /// same virtual timeline as the network-level trace.
-    pub fn attach_observer(&mut self, sink: ira_obs::SharedCollector, session: u32) {
-        self.log.attach_observer(sink, session);
-    }
-
-    /// Mirror logged events through a shared [`ira_obs::ObsHandle`],
-    /// joining the session's causal tree (points nest under the
-    /// caller's open scopes).
-    pub fn attach_observer_handle(&mut self, handle: ira_obs::ObsHandle) {
-        self.log.attach_observer_handle(handle);
-    }
-
-    pub fn log(&self) -> &EventLog {
-        &self.log
+    /// Emit the loop's points through a shared [`ObsHandle`], joining
+    /// the session's causal tree (points nest under the caller's open
+    /// scopes).
+    pub fn attach_observer_handle(&mut self, handle: ObsHandle) {
+        self.obs = handle;
     }
 
     pub fn budget(&self) -> &Budget {
         &self.budget
     }
 
-    /// The full THOUGHTS/PLAN/COMMAND transcript.
-    pub fn transcript(&self) -> &[AgentCycle] {
-        &self.cycles
-    }
-
     fn now_us(&self) -> u64 {
         self.web.now_us()
+    }
+
+    /// Emit one loop point at the current virtual time. `detail` only
+    /// runs when tracing is on.
+    fn point(&self, stage: &'static str, name: &'static str, detail: impl FnOnce() -> String) {
+        self.obs
+            .emit(|| TraceEvent::point(self.obs.session(), self.now_us(), stage, name, detail()));
     }
 
     /// Pursue a goal end to end. Budget exhaustion ends the run early
@@ -144,8 +134,6 @@ impl<'a> AutoGpt<'a> {
         };
 
         let plan = self.llm.plan_goal(goal);
-        let plan_lines: Vec<String> = plan.steps.iter().map(|s| s.description.clone()).collect();
-
         for step in &plan.steps {
             let StepAction::Search { query } = &step.action else {
                 continue; // analysis/memorize steps are folded into search handling
@@ -154,32 +142,11 @@ impl<'a> AutoGpt<'a> {
                 break;
             }
             report.cycles += 1;
-            self.log.record(
-                self.now_us(),
-                EventKind::CycleStart,
-                step.description.clone(),
-            );
-            self.cycles.push(
-                AgentCycle::new(
-                    plan.thoughts.clone(),
-                    Command::Google {
-                        query: query.clone(),
-                    },
-                )
-                .with_plan(plan_lines.clone())
-                .with_reasoning(format!("Goal: {goal}")),
-            );
+            self.point(stage::CYCLE, "start", || step.description.clone());
             self.search_and_absorb(goal, query, &mut report);
         }
 
-        self.log
-            .record(self.now_us(), EventKind::GoalComplete, goal.to_string());
-        self.cycles.push(AgentCycle::new(
-            format!("I have gathered the available information for: {goal}"),
-            Command::TaskComplete {
-                reason: "plan executed".into(),
-            },
-        ));
+        self.point(stage::CYCLE, "goal_complete", || goal.to_string());
         report.elapsed_us = self.now_us().saturating_sub(started);
         report
     }
@@ -194,12 +161,6 @@ impl<'a> AutoGpt<'a> {
         };
         if self.budget.take_cycle().is_ok() {
             report.cycles += 1;
-            self.cycles.push(AgentCycle::new(
-                format!("To better answer questions about {topic}, I will search for: {query}"),
-                Command::Google {
-                    query: query.to_string(),
-                },
-            ));
             self.search_and_absorb(topic, query, &mut report);
         }
         report.elapsed_us = self.now_us().saturating_sub(started);
@@ -238,9 +199,7 @@ impl<'a> AutoGpt<'a> {
             // unavailable (its breaker is open), reroute to the
             // next-ranked result without spending any fetch budget.
             if !self.web.source_available(&hit.url) {
-                report.source_unavailable += 1;
-                self.log
-                    .record(self.now_us(), EventKind::SourceUnavailable, hit.url.clone());
+                self.reroute(&hit.url, report);
                 continue;
             }
             if self.budget.take_fetch().is_err() {
@@ -250,8 +209,7 @@ impl<'a> AutoGpt<'a> {
                 Ok(page) => {
                     fetched += 1;
                     report.fetches += 1;
-                    self.log
-                        .record(self.now_us(), EventKind::Fetch, hit.url.clone());
+                    self.point(stage::FETCH, "page", || hit.url.clone());
                     let importance = 1.0 / (1.0 + rank as f64);
                     self.absorb_page(topic, &hit.url, &page, importance, report);
                     // Crawler extension: follow related links one level.
@@ -263,12 +221,7 @@ impl<'a> AutoGpt<'a> {
                             continue;
                         }
                         if !self.web.source_available(&link) {
-                            report.source_unavailable += 1;
-                            self.log.record(
-                                self.now_us(),
-                                EventKind::SourceUnavailable,
-                                link.clone(),
-                            );
+                            self.reroute(&link, report);
                             continue;
                         }
                         if self.budget.take_fetch().is_err() {
@@ -277,8 +230,7 @@ impl<'a> AutoGpt<'a> {
                         match self.web.fetch(&link) {
                             Ok(linked_page) => {
                                 report.fetches += 1;
-                                self.log
-                                    .record(self.now_us(), EventKind::Fetch, link.clone());
+                                self.point(stage::FETCH, "page", || link.clone());
                                 self.absorb_page(
                                     topic,
                                     &link,
@@ -296,17 +248,25 @@ impl<'a> AutoGpt<'a> {
         }
     }
 
+    /// Skip a source whose host is unavailable.
+    fn reroute(&self, url: &str, report: &mut GoalReport) {
+        report.source_unavailable += 1;
+        self.point(stage::BREAKER, "rerouted", || url.to_string());
+    }
+
+    /// Count and trace a hard error.
+    fn error(&self, err: ServiceError, report: &mut GoalReport) {
+        report.errors += 1;
+        self.point(stage::CYCLE, "error", || err.to_string());
+    }
+
     /// Classify a fetch failure: an unavailable source means the agent
     /// reroutes, anything else is a hard error.
-    fn record_fetch_failure(&mut self, url: &str, err: ServiceError, report: &mut GoalReport) {
+    fn record_fetch_failure(&self, url: &str, err: ServiceError, report: &mut GoalReport) {
         if err.is_source_unavailable() {
-            report.source_unavailable += 1;
-            self.log
-                .record(self.now_us(), EventKind::SourceUnavailable, url.to_string());
+            self.reroute(url, report);
         } else {
-            report.errors += 1;
-            self.log
-                .record(self.now_us(), EventKind::Error, err.to_string());
+            self.error(err, report);
         }
     }
 
@@ -318,25 +278,21 @@ impl<'a> AutoGpt<'a> {
         report.searches += 1;
         match self.web.search(query, self.config.results_per_search) {
             Ok(hits) => {
-                self.log.record(
-                    self.now_us(),
-                    EventKind::Search,
-                    format!("{query} -> {} results", hits.len()),
-                );
+                self.point(stage::SEARCH, "issued", || {
+                    format!("{query} -> {} results", hits.len())
+                });
                 hits
             }
             Err(err) => {
-                report.errors += 1;
-                self.log
-                    .record(self.now_us(), EventKind::Error, err.to_string());
+                self.error(err, report);
                 Vec::new()
             }
         }
     }
 
-    /// Memorise one fetched page and log the outcome.
+    /// Memorise one fetched page and trace the outcome.
     fn absorb_page(
-        &mut self,
+        &self,
         topic: &str,
         url: &str,
         page: &str,
@@ -347,22 +303,14 @@ impl<'a> AutoGpt<'a> {
         let stored = self
             .memory
             .memorize(topic, page, url, kind, self.now_us(), importance);
-        if stored {
+        let name = if stored {
             report.memorized += 1;
-            self.log
-                .record(self.now_us(), EventKind::Memorize, url.to_string());
+            "memorize"
         } else {
             report.duplicates += 1;
-            self.log
-                .record(self.now_us(), EventKind::DuplicateDropped, url.to_string());
-        }
-        self.cycles.push(AgentCycle::new(
-            format!("Saving what I learned from {url}"),
-            Command::Memorize {
-                topic: topic.to_string(),
-                url: url.to_string(),
-            },
-        ));
+            "duplicate_dropped"
+        };
+        self.point(stage::MEMORY, name, || url.to_string());
     }
 }
 
@@ -402,12 +350,16 @@ fn source_kind_of(url: &str) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ira_agentmem::KnowledgeStore;
+    use ira_agentmem::{KnowledgeStore, StoreConfig};
+    use ira_obs::JsonlCollector;
     use ira_simllm::Llm;
     use ira_simnet::{Client, Network, NetworkConfig};
     use ira_webcorpus::{register_sites, Corpus, CorpusConfig};
     use ira_worldmodel::World;
     use std::sync::Arc;
+
+    const SOLAR_GOAL: &str = "Understand solar superstorms and Coronal Mass Ejection, and \
+                              principles of their formation and effects.";
 
     fn setup() -> (Client, Llm, KnowledgeStore) {
         let corpus = Arc::new(Corpus::generate(
@@ -423,6 +375,21 @@ mod tests {
         )
     }
 
+    /// Route the loop's points into a fresh JSONL collector.
+    fn trace(agent: &mut AutoGpt) -> Arc<JsonlCollector> {
+        let sink = Arc::new(JsonlCollector::new());
+        agent.attach_observer_handle(ObsHandle::new(sink.clone(), 0));
+        sink
+    }
+
+    /// How many points named `key` (`stage.name`) the trace holds.
+    fn count(sink: &JsonlCollector, key: &str) -> u32 {
+        sink.events()
+            .iter()
+            .filter(|e| e.metric_key() == key)
+            .count() as u32
+    }
+
     #[test]
     fn goal_run_learns_something() {
         let (client, llm, memory) = setup();
@@ -433,23 +400,15 @@ mod tests {
             AutoGptConfig::default(),
             Budget::standard(),
         );
-        let report = agent.run_goal(
-            "Understand solar superstorms and Coronal Mass Ejection, and principles of their \
-             formation and effects.",
-        );
+        let sink = trace(&mut agent);
+        let report = agent.run_goal(SOLAR_GOAL);
         assert!(report.searches >= 1, "report: {report:?}");
         assert!(report.memorized >= 1, "report: {report:?}");
         assert!(!memory.is_empty());
         assert!(report.elapsed_us > 0, "virtual time must pass");
-        // Transcript shows Auto-GPT-style cycles.
-        assert!(agent
-            .transcript()
-            .iter()
-            .any(|c| c.command.name() == "google"));
-        assert!(agent
-            .transcript()
-            .iter()
-            .any(|c| c.command.name() == "task_complete"));
+        // The trace shows the Auto-GPT cycle from search to completion.
+        assert!(count(&sink, "search.issued") >= 1);
+        assert_eq!(count(&sink, "cycle.goal_complete"), 1);
     }
 
     #[test]
@@ -534,10 +493,55 @@ mod tests {
             AutoGptConfig::default(),
             Budget::standard(),
         );
+        let sink = trace(&mut agent);
         agent.pursue_query("t", "submarine cable repeater vulnerable component fiber");
-        assert!(agent.log().count(EventKind::Search) >= 1);
-        assert!(agent.log().count(EventKind::Fetch) >= 1);
-        assert!(agent.log().count(EventKind::Memorize) >= 1);
+        assert!(count(&sink, "search.issued") >= 1);
+        assert!(count(&sink, "fetch.page") >= 1);
+        assert!(count(&sink, "memory.memorize") >= 1);
+        // A single query is not a goal: no goal completion point.
+        assert_eq!(count(&sink, "cycle.goal_complete"), 0);
+    }
+
+    #[test]
+    fn tracing_observes_the_run_without_changing_it() {
+        let run = |obs: ObsHandle| {
+            let (client, llm, _) = setup();
+            // A loose dedup threshold so some fetched pages are dropped.
+            let memory = KnowledgeStore::new(StoreConfig {
+                dedup_threshold: 0.5,
+                ..StoreConfig::default()
+            });
+            let config = AutoGptConfig {
+                crawl_links: 1,
+                ..AutoGptConfig::default()
+            };
+            let mut agent = AutoGpt::new(&client, &llm, &memory, config, Budget::standard());
+            agent.attach_observer_handle(obs);
+            (agent.run_goal(SOLAR_GOAL), memory.entries())
+        };
+
+        let untraced_obs = ObsHandle::disabled();
+        let (untraced, untraced_store) = run(untraced_obs.clone());
+        let sink = Arc::new(JsonlCollector::new());
+        let (traced, traced_store) = run(ObsHandle::new(sink.clone(), 0));
+
+        assert_eq!(traced, untraced);
+        assert_eq!(traced_store, untraced_store);
+        // Every emit through an enabled sink takes a span id first.
+        assert_eq!(
+            untraced_obs.context().alloc_id(),
+            1,
+            "the untraced run emitted points"
+        );
+
+        assert_eq!(count(&sink, "cycle.start"), traced.cycles);
+        assert_eq!(count(&sink, "fetch.page"), traced.fetches);
+        assert_eq!(count(&sink, "memory.memorize"), traced.memorized);
+        assert_eq!(count(&sink, "memory.duplicate_dropped"), traced.duplicates);
+        assert_eq!(count(&sink, "cycle.goal_complete"), 1);
+        assert!(traced.duplicates >= 1, "{traced:?}");
+        let events = sink.events();
+        assert!(events.windows(2).all(|w| w[0].at_us <= w[1].at_us));
     }
 
     #[test]
@@ -627,10 +631,8 @@ mod tests {
             },
             Budget::standard(),
         );
-        let report = agent.run_goal(
-            "Understand solar superstorms and Coronal Mass Ejection, and principles of their \
-             formation and effects.",
-        );
+        let sink = trace(&mut agent);
+        let report = agent.run_goal(SOLAR_GOAL);
         // The run must finish with partial knowledge, not abort: dead
         // hosts trip their breakers, later hits on them are rerouted.
         assert!(
@@ -641,10 +643,12 @@ mod tests {
             report.source_unavailable >= 1,
             "later hits on dead hosts must be skipped at the breaker: {report:?}"
         );
-        assert!(
-            agent.log().count(EventKind::SourceUnavailable) as u32 == report.source_unavailable,
-            "every reroute must be recorded in the event log"
+        assert_eq!(
+            count(&sink, "breaker.rerouted"),
+            report.source_unavailable,
+            "every reroute must be traced"
         );
+        assert_eq!(count(&sink, "cycle.error"), report.errors);
         assert!(
             client.breaker_totals().opened >= 1,
             "at least one host breaker must have opened"
@@ -674,17 +678,16 @@ mod tests {
                 AutoGptConfig::default(),
                 Budget::standard(),
             );
-            let report = agent.run_goal(
-                "Understand solar superstorms and Coronal Mass Ejection, and principles of \
-                 their formation and effects.",
-            );
+            let sink = trace(&mut agent);
+            let report = agent.run_goal(SOLAR_GOAL);
             assert_eq!(client.network().fault_stats().corrupted_bodies, 1);
             assert!(report.errors >= 1, "truncate = {truncate}: {report:?}");
             assert_eq!(
-                agent.log().count(EventKind::Error) as u32,
+                count(&sink, "cycle.error"),
                 report.errors,
-                "every error is logged"
+                "every error is traced"
             );
+            assert_eq!(count(&sink, "breaker.rerouted"), report.source_unavailable);
             // The run goes on past the failed search and still learns.
             assert!(report.searches > 1 && report.memorized >= 1, "{report:?}");
         }

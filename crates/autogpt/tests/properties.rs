@@ -1,6 +1,6 @@
 //! Property-based tests for the autonomous-loop primitives.
 
-use ira_autogpt::{AgentCycle, Budget, Command, EventKind, EventLog};
+use ira_autogpt::Budget;
 use proptest::prelude::*;
 
 proptest! {
@@ -38,50 +38,5 @@ proptest! {
         prop_assert_eq!(budget.searches_used(), granted.0);
         prop_assert_eq!(budget.fetches_used(), granted.1);
         prop_assert_eq!(budget.cycles_used(), granted.2);
-    }
-
-    #[test]
-    fn event_log_counts_are_consistent(
-        events in prop::collection::vec((0u64..1_000_000, 0usize..4), 0..50),
-    ) {
-        let kinds = [
-            EventKind::CycleStart,
-            EventKind::Search,
-            EventKind::Fetch,
-            EventKind::Memorize,
-        ];
-        let mut log = EventLog::new();
-        // Record in ascending-time order, as the loop does.
-        let mut sorted = events.clone();
-        sorted.sort_by_key(|(t, _)| *t);
-        for (t, k) in &sorted {
-            log.record(*t, kinds[*k], "detail");
-        }
-        let total: usize = kinds.iter().map(|k| log.count(*k)).sum();
-        prop_assert_eq!(total, sorted.len());
-        prop_assert_eq!(log.len(), sorted.len());
-        if let (Some(first), Some(last)) = (sorted.first(), sorted.last()) {
-            prop_assert_eq!(log.span_us(), last.0 - first.0);
-        } else {
-            prop_assert_eq!(log.span_us(), 0);
-        }
-    }
-
-    #[test]
-    fn cycle_rendering_never_panics_and_keeps_structure(
-        thoughts in "\\PC{0,120}",
-        reasoning in "\\PC{0,120}",
-        plan in prop::collection::vec("\\PC{0,60}", 0..5),
-        query in "[ -~]{0,60}",
-    ) {
-        let cycle = AgentCycle::new(thoughts.clone(), Command::Google { query })
-            .with_reasoning(reasoning.clone())
-            .with_plan(plan.clone());
-        let rendered = cycle.to_string();
-        prop_assert!(rendered.starts_with("THOUGHTS: "));
-        prop_assert!(rendered.contains("NEXT ACTION: google"));
-        if !plan.is_empty() {
-            prop_assert!(rendered.contains("PLAN:"));
-        }
     }
 }

@@ -93,13 +93,14 @@ impl ResearchAgent {
         }
     }
 
-    /// Attach an observation handle: the retrieval loops mirror their
-    /// event logs into it, knowledge-test verdicts and memory growth
-    /// are recorded, and the model's inference hook is reinstalled to
-    /// emit an LLM-call span (still charging the same virtual latency)
-    /// for every call. LLM-call spans and all agent events are
-    /// parented under whatever scope the session currently has open,
-    /// so sharing one handle with the client makes one causal tree.
+    /// Attach an observation handle: the retrieval loops emit their
+    /// cycle/search/fetch/memory points into it, knowledge-test
+    /// verdicts and memory growth are recorded, and the model's
+    /// inference hook is reinstalled to emit an LLM-call span (still
+    /// charging the same virtual latency) for every call. LLM-call
+    /// spans and all agent events are parented under whatever scope
+    /// the session currently has open, so sharing one handle with the
+    /// client makes one causal tree.
     pub fn set_observer_handle(&mut self, handle: ObsHandle) {
         self.obs = handle.clone();
         // Provenance records of future memorisations carry the
@@ -289,9 +290,7 @@ impl ResearchAgent {
             self.config.autogpt,
             self.config.budget,
         );
-        if self.obs.enabled() {
-            loop_.attach_observer_handle(self.obs.clone());
-        }
+        loop_.attach_observer_handle(self.obs.clone());
         let report = loop_.run_goal(goal);
         // The goal loop memorized new pages: retrieval for a repeated
         // question may now surface different chunks.
@@ -447,9 +446,7 @@ impl ResearchAgent {
             self.config.autogpt,
             self.config.budget,
         );
-        if self.obs.enabled() {
-            loop_.attach_observer_handle(self.obs.clone());
-        }
+        loop_.attach_observer_handle(self.obs.clone());
         let memorized: u32 = queries
             .iter()
             .map(|q| loop_.pursue_query(topic, q).memorized)

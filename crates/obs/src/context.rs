@@ -25,7 +25,7 @@ use crate::event::TraceEvent;
 
 /// Per-session causal state: the span-id allocator and the current
 /// parent span. One context is shared (via [`ObsHandle`] clones) by
-/// every layer driving the same session — client, agent, event log —
+/// every layer driving the same session — client, agent, Auto-GPT loop —
 /// so nesting works across crate boundaries.
 #[derive(Debug)]
 pub struct ObsContext {
@@ -89,16 +89,6 @@ impl ObsHandle {
     /// emission is a single branch, scopes are inert.
     pub fn disabled() -> Self {
         ObsHandle::new(null_collector(), 0)
-    }
-
-    /// Rebind this handle's context to a different sink. Used when a
-    /// layer (e.g. the auto-GPT event log) wants to mirror into the
-    /// same causal tree.
-    pub fn with_sink(&self, sink: SharedCollector) -> Self {
-        ObsHandle {
-            sink,
-            ctx: Arc::clone(&self.ctx),
-        }
     }
 
     pub fn enabled(&self) -> bool {
@@ -328,22 +318,5 @@ mod tests {
         scope.finish(10, || panic!("detail closure ran on a disabled handle"));
         // The allocator was never touched.
         assert_eq!(handle.context().alloc_id(), 1);
-    }
-
-    #[test]
-    fn with_sink_mirrors_into_the_same_tree() {
-        let (sink, handle) = jsonl_handle(0);
-        let mirror = handle.with_sink(sink.clone() as SharedCollector);
-        let scope = handle.scope(0, stage::CYCLE, "goal");
-        mirror.emit(|| TraceEvent::point(0, 1, stage::MEMORY, "memorize", ""));
-        scope.finish(2, String::new);
-        let events = sink.events();
-        let point = events.iter().find(|e| e.stage == "memory").unwrap();
-        let span = events.iter().find(|e| e.stage == "cycle").unwrap();
-        assert_eq!(point.parent_id, span.span_id);
-        assert_ne!(
-            point.span_id, span.span_id,
-            "shared allocator, distinct ids"
-        );
     }
 }

@@ -1,7 +1,7 @@
 //! The full §4 narrative: agent Bob investigates solar superstorms.
 //!
 //! Shows all the layers the paper describes — the Auto-GPT loop with
-//! its THOUGHTS/PLAN/COMMAND transcript, the knowledge memory, the
+//! its plan and the trace of what it did, the knowledge memory, the
 //! quiz against the expert conclusions, the self-learning trajectories,
 //! the response plan, and the provenance audit.
 //!
@@ -9,8 +9,11 @@
 //! cargo run -p ira-bench --example solar_storm_bob
 //! ```
 
+use std::sync::Arc;
+
 use ira::autogpt::AutoGpt;
 use ira::evalkit::plancov::PlanCoverage;
+use ira::obs::ObsHandle;
 use ira::prelude::*;
 use ira::simllm::Llm;
 
@@ -28,11 +31,20 @@ fn main() {
         AutoGptConfig::default(),
         Budget::standard(),
     );
+    let trace = Arc::new(JsonlCollector::new());
+    loop_.attach_observer_handle(ObsHandle::new(trace.clone(), 0));
     let goal = RoleDefinition::bob().goals[0].clone();
     let report = loop_.run_goal(&goal);
-    for cycle in loop_.transcript().iter().take(3) {
-        println!("{cycle}\n");
+    let plan = llm.plan_goal(&goal);
+    println!("THOUGHTS: {}\nPLAN:", plan.thoughts);
+    for step in &plan.steps {
+        println!("- {}", step.description);
     }
+    println!("\nFirst points of the loop's trace:");
+    for ev in trace.events().iter().take(8) {
+        println!("  {} {}", ev.metric_key(), ev.detail);
+    }
+    println!();
     println!(
         "(goal report: {} searches, {} fetches, {} memorised)\n",
         report.searches, report.fetches, report.memorized
