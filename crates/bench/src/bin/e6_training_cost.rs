@@ -4,9 +4,9 @@
 //! researchers much longer, and the cost scales gracefully. We scale
 //! the distractor load of the web corpus (1× to 8×) and report, per
 //! corpus size, training effort: searches, pages fetched, entries
-//! memorised, LLM tokens, and both virtual ("online") and host wall
-//! time. Each corpus size is an independent session; `--threads N`
-//! runs them on worker threads without changing the report.
+//! memorised, LLM tokens, and virtual ("online") time. Each corpus size
+//! is an independent session; `--threads N` runs them on worker
+//! threads without changing the report.
 
 use ira::evalkit::report::{banner, table};
 use ira::prelude::*;
@@ -59,7 +59,6 @@ fn main() {
                     "{:.1}",
                     (report.virtual_elapsed_us + investigate_us) as f64 / 1e6 / 60.0
                 ),
-                format!("{:.0}", report.host_elapsed_us as f64 / 1e3),
             ]
         },
     );
@@ -74,7 +73,6 @@ fn main() {
                 "llm-tokens",
                 "train-virt-s",
                 "total-virt-min",
-                "host-ms"
             ],
             &rows
         )

@@ -11,9 +11,9 @@
 //! is pinned by webcorpus tests; this binary pins the scores).
 //!
 //! Every cell is deterministic, so the whole report is a strict
-//! equality baseline: `--check` re-runs the matrix and fails on any
-//! drifted cell. `--threads N` fans cells out without changing a byte
-//! of stdout (timing goes to stderr).
+//! equality baseline: `scripts/check-results.sh` re-runs the matrix and
+//! fails on any byte that moved. `--threads N` fans cells out without
+//! changing a byte of stdout (timing goes to stderr).
 //!
 //! Independently of the baseline comparison, every cell must clear the
 //! per-scenario regression floor — nonzero consistent answers, learning
@@ -25,14 +25,11 @@
 //!   m1_scenario_matrix                 full matrix, writes results/BENCH_scenarios.json
 //!   m1_scenario_matrix --smoke         one cell per scenario, writes
 //!                                      results/BENCH_scenarios_smoke.json
-//!   m1_scenario_matrix --smoke --check results/BENCH_scenarios_smoke.json
-//!                                      re-run and fail unless every cell matches
-//!                                      the checked-in baseline exactly
 
 use ira::evalkit::report::{banner, table};
 use ira::prelude::*;
 use ira_bench::{print_timing, threads_from_args};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Stride between tenant seeds on the network stream, mirroring the
 /// serve layer's per-tenant perturbation scheme.
@@ -42,7 +39,7 @@ const LLM_SEED_BASE: u64 = 0xB0B;
 const FAULT_SEED: u64 = 0xC4A0;
 
 /// One (scenario, seed, faults) cell of the matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct Cell {
     scenario: String,
     seed: u64,
@@ -56,7 +53,7 @@ struct Cell {
     provenance_clean: bool,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct Report {
     bench: String,
     mode: String,
@@ -94,14 +91,8 @@ fn run_cell(engine: &Engine, scenario: &str, seed: u64, faults: f64) -> Cell {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
     let threads = threads_from_args();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check_path = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let smoke = std::env::args().any(|a| a == "--smoke");
 
     let scenarios: Vec<&'static str> = ScenarioRegistry::standard().names();
     let (mode, seeds, fault_levels): (&str, Vec<u64>, Vec<f64>) = if smoke {
@@ -174,9 +165,9 @@ fn main() {
     // Per-scenario regression floor (ISSUE 9): before the sim-LLM
     // learned scenario-class rules, three of four scenarios scored
     // 0/N consistent with zero learning rounds and zero searches. Any
-    // cell regressing to that no-learning state fails the gate outright
-    // — even before the strict-equality baseline comparison — so the
-    // defect can't silently return behind a regenerated baseline.
+    // cell regressing to that no-learning state fails the run before
+    // the report is written, so the defect can't silently return
+    // behind a regenerated baseline.
     let mut floor_violations = Vec::new();
     for c in &cells {
         if c.consistent == 0 || c.learning_rounds == 0 || c.searches == 0 {
@@ -207,57 +198,12 @@ fn main() {
         cells,
     };
 
-    if let Some(path) = check_path {
-        let baseline: Report = serde_json::from_str(
-            &std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}")),
-        )
-        .unwrap_or_else(|e| panic!("cannot parse baseline {path}: {e}"));
-        let mut bad = Vec::new();
-        if baseline.mode != report.mode {
-            bad.push(format!(
-                "mode: baseline {} vs run {}",
-                baseline.mode, report.mode
-            ));
-        }
-        if baseline.scenarios != report.scenarios {
-            bad.push(format!(
-                "scenario registry drifted: baseline {:?} vs run {:?}",
-                baseline.scenarios, report.scenarios
-            ));
-        }
-        if baseline.cells.len() != report.cells.len() {
-            bad.push(format!(
-                "cell count: baseline {} vs run {}",
-                baseline.cells.len(),
-                report.cells.len()
-            ));
-        } else {
-            for (b, r) in baseline.cells.iter().zip(&report.cells) {
-                if b != r {
-                    bad.push(format!(
-                        "cell drifted:\n  baseline: {b:?}\n  run:      {r:?}"
-                    ));
-                }
-            }
-        }
-        if bad.is_empty() {
-            println!("check vs {path}: every cell matches the baseline exactly");
-        } else {
-            eprintln!("scenario-matrix check vs {path} FAILED:");
-            for b in &bad {
-                eprintln!("  {b}");
-            }
-            std::process::exit(1);
-        }
+    let out = if smoke {
+        "results/BENCH_scenarios_smoke.json"
     } else {
-        let out = if smoke {
-            "results/BENCH_scenarios_smoke.json"
-        } else {
-            "results/BENCH_scenarios.json"
-        };
-        let json = serde_json::to_string_pretty(&report).expect("serialize report");
-        std::fs::write(out, json + "\n").unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
-        println!("wrote {out}");
-    }
+        "results/BENCH_scenarios.json"
+    };
+    let json = serde_json::to_string_pretty(&report).expect("serialize report");
+    std::fs::write(out, json + "\n").unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
+    println!("wrote {out}");
 }

@@ -7,9 +7,9 @@
 //! asserts the serve determinism contract in-binary: the response
 //! transcript and the trace must be byte-identical at every
 //! concurrency level. What varies with workers is host wall time —
-//! reported per level as throughput — while the virtual latency
-//! distribution (queue wait + retry backoff + session execution) is
-//! worker-invariant and reported once with p50/p95/p99.
+//! reported per level as throughput on stderr — while the virtual
+//! latency distribution (queue wait + retry backoff + session
+//! execution) is worker-invariant and reported once with p50/p95/p99.
 //!
 //! Usage:
 //!   serve_load                 full batch, writes results/BENCH_serve.json
@@ -17,23 +17,18 @@
 //!                              (a metrics snapshot of the serve trace —
 //!                              fully deterministic, diffable with
 //!                              `ira trace diff` at zero tolerance)
-//!   serve_load --smoke --write `path`
-//!                              write the smoke snapshot to `path` instead
-//!   serve_load --smoke --check <baseline.json>
-//!                              re-run and fail unless the snapshot
-//!                              matches the checked-in baseline exactly
 //!
 //! Stdout is the deterministic report; wall-clock timing goes to
 //! stderr, matching the other sweep binaries.
 
 use ira_engine::Engine;
-use ira_obs::{summarize_events, JsonlCollector, LiveStats, MetricsSnapshot, SharedCollector};
+use ira_obs::{summarize_events, JsonlCollector, LiveStats, SharedCollector};
 use ira_serve::{
     render_responses, slo_sample, AdmissionConfig, RequestKind, ResponseStatus, ServeConfig,
     ServeRequest, ServeResponse, Server,
 };
 use ira_simnet::Duration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 const WORKER_LEVELS: [usize; 3] = [1, 4, 8];
@@ -138,16 +133,7 @@ fn admission_for(billable: usize) -> AdmissionConfig {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct LevelReport {
-    workers: usize,
-    /// Informational only — never part of any `--check` comparison.
-    wall_ms: f64,
-    /// Requests per host second at this pool size.
-    throughput_rps: f64,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct LatencyReport {
     p50_us: u64,
     p95_us: u64,
@@ -155,7 +141,7 @@ struct LatencyReport {
     max_us: u64,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct OutcomeReport {
     ok: usize,
     degraded: usize,
@@ -168,9 +154,9 @@ struct OutcomeReport {
 }
 
 /// The SLO summary derived from the live-telemetry ledger: rates as
-/// integer parts-per-million (so the report stays `Eq`-diffable at
-/// zero tolerance) plus the deterministic sketch percentiles.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// integer parts-per-million (so the report stays byte-stable) plus
+/// the deterministic sketch percentiles.
+#[derive(Debug, Clone, Serialize)]
 struct SloReport {
     arrivals: u64,
     admitted: u64,
@@ -214,12 +200,11 @@ fn slo_report(requests: &[ServeRequest], responses: &[ServeResponse]) -> SloRepo
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct Report {
     bench: String,
     mode: String,
     requests: usize,
-    levels: Vec<LevelReport>,
     /// Worker-invariant end-to-end virtual latency (queue + retry
     /// backoff + execution) over executed requests.
     virtual_latency_us: LatencyReport,
@@ -324,16 +309,7 @@ fn outcome_report(responses: &[ServeResponse]) -> OutcomeReport {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let check_path = flag_value("--check");
-    let write_path = flag_value("--write");
+    let smoke = std::env::args().any(|a| a == "--smoke");
 
     let (mode, requests) = if smoke {
         ("smoke", smoke_workload())
@@ -382,15 +358,6 @@ fn main() {
         WORKER_LEVELS
     );
 
-    let levels: Vec<LevelReport> = WORKER_LEVELS
-        .iter()
-        .zip(&runs)
-        .map(|(&workers, run)| LevelReport {
-            workers,
-            wall_ms: run.wall_ms,
-            throughput_rps: requests.len() as f64 / (run.wall_ms / 1e3),
-        })
-        .collect();
     let responses = &runs[0].responses;
     let latency = latency_report(responses);
     let outcomes = outcome_report(responses);
@@ -443,10 +410,11 @@ fn main() {
         slo.exec_p95_us,
         slo.exec_p99_us
     );
-    for level in &levels {
+    for (workers, run) in WORKER_LEVELS.iter().zip(&runs) {
         eprintln!(
-            "[timing] workers={} wall={:.0}ms throughput={:.1} req/s",
-            level.workers, level.wall_ms, level.throughput_rps
+            "[timing] workers={workers} wall={:.0}ms throughput={:.1} req/s",
+            run.wall_ms,
+            requests.len() as f64 / (run.wall_ms / 1e3)
         );
     }
 
@@ -458,34 +426,14 @@ fn main() {
 
     if smoke {
         // The smoke artifact is the metrics snapshot folded from the
-        // serve trace: pure virtual time and counts, so CI can hold it
-        // to zero drift with `ira trace diff`.
+        // serve trace: pure virtual time and counts, so the checked-in
+        // copy is pinned byte for byte.
         let events = ira_obs::parse_jsonl(&runs[0].trace).expect("serve trace parses");
         let snapshot = summarize_events(&events);
-        let json = serde_json::to_string_pretty(&snapshot).expect("serialize snapshot") + "\n";
-        if let Some(path) = &check_path {
-            let baseline: MetricsSnapshot = serde_json::from_str(
-                &std::fs::read_to_string(path)
-                    .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}")),
-            )
-            .unwrap_or_else(|e| panic!("cannot parse baseline {path}: {e}"));
-            if baseline != snapshot {
-                eprintln!("serve smoke snapshot drifted from {path}:");
-                eprintln!("--- baseline ---\n{}", baseline.render());
-                eprintln!("--- run ---\n{}", snapshot.render());
-                std::process::exit(1);
-            }
-            println!("\ncheck vs {path}: serve trace metrics match the baseline exactly");
-        }
-        if let Some(path) = &write_path {
-            std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-            println!("wrote {path}");
-        }
-        if check_path.is_none() && write_path.is_none() {
-            let out = "results/BENCH_serve_smoke.json";
-            std::fs::write(out, &json).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
-            println!("\nwrote {out}");
-        }
+        let json = serde_json::to_string_pretty(&snapshot).expect("serialize snapshot");
+        let out = "results/BENCH_serve_smoke.json";
+        std::fs::write(out, json + "\n").unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
+        println!("\nwrote {out}");
         return;
     }
 
@@ -493,14 +441,13 @@ fn main() {
         bench: "serve_load".to_string(),
         mode: mode.to_string(),
         requests: requests.len(),
-        levels,
         virtual_latency_us: latency,
         outcomes,
         slo,
         transcripts_identical: true,
     };
-    let out = write_path.unwrap_or_else(|| "results/BENCH_serve.json".to_string());
+    let out = "results/BENCH_serve.json";
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    std::fs::write(&out, json + "\n").unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
+    std::fs::write(out, json + "\n").unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
     println!("\nwrote {out}");
 }

@@ -6,28 +6,23 @@
 //! `lexicon`/`opstats` virtual-op counters. Every number in the profile
 //! is virtual — span ids, virtual-clock durations, op counts — so the
 //! profile JSON is byte-identical across runs *and thread counts*, and
-//! CI can diff it against a checked-in baseline with **zero**
-//! tolerance: any drift in where the agent spends virtual time is a
-//! hard failure, speedups included (a speedup you didn't make is a
-//! behaviour change you didn't intend).
+//! `scripts/check-results.sh` pins the checked-in copy byte for byte:
+//! any drift in where the agent spends virtual time is a hard failure,
+//! speedups included (a speedup you didn't make is a behaviour change
+//! you didn't intend).
 //!
 //! Usage:
 //!
 //! ```text
 //!   trace_profile_gate                      run, write results/PROFILE_e5_baseline.json
-//!   trace_profile_gate --write <path>       run, write the profile JSON to <path>
-//!   trace_profile_gate --check <baseline>   run, diff against <baseline> at zero
-//!                                           tolerance, exit 1 naming drifted keys
 //!   trace_profile_gate --threads N          fan the sweep out (profile must not change)
 //!   trace_profile_gate --trace-out <path>   also write the raw JSONL trace
 //! ```
 //!
-//! `--write` and `--check` compose: write the fresh profile first, then
-//! gate. Stdout is the deterministic summary; timing goes to stderr.
+//! Stdout is the deterministic summary; timing goes to stderr.
 
 use ira::evalkit::report::{banner, table};
-use ira::obs::diff::{diff_flat, flatten_profile};
-use ira::obs::{fold_trace, ObsHandle, Profile, Tolerances};
+use ira::obs::{fold_trace, ObsHandle, Profile};
 use ira::prelude::*;
 use ira::simllm::lexicon::ops;
 use ira::webcorpus::index::opstats;
@@ -87,10 +82,9 @@ fn run_profiled(threads: usize) -> (Profile, Vec<Vec<String>>) {
         ("lexicon.answer_hits".to_string(), llm.answer_hits),
         ("lexicon.answer_misses".to_string(), llm.answer_misses),
         ("index.lookup_calls".to_string(), lookups.lookup_calls),
-        ("index.docs_scanned".to_string(), lookups.docs_scanned),
     ]);
 
-    if let Some(path) = flag_value("--trace-out") {
+    if let Some(path) = trace_out() {
         sink.write_to(std::path::Path::new(&path))
             .unwrap_or_else(|e| panic!("cannot write trace {path}: {e}"));
         eprintln!("[trace] wrote {path}");
@@ -98,18 +92,16 @@ fn run_profiled(threads: usize) -> (Profile, Vec<Vec<String>>) {
     (profile, rows)
 }
 
-fn flag_value(flag: &str) -> Option<String> {
+fn trace_out() -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
     args.iter()
-        .position(|a| a == flag)
+        .position(|a| a == "--trace-out")
         .and_then(|i| args.get(i + 1))
         .cloned()
 }
 
 fn main() {
     let threads = threads_from_args();
-    let write_path = flag_value("--write");
-    let check_path = flag_value("--check");
 
     print!(
         "{}",
@@ -149,36 +141,10 @@ fn main() {
         );
     }
 
+    let out = "results/PROFILE_e5_baseline.json";
     let json = serde_json::to_string_pretty(&profile).expect("serialize profile");
-    let out = write_path.unwrap_or_else(|| {
-        if check_path.is_some() {
-            String::new()
-        } else {
-            "results/PROFILE_e5_baseline.json".to_string()
-        }
-    });
-    if !out.is_empty() {
-        std::fs::write(&out, json.clone() + "\n")
-            .unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
-        println!("\nwrote {out}");
-    }
+    std::fs::write(out, json + "\n").unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
+    println!("\nwrote {out}");
 
     print_timing(threads, start.elapsed(), 1);
-
-    if let Some(path) = check_path {
-        let baseline: Profile = serde_json::from_str(
-            &std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}")),
-        )
-        .unwrap_or_else(|e| panic!("cannot parse baseline {path}: {e}"));
-        let report = diff_flat(
-            &flatten_profile(&baseline),
-            &flatten_profile(&profile),
-            &Tolerances::zero(),
-        );
-        print!("\ncheck vs {path} (zero tolerance):\n{}", report.render());
-        if !report.is_clean() {
-            std::process::exit(1);
-        }
-    }
 }

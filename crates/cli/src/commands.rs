@@ -1195,10 +1195,7 @@ pub fn print_opstats() {
         "[opstats] answer_cache hits={} misses={}",
         llm.answer_hits, llm.answer_misses
     );
-    eprintln!(
-        "[opstats] corpus_lookups={} docs_scanned={}",
-        lookups.lookup_calls, lookups.docs_scanned
-    );
+    eprintln!("[opstats] corpus_lookups={}", lookups.lookup_calls);
 }
 
 /// Load a knowledge store for `ira mem` inspection (graph rebuilt or

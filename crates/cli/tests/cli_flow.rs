@@ -605,3 +605,57 @@ fn mem_inspects_the_claim_graph_and_rebuilds_from_a_stale_sidecar() {
         std::fs::remove_file(path).ok();
     }
 }
+
+#[test]
+fn bench_diff_passes_an_identical_report_and_names_a_bumped_counter() {
+    let baseline = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/BENCH_serve_smoke.json"
+    );
+    let diff = |current: &str| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_ira"))
+            .args(["bench", "diff", baseline, current])
+            .output()
+            .expect("ira binary runs")
+    };
+
+    let same = diff(baseline);
+    assert_eq!(
+        same.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&same.stdout)
+    );
+
+    // Bump one counter; the report is re-serialized the way serve_load
+    // writes it, so the bump is its only change. `bench diff` keys a
+    // counter by its position in the snapshot's sorted counter list.
+    let text = std::fs::read_to_string(baseline).unwrap();
+    let mut snapshot: ira_obs::MetricsSnapshot = serde_json::from_str(&text).unwrap();
+    assert_eq!(
+        serde_json::to_string_pretty(&snapshot).unwrap() + "\n",
+        text
+    );
+    let index = snapshot
+        .counters
+        .keys()
+        .position(|k| k == "fetch.page")
+        .expect("the smoke batch fetches pages");
+    *snapshot.counters.get_mut("fetch.page").unwrap() += 1;
+    let bumped = tmp("bench-diff-bumped.json");
+    std::fs::write(&bumped, serde_json::to_string_pretty(&snapshot).unwrap()).unwrap();
+
+    let out = diff(&bumped);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    let flagged: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.starts_with("REGRESSION "))
+        .collect();
+    assert_eq!(flagged.len(), 1, "{stdout}");
+    assert!(
+        flagged[0].starts_with(&format!("REGRESSION counters.{index}.1: ")),
+        "{stdout}"
+    );
+    std::fs::remove_file(&bumped).ok();
+}

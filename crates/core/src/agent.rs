@@ -13,7 +13,7 @@ use crate::config::AgentConfig;
 use crate::env::Environment;
 use crate::role::RoleDefinition;
 use crate::selflearn::LearningTrajectory;
-use crate::stages::{HostTimer, StageStats};
+use crate::stages::StageStats;
 use ira_agentmem::KnowledgeStore;
 use ira_autogpt::{AutoGpt, GoalReport};
 use ira_obs::{stage, ObsHandle, TraceEvent};
@@ -30,8 +30,6 @@ pub struct TrainingReport {
     pub llm: LlmStats,
     /// Virtual time the training consumed, microseconds.
     pub virtual_elapsed_us: u64,
-    /// Host wall time, microseconds.
-    pub host_elapsed_us: u64,
 }
 
 impl TrainingReport {
@@ -194,7 +192,6 @@ impl ResearchAgent {
     /// individually bounded by the Auto-GPT loop budget), so the
     /// overshoot past the deadline is bounded too.
     pub fn train_until(&mut self, deadline_us: u64) -> TrainingReport {
-        let host = HostTimer::start();
         let virtual_start = self.now_us();
         let mut per_goal = Vec::new();
         for goal in self.role.goals.clone() {
@@ -208,7 +205,6 @@ impl ResearchAgent {
             memory_entries: self.memory.len(),
             llm: self.llm.stats(),
             virtual_elapsed_us: self.now_us() - virtual_start,
-            host_elapsed_us: host.elapsed_us(),
         }
     }
 
@@ -227,7 +223,6 @@ impl ResearchAgent {
     ) -> Result<TrainingReport, ira_agentmem::store::StoreError> {
         use crate::checkpoint::TrainingCheckpoint;
 
-        let host = HostTimer::start();
         let virtual_start = self.now_us();
         let mut per_goal: Vec<GoalReport> = Vec::new();
         let mut completed: Vec<String> = Vec::new();
@@ -270,12 +265,10 @@ impl ResearchAgent {
             memory_entries: self.memory.len(),
             llm: self.llm.stats(),
             virtual_elapsed_us: self.now_us() - virtual_start,
-            host_elapsed_us: host.elapsed_us(),
         })
     }
 
     fn retrieve_goal(&mut self, goal: &str) -> GoalReport {
-        let host = HostTimer::start();
         let virtual_start = self.now_us();
         // The whole goal is one causal scope: the loop's cycle/search/
         // fetch/memory points, the client's fetch spans, and the LLM
@@ -296,7 +289,6 @@ impl ResearchAgent {
         // question may now surface different chunks.
         self.llm.invalidate_grounding();
         self.stages.retrieval_virtual_us += self.now_us() - virtual_start;
-        self.stages.retrieval_host_us += host.elapsed_us();
         self.stages.retrieval_ops += 1;
         scope.finish(self.now_us(), || goal.to_string());
         self.emit_memory_gauge();
@@ -330,11 +322,9 @@ impl ResearchAgent {
     /// Answer a question from current memory (no self-learning).
     pub fn ask(&mut self, question: &str) -> Answer {
         let knowledge = self.knowledge_for(question);
-        let host = HostTimer::start();
         let virtual_start = self.now_us();
         let ans = self.llm.answer(question, &knowledge);
         self.stages.reasoning_virtual_us += self.now_us() - virtual_start;
-        self.stages.reasoning_host_us += host.elapsed_us();
         self.stages.reasoning_ops += 1;
         ans
     }
@@ -380,13 +370,11 @@ impl ResearchAgent {
         {
             let round_scope = obs.scope(self.now_us(), stage::CYCLE, "round");
             let knowledge = self.knowledge_for(question);
-            let host = HostTimer::start();
             let virtual_start = self.now_us();
             let queries: Vec<String> =
                 self.llm
                     .propose_searches(question, &knowledge, self.config.searches_per_round);
             self.stages.reasoning_virtual_us += self.now_us() - virtual_start;
-            self.stages.reasoning_host_us += host.elapsed_us();
             self.stages.reasoning_ops += 1;
             if queries.is_empty() {
                 break; // the model sees no gap it knows how to search for
@@ -437,7 +425,6 @@ impl ResearchAgent {
 
     /// Pursue a batch of queries, one after another.
     fn pursue_all(&mut self, topic: &str, queries: &[String]) -> u32 {
-        let host = HostTimer::start();
         let virtual_start = self.now_us();
         let mut loop_ = AutoGpt::new(
             &*self.web,
@@ -453,7 +440,6 @@ impl ResearchAgent {
             .sum();
         self.llm.invalidate_grounding();
         self.stages.retrieval_virtual_us += self.now_us() - virtual_start;
-        self.stages.retrieval_host_us += host.elapsed_us();
         self.stages.retrieval_ops += queries.len() as u64;
         self.emit_memory_gauge();
         memorized

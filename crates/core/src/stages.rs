@@ -3,17 +3,12 @@
 //! versus the *reasoning stage* (prompt assembly and model inference).
 
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Accumulated stage timings.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct StageStats {
     /// Virtual network time spent retrieving, microseconds.
     pub retrieval_virtual_us: u64,
-    /// Host wall time spent retrieving, microseconds.
-    pub retrieval_host_us: u64,
-    /// Host wall time spent reasoning (LLM calls), microseconds.
-    pub reasoning_host_us: u64,
     /// Virtual model-inference time charged by the LLM latency hook,
     /// microseconds.
     pub reasoning_virtual_us: u64,
@@ -24,15 +19,15 @@ pub struct StageStats {
 }
 
 impl StageStats {
-    /// Fraction of total (virtual + host) agent time attributable to
-    /// the knowledge-retrieval stage. Both stages are external-I/O
+    /// Fraction of the agent's virtual time attributable to the
+    /// knowledge-retrieval stage. Both stages are external-I/O
     /// bound — web latency on one side, model inference on the other —
     /// which is the Figure 1 story: the agent's wall clock is spent
     /// waiting on the outside world, so knowledge must be memorised
     /// rather than re-retrieved.
     pub fn retrieval_share(&self) -> f64 {
-        let retrieval = (self.retrieval_virtual_us + self.retrieval_host_us) as f64;
-        let reasoning = (self.reasoning_virtual_us + self.reasoning_host_us) as f64;
+        let retrieval = self.retrieval_virtual_us as f64;
+        let reasoning = self.reasoning_virtual_us as f64;
         let total = retrieval + reasoning;
         if total == 0.0 {
             0.0
@@ -43,28 +38,9 @@ impl StageStats {
 
     pub fn merge(&mut self, other: &StageStats) {
         self.retrieval_virtual_us += other.retrieval_virtual_us;
-        self.retrieval_host_us += other.retrieval_host_us;
-        self.reasoning_host_us += other.reasoning_host_us;
         self.reasoning_virtual_us += other.reasoning_virtual_us;
         self.retrieval_ops += other.retrieval_ops;
         self.reasoning_ops += other.reasoning_ops;
-    }
-}
-
-/// Scope timer helper: measures host time for one operation.
-pub struct HostTimer {
-    start: Instant,
-}
-
-impl HostTimer {
-    pub fn start() -> Self {
-        HostTimer {
-            start: Instant::now(),
-        }
-    }
-
-    pub fn elapsed_us(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64
     }
 }
 
@@ -75,10 +51,8 @@ mod tests {
     #[test]
     fn retrieval_share_is_bounded_and_sensible() {
         let s = StageStats {
-            retrieval_virtual_us: 900,
-            retrieval_host_us: 50,
-            reasoning_host_us: 25,
-            reasoning_virtual_us: 25,
+            retrieval_virtual_us: 950,
+            reasoning_virtual_us: 50,
             retrieval_ops: 3,
             reasoning_ops: 2,
         };
@@ -90,8 +64,6 @@ mod tests {
     fn merge_accumulates() {
         let mut a = StageStats {
             retrieval_virtual_us: 10,
-            retrieval_host_us: 1,
-            reasoning_host_us: 2,
             reasoning_virtual_us: 3,
             retrieval_ops: 1,
             reasoning_ops: 1,
@@ -99,18 +71,5 @@ mod tests {
         a.merge(&a.clone());
         assert_eq!(a.retrieval_virtual_us, 20);
         assert_eq!(a.reasoning_ops, 2);
-    }
-
-    #[test]
-    fn host_timer_measures_something() {
-        let t = HostTimer::start();
-        let mut x = 0u64;
-        for i in 0..10_000 {
-            x = x.wrapping_add(i);
-        }
-        std::hint::black_box(x);
-        // Elapsed is non-negative by construction; just ensure the call
-        // path works.
-        let _ = t.elapsed_us();
     }
 }

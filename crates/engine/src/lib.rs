@@ -407,19 +407,17 @@ mod tests {
         // The determinism contract: an engine session with the bob
         // preset must produce the very same training report as Bob
         // wired by hand (fresh world and corpus, `from_parts`,
-        // `ResearchAgent::bob`), modulo host wall time.
+        // `ResearchAgent::bob`).
         let world = World::standard();
         let corpus = Arc::new(Corpus::generate(&world, CorpusConfig::default()));
         let env = Environment::from_parts(world, corpus, 0xBEEF, None);
         let mut wired = ResearchAgent::bob(&env);
-        let mut wired_report = wired.train();
+        let wired_report = wired.train();
 
         let engine = Engine::new();
         let mut session = engine.spawn_session(SessionConfig::bob());
-        let mut engine_report = session.agent.train();
+        let engine_report = session.agent.train();
 
-        wired_report.host_elapsed_us = 0;
-        engine_report.host_elapsed_us = 0;
         assert_eq!(
             serde_json::to_string(&wired_report).unwrap(),
             serde_json::to_string(&engine_report).unwrap(),

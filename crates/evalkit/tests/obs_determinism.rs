@@ -246,16 +246,14 @@ fn disabled_collector_costs_nothing_on_the_training_hot_loop() {
     // tripwire proves no event is ever built on the disabled path.
     let handle = ObsHandle::new(Arc::new(TripwireCollector), 0);
     let mut observed = engine.spawn_session_with_handle(SessionConfig::bob(), handle);
-    let mut observed_report = observed.agent.train();
+    let observed_report = observed.agent.train();
     let observed_learning = observed.agent.self_learn(QUESTION);
 
     // And the run is byte-identical to a plain unobserved session.
     let mut plain = engine.spawn_session(SessionConfig::bob());
-    let mut plain_report = plain.agent.train();
+    let plain_report = plain.agent.train();
     let plain_learning = plain.agent.self_learn(QUESTION);
 
-    observed_report.host_elapsed_us = 0;
-    plain_report.host_elapsed_us = 0;
     assert_eq!(
         serde_json::to_string(&observed_report).unwrap(),
         serde_json::to_string(&plain_report).unwrap(),

@@ -4,7 +4,7 @@
 //! under per-key **relative** tolerances. Any drift beyond tolerance —
 //! in either direction — is reported: on a deterministic virtual
 //! timeline a speedup you didn't make is just as suspicious as a
-//! slowdown, and the CI gate runs with zero tolerance precisely
+//! slowdown, and `ira trace diff` defaults to zero tolerance precisely
 //! because drift of any kind means the workload changed.
 
 use std::collections::BTreeMap;
@@ -14,7 +14,7 @@ use crate::profile::{Profile, SpanNode};
 
 /// Per-key relative tolerances. A key matches the longest configured
 /// prefix in `per_key`; otherwise `default_rel` applies. Tolerances
-/// are fractions: `0.10` allows ±10 % drift.
+/// are fractions: `0.10` allows ±10 % drift; the default allows none.
 #[derive(Debug, Clone, Default)]
 pub struct Tolerances {
     pub default_rel: f64,
@@ -22,11 +22,6 @@ pub struct Tolerances {
 }
 
 impl Tolerances {
-    /// Zero drift allowed anywhere — the CI-gate setting.
-    pub fn zero() -> Self {
-        Tolerances::default()
-    }
-
     /// The same relative tolerance for every key.
     pub fn uniform(rel: f64) -> Self {
         Tolerances {
@@ -271,7 +266,7 @@ mod tests {
         let report = diff_flat(
             &flatten_profile(&a),
             &flatten_profile(&profile_with_llm_call(100)),
-            &Tolerances::zero(),
+            &Tolerances::default(),
         );
         assert!(report.is_clean(), "{}", report.render());
         assert!(report.render().starts_with("OK:"));
@@ -284,7 +279,7 @@ mod tests {
         let report = diff_flat(
             &flatten_profile(&base),
             &flatten_profile(&slow),
-            &Tolerances::zero(),
+            &Tolerances::default(),
         );
         assert!(!report.is_clean());
         let keys: Vec<&str> = report.regressions.iter().map(|e| e.key.as_str()).collect();
@@ -323,7 +318,7 @@ mod tests {
         let report = diff_flat(
             &flatten_profile(&base),
             &flatten_profile(&fast),
-            &Tolerances::zero(),
+            &Tolerances::default(),
         );
         assert!(!report.is_clean(), "unexpected speedup must be visible");
         assert!(report.regressions.iter().any(|e| e.rel_change < 0.0));
@@ -358,9 +353,9 @@ mod tests {
         let mut cur = base.clone();
         cur.counters.insert("net.cache_hit".to_string(), 12);
         let flat = flatten_snapshot(&base);
-        let report = diff_flat(&flat, &flatten_snapshot(&cur), &Tolerances::zero());
+        let report = diff_flat(&flat, &flatten_snapshot(&cur), &Tolerances::default());
         assert_eq!(report.regressions[0].key, "counter.net.cache_hit");
-        assert!(diff_flat(&flat, &flat, &Tolerances::zero()).is_clean());
+        assert!(diff_flat(&flat, &flat, &Tolerances::default()).is_clean());
     }
 
     #[test]
@@ -385,7 +380,7 @@ mod tests {
         // A drift in an integral key is caught by the normal machinery.
         let mut drifted = flat.clone();
         drifted.insert("levels.0.outcomes.rejected".to_string(), 3);
-        let report = diff_flat(&flat, &drifted, &Tolerances::zero());
+        let report = diff_flat(&flat, &drifted, &Tolerances::default());
         assert_eq!(report.regressions.len(), 1);
         assert_eq!(report.regressions[0].key, "levels.0.outcomes.rejected");
     }
@@ -398,12 +393,12 @@ mod tests {
         let mut cur = BTreeMap::new();
         cur.insert("z".to_string(), 2u64);
         cur.insert("a".to_string(), 2u64);
-        let report = diff_flat(&base, &cur, &Tolerances::zero());
+        let report = diff_flat(&base, &cur, &Tolerances::default());
         let keys: Vec<&str> = report.regressions.iter().map(|e| e.key.as_str()).collect();
         assert_eq!(keys, vec!["a", "z"]);
         assert_eq!(
             report.render(),
-            diff_flat(&base, &cur, &Tolerances::zero()).render()
+            diff_flat(&base, &cur, &Tolerances::default()).render()
         );
     }
 }

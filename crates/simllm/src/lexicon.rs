@@ -142,8 +142,8 @@ impl Hasher for WordHasher {
 /// Process-wide deterministic virtual-op counters for the grounding
 /// hot path. Counts are *work units* (characters normalized, cache
 /// probes), not timers: the same workload always produces the same
-/// counts, which is what lets `p1_hotpath --check` enforce them with
-/// strict equality in CI.
+/// counts, which is what lets CI pin the `p1_hotpath` reports byte for
+/// byte.
 pub mod ops {
     use super::{AtomicU64, Ordering};
 

@@ -1,31 +1,23 @@
 //! Process-wide deterministic lookup-op counters for corpus serving.
 //!
 //! Same philosophy as `ira_simllm::lexicon::ops`: counts are *work
-//! units* (lookup calls, documents examined), not timers, so the same
-//! workload always produces the same counts and a perf baseline built
-//! on them can be enforced with strict equality in CI.
+//! units* (lookup calls), not timers, so the same workload always
+//! produces the same counts and a perf baseline built on them can be
+//! enforced with strict equality in CI.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static LOOKUP_CALLS: AtomicU64 = AtomicU64::new(0);
-static DOCS_SCANNED: AtomicU64 = AtomicU64::new(0);
 
 /// One host+path document lookup was served.
 pub fn lookup_call() {
     LOOKUP_CALLS.fetch_add(1, Ordering::Relaxed);
 }
 
-/// `n` documents were examined to serve a lookup: the whole prefix
-/// walked by the legacy linear scan, or exactly 1 for an index probe.
-pub fn docs_scanned(n: usize) {
-    DOCS_SCANNED.fetch_add(n as u64, Ordering::Relaxed);
-}
-
 /// A point-in-time reading of the lookup counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct LookupSnapshot {
     pub lookup_calls: u64,
-    pub docs_scanned: u64,
 }
 
 impl LookupSnapshot {
@@ -33,7 +25,6 @@ impl LookupSnapshot {
     pub fn since(&self, earlier: &LookupSnapshot) -> LookupSnapshot {
         LookupSnapshot {
             lookup_calls: self.lookup_calls.saturating_sub(earlier.lookup_calls),
-            docs_scanned: self.docs_scanned.saturating_sub(earlier.docs_scanned),
         }
     }
 }
@@ -41,7 +32,6 @@ impl LookupSnapshot {
 pub fn snapshot() -> LookupSnapshot {
     LookupSnapshot {
         lookup_calls: LOOKUP_CALLS.load(Ordering::Relaxed),
-        docs_scanned: DOCS_SCANNED.load(Ordering::Relaxed),
     }
 }
 
@@ -50,7 +40,6 @@ pub fn snapshot() -> LookupSnapshot {
 /// measure snapshot deltas instead.
 pub fn reset() {
     LOOKUP_CALLS.store(0, Ordering::Relaxed);
-    DOCS_SCANNED.store(0, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -61,10 +50,8 @@ mod tests {
     fn counters_accumulate_as_deltas() {
         let before = snapshot();
         lookup_call();
-        docs_scanned(37);
         let delta = snapshot().since(&before);
-        // Other tests may add concurrently; ours are a lower bound.
+        // Other tests may add concurrently; ours is a lower bound.
         assert!(delta.lookup_calls >= 1);
-        assert!(delta.docs_scanned >= 37);
     }
 }
