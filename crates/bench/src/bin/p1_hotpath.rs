@@ -2,7 +2,7 @@
 //!
 //! Runs one train + quiz-sweep workload on the default hot path: corpus
 //! host+path lookups served by the `(host, path)` index, plus the
-//! model's per-chunk extraction cache and grounded-answer cache. What
+//! process-wide reading cache and the model's grounded-answer cache. What
 //! it reports is *work*: deterministic virtual-op counts (characters
 //! normalized, absorb passes, corpus lookups). The op counts are
 //! exactly reproducible, so `scripts/check-results.sh` pins the written

@@ -40,7 +40,7 @@ fn main() {
             vec![
                 q.novelty.to_string(),
                 q.confidence.to_string(),
-                q.question.chars().take(100).collect(),
+                q.question.clone(),
             ]
         })
         .collect();

@@ -13,7 +13,8 @@
 //! * [`fingerprint64`] — a stable 64-bit FNV-1a content fingerprint
 //!   for goldens and digests that must not change across builds.
 //! * `WordHasher` — a word-at-a-time (FxHash-style) hasher for the
-//!   grounding caches in [`crate::model::Llm`]. It reads 8 bytes per
+//!   model's caches in [`crate::model`]: the process-wide reading cache
+//!   and each [`crate::model::Llm`]'s answer map. It reads 8 bytes per
 //!   step; the caches compare the full keys on every hit, so its
 //!   collisions cost a recomputation, never a wrong answer.
 //! * [`ops`] — process-wide virtual-op counters (characters
@@ -144,6 +145,16 @@ impl Hasher for WordHasher {
 /// probes), not timers: the same workload always produces the same
 /// counts, which is what lets CI pin the `p1_hotpath` reports byte for
 /// byte.
+///
+/// The model's chunk extractions live in one process-wide reading
+/// cache, so extraction work is process-level: a text is absorbed (one
+/// `absorb_calls`, its length in `tokenize_chars`, one
+/// `extract_misses`) once per process while it stays resident, however
+/// many models read it, and every later kept use is an `extract_hits`.
+/// The totals of a fixed workload therefore do not depend on thread
+/// count, but how they split between concurrent sessions does: a
+/// delta taken around one session counts only the texts it read
+/// first.
 pub mod ops {
     use super::{AtomicU64, Ordering};
 
@@ -161,7 +172,8 @@ pub mod ops {
         TOKENIZE_CHARS.fetch_add(n as u64, Ordering::Relaxed);
     }
 
-    /// One full-text `absorb` pass ran.
+    /// One full-text `absorb` pass ran (for a model's chunk, once per
+    /// resident text per process).
     pub fn absorb_call() {
         ABSORB_CALLS.fetch_add(1, Ordering::Relaxed);
     }
@@ -171,7 +183,9 @@ pub mod ops {
         CLASSIFY_CALLS.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Per-chunk extraction cache probe results.
+    /// Kept-chunk probes of the process-wide reading cache: a miss
+    /// absorbed the chunk's extraction, a hit reused the one already
+    /// absorbed (by any model in the process).
     pub fn extract_hit() {
         EXTRACT_HITS.fetch_add(1, Ordering::Relaxed);
     }

@@ -1,10 +1,12 @@
 //! The [`Llm`] facade: the single entry point agents use to "call the
 //! model". Assembles prompts under the context window, runs extraction
 //! and reasoning, accounts tokens, and exposes the typed helper calls
-//! the agent architecture needs (answering, confidence assessment,
-//! search proposal, planning).
+//! the agent architecture needs (answering with a confidence, search
+//! proposal, planning). Every model in the process reads knowledge
+//! chunks through one shared, bounded reading cache, so a page's token
+//! count and extraction are computed once per process.
 
-use crate::chat::{Message, Prompt};
+use crate::chat::Prompt;
 use crate::extract::{Extraction, Principle};
 use crate::intent::classify;
 use crate::lexicon::{ops, WordBuildHasher, WordHasher};
@@ -16,7 +18,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Model configuration.
 #[derive(Debug, Clone, Copy)]
@@ -66,31 +68,112 @@ struct CachedAnswer {
     completion_tokens: usize,
 }
 
-/// Memoization state for the grounding hot path.
+/// Bytes of chunk text the process-wide [`ReadingCache`] holds at most.
+const READING_BUDGET_BYTES: usize = 8 << 20;
+
+/// Every model in the process reads a chunk text through this cache,
+/// so sessions over the same webs read each page once.
+static READINGS: ReadingCache = ReadingCache::new(READING_BUDGET_BYTES);
+
+/// What reading one chunk text yields: its token count, counted when
+/// the reading is made, and its extraction, absorbed at the chunk's
+/// first kept use.
+struct Reading {
+    text: Arc<str>,
+    tokens: usize,
+    extraction: OnceLock<Extraction>,
+}
+
+impl Reading {
+    fn new(text: &str) -> Reading {
+        Reading {
+            text: Arc::from(text),
+            tokens: count_tokens(text),
+            extraction: OnceLock::new(),
+        }
+    }
+
+    /// The chunk's extraction, and whether this call absorbed it.
+    /// Concurrent first uses wait for one `absorb`.
+    fn absorb_once(&self) -> (&Extraction, bool) {
+        let mut absorbed = false;
+        let ex = self.extraction.get_or_init(|| {
+            absorbed = true;
+            Extraction::from_text(&self.text, None)
+        });
+        (ex, absorbed)
+    }
+
+    /// The chunk's extraction, counted as an extract hit or miss.
+    fn extraction(&self) -> &Extraction {
+        let (ex, absorbed) = self.absorb_once();
+        if absorbed {
+            ops::extract_miss();
+        } else {
+            ops::extract_hit();
+        }
+        ex
+    }
+}
+
+/// Readings keyed by exact chunk text, holding at most `budget` bytes
+/// of text. When a new text would overflow the budget the whole map is
+/// dropped; readings already handed out stay valid, and a re-read
+/// yields an equal reading. A text larger than the budget is read but
+/// never held.
 ///
-/// * `chunks` maps a knowledge chunk's exact text to its extraction.
-///   Keyed by content (the map hashes it with the word-at-a-time
-///   `WordHasher` and compares it in full) so a hash collision can
-///   never substitute the wrong extraction. Chunks are texts of the
-///   agent's own memory (pages it fetched, or its knowledge file), not
-///   request input. Absorbing chunks in kept
-///   order from cached per-chunk extractions is provably identical to
-///   absorbing the concatenated text sequentially: subject binding in
-///   `Extraction::absorb` is local to each call, fact dedup is
-///   order-preserving `contains`, and principles live in a `BTreeSet`.
-/// * `answers` maps the `WordHasher` hash of `(question, knowledge)`
-///   to the full answer, and the entry keeps both inputs: a hit
-///   compares them in full, so a collision is a miss (whose insert
-///   replaces the entry), never another question's answer. Questions
-///   can come from outside the program (serve requests), so this map
-///   hashes its `u64` keys with the default hasher. Because
-///   retrieval (which is recency-dependent) happens *outside* the
-///   model, the question and the retrieved texts are everything the
-///   answer depends on.
-#[derive(Default)]
-struct GroundingState {
-    chunks: HashMap<String, Arc<Extraction>, WordBuildHasher>,
-    answers: HashMap<u64, CachedAnswer>,
+/// Keys are compared in full, so a hash collision never substitutes
+/// another text's reading. The map hashes them with the unkeyed
+/// word-at-a-time `WordHasher` because no tenant-controlled text
+/// reaches it: chunks are the agent's own memory, which holds pages of
+/// the program-generated webs and insights the agent derives from
+/// their extractions. A serve request chooses a scenario, seeds and a
+/// question; none of these is ever stored as memory text.
+struct ReadingCache {
+    budget: usize,
+    map: Mutex<ReadingMap>,
+}
+
+struct ReadingMap {
+    readings: HashMap<Arc<str>, Arc<Reading>, WordBuildHasher>,
+    held: usize,
+}
+
+impl ReadingCache {
+    const fn new(budget: usize) -> ReadingCache {
+        ReadingCache {
+            budget,
+            map: Mutex::new(ReadingMap {
+                readings: HashMap::with_hasher(WordBuildHasher::new()),
+                held: 0,
+            }),
+        }
+    }
+
+    /// The reading of each text, in order. Only token counts are taken
+    /// under the lock; extractions are absorbed later, outside it.
+    fn readings(&self, texts: &[String]) -> Vec<Arc<Reading>> {
+        let mut map = self.map.lock().expect("reading cache lock");
+        texts
+            .iter()
+            .map(|text| {
+                if let Some(hit) = map.readings.get(text.as_str()) {
+                    return Arc::clone(hit);
+                }
+                let reading = Arc::new(Reading::new(text));
+                if text.len() <= self.budget {
+                    if map.held + text.len() > self.budget {
+                        map.readings.clear();
+                        map.held = 0;
+                    }
+                    map.held += text.len();
+                    map.readings
+                        .insert(Arc::clone(&reading.text), Arc::clone(&reading));
+                }
+                reading
+            })
+            .collect()
+    }
 }
 
 /// The answer-cache key: `(question, knowledge)` through `WordHasher`.
@@ -109,7 +192,16 @@ pub struct Llm {
     stats: Mutex<LlmStats>,
     rng: Mutex<ChaCha8Rng>,
     hook: Mutex<Option<InferenceHook>>,
-    grounding: Mutex<GroundingState>,
+    /// Memoized grounded answers of this model, keyed by the
+    /// `WordHasher` hash of `(question, knowledge)`. Each entry keeps
+    /// both inputs and a hit compares them in full, so a collision is a
+    /// miss (whose insert replaces the entry), never another question's
+    /// answer. Questions can come from outside the program (serve
+    /// requests), so the map hashes its `u64` keys with the default
+    /// hasher. Retrieval (which is recency-dependent) happens *outside*
+    /// the model, so the question and the retrieved texts are
+    /// everything an answer depends on.
+    answers: Mutex<HashMap<u64, CachedAnswer>>,
 }
 
 impl Llm {
@@ -118,7 +210,7 @@ impl Llm {
             stats: Mutex::new(LlmStats::default()),
             rng: Mutex::new(ChaCha8Rng::seed_from_u64(config.seed)),
             hook: Mutex::new(None),
-            grounding: Mutex::new(GroundingState::default()),
+            answers: Mutex::new(HashMap::new()),
             config,
         }
     }
@@ -153,36 +245,23 @@ impl Llm {
     }
 
     /// Assemble the knowledge context that fits the window alongside
-    /// the question, newest-first retention. Returns the extraction and
-    /// the prompt-token charge it incurred.
+    /// the question, newest-first retention, from the process-wide
+    /// readings. Returns the extraction and the prompt-token charge it
+    /// incurred.
     fn grounded_extraction(&self, question: &str, knowledge: &[String]) -> (Extraction, usize) {
         let reserved = count_tokens(question) + 64;
-        let (kept, _dropped, kept_tokens) = self.config.context.fit(knowledge, reserved);
+        let readings = READINGS.readings(knowledge);
+        let (kept, _dropped, kept_tokens) =
+            self.config.context.fit(&readings, reserved, |r| r.tokens);
         let mut ex = Extraction::default();
-        let mut g = self.grounding.lock().expect("grounding lock");
-        for chunk in kept {
-            let one = match g.chunks.get(chunk.as_str()) {
-                Some(hit) => {
-                    ops::extract_hit();
-                    Arc::clone(hit)
-                }
-                None => {
-                    ops::extract_miss();
-                    let mut fresh = Extraction::default();
-                    fresh.absorb(chunk, None);
-                    let fresh = Arc::new(fresh);
-                    g.chunks.insert(chunk.clone(), Arc::clone(&fresh));
-                    fresh
-                }
-            };
+        for reading in kept {
             // Merging per-chunk extractions in kept order is
             // byte-identical to absorbing the chunks sequentially:
             // subject binding is local to each absorb call, fact dedup
             // preserves first-seen order, and principles are an ordered
             // set.
-            ex.merge(&one);
+            ex.merge(reading.extraction());
         }
-        drop(g);
         let prompt_tokens = kept_tokens + reserved;
         self.charge(prompt_tokens, 0);
         (ex, prompt_tokens)
@@ -196,10 +275,9 @@ impl Llm {
     pub fn answer(&self, question: &str, knowledge: &[String]) -> Answer {
         let key = answer_key(question, knowledge);
         let hit = self
-            .grounding
-            .lock()
-            .expect("grounding lock")
             .answers
+            .lock()
+            .expect("answers lock")
             .get(&key)
             .filter(|hit| hit.question == question && hit.knowledge == knowledge)
             .map(|hit| (hit.answer.clone(), hit.prompt_tokens, hit.completion_tokens));
@@ -215,44 +293,30 @@ impl Llm {
         let ans = reason::answer(question, &intent, &ex);
         let completion_tokens = count_tokens(&ans.text);
         self.charge(0, completion_tokens);
-        self.grounding
-            .lock()
-            .expect("grounding lock")
-            .answers
-            .insert(
-                key,
-                CachedAnswer {
-                    question: question.to_string(),
-                    knowledge: knowledge.to_vec(),
-                    answer: ans.clone(),
-                    prompt_tokens,
-                    completion_tokens,
-                },
-            );
+        self.answers.lock().expect("answers lock").insert(
+            key,
+            CachedAnswer {
+                question: question.to_string(),
+                knowledge: knowledge.to_vec(),
+                answer: ans.clone(),
+                prompt_tokens,
+                completion_tokens,
+            },
+        );
         ans
     }
 
     /// Drop memoized answers. The agent layer calls this whenever its
     /// knowledge store changes: retrieval may now surface different
     /// chunks for the same question, so cached answers keyed on the old
-    /// retrieved texts must not be trusted blindly. (Per-chunk
-    /// extractions are content-addressed and stay valid forever.)
+    /// retrieved texts must not be trusted blindly. (Readings are
+    /// content-addressed and shared by every model; they stay valid.)
     ///
     /// Note the answer cache already matches the retrieved texts in
     /// full, so this is a belt-and-braces measure: it also bounds the
     /// map's growth across training epochs.
     pub fn invalidate_grounding(&self) {
-        self.grounding
-            .lock()
-            .expect("grounding lock")
-            .answers
-            .clear();
-    }
-
-    /// The paper's confidence probe: "rate confidence on a scale from
-    /// 0 to 10 to answer the following question".
-    pub fn assess_confidence(&self, question: &str, knowledge: &[String]) -> u8 {
-        self.answer(question, knowledge).confidence
+        self.answers.lock().expect("answers lock").clear();
     }
 
     /// The paper's self-learning probe: "what will you search for to
@@ -374,20 +438,6 @@ impl Llm {
         self.charge(prompt.token_count(), count_tokens(&ans.text));
         ans.text
     }
-
-    /// Convenience: a prompt carrying knowledge plus a question, the
-    /// shape the agent uses for quiz answering.
-    pub fn quiz_prompt(agent_name: &str, knowledge: &[String], question: &str) -> Prompt {
-        let mut p = Prompt::new().with(Message::system(format!(
-            "You are {agent_name}, an Internet researcher. Answer solely based on \
-             {agent_name}'s knowledge below."
-        )));
-        for k in knowledge {
-            p.push(Message::system(k.clone()));
-        }
-        p.push(Message::user(question.to_string()));
-        p
-    }
 }
 
 fn principle_query(p: Principle) -> &'static str {
@@ -415,6 +465,8 @@ fn principle_query(p: Principle) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chat::Message;
+    use std::sync::Barrier;
 
     const CABLE_Q: &str = "Which is more vulnerable to solar activity? The fiber optic cable \
                            that connects Brazil to Europe or the one that connects the US to \
@@ -446,8 +498,8 @@ mod tests {
     #[test]
     fn confidence_probe_matches_answer() {
         let llm = Llm::gpt4(1);
-        assert_eq!(llm.assess_confidence(CABLE_Q, &knowledge()), 9);
-        assert_eq!(llm.assess_confidence(CABLE_Q, &[]), 2);
+        assert_eq!(llm.answer(CABLE_Q, &knowledge()).confidence, 9);
+        assert_eq!(llm.answer(CABLE_Q, &[]).confidence, 2);
     }
 
     #[test]
@@ -523,7 +575,13 @@ mod tests {
     #[test]
     fn complete_answers_from_prompt_context() {
         let llm = Llm::gpt4(1);
-        let prompt = Llm::quiz_prompt("Bob", &knowledge(), CABLE_Q);
+        let mut prompt = Prompt::new().with(Message::system(
+            "You are Bob, an Internet researcher. Answer solely based on Bob's knowledge below.",
+        ));
+        for k in knowledge() {
+            prompt.push(Message::system(k));
+        }
+        prompt.push(Message::user(CABLE_Q));
         let text = llm.complete(&prompt);
         assert!(text.contains("United States"), "got: {text}");
     }
@@ -563,7 +621,7 @@ mod tests {
         // Plant the grounded answer under the key of the ungrounded
         // call, as a hash collision between the two would.
         {
-            let mut g = llm.grounding.lock().unwrap();
+            let mut answers = llm.answers.lock().unwrap();
             let planted = CachedAnswer {
                 question: CABLE_Q.to_string(),
                 knowledge: knowledge(),
@@ -571,7 +629,7 @@ mod tests {
                 prompt_tokens: 1,
                 completion_tokens: 1,
             };
-            g.answers.insert(answer_key(CABLE_Q, &[]), planted);
+            answers.insert(answer_key(CABLE_Q, &[]), planted);
         }
         let before = llm.stats();
         let ungrounded = llm.answer(CABLE_Q, &[]);
@@ -631,5 +689,79 @@ mod tests {
         let ans = llm.shutdown_strategy(&k);
         assert!(ans.text.contains("Predictive Shutdown"));
         assert!(ans.text.contains("Redundancy Utilization"));
+    }
+
+    fn held(cache: &ReadingCache) -> usize {
+        let map = cache.map.lock().unwrap();
+        let sum: usize = map.readings.keys().map(|k| k.len()).sum();
+        assert_eq!(sum, map.held, "held must be the sum of the held texts");
+        sum
+    }
+
+    #[test]
+    fn reading_cache_stays_within_budget_and_rereads_equal() {
+        let texts = knowledge();
+        let budget = texts[1].len() + texts[2].len();
+        let cache = ReadingCache::new(budget);
+        let first: Vec<_> = texts
+            .iter()
+            .map(|t| cache.readings(std::slice::from_ref(t)).remove(0))
+            .collect();
+        for reading in &first {
+            reading.extraction();
+        }
+        assert!(held(&cache) <= budget);
+        // Reading every text again cycles the map past its budget; each
+        // re-read equals the first reading of its text.
+        for _ in 0..3 {
+            for (text, before) in texts.iter().zip(&first) {
+                let again = cache.readings(std::slice::from_ref(text)).remove(0);
+                assert!(held(&cache) <= budget);
+                assert_eq!(&*again.text, text.as_str());
+                assert_eq!(again.tokens, count_tokens(text));
+                assert_eq!(again.tokens, before.tokens);
+                assert_eq!(again.extraction(), before.extraction());
+                assert_eq!(
+                    again.extraction(),
+                    &Extraction::from_text(text, None),
+                    "a reading's extraction is the text's own"
+                );
+            }
+        }
+        // A text larger than the whole budget is read but never held.
+        let huge = "word ".repeat(budget);
+        let reading = cache.readings(std::slice::from_ref(&huge)).remove(0);
+        assert_eq!(reading.tokens, count_tokens(&huge));
+        assert!(held(&cache) <= budget);
+        assert!(!cache
+            .map
+            .lock()
+            .unwrap()
+            .readings
+            .contains_key(huge.as_str()));
+    }
+
+    #[test]
+    fn concurrent_first_reads_absorb_once() {
+        const THREADS: usize = 8;
+        let cache = ReadingCache::new(1 << 20);
+        let text = knowledge().swap_remove(1);
+        let start = Barrier::new(THREADS);
+        let absorbed: Vec<bool> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        let reading = cache.readings(std::slice::from_ref(&text)).remove(0);
+                        let (ex, absorbed) = reading.absorb_once();
+                        assert_eq!(ex, &Extraction::from_text(&text, None));
+                        absorbed
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(absorbed.iter().filter(|&&a| a).count(), 1, "{absorbed:?}");
+        assert_eq!(cache.map.lock().unwrap().readings.len(), 1);
     }
 }

@@ -60,10 +60,12 @@ impl ContextWindow {
     }
 
     /// Select a suffix of `chunks` (newest last) that fits alongside
-    /// `reserved` tokens of fixed prompt content. Returns the kept
-    /// suffix, the number of chunks dropped from the front, and the
-    /// kept chunks' total [`count_tokens`] cost, so a caller charging
-    /// the prompt never counts the kept text a second time.
+    /// `reserved` tokens of fixed prompt content, where `cost` gives a
+    /// chunk's token count (for text, [`count_tokens`]; the model passes
+    /// the count its reading cache stored). Returns the kept suffix, the
+    /// number of chunks dropped from the front, and the kept chunks'
+    /// total cost, so a caller charging the prompt never counts the kept
+    /// text a second time.
     ///
     /// Boundary behaviour (pinned by tests):
     /// * a chunk that lands exactly on the remaining budget is kept;
@@ -74,13 +76,18 @@ impl ContextWindow {
     ///   skipping the newest to admit older ones would violate the
     ///   newest-first retention contract, so the model simply answers
     ///   ungrounded.
-    pub fn fit<'a>(&self, chunks: &'a [String], reserved: usize) -> (&'a [String], usize, usize) {
+    pub fn fit<'a, T>(
+        &self,
+        chunks: &'a [T],
+        reserved: usize,
+        cost: impl Fn(&T) -> usize,
+    ) -> (&'a [T], usize, usize) {
         let budget = self.max_tokens.saturating_sub(reserved);
         let mut used = 0;
         let mut start = chunks.len();
         // Walk backwards so the newest knowledge always survives.
         for (i, chunk) in chunks.iter().enumerate().rev() {
-            let cost = count_tokens(chunk);
+            let cost = cost(chunk);
             if used + cost > budget {
                 break;
             }
@@ -109,7 +116,7 @@ mod tests {
         let chunks: Vec<String> = (0..10)
             .map(|i| format!("chunk {i} with a handful of words inside"))
             .collect();
-        let (kept, dropped, _) = window.fit(&chunks, 0);
+        let (kept, dropped, _) = window.fit(&chunks, 0, |c| count_tokens(c));
         assert!(dropped > 0, "should not all fit");
         assert_eq!(kept.len() + dropped, 10);
         // Newest chunk must be present.
@@ -122,8 +129,8 @@ mod tests {
         let chunks: Vec<String> = (0..10)
             .map(|i| format!("word word word word {i}"))
             .collect();
-        let (no_reserve, _, _) = window.fit(&chunks, 0);
-        let (reserved, _, _) = window.fit(&chunks, 80);
+        let (no_reserve, _, _) = window.fit(&chunks, 0, |c| count_tokens(c));
+        let (reserved, _, _) = window.fit(&chunks, 80, |c| count_tokens(c));
         assert!(reserved.len() < no_reserve.len());
     }
 
@@ -131,7 +138,7 @@ mod tests {
     fn everything_fits_in_a_large_window() {
         let window = ContextWindow::gpt4();
         let chunks: Vec<String> = (0..5).map(|i| format!("small {i}")).collect();
-        let (kept, dropped, tokens) = window.fit(&chunks, 100);
+        let (kept, dropped, tokens) = window.fit(&chunks, 100, |c| count_tokens(c));
         assert_eq!(kept.len(), 5);
         assert_eq!(dropped, 0);
         assert_eq!(tokens, 10);
@@ -167,12 +174,12 @@ mod tests {
         let chunk = vec!["w"; 32].join(" ");
         assert_eq!(count_tokens(&chunk), 32);
         let chunks = vec![chunk];
-        let (kept, dropped, tokens) = window.fit(&chunks, 32);
+        let (kept, dropped, tokens) = window.fit(&chunks, 32, |c| count_tokens(c));
         assert_eq!(kept.len(), 1, "exact fit must be kept, not dropped");
         assert_eq!(dropped, 0);
         assert_eq!(tokens, 32);
         // One token over the line and it no longer fits.
-        let (kept, dropped, tokens) = window.fit(&chunks, 33);
+        let (kept, dropped, tokens) = window.fit(&chunks, 33, |c| count_tokens(c));
         assert!(kept.is_empty());
         assert_eq!(dropped, 1);
         assert_eq!(tokens, 0);
@@ -183,7 +190,7 @@ mod tests {
         let window = ContextWindow::new(64);
         let chunks: Vec<String> = vec!["tiny".into()];
         for reserved in [64, 65, 1000] {
-            let (kept, dropped, _) = window.fit(&chunks, reserved);
+            let (kept, dropped, _) = window.fit(&chunks, reserved, |c| count_tokens(c));
             assert!(kept.is_empty(), "reserved={reserved} leaves no budget");
             assert_eq!(dropped, 1);
         }
@@ -194,7 +201,7 @@ mod tests {
         let window = ContextWindow::new(64);
         let oversized = vec!["w"; 200].join(" ");
         let chunks = vec!["old but small".to_string(), oversized];
-        let (kept, dropped, _) = window.fit(&chunks, 0);
+        let (kept, dropped, _) = window.fit(&chunks, 0, |c| count_tokens(c));
         // Chunks are atomic and retention is strictly newest-first: an
         // oversized newest chunk blocks the walk immediately, so even
         // the older chunk that would fit is not admitted.

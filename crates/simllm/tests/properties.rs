@@ -1,13 +1,19 @@
 //! Property-based tests for the simulated LLM: total functions over
 //! arbitrary text, bounded confidence, calibration monotonicity,
-//! memoized grounding that matches a fresh derivation, and token
-//! counting and context fitting against their plain definitions.
+//! memoized grounding that matches a fresh derivation (one model, and
+//! several models sharing the process-wide readings across threads),
+//! and token counting and context fitting against their plain
+//! definitions.
 
 use ira_simllm::extract::Extraction;
 use ira_simllm::intent::classify;
 use ira_simllm::token::{count_tokens, ContextWindow};
 use ira_simllm::{plangen, reason, Llm};
+use ira_webcorpus::{Corpus, CorpusConfig};
+use ira_worldmodel::scenario::ScenarioRegistry;
+use ira_worldmodel::World;
 use proptest::prelude::*;
+use std::sync::LazyLock;
 
 /// Questions of every reasoning class, so one model's caches see
 /// chunks shared across questions.
@@ -46,12 +52,30 @@ fn grounding_pool() -> Vec<String> {
     ]
 }
 
+/// Every page of the four default scenario webs, as the agent
+/// memorizes it.
+static DEFAULT_PAGES: LazyLock<Vec<String>> = LazyLock::new(|| {
+    let world = World::standard();
+    ScenarioRegistry::standard()
+        .names()
+        .into_iter()
+        .flat_map(|scenario| {
+            let config = CorpusConfig {
+                scenario,
+                ..CorpusConfig::default()
+            };
+            let corpus = Corpus::generate(&world, config);
+            corpus.iter().map(|doc| doc.full_text()).collect::<Vec<_>>()
+        })
+        .collect()
+});
+
 /// What [`Llm::answer`] must return and charge for `question` over
 /// `knowledge`, derived without any cache: absorb the chunks the
 /// window keeps, in order, and reason over the result.
 fn fresh_answer(question: &str, knowledge: &[String]) -> (String, u64, u64) {
     let reserved = count_tokens(question) + 64;
-    let (kept, _, _) = ContextWindow::gpt4().fit(knowledge, reserved);
+    let (kept, _, _) = ContextWindow::gpt4().fit(knowledge, reserved, |c| count_tokens(c));
     let mut ex = Extraction::default();
     for chunk in kept {
         ex.absorb(chunk, None);
@@ -133,7 +157,7 @@ proptest! {
         reserved in 0usize..220,
     ) {
         let window = ContextWindow::new(max_tokens);
-        let (kept, dropped, tokens) = window.fit(&chunks, reserved);
+        let (kept, dropped, tokens) = window.fit(&chunks, reserved, |c| count_tokens(c));
         prop_assert_eq!((kept.len(), dropped), reference_fit(window, &chunks, reserved));
         prop_assert_eq!(kept, &chunks[dropped..]);
         prop_assert_eq!(tokens, kept.iter().map(|c| reference_count(c)).sum::<usize>());
@@ -231,6 +255,65 @@ proptest! {
                 );
             }
         }
+    }
+
+    #[test]
+    fn shared_readings_match_a_fresh_derivation_across_threads(
+        sessions in prop::collection::vec(
+            prop::collection::vec(
+                (0..GROUNDING_QUESTIONS.len(), prop::collection::vec(0usize..1 << 20, 0..130)),
+                1..4,
+            ),
+            2..5,
+        ),
+    ) {
+        // One model per thread, all reading through the process-wide
+        // cache at once, over random subsets and orders of real pages
+        // (up to 130 of ~70 tokens each, so some lists overflow the 8k
+        // window). Each call runs twice, missing and then hitting the
+        // model's answer cache; both must equal the fresh derivation
+        // and charge exactly its tokens.
+        let pages = &*DEFAULT_PAGES;
+        let failures: Vec<String> = std::thread::scope(|scope| {
+            let workers: Vec<_> = sessions
+                .iter()
+                .enumerate()
+                .map(|(seed, calls)| {
+                    scope.spawn(move || {
+                        let llm = Llm::gpt4(seed as u64);
+                        let mut failures = Vec::new();
+                        for (q, picks) in calls {
+                            let question = GROUNDING_QUESTIONS[*q];
+                            let knowledge: Vec<String> =
+                                picks.iter().map(|i| pages[i % pages.len()].clone()).collect();
+                            let (expected, prompt, completion) = fresh_answer(question, &knowledge);
+                            for pass in 0..2 {
+                                let before = llm.stats();
+                                let got = format!("{:?}", llm.answer(question, &knowledge));
+                                let after = llm.stats();
+                                let delta = (
+                                    after.calls - before.calls,
+                                    after.prompt_tokens - before.prompt_tokens,
+                                    after.completion_tokens - before.completion_tokens,
+                                );
+                                if got != expected || delta != (2, prompt, completion) {
+                                    failures.push(format!(
+                                        "model {seed} pass {pass} {question:?} over {} pages: \
+                                         got {got} charging {delta:?}, want {expected} \
+                                         charging {:?}",
+                                        knowledge.len(),
+                                        (2, prompt, completion)
+                                    ));
+                                }
+                            }
+                        }
+                        failures
+                    })
+                })
+                .collect();
+            workers.into_iter().flat_map(|w| w.join().unwrap()).collect()
+        });
+        prop_assert!(failures.is_empty(), "{}", failures.join("\n"));
     }
 
     #[test]

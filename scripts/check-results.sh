@@ -18,7 +18,9 @@
 #     seed-1 runs of the three perfbench workloads.
 # The binaries' own assertions run along the way: m1's per-scenario
 # floor, serve_load's worker-invariance and degradation-path checks, and
-# the trace query/profile/summarize commands over the E5 trace.
+# the trace query/profile/summarize commands over the E5 trace. The E5
+# profile is written twice, at 1 and at 4 threads, so a total that
+# depends on the thread count fails the check.
 #
 # Two files are left alone: results/BENCH_memo_rows.txt and
 # results/BENCH_memory_retrieve.txt record host time.
@@ -49,6 +51,11 @@ done
 "$B/serve_load" >/dev/null
 "$B/serve_load" --smoke >/dev/null
 "$B/trace_profile_gate" --trace-out "$T/trace_e5.jsonl" >/dev/null
+# The profile must not depend on the thread count: the 4-thread run
+# rewrites PROFILE_e5_baseline.json, which must equal the 1-thread one.
+cp "$R/PROFILE_e5_baseline.json" "$T/profile_t1.json"
+"$B/trace_profile_gate" --threads 4 >/dev/null
+diff -u "$T/profile_t1.json" "$R/PROFILE_e5_baseline.json"
 
 # The query output is itself a trace, so it must profile; and the whole
 # E5 trace must summarize from stdin.
