@@ -24,23 +24,6 @@ pub struct KnowledgeEntry {
     /// Importance in [0, 1], set by the memoriser (e.g. rank in search
     /// results).
     pub importance: f64,
-    /// Cached embedding of `content`.
-    #[serde(default)]
-    pub embedding: Vec<f32>,
-}
-
-impl KnowledgeEntry {
-    /// Approximate in-memory size in bytes for capacity accounting:
-    /// every owned heap buffer (all four strings plus the embedding at
-    /// 4 bytes per dimension) on top of the struct itself.
-    pub fn byte_size(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.topic.len()
-            + self.content.len()
-            + self.source_url.len()
-            + self.source_kind.len()
-            + self.embedding.len() * std::mem::size_of::<f32>()
-    }
 }
 
 #[cfg(test)]
@@ -56,7 +39,6 @@ mod tests {
             source_kind: "encyclopedia".into(),
             learned_at: 123,
             importance: 0.8,
-            embedding: vec![0.0; 4],
         }
     }
 
@@ -69,39 +51,15 @@ mod tests {
     }
 
     #[test]
-    fn embedding_defaults_when_absent() {
-        let json = r#"{"id":2,"topic":"t","content":"c","source_url":"u","source_kind":"news",
-                       "learned_at":5,"importance":0.5}"#;
+    fn a_stored_embedding_is_ignored() {
+        // Files written before the field was dropped carry each entry's
+        // embedding; it loads as if absent (the store re-embeds).
+        let json = r#"{"id":1,"topic":"solar superstorms","content":"CMEs drive geomagnetic storms.",
+                       "source_url":"sim://encyclopedia.test/wiki/coronal-mass-ejection",
+                       "source_kind":"encyclopedia","learned_at":123,"importance":0.8,
+                       "embedding":[10.0,1e39,-3.5]}"#;
         let e: KnowledgeEntry = serde_json::from_str(json).unwrap();
-        assert!(e.embedding.is_empty());
-    }
-
-    #[test]
-    fn byte_size_scales_with_content() {
-        let mut e = entry();
-        let small = e.byte_size();
-        e.content.push_str(&"x".repeat(1000));
-        assert!(e.byte_size() >= small + 1000);
-    }
-
-    #[test]
-    fn byte_size_accounts_for_every_owned_field() {
-        // Pin the formula: struct + all four strings + embedding bytes.
-        let e = entry();
-        let expected = std::mem::size_of::<KnowledgeEntry>()
-            + e.topic.len()
-            + e.content.len()
-            + e.source_url.len()
-            + e.source_kind.len()
-            + e.embedding.len() * 4;
-        assert_eq!(e.byte_size(), expected);
-
-        // Growing any single owned field must grow the accounted size.
-        let mut grown = e.clone();
-        grown.source_kind.push_str("-with-suffix");
-        assert_eq!(grown.byte_size(), e.byte_size() + "-with-suffix".len());
-        let mut embedded = e.clone();
-        embedded.embedding.extend_from_slice(&[0.0; 8]);
-        assert_eq!(embedded.byte_size(), e.byte_size() + 8 * 4);
+        assert_eq!(e, entry());
+        assert!(!serde_json::to_string(&e).unwrap().contains("embedding"));
     }
 }

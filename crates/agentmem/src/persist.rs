@@ -1,4 +1,4 @@
-//! Crash-safe JSON persistence.
+//! Crash-safe persistence.
 //!
 //! `knowledge.json` is the agent's only durable state, so losing it to
 //! a crash mid-write (or to a corrupted disk block) silently destroys
@@ -8,19 +8,23 @@
 //! * **Atomic write** — the payload is written to a sibling temp file,
 //!   fsynced, and renamed over the target, so readers only ever see a
 //!   complete old file or a complete new file.
-//! * **Checksum envelope** — the payload is wrapped in
-//!   `{"checksum": "<fnv64 hex>", "body": <payload>}` so truncation and
-//!   bit-rot are *detected* at load, not discovered as subtly wrong
-//!   behaviour later.
+//! * **Checksum envelope** — a JSON payload is wrapped in
+//!   `{"checksum": "<fnv64 hex>", "body": <payload>}`, a binary one
+//!   behind a magic, length and checksum header ([`save_atomic_bytes`]),
+//!   so truncation and bit-rot are *detected* at load, not discovered as
+//!   subtly wrong behaviour later.
 //! * **`.bak` rotation** — the previous good file is kept as `<path>.bak`
 //!   and loads fall back to it when the primary fails verification.
+//!
+//! Both envelopes share one writer (`write_atomic`) and one reader
+//! (`read_with_backup`); they differ only in how they wrap and verify.
 //!
 //! Files written before this module existed (plain payloads with no
 //! envelope) still load: a top-level object without the envelope keys is
 //! treated as the payload itself.
 
 use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// FNV-1a 64-bit hash — small, dependency-free, and plenty for
@@ -37,7 +41,8 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     hash
 }
 
-fn sibling(path: &Path, suffix: &str) -> PathBuf {
+/// `path` with `suffix` appended to its file name.
+pub(crate) fn sibling(path: &Path, suffix: &str) -> PathBuf {
     let mut name = path
         .file_name()
         .map(|n| n.to_os_string())
@@ -69,74 +74,72 @@ fn envelope(payload: &str) -> io::Result<String> {
         .map_err(|e| invalid(format!("envelope does not serialize: {e}")))
 }
 
-/// Atomically persist `payload` (a JSON document) to `path`.
-///
-/// Write order: temp file + fsync, rotate the current file to
-/// `<path>.bak`, rename the temp file into place. A crash at any point
-/// leaves either the old file or the new file intact on disk.
-pub fn save_atomic(path: &Path, payload: &str) -> io::Result<()> {
-    let wrapped = envelope(payload)?;
+/// The one write path of both envelopes: temp file + fsync, rotate the
+/// current file to `<path>.bak`, rename the temp file into place. A
+/// crash at any point leaves either the old file or the new file intact
+/// on disk.
+fn write_atomic(path: &Path, wrapped: &[u8]) -> io::Result<()> {
     let tmp = sibling(path, ".tmp");
     {
         let mut f = File::create(&tmp)?;
-        f.write_all(wrapped.as_bytes())?;
+        f.write_all(wrapped)?;
         f.sync_all()?;
     }
     if path.exists() {
         std::fs::rename(path, backup_path(path))?;
     }
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    std::fs::rename(&tmp, path)
 }
 
-/// Read and verify one file, returning the payload JSON.
-fn read_verified(path: &Path) -> io::Result<String> {
-    let mut raw = String::new();
-    File::open(path)?.read_to_string(&mut raw)?;
-    let value = serde_json::parse(&raw)
-        .map_err(|e| invalid(format!("{}: not valid json: {e}", path.display())))?;
+/// The one read path of both envelopes: read and `verify` the primary,
+/// falling back to `<path>.bak` when it is missing, truncated, or fails
+/// verification (an `InvalidData` error prefixed with the file's path).
+/// The primary's error is kept when the backup also fails, since that
+/// is the more useful diagnosis (a missing primary stays
+/// [`io::ErrorKind::NotFound`]).
+fn read_with_backup<T>(path: &Path, verify: fn(Vec<u8>) -> Result<T, String>) -> io::Result<T> {
+    let read = |p: &Path| {
+        let raw = std::fs::read(p)?;
+        verify(raw).map_err(|e| invalid(format!("{}: {e}", p.display())))
+    };
+    read(path).or_else(|primary_err| read(&backup_path(path)).map_err(|_| primary_err))
+}
+
+/// Atomically persist `payload` (a JSON document) to `path` in the
+/// checksum envelope (see `write_atomic`).
+pub fn save_atomic(path: &Path, payload: &str) -> io::Result<()> {
+    write_atomic(path, envelope(payload)?.as_bytes())
+}
+
+/// Verify one JSON file's bytes, returning the payload JSON.
+fn verify_json(raw: Vec<u8>) -> Result<String, String> {
+    let raw = String::from_utf8(raw).map_err(|e| format!("not valid utf-8: {e}"))?;
+    let value = serde_json::parse(&raw).map_err(|e| format!("not valid json: {e}"))?;
     let serde_json::Value::Object(mut obj) = value else {
         // Non-object JSON can't be an envelope; treat as a legacy payload.
         return Ok(raw);
     };
-    let (Some(serde_json::Value::String(expected)), Some(_)) =
-        (obj.get("checksum"), obj.get("body"))
+    let (Some(serde_json::Value::String(expected)), Some(body)) =
+        (obj.remove("checksum"), obj.remove("body"))
     else {
         // Legacy plain file written before checksum envelopes existed.
         return Ok(raw);
     };
-    let expected = expected.clone();
-    let body = obj.remove("body").expect("body key checked above");
-    let canonical = serde_json::to_string(&body).map_err(|e| {
-        invalid(format!(
-            "{}: body does not re-serialize: {e}",
-            path.display()
-        ))
-    })?;
+    let canonical =
+        serde_json::to_string(&body).map_err(|e| format!("body does not re-serialize: {e}"))?;
     let actual = format!("{:016x}", fnv64(canonical.as_bytes()));
     if actual != expected {
-        return Err(invalid(format!(
-            "{}: checksum mismatch (stored {expected}, computed {actual})",
-            path.display()
-        )));
+        return Err(format!(
+            "checksum mismatch (stored {expected}, computed {actual})"
+        ));
     }
     Ok(canonical)
 }
 
-/// Load the payload from `path`, falling back to `<path>.bak` when the
-/// primary is missing, truncated, or fails its checksum.
-///
-/// Returns the payload JSON as a string. The error from the *primary*
-/// file is preserved when the backup also fails, since that is the more
-/// useful diagnosis.
+/// Load the JSON payload from `path`, falling back to `<path>.bak` (see
+/// `read_with_backup`).
 pub fn load_with_backup(path: &Path) -> io::Result<String> {
-    match read_verified(path) {
-        Ok(payload) => Ok(payload),
-        Err(primary_err) => match read_verified(&backup_path(path)) {
-            Ok(payload) => Ok(payload),
-            Err(_) => Err(primary_err),
-        },
-    }
+    read_with_backup(path, verify_json)
 }
 
 /// Magic prefix of the binary checksum envelope (see
@@ -144,73 +147,46 @@ pub fn load_with_backup(path: &Path) -> io::Result<String> {
 /// layout change.
 const BIN_MAGIC: &[u8; 8] = b"IRABINE1";
 
-/// Atomically persist a binary `payload` to `path` in a checksummed
-/// envelope — the binary twin of [`save_atomic`].
+/// Atomically persist a binary `payload` to `path` in the binary
+/// checksum envelope (see `write_atomic`).
 ///
 /// Layout: `[magic 8B][payload_len u64 LE][fnv64(payload) u64 LE][payload]`.
-/// Same write discipline as the JSON path: temp file + fsync, rotate
-/// the current file to `<path>.bak`, rename into place.
 pub fn save_atomic_bytes(path: &Path, payload: &[u8]) -> io::Result<()> {
     let mut wrapped = Vec::with_capacity(payload.len() + 24);
     wrapped.extend_from_slice(BIN_MAGIC);
     wrapped.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     wrapped.extend_from_slice(&fnv64(payload).to_le_bytes());
     wrapped.extend_from_slice(payload);
-    let tmp = sibling(path, ".tmp");
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(&wrapped)?;
-        f.sync_all()?;
-    }
-    if path.exists() {
-        std::fs::rename(path, backup_path(path))?;
-    }
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    write_atomic(path, &wrapped)
 }
 
-/// Read and verify one binary envelope, returning the payload bytes.
-fn read_verified_bytes(path: &Path) -> io::Result<Vec<u8>> {
-    let mut raw = Vec::new();
-    File::open(path)?.read_to_end(&mut raw)?;
+/// Verify one binary envelope, returning the payload bytes.
+fn verify_bytes(mut raw: Vec<u8>) -> Result<Vec<u8>, String> {
     if raw.len() < 24 || &raw[..8] != BIN_MAGIC {
-        return Err(invalid(format!(
-            "{}: not a binary envelope (bad or truncated header)",
-            path.display()
-        )));
+        return Err("not a binary envelope (bad or truncated header)".into());
     }
     let len = u64::from_le_bytes(raw[8..16].try_into().unwrap()) as usize;
     let expected = u64::from_le_bytes(raw[16..24].try_into().unwrap());
-    let payload = &raw[24..];
+    let payload = raw.split_off(24);
     if payload.len() != len {
-        return Err(invalid(format!(
-            "{}: payload length mismatch (header says {len}, file has {})",
-            path.display(),
+        return Err(format!(
+            "payload length mismatch (header says {len}, file has {})",
             payload.len()
-        )));
+        ));
     }
-    let actual = fnv64(payload);
+    let actual = fnv64(&payload);
     if actual != expected {
-        return Err(invalid(format!(
-            "{}: checksum mismatch (stored {expected:016x}, computed {actual:016x})",
-            path.display()
-        )));
+        return Err(format!(
+            "checksum mismatch (stored {expected:016x}, computed {actual:016x})"
+        ));
     }
-    Ok(payload.to_vec())
+    Ok(payload)
 }
 
-/// Load binary payload from `path`, falling back to `<path>.bak` when
-/// the primary is missing, truncated, or fails its checksum — the
-/// binary twin of [`load_with_backup`]. The primary's error is
-/// preserved when both fail.
+/// Load the binary payload from `path`, falling back to `<path>.bak`
+/// (see `read_with_backup`).
 pub fn load_bytes_with_backup(path: &Path) -> io::Result<Vec<u8>> {
-    match read_verified_bytes(path) {
-        Ok(payload) => Ok(payload),
-        Err(primary_err) => match read_verified_bytes(&backup_path(path)) {
-            Ok(payload) => Ok(payload),
-            Err(_) => Err(primary_err),
-        },
-    }
+    read_with_backup(path, verify_bytes)
 }
 
 #[cfg(test)]
@@ -258,7 +234,7 @@ mod tests {
         save_atomic(&path, r#"{"version": 1}"#).unwrap();
         save_atomic(&path, r#"{"version": 2}"#).unwrap();
         assert!(load_with_backup(&path).unwrap().contains('2'));
-        let bak = read_verified(&backup_path(&path)).unwrap();
+        let bak = load_with_backup(&backup_path(&path)).unwrap();
         assert!(
             bak.contains('1'),
             "previous generation must survive as .bak"

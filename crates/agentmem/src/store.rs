@@ -18,7 +18,7 @@ use crate::graph::{ClaimGraph, GraphStats, HostStats};
 use crate::provenance::{split_url, SourceRef};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use thiserror::Error;
@@ -99,6 +99,24 @@ pub enum StoreError {
     Io(#[from] std::io::Error),
     #[error("corrupt knowledge file: {0}")]
     Corrupt(#[from] serde_json::Error),
+    /// A well-formed file with a value outside the range the store
+    /// keeps it in (see [`KnowledgeStore::from_json`]).
+    #[error("invalid knowledge file: {field} = {value} ({rule})")]
+    Invalid {
+        /// The offending field, as a path into the file
+        /// (`config.capacity`, `entries[3].id`, `next_id`, …).
+        field: String,
+        value: String,
+        rule: &'static str,
+    },
+}
+
+fn invalid(field: String, value: impl std::fmt::Display, rule: &'static str) -> StoreError {
+    StoreError::Invalid {
+        field,
+        value: value.to_string(),
+        rule,
+    }
 }
 
 /// Serialized form of the store (the `knowledge.json` contents).
@@ -107,6 +125,53 @@ struct StoreFile {
     config: StoreConfig,
     next_id: u64,
     entries: Vec<KnowledgeEntry>,
+}
+
+impl StoreFile {
+    /// The load-time check: every value in the range the store keeps
+    /// it in. A dedup threshold above 1 is valid and turns dedup off.
+    fn check(&self) -> Result<(), StoreError> {
+        let (c, w) = (&self.config, &self.config.weights);
+        let config =
+            |field: &str, value: f64, rule| Err(invalid(format!("config.{field}"), value, rule));
+        if c.capacity < 1 {
+            return config("capacity", c.capacity as f64, "must be at least 1");
+        }
+        for (field, x) in [
+            ("dedup_threshold", f64::from(c.dedup_threshold)),
+            ("weights.half_life_secs", w.half_life_secs),
+        ] {
+            if x.is_nan() || x <= 0.0 {
+                return config(field, x, "must be above 0");
+            }
+        }
+        for (field, x) in [
+            ("weights.relevance", w.relevance),
+            ("weights.recency", w.recency),
+            ("weights.importance", w.importance),
+            ("weights.diversity", w.diversity),
+        ] {
+            if !(x.is_finite() && x >= 0.0) {
+                return config(field, x, "must be finite and at least 0");
+            }
+        }
+        let mut ids = HashSet::with_capacity(self.entries.len());
+        for (i, e) in self.entries.iter().enumerate() {
+            if !(0.0..=1.0).contains(&e.importance) {
+                let field = format!("entries[{i}].importance");
+                return Err(invalid(field, e.importance, "must be in [0, 1]"));
+            }
+            if !ids.insert(e.id) {
+                return Err(invalid(format!("entries[{i}].id"), e.id, "must be unique"));
+            }
+        }
+        // `u64::MAX` would overflow at the next memorise.
+        if self.next_id == u64::MAX || ids.iter().any(|&id| id >= self.next_id) {
+            let rule = "must be above every entry id and below u64::MAX";
+            return Err(invalid("next_id".into(), self.next_id, rule));
+        }
+        Ok(())
+    }
 }
 
 /// At most this many floats (2 MiB) of similarity rows are memoized
@@ -126,9 +191,8 @@ pub struct KnowledgeStore {
 }
 
 struct Inner {
-    /// The entries, each with an empty `embedding`: theirs are in
-    /// `embeddings`, in the same order, and are filled in only when an
-    /// entry leaves the store ([`Inner::entry`]).
+    /// The entries; their embeddings are the columns of `embeddings`,
+    /// in the same order.
     entries: Vec<KnowledgeEntry>,
     embeddings: EmbeddingMatrix,
     next_id: u64,
@@ -198,18 +262,6 @@ impl Inner {
         self.absorbed = self.entries.len();
         &self.graph
     }
-
-    /// Entry `i` as it leaves the store, with its embedding.
-    fn entry(&self, i: usize) -> KnowledgeEntry {
-        KnowledgeEntry {
-            embedding: self.embeddings.column(i),
-            ..self.entries[i].clone()
-        }
-    }
-
-    fn all_entries(&self) -> Vec<KnowledgeEntry> {
-        (0..self.entries.len()).map(|i| self.entry(i)).collect()
-    }
 }
 
 /// One entry's state during a [`KnowledgeStore::retrieve`] selection.
@@ -224,14 +276,10 @@ struct Candidate {
     taken: bool,
 }
 
-/// The base order of retrieval: score desc, id asc. The entry position
-/// breaks ties between duplicate ids (a loaded file may hold them) as a
-/// stable sort by score and id would.
+/// The base order of retrieval: score desc, id asc. Ids are unique
+/// (`memorize` issues them and load checks them), so this is total.
 fn base_order(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
-    b.score
-        .total_cmp(&a.score)
-        .then(a.id.cmp(&b.id))
-        .then(a.index.cmp(&b.index))
+    b.score.total_cmp(&a.score).then(a.id.cmp(&b.id))
 }
 
 /// Sort the `want` candidates that come first in the base order into
@@ -348,7 +396,6 @@ impl KnowledgeStore {
             source_kind: source_kind.to_string(),
             learned_at,
             importance: importance.clamp(0.0, 1.0),
-            embedding: Vec::new(),
         });
         inner.embeddings.push(&embedding);
         // The claim graph absorbs the entry when it is next read.
@@ -415,7 +462,7 @@ impl KnowledgeStore {
         let inner = &mut *self.inner.write();
         self.select(inner, query, k, now)
             .into_iter()
-            .map(|i| inner.entry(i))
+            .map(|i| inner.entries[i].clone())
             .collect()
     }
 
@@ -510,23 +557,11 @@ impl KnowledgeStore {
 
     /// Every entry, in insertion order (for audits and persistence).
     pub fn entries(&self) -> Vec<KnowledgeEntry> {
-        self.inner.read().all_entries()
-    }
-
-    /// Distinct (topic, count) pairs — what the agent has studied.
-    pub fn topic_histogram(&self) -> Vec<(String, usize)> {
-        use std::collections::BTreeMap;
-        let inner = self.inner.read();
-        let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-        for e in &inner.entries {
-            *counts.entry(e.topic.clone()).or_insert(0) += 1;
-        }
-        counts.into_iter().collect()
+        self.inner.read().entries.clone()
     }
 
     /// Distinct (source_kind, count) pairs — the provenance audit.
     pub fn source_histogram(&self) -> Vec<(String, usize)> {
-        use std::collections::BTreeMap;
         let inner = self.inner.read();
         let mut counts: BTreeMap<String, usize> = BTreeMap::new();
         for e in &inner.entries {
@@ -541,26 +576,33 @@ impl KnowledgeStore {
         let file = StoreFile {
             config: self.config,
             next_id: inner.next_id,
-            entries: inner.all_entries(),
+            entries: inner.entries.clone(),
         };
         serde_json::to_string_pretty(&file).expect("store serializes")
     }
 
-    /// Load from the `knowledge.json` format. Every entry is
-    /// re-embedded from its `content`: the embedding is a pure function
-    /// of the content, and a stored one is not trusted — an edited file
-    /// could otherwise rig retrieval with an oversized, infinite or
-    /// wrong-length vector. The claim graph starts empty with every
-    /// entry pending at session 0, so it is rebuilt deterministically
-    /// from the surviving entries when first read (historical claims of
-    /// evicted entries are only recoverable from a graph snapshot — see
-    /// [`KnowledgeStore::load`]).
+    /// Load from the `knowledge.json` format.
+    ///
+    /// Every value is checked against the range the store keeps it in,
+    /// and the first one outside it is a [`StoreError::Invalid`] naming
+    /// the field: capacity at least 1, a dedup threshold above 0 (above
+    /// 1 turns dedup off), finite non-negative weights, a half-life
+    /// above 0, importances in [0, 1], unique entry ids and a `next_id`
+    /// above all of them.
+    ///
+    /// Every entry is embedded from its `content`, as `memorize` does:
+    /// the file holds no embeddings, and an `embedding` field a file
+    /// written before they were dropped still carries is ignored. The
+    /// claim graph starts empty with every entry pending at session 0,
+    /// so it is rebuilt deterministically from the surviving entries
+    /// when first read (historical claims of evicted entries are only
+    /// recoverable from a graph snapshot — see [`KnowledgeStore::load`]).
     pub fn from_json(json: &str) -> Result<Self, StoreError> {
-        let mut file: StoreFile = serde_json::from_str(json)?;
+        let file: StoreFile = serde_json::from_str(json)?;
+        file.check()?;
         let mut embeddings = EmbeddingMatrix::default();
-        for e in &mut file.entries {
+        for e in &file.entries {
             embeddings.push(&embed(&e.content));
-            e.embedding = Vec::new();
         }
         Ok(KnowledgeStore {
             inner: RwLock::new(Inner::new(file.entries, embeddings, file.next_id)),
@@ -572,19 +614,14 @@ impl KnowledgeStore {
     /// The sidecar path of the binary graph snapshot saved next to a
     /// `knowledge.json` (`<path>.graph`).
     pub fn graph_snapshot_path(path: &Path) -> PathBuf {
-        let mut name = path
-            .file_name()
-            .map(|n| n.to_os_string())
-            .unwrap_or_default();
-        name.push(".graph");
-        path.with_file_name(name)
+        crate::persist::sibling(path, ".graph")
     }
 
     /// Write `knowledge.json` to disk atomically (temp file + fsync +
     /// rename), wrapped in a checksum envelope, rotating the previous
     /// file to `<path>.bak` — plus the claim-graph binary snapshot as a
-    /// `<path>.graph` sidecar under the same discipline. The JSON bytes
-    /// are unchanged from the flat-store format. See [`crate::persist`].
+    /// `<path>.graph` sidecar under the same discipline. The JSON is
+    /// [`KnowledgeStore::to_json`]. See [`crate::persist`].
     pub fn save(&self, path: &Path) -> Result<(), StoreError> {
         crate::persist::save_atomic(path, &self.to_json())?;
         crate::persist::save_atomic_bytes(
@@ -596,7 +633,9 @@ impl KnowledgeStore {
 
     /// Read `knowledge.json` from disk, verifying its checksum and
     /// falling back to `<path>.bak` when the primary file is missing,
-    /// truncated, or corrupted.
+    /// truncated, or corrupted. The payload then goes through
+    /// [`KnowledgeStore::from_json`]'s check; a file that verifies but
+    /// fails it is an error, not a reason to fall back.
     ///
     /// The claim graph loads from the `<path>.graph` binary snapshot
     /// (with its own `.bak` fallback); when the snapshot is missing or
@@ -883,13 +922,13 @@ mod tests {
             format!("[{}]", vec!["1e39"; crate::EMBED_DIM].join(",")),
             "[1.0, 1.0, 1.0]".to_string(),
         ];
-        // The pasta entry's embedding, blanked for splicing.
-        let mut file: StoreFile = serde_json::from_str(&honest).unwrap();
-        file.entries[1].embedding.clear();
-        let template = serde_json::to_string(&file).unwrap();
-        assert_eq!(template.matches(r#""embedding":[]"#).count(), 1);
+        // Files written before embeddings were dropped carry one per
+        // entry: splice one into the pasta entry.
+        let compact = serde_json::to_string(&serde_json::parse(&honest).unwrap()).unwrap();
+        assert!(!compact.contains("embedding"));
+        assert_eq!(compact.matches(r#""id":1,"#).count(), 1);
         for rigged in rigged_embeddings {
-            let json = template.replace(r#""embedding":[]"#, &format!(r#""embedding":{rigged}"#));
+            let json = compact.replace(r#""id":1,"#, &format!(r#""embedding":{rigged},"id":1,"#));
             let back = KnowledgeStore::from_json(&json).unwrap();
             let hits = back.retrieve("submarine cable Brazil", 1, 10);
             assert!(
@@ -906,6 +945,110 @@ mod tests {
             KnowledgeStore::from_json("{not json"),
             Err(StoreError::Corrupt(_))
         ));
+    }
+
+    /// A two-entry file in compact form (ids 0 and 1, `next_id` 2).
+    fn two_entry_file() -> String {
+        let s = store();
+        mem(
+            &s,
+            "a",
+            "The EllaLink cable connects Brazil to Portugal.",
+            1,
+        );
+        mem(&s, "b", "Geomagnetic storms threaten power grids.", 2);
+        serde_json::to_string(&serde_json::parse(&s.to_json()).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn load_rejects_each_value_out_of_range_naming_its_field() {
+        let file = two_entry_file();
+        let probes = [
+            (r#""capacity":2000"#, r#""capacity":0"#, "config.capacity"),
+            (
+                r#""dedup_threshold":0.9800000190734863"#,
+                r#""dedup_threshold":-1"#,
+                "config.dedup_threshold",
+            ),
+            (
+                r#""dedup_threshold":0.9800000190734863"#,
+                r#""dedup_threshold":0"#,
+                "config.dedup_threshold",
+            ),
+            (
+                r#""relevance":1.0"#,
+                r#""relevance":-0.5"#,
+                "config.weights.relevance",
+            ),
+            (
+                r#""recency":0.1"#,
+                r#""recency":1e400"#,
+                "config.weights.recency",
+            ),
+            (
+                r#""diversity":0.25"#,
+                r#""diversity":-0.25"#,
+                "config.weights.diversity",
+            ),
+            (
+                r#""half_life_secs":3600.0"#,
+                r#""half_life_secs":0"#,
+                "config.weights.half_life_secs",
+            ),
+            (
+                r#""id":1,"importance":0.5"#,
+                r#""id":1,"importance":1e300"#,
+                "entries[1].importance",
+            ),
+            (
+                r#""id":1,"importance":0.5"#,
+                r#""id":1,"importance":-0.1"#,
+                "entries[1].importance",
+            ),
+            (r#""id":1,"#, r#""id":0,"#, "entries[1].id"),
+            (r#""next_id":2"#, r#""next_id":0"#, "next_id"),
+            (r#""next_id":2"#, r#""next_id":1"#, "next_id"),
+            (
+                r#""next_id":2"#,
+                r#""next_id":18446744073709551615"#,
+                "next_id",
+            ),
+        ];
+        for (from, to, field) in probes {
+            assert_eq!(file.matches(from).count(), 1, "{from}");
+            let json = file.replace(from, to);
+            let Err(err) = KnowledgeStore::from_json(&json) else {
+                panic!("{to} loaded");
+            };
+            assert!(
+                matches!(&err, StoreError::Invalid { field: named, .. } if named == field),
+                "{to}: {err}"
+            );
+            assert!(err.to_string().contains(field), "{err}");
+        }
+    }
+
+    #[test]
+    fn load_accepts_the_edges_of_each_range() {
+        let file = two_entry_file();
+        for (from, to) in [
+            // Above 1 turns dedup off (A1 and the retrieve oracles).
+            (
+                r#""dedup_threshold":0.9800000190734863"#,
+                r#""dedup_threshold":2.0"#,
+            ),
+            (r#""relevance":1.0"#, r#""relevance":0.0"#),
+            (r#""id":1,"importance":0.5"#, r#""id":1,"importance":1.0"#),
+            (r#""id":1,"importance":0.5"#, r#""id":1,"importance":0.0"#),
+            (r#""next_id":2"#, r#""next_id":900"#),
+            (r#""capacity":2000"#, r#""capacity":1"#),
+        ] {
+            assert_eq!(file.matches(from).count(), 1, "{from}");
+            assert!(
+                KnowledgeStore::from_json(&file.replace(from, to)).is_ok(),
+                "{to}"
+            );
+        }
     }
 
     #[test]
@@ -929,17 +1072,6 @@ mod tests {
             texts[1].contains("EllaLink"),
             "most relevant should be last"
         );
-    }
-
-    #[test]
-    fn topic_histogram_counts_study_areas() {
-        let s = store();
-        s.memorize("cables", "fact one about cables", "u1", "news", 0, 0.5);
-        s.memorize("cables", "fact two about routes", "u2", "news", 0, 0.5);
-        s.memorize("storms", "fact three about storms", "u3", "news", 0, 0.5);
-        let hist = s.topic_histogram();
-        assert!(hist.contains(&("cables".to_string(), 2)));
-        assert!(hist.contains(&("storms".to_string(), 1)));
     }
 
     #[test]

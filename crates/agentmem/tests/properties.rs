@@ -1,11 +1,14 @@
-//! Property-based tests for embeddings, the knowledge store and the
-//! `IRAGRPH2` graph snapshot decoder.
+//! Property-based tests for embeddings, the knowledge store, its
+//! loaders and the `IRAGRPH2` graph snapshot decoder.
 
 use ira_agentmem::graph::GraphDecodeError;
+use ira_agentmem::store::StoreError;
 use ira_agentmem::{
-    cosine, embed, split_url, ClaimGraph, KnowledgeStore, SourceRef, StoreConfig, EMBED_DIM,
+    cosine, embed, load_with_backup, split_url, ClaimGraph, KnowledgeStore, SourceRef, StoreConfig,
+    EMBED_DIM,
 };
 use proptest::prelude::*;
+use std::path::Path;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -506,5 +509,124 @@ proptest! {
         bytes[at] = byte;
         bytes.truncate(cut);
         decode_is_total_and_canonical(&bytes)?;
+    }
+}
+
+/// A real training checkpoint: the file `TrainingCheckpoint::save`
+/// writes after Bob's first training goal over the default web (six
+/// entries in its `memory`), as ira-core's
+/// `interrupted_training_resumes_to_identical_knowledge` reconstructs it.
+const CHECKPOINT: &[u8] = include_bytes!("data/checkpoint.json");
+
+/// The checkpoint's `memory`: a store's `to_json`, or `None`.
+fn checkpoint_memory(payload: &str) -> Option<String> {
+    match serde_json::parse(payload).ok()? {
+        serde_json::Value::Object(mut body) => match body.remove("memory")? {
+            serde_json::Value::String(memory) => Some(memory),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// The real inputs: a `knowledge.json` as `KnowledgeStore::save` writes
+/// it (over the checkpoint's memory), its bare payload (as a file
+/// written before checksum envelopes, which still loads; it is also the
+/// checkpoint's `memory` text), and the checkpoint.
+fn real_inputs() -> &'static [Vec<u8>; 3] {
+    static INPUTS: OnceLock<[Vec<u8>; 3]> = OnceLock::new();
+    INPUTS.get_or_init(|| {
+        let dir = scratch_dir();
+        let path = dir.join("checkpoint.json");
+        std::fs::write(&path, CHECKPOINT).unwrap();
+        let payload = load_with_backup(&path).unwrap();
+        let memory = checkpoint_memory(&payload).expect("the checkpoint holds a memory");
+        let store = KnowledgeStore::from_json(&memory).unwrap();
+        assert_eq!(store.len(), 6);
+        assert_eq!(store.to_json(), memory);
+        let path = dir.join("knowledge.json");
+        store.save(&path).unwrap();
+        let file = std::fs::read(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        [file, memory.into_bytes(), CHECKPOINT.to_vec()]
+    })
+}
+
+/// The loader contract: a typed error, or a store whose `to_json` loads
+/// back to the same text (and whose claim graph builds).
+fn loads_safely(loaded: Result<KnowledgeStore, StoreError>) -> Result<(), TestCaseError> {
+    let store = match loaded {
+        Ok(store) => store,
+        Err(e) => {
+            prop_assert!(!e.to_string().is_empty());
+            return Ok(());
+        }
+    };
+    let json = store.to_json();
+    match KnowledgeStore::from_json(&json) {
+        Ok(again) => prop_assert_eq!(again.to_json(), json),
+        Err(e) => prop_assert!(false, "a loaded store's own to_json is rejected: {}", e),
+    }
+    store.graph_stats();
+    Ok(())
+}
+
+/// Every loader over `bytes`, written to `path` (which has no `.bak`
+/// or `.graph` sibling): `KnowledgeStore::load` on them as a knowledge
+/// file, `from_json` on their text, and the checkpoint path (the
+/// envelope reader, then `from_json` on the payload's `memory`).
+fn every_loader_is_safe(path: &Path, bytes: &[u8]) -> Result<(), TestCaseError> {
+    // A fresh file, not a truncated one: some filesystems flush a file
+    // rewritten in place on close.
+    std::fs::remove_file(path).ok();
+    std::fs::write(path, bytes).unwrap();
+    loads_safely(KnowledgeStore::load(path))?;
+    loads_safely(KnowledgeStore::from_json(&String::from_utf8_lossy(bytes)))?;
+    if let Some(memory) = load_with_backup(path)
+        .ok()
+        .as_deref()
+        .and_then(checkpoint_memory)
+    {
+        loads_safely(KnowledgeStore::from_json(&memory))?;
+    }
+    Ok(())
+}
+
+#[test]
+fn every_truncation_of_a_real_knowledge_file_and_checkpoint_loads_safely() {
+    let dir = scratch_dir();
+    let path = dir.join("input.json");
+    for (input, bytes) in real_inputs().iter().enumerate() {
+        for len in 0..=bytes.len() {
+            if let Err(e) = every_loader_is_safe(&path, &bytes[..len]) {
+                panic!("input {input} cut to {len} bytes: {e}");
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+proptest! {
+    #[test]
+    fn knowledge_loaders_survive_arbitrary_bytes(
+        bytes in prop::collection::vec(0u8..=255, 0..1024),
+    ) {
+        let dir = scratch_dir();
+        every_loader_is_safe(&dir.join("input.json"), &bytes)?;
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn knowledge_loaders_survive_single_byte_flips(
+        input in 0usize..3,
+        at in 0usize..1_000_000,
+        byte in 0u8..=255,
+    ) {
+        let mut bytes = real_inputs()[input].clone();
+        let at = at % bytes.len();
+        bytes[at] = byte;
+        let dir = scratch_dir();
+        every_loader_is_safe(&dir.join("input.json"), &bytes)?;
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -2,9 +2,11 @@
 //! replaced: random stores must give the same entries in the same
 //! order, and the sparse relevance dot must match `cosine` bit for bit.
 //! The oracle embeds every entry's content itself, so it does not share
-//! the store's embedding matrix; a third property pins what the store
-//! hands out from that matrix to `embed(content)`.
+//! the store's embedding matrix; a third property queries a fresh and a
+//! reloaded store with its own entries' contents, which checks that
+//! matrix against `embed(content)` through every retrieval score.
 
+use ira_agentmem::store::StoreError;
 use ira_agentmem::{
     cosine, embed, nonzero_buckets, sparse_dot, KnowledgeEntry, KnowledgeStore, RetrievalWeights,
     StoreConfig,
@@ -219,7 +221,8 @@ proptest! {
     #[test]
     fn retrieve_matches_the_oracle_on_loaded_stores(
         // (words, id, learned_at in seconds) per entry: a hand-written
-        // file may repeat ids and contents.
+        // file may repeat contents, and a file that repeats an id is
+        // rejected.
         rows in prop::collection::vec(
             (prop::collection::vec(0..WORDS.len(), 0..6), 0u64..20, 0u64..4),
             0..=200,
@@ -238,7 +241,6 @@ proptest! {
                 source_kind: "news".into(),
                 learned_at: learned_s * 1_000_000,
                 importance: 0.5,
-                embedding: Vec::new(),
             })
             .collect();
         let config = StoreConfig {
@@ -254,6 +256,16 @@ proptest! {
             serde_json::to_string(&config).unwrap(),
             serde_json::to_string(&entries).unwrap()
         );
+        let mut seen = std::collections::HashSet::new();
+        if let Some(repeat) = rows.iter().position(|(_, id, _)| !seen.insert(*id)) {
+            let rejected = KnowledgeStore::from_json(&json).err();
+            prop_assert!(
+                matches!(&rejected, Some(StoreError::Invalid { field, .. })
+                    if *field == format!("entries[{repeat}].id")),
+                "{:?}", rejected
+            );
+            return Ok(());
+        }
         let store = KnowledgeStore::from_json(&json).unwrap();
         let query = text(&query);
         prop_assert_eq!(
@@ -362,13 +374,16 @@ proptest! {
         let json = store.to_json();
         let loaded = KnowledgeStore::from_json(&json).unwrap();
         prop_assert_eq!(loaded.to_json(), json, "to_json -> from_json -> to_json");
-        for s in [&store, &loaded] {
-            let query = text(&query);
-            let handed_out = s.entries().into_iter().chain(s.retrieve(&query, k, 0));
-            for e in handed_out {
-                let want: Vec<u32> = embed(&e.content).iter().map(|x| x.to_bits()).collect();
-                let got: Vec<u32> = e.embedding.iter().map(|x| x.to_bits()).collect();
-                prop_assert_eq!(got, want, "entry {}", e.id);
+        // Relevance and every pick's similarity row come from the
+        // matrix; the oracle embeds each content itself.
+        let contents = store.entries().into_iter().map(|e| e.content).take(2);
+        for query in std::iter::once(text(&query)).chain(contents) {
+            for s in [&store, &loaded] {
+                prop_assert_eq!(
+                    ids(&s.retrieve(&query, k, 0)),
+                    ids(&quadratic_retrieve(s, &query, k, 0)),
+                    "query {:?}", query
+                );
             }
         }
     }

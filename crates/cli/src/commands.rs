@@ -1,6 +1,7 @@
 //! Command implementations for the `ira` CLI.
 
 use crate::args::{Command, MemAction, RoleChoice, ScenarioAction, SimChoice};
+use ira_agentmem::store::StoreError;
 use ira_agentmem::KnowledgeStore;
 use ira_autogpt::AutoGptConfig;
 use ira_core::{questions, AgentConfig, Environment, ResearchAgent, RoleDefinition};
@@ -18,11 +19,12 @@ use std::path::Path;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Fault horizon for CLI training runs. Training alone spans roughly
-/// ten virtual seconds; thirty gives headroom for `--crawl` while
-/// keeping scheduled windows inside the run.
+/// Fault horizon for CLI training runs: the span of a fault-free
+/// `ira train`, 10.6 virtual seconds, or 11.8 with `--crawl`, whichever
+/// is longer. Every scheduled window then falls inside the run (a
+/// faulted run only takes longer).
 fn train_horizon() -> Duration {
-    Duration::from_secs(30)
+    Duration::from_millis(11_800)
 }
 
 /// Fault seed for `--faults` runs (shared with experiment X13 so the
@@ -537,14 +539,7 @@ fn quiz_parallel(
 
 /// Load a knowledge file into a fresh agent (no training).
 fn agent_from_knowledge(env: &Environment, path: &str) -> Result<ResearchAgent, i32> {
-    let store = match KnowledgeStore::load(Path::new(path)) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: could not load {path}: {e}");
-            eprintln!("hint: run `ira train --out {path}` first");
-            return Err(1);
-        }
-    };
+    let store = load_store(path)?;
     Ok(ResearchAgent::with_memory(
         RoleDefinition::bob(),
         env,
@@ -584,12 +579,15 @@ fn ask(knowledge: &str, question: &str) -> i32 {
 
 fn learn(knowledge: &str, question: &str, config: AgentConfig) -> i32 {
     let session = cli_session(150);
+    // Only a missing file starts fresh: saving over a file that fails
+    // to load would discard it.
     let store = match KnowledgeStore::load(Path::new(knowledge)) {
         Ok(s) => s,
-        Err(_) => {
+        Err(e) if missing(&e) => {
             println!("no knowledge file at {knowledge}; starting fresh");
             KnowledgeStore::with_defaults()
         }
+        Err(e) => return load_failed(knowledge, &e),
     };
     let mut agent =
         ResearchAgent::with_memory(RoleDefinition::bob(), &session.env, config, 0xB0B, store);
@@ -1198,14 +1196,24 @@ pub fn print_opstats() {
     eprintln!("[opstats] corpus_lookups={}", lookups.lookup_calls);
 }
 
-/// Load a knowledge store for `ira mem` inspection (graph rebuilt or
+/// Load a knowledge store for `ira ask` and `ira mem` (graph rebuilt or
 /// restored from the sidecar snapshot by [`KnowledgeStore::load`]).
 fn load_store(path: &str) -> Result<KnowledgeStore, i32> {
-    KnowledgeStore::load(Path::new(path)).map_err(|e| {
-        eprintln!("error: could not load {path}: {e}");
+    KnowledgeStore::load(Path::new(path)).map_err(|e| load_failed(path, &e))
+}
+
+/// Whether a load failed because the file (and its backup) is missing.
+fn missing(e: &StoreError) -> bool {
+    matches!(e, StoreError::Io(e) if e.kind() == std::io::ErrorKind::NotFound)
+}
+
+/// Report a knowledge file that did not load; returns the exit code.
+fn load_failed(path: &str, e: &StoreError) -> i32 {
+    eprintln!("error: could not load {path}: {e}");
+    if missing(e) {
         eprintln!("hint: run `ira train --out {path}` first");
-        1
-    })
+    }
+    1
 }
 
 /// `ira mem stats`: the claim graph behind a knowledge file — node

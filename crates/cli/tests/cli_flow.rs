@@ -659,3 +659,126 @@ fn bench_diff_passes_an_identical_report_and_names_a_bumped_counter() {
     );
     std::fs::remove_file(&bumped).ok();
 }
+
+/// Run the built `ira`; returns (exit code, stdout, stderr).
+fn ira(args: &[&str]) -> (Option<i32>, String, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ira"))
+        .args(args)
+        .output()
+        .expect("ira binary runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+const FLAGSHIP: &str = "Which is more vulnerable to solar activity? The fiber optic cable \
+                        that connects Brazil to Europe or the one that connects the US to \
+                        Europe?";
+
+/// A freshly trained knowledge file at `name`, with no `.bak`.
+fn trained(name: &str) -> String {
+    let knowledge = tmp(name);
+    std::fs::remove_file(&knowledge).ok();
+    std::fs::remove_file(format!("{knowledge}.bak")).ok();
+    assert_eq!(ira(&["train", "--out", &knowledge]).0, Some(0));
+    knowledge
+}
+
+#[test]
+fn learn_on_a_knowledge_file_that_fails_to_load_exits_1_and_leaves_it() {
+    let knowledge = trained("learn-corrupt.json");
+    // Flip one byte of the body: the checksum no longer matches, and
+    // there is no backup to fall back to.
+    let raw = std::fs::read_to_string(&knowledge).unwrap();
+    let corrupt = raw.replacen("geomagnetic", "geomagnetiC", 1);
+    assert_ne!(corrupt, raw);
+    std::fs::write(&knowledge, &corrupt).unwrap();
+
+    let (code, stdout, stderr) = ira(&["learn", "--knowledge", &knowledge, FLAGSHIP]);
+    assert_eq!(code, Some(1), "{stdout}{stderr}");
+    assert!(stderr.contains("checksum mismatch"), "{stderr}");
+    assert!(!stdout.contains("starting fresh"), "{stdout}");
+    assert_eq!(std::fs::read_to_string(&knowledge).unwrap(), corrupt);
+    assert!(!std::path::Path::new(&format!("{knowledge}.bak")).exists());
+
+    // A missing file still starts fresh.
+    std::fs::remove_file(&knowledge).unwrap();
+    let (code, stdout, _) = ira(&["learn", "--knowledge", &knowledge, FLAGSHIP]);
+    assert_eq!(code, Some(0));
+    assert!(stdout.contains("starting fresh"), "{stdout}");
+    for suffix in ["", ".graph"] {
+        std::fs::remove_file(format!("{knowledge}{suffix}")).ok();
+    }
+}
+
+#[test]
+fn knowledge_values_out_of_range_exit_1_naming_the_field() {
+    let knowledge = trained("learn-probes.json");
+    let body = ira_agentmem::load_with_backup(knowledge.as_ref()).unwrap();
+    let probes = [
+        (
+            "\"dedup_threshold\":0.9800000190734863",
+            "\"dedup_threshold\":-1",
+            "config.dedup_threshold",
+        ),
+        (
+            "\"importance\":1.0,\"learned_at\"",
+            "\"importance\":1e300,\"learned_at\"",
+            "entries[0].importance",
+        ),
+        ("\"capacity\":2000", "\"capacity\":0", "config.capacity"),
+        (
+            "\"half_life_secs\":3600.0",
+            "\"half_life_secs\":0",
+            "config.weights.half_life_secs",
+        ),
+        ("\"next_id\":15", "\"next_id\":0", "next_id"),
+    ];
+    let probe = tmp("learn-probe.json");
+    for (from, to, field) in probes {
+        assert!(body.contains(from), "{from}");
+        for path in [probe.clone(), format!("{probe}.bak")] {
+            std::fs::remove_file(path).ok();
+        }
+        // Re-enveloped, so the checksum matches the edited body.
+        ira_agentmem::save_atomic(probe.as_ref(), &body.replacen(from, to, 1)).unwrap();
+        let before = std::fs::read(&probe).unwrap();
+        let (code, stdout, stderr) = ira(&["learn", "--knowledge", &probe, FLAGSHIP]);
+        assert_eq!(code, Some(1), "{to}: {stdout}{stderr}");
+        assert!(stderr.contains(field), "{to}: {stderr}");
+        assert_eq!(std::fs::read(&probe).unwrap(), before, "{to}");
+        let (code, _, stderr) = ira(&["ask", "--knowledge", &probe, FLAGSHIP]);
+        assert_eq!(code, Some(1), "{to}: {stderr}");
+        assert!(stderr.contains(field), "{to}: {stderr}");
+        // The file is there: no hint to train over it.
+        assert!(!stderr.contains("hint"), "{to}: {stderr}");
+    }
+    for suffix in ["", ".graph"] {
+        std::fs::remove_file(format!("{knowledge}{suffix}")).ok();
+    }
+    std::fs::remove_file(&probe).ok();
+}
+
+#[test]
+fn faulted_train_charges_faults_across_the_run() {
+    let knowledge = tmp("faults-charged.json");
+    for crawl in ["0", "2"] {
+        std::fs::remove_file(&knowledge).ok();
+        let (code, stdout, stderr) = ira(&[
+            "train", "--faults", "0.4", "--crawl", crawl, "--out", &knowledge,
+        ]);
+        assert_eq!(code, Some(0), "{stderr}");
+        let charged: u64 = stdout
+            .split("faults charged: ")
+            .nth(1)
+            .and_then(|rest| rest.split(' ').next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no fault line: {stdout}"));
+        assert!(charged > 1, "--crawl {crawl}: {stdout}");
+    }
+    for suffix in ["", ".bak", ".graph", ".graph.bak"] {
+        std::fs::remove_file(format!("{knowledge}{suffix}")).ok();
+    }
+}

@@ -213,8 +213,11 @@ impl ResearchAgent {
     /// checkpoint at `ckpt_path` resumes the run — completed goals are
     /// skipped, their memory restored, and the virtual clock replayed
     /// to the checkpointed instant so the remaining goals observe
-    /// exactly the state an uninterrupted run would have. The
-    /// checkpoint is deleted once every goal has completed.
+    /// exactly the state an uninterrupted run would have. A checkpoint
+    /// that does not load, or whose memory fails
+    /// [`KnowledgeStore::from_json`]'s check, is ignored and training
+    /// starts fresh. The checkpoint is deleted once every goal has
+    /// completed.
     ///
     /// [`TrainingCheckpoint`]: crate::checkpoint::TrainingCheckpoint
     pub fn train_with_checkpoint(
@@ -821,6 +824,41 @@ mod tests {
             report_resumed.total_memorized(),
             "per-goal reports must carry over the completed goal's counts"
         );
+    }
+
+    #[test]
+    fn a_checkpoint_whose_memory_fails_the_load_check_starts_fresh() {
+        use crate::checkpoint::TrainingCheckpoint;
+
+        let ckpt = std::env::temp_dir().join("ira-core-invalid-memory.ckpt.json");
+        TrainingCheckpoint::remove(&ckpt);
+        let env1 = Environment::fixture();
+        let mut fresh = ResearchAgent::bob(&env1);
+        let report_fresh = fresh.train_with_checkpoint(&ckpt).unwrap();
+
+        // A checkpoint that has every goal done, over a memory whose
+        // dedup threshold would drop every page as a duplicate.
+        let memory = fresh.memory().to_json().replace(
+            "\"dedup_threshold\": 0.9800000190734863",
+            "\"dedup_threshold\": -1.0",
+        );
+        assert!(KnowledgeStore::from_json(&memory).is_err());
+        TrainingCheckpoint {
+            role_name: "Bob".into(),
+            completed: RoleDefinition::bob().goals,
+            per_goal: report_fresh.per_goal.clone(),
+            memory,
+            clock_us: env1.now_us(),
+        }
+        .save(&ckpt)
+        .unwrap();
+
+        let env2 = Environment::fixture();
+        let mut resumed = ResearchAgent::bob(&env2);
+        let report = resumed.train_with_checkpoint(&ckpt).unwrap();
+        assert!(!ckpt.exists(), "checkpoint must be deleted after success");
+        assert_eq!(report.virtual_elapsed_us, report_fresh.virtual_elapsed_us);
+        assert_eq!(resumed.memory().to_json(), fresh.memory().to_json());
     }
 
     #[test]

@@ -60,9 +60,9 @@ pub fn generate(agent: &mut ResearchAgent, max: usize) -> Vec<ResearchQuestion> 
 fn candidate_questions(ex: &Extraction) -> Vec<String> {
     let mut questions = Vec::new();
 
-    // Cable-route comparisons: every pair of known routes with
-    // different country pairs.
-    let routes: Vec<(String, String)> = ex
+    // Cable-route comparisons: every pair of distinct country pairs
+    // (two cables may share one), each pair once.
+    let mut routes: Vec<(String, String)> = ex
         .routes()
         .filter_map(|f| match f {
             Fact::CableRoute {
@@ -73,11 +73,10 @@ fn candidate_questions(ex: &Extraction) -> Vec<String> {
             _ => None,
         })
         .collect();
+    routes.sort();
+    routes.dedup();
     for (i, a) in routes.iter().enumerate() {
         for b in routes.iter().skip(i + 1) {
-            if a == b {
-                continue;
-            }
             questions.push(format!(
                 "Which is more vulnerable to solar activity? The fiber optic cable that \
                  connects {} to {} or the one that connects {} to {}?",
@@ -166,6 +165,40 @@ mod tests {
         assert!(qs
             .iter()
             .any(|q| q.contains("impact of the 2021 Facebook outage")));
+    }
+
+    #[test]
+    fn no_pair_of_cable_routes_is_compared_twice() {
+        // Two cables connect Brazil to Portugal, one before and one
+        // after the United States–United Kingdom cable: read as three
+        // routes, they once gave the one comparison in both orders.
+        let ex = Extraction::from_text(
+            "The EllaLink submarine cable connects Fortaleza, Brazil to Sines, Portugal, \
+             linking South America and Europe. The Grace Hopper submarine cable connects New \
+             York, United States to Bude, United Kingdom, linking North America and Europe. \
+             The Atlantis-2 submarine cable connects Fortaleza, Brazil to Lisbon, Portugal, \
+             linking South America and Europe.",
+            None,
+        );
+        assert_eq!(ex.routes().count(), 3);
+        // Each question's two routes, in either order.
+        let questions = candidate_questions(&ex);
+        let pairs: Vec<Vec<&str>> = questions
+            .iter()
+            .map(|q| {
+                let mut routes: Vec<&str> = q
+                    .split("connects ")
+                    .skip(1)
+                    .map(|r| r.split(" or ").next().unwrap().trim_end_matches('?'))
+                    .collect();
+                routes.sort();
+                routes
+            })
+            .collect();
+        assert_eq!(
+            pairs,
+            [["Brazil to Portugal", "United States to United Kingdom"]]
+        );
     }
 
     #[test]

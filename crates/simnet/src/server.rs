@@ -253,11 +253,6 @@ impl Network {
         *self.faults.lock() = if plan.is_empty() { None } else { Some(plan) };
     }
 
-    /// Remove any installed fault plan.
-    pub fn clear_fault_plan(&self) {
-        *self.faults.lock() = None;
-    }
-
     /// Snapshot of injected-fault counters.
     pub fn fault_stats(&self) -> FaultStats {
         *self.fault_stats.lock()
@@ -694,7 +689,7 @@ mod tests {
             net.set_fault_plan(FaultPlan::new().with_blackout("echo.test", Instant::EPOCH, far()));
             let url = Url::parse("sim://echo.test/").unwrap();
             assert!(net.transmit(&Request::get(url.clone())).is_err());
-            net.clear_fault_plan();
+            net.set_fault_plan(FaultPlan::new());
             assert!(net.transmit(&Request::get(url)).is_ok());
         }
 

@@ -55,7 +55,6 @@ impl Default for CorpusConfig {
 pub struct Corpus {
     docs: Vec<Document>,
     engine: SearchEngine,
-    by_url: HashMap<String, DocId>,
     /// `host -> path -> id` index behind [`Corpus::doc_by_host_path`].
     /// First occurrence wins, matching what a linear scan in document
     /// order returns for (hypothetical) duplicate addresses.
@@ -91,7 +90,6 @@ impl Corpus {
         link_related(&mut docs);
 
         let engine = SearchEngine::build(docs.iter());
-        let by_url = docs.iter().map(|d| (d.url().to_string(), d.id)).collect();
         let mut by_host_path: HashMap<&'static str, HashMap<String, DocId>> = HashMap::new();
         for d in &docs {
             by_host_path
@@ -103,7 +101,6 @@ impl Corpus {
         Corpus {
             docs,
             engine,
-            by_url,
             by_host_path,
         }
     }
@@ -118,10 +115,6 @@ impl Corpus {
 
     pub fn doc(&self, id: DocId) -> Option<&Document> {
         self.docs.get(id as usize)
-    }
-
-    pub fn doc_by_url(&self, url: &str) -> Option<&Document> {
-        self.by_url.get(url).and_then(|&id| self.doc(id))
     }
 
     /// Fetch a document by host + path (what a virtual host sees).
@@ -229,7 +222,8 @@ mod tests {
     fn url_lookup_round_trips() {
         let c = corpus();
         let doc = c.iter().next().unwrap();
-        let found = c.doc_by_url(&doc.url().to_string()).unwrap();
+        let url = ira_simnet::Url::parse(&doc.url().to_string()).unwrap();
+        let found = c.doc_by_host_path(url.host(), url.path()).unwrap();
         assert_eq!(found.id, doc.id);
     }
 

@@ -8,9 +8,7 @@
 //! ground truth, and `holds` records that the model actually supports
 //! the expert statement.
 
-use crate::datacenters::Operator;
 use crate::geo::Region;
-use crate::geomag::LatitudeBand;
 use crate::storm::StormScenario;
 use crate::world::World;
 use serde::{Deserialize, Serialize};
@@ -374,23 +372,10 @@ impl ConclusionSet {
     }
 }
 
-/// Which operator a conclusion set says is more storm-resilient.
-pub fn more_resilient_operator(world: &World) -> Operator {
-    if world.google.vulnerability_score() < world.facebook.vulnerability_score() {
-        Operator::Google
-    } else {
-        Operator::Facebook
-    }
-}
-
-/// Convenience: the latitude band of a named cable, if present.
-pub fn cable_band(world: &World, name: &str) -> Option<LatitudeBand> {
-    world.cables.find(name).map(|c| c.band())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geomag::LatitudeBand;
 
     #[test]
     fn derives_exactly_eight() {
@@ -417,14 +402,15 @@ mod tests {
     #[test]
     fn google_is_the_resilient_operator() {
         let w = World::standard();
-        assert_eq!(more_resilient_operator(&w), Operator::Google);
+        assert!(w.google.vulnerability_score() < w.facebook.vulnerability_score());
     }
 
     #[test]
     fn cable_band_lookup() {
         let w = World::standard();
-        assert_eq!(cable_band(&w, "EllaLink"), Some(LatitudeBand::Mid));
-        assert_eq!(cable_band(&w, "no such cable"), None);
+        let band = |name| w.cables.find(name).map(|c| c.band());
+        assert_eq!(band("EllaLink"), Some(LatitudeBand::Mid));
+        assert_eq!(band("no such cable"), None);
     }
 
     #[test]

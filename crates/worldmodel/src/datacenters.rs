@@ -327,27 +327,6 @@ impl DataCenterFleet {
         low as f64 / self.sites.len() as f64
     }
 
-    /// Mean pairwise great-circle distance between sites, km. A larger
-    /// value means the fleet is more geographically dispersed.
-    pub fn mean_pairwise_distance_km(&self) -> f64 {
-        let n = self.sites.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let mut sum = 0.0;
-        let mut pairs = 0usize;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                sum += self.sites[i]
-                    .site
-                    .point
-                    .distance_km(&self.sites[j].site.point);
-                pairs += 1;
-            }
-        }
-        sum / pairs as f64
-    }
-
     /// Storm-vulnerability score in \[0,1\]: the capacity-weighted share
     /// of the fleet at elevated geomagnetic latitude (Mid counts half,
     /// High counts fully). Lower is more resilient.
@@ -405,9 +384,22 @@ mod tests {
 
     #[test]
     fn google_is_more_dispersed() {
+        // Mean pairwise great-circle distance between sites, km.
+        let dispersion = |fleet: &DataCenterFleet| {
+            let points: Vec<_> = fleet.sites.iter().map(|dc| &dc.site.point).collect();
+            let mut sum = 0.0;
+            let mut pairs = 0;
+            for (i, a) in points.iter().enumerate() {
+                for b in &points[i + 1..] {
+                    sum += a.distance_km(b);
+                    pairs += 1;
+                }
+            }
+            sum / pairs as f64
+        };
         let g = DataCenterFleet::google();
         let f = DataCenterFleet::facebook();
-        assert!(g.mean_pairwise_distance_km() > f.mean_pairwise_distance_km());
+        assert!(dispersion(&g) > dispersion(&f));
     }
 
     #[test]

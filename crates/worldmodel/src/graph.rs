@@ -124,16 +124,8 @@ impl TopologyGraph {
         self.nodes.len()
     }
 
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id]
-    }
-
-    pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.by_name.get(name).copied()
     }
 
     /// Connected components given a predicate deciding which edges are
@@ -331,7 +323,7 @@ mod tests {
     fn graph_has_expected_shape() {
         let (g, db) = graph_and_db();
         assert!(g.node_count() >= 40, "nodes {}", g.node_count());
-        assert!(g.edge_count() > db.len(), "edges should include backbone");
+        assert!(g.edges.len() > db.len(), "edges should include backbone");
     }
 
     #[test]
@@ -355,11 +347,12 @@ mod tests {
             distinct.len()
         );
         // Within one region all nodes share a component (backbone ring).
-        let ny = g.node_by_name("New York").unwrap();
-        let la = g.node_by_name("Los Angeles").unwrap();
+        let node = |name: &str| g.by_name[name];
+        let ny = node("New York");
+        let la = node("Los Angeles");
         assert_eq!(comp[ny], comp[la]);
         // Across the Atlantic they must differ.
-        let bude = g.node_by_name("Bude").unwrap();
+        let bude = node("Bude");
         assert_ne!(comp[ny], comp[bude]);
     }
 
