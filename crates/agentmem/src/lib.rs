@@ -40,4 +40,4 @@ pub use entry::KnowledgeEntry;
 pub use graph::{ClaimGraph, ClaimNode, GraphStats, HostStats};
 pub use persist::{load_bytes_with_backup, load_with_backup, save_atomic, save_atomic_bytes};
 pub use provenance::{split_url, SourceRef};
-pub use store::{KnowledgeStore, RetrievalWeights, StoreConfig};
+pub use store::{KnowledgeStore, RetrievalWeights, StoreConfig, DEDUP_THRESHOLD};

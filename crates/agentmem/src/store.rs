@@ -71,14 +71,15 @@ impl RetrievalWeights {
     }
 }
 
+/// Cosine similarity to a stored entry at which a new entry is a
+/// near-duplicate and dropped.
+pub const DEDUP_THRESHOLD: f32 = 0.98;
+
 /// Store configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct StoreConfig {
     /// Maximum number of entries before eviction.
     pub capacity: usize,
-    /// Cosine similarity above which a new entry is considered a
-    /// duplicate and dropped.
-    pub dedup_threshold: f32,
     pub weights: RetrievalWeights,
 }
 
@@ -86,7 +87,6 @@ impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
             capacity: 2_000,
-            dedup_threshold: 0.98,
             weights: RetrievalWeights::default(),
         }
     }
@@ -129,7 +129,7 @@ struct StoreFile {
 
 impl StoreFile {
     /// The load-time check: every value in the range the store keeps
-    /// it in. A dedup threshold above 1 is valid and turns dedup off.
+    /// it in.
     fn check(&self) -> Result<(), StoreError> {
         let (c, w) = (&self.config, &self.config.weights);
         let config =
@@ -137,13 +137,9 @@ impl StoreFile {
         if c.capacity < 1 {
             return config("capacity", c.capacity as f64, "must be at least 1");
         }
-        for (field, x) in [
-            ("dedup_threshold", f64::from(c.dedup_threshold)),
-            ("weights.half_life_secs", w.half_life_secs),
-        ] {
-            if x.is_nan() || x <= 0.0 {
-                return config(field, x, "must be above 0");
-            }
+        let half_life = w.half_life_secs;
+        if half_life.is_nan() || half_life <= 0.0 {
+            return config("weights.half_life_secs", half_life, "must be above 0");
         }
         for (field, x) in [
             ("weights.relevance", w.relevance),
@@ -354,7 +350,7 @@ impl KnowledgeStore {
 
     /// Memorise a piece of content. Returns the new entry id, or `None`
     /// if it was dropped as a near-duplicate: if some stored entry's
-    /// [`cosine`](crate::embed::cosine) to it reaches `dedup_threshold`.
+    /// [`cosine`](crate::embed::cosine) to it reaches [`DEDUP_THRESHOLD`].
     ///
     /// The dedup scan is one sweep of the embedding matrix over the new
     /// content's non-zero buckets, giving every stored entry's
@@ -379,8 +375,7 @@ impl KnowledgeStore {
 
         let mut sims = Vec::new();
         inner.embeddings.dots(&sparse, &mut sims);
-        let threshold = self.config.dedup_threshold;
-        if sims.iter().any(|&sim| sim >= threshold) {
+        if sims.iter().any(|&sim| sim >= DEDUP_THRESHOLD) {
             return None;
         }
         // The push and any eviction below change the similarity rows.
@@ -585,14 +580,16 @@ impl KnowledgeStore {
     ///
     /// Every value is checked against the range the store keeps it in,
     /// and the first one outside it is a [`StoreError::Invalid`] naming
-    /// the field: capacity at least 1, a dedup threshold above 0 (above
-    /// 1 turns dedup off), finite non-negative weights, a half-life
-    /// above 0, importances in [0, 1], unique entry ids and a `next_id`
-    /// above all of them.
+    /// the field: capacity at least 1, finite non-negative weights, a
+    /// half-life above 0, importances in [0, 1], unique entry ids and a
+    /// `next_id` above all of them.
     ///
     /// Every entry is embedded from its `content`, as `memorize` does:
     /// the file holds no embeddings, and an `embedding` field a file
-    /// written before they were dropped still carries is ignored. The
+    /// written before they were dropped still carries is ignored, as is
+    /// the `config.dedup_threshold` of a file written before the
+    /// threshold became [`DEDUP_THRESHOLD`]. Entries are loaded as they
+    /// are, near-duplicates included: only `memorize` deduplicates. The
     /// claim graph starts empty with every entry pending at session 0,
     /// so it is rebuilt deterministically from the surviving entries
     /// when first read (historical claims of evicted entries are only
@@ -966,16 +963,6 @@ mod tests {
         let probes = [
             (r#""capacity":2000"#, r#""capacity":0"#, "config.capacity"),
             (
-                r#""dedup_threshold":0.9800000190734863"#,
-                r#""dedup_threshold":-1"#,
-                "config.dedup_threshold",
-            ),
-            (
-                r#""dedup_threshold":0.9800000190734863"#,
-                r#""dedup_threshold":0"#,
-                "config.dedup_threshold",
-            ),
-            (
                 r#""relevance":1.0"#,
                 r#""relevance":-0.5"#,
                 "config.weights.relevance",
@@ -1032,11 +1019,6 @@ mod tests {
     fn load_accepts_the_edges_of_each_range() {
         let file = two_entry_file();
         for (from, to) in [
-            // Above 1 turns dedup off (A1 and the retrieve oracles).
-            (
-                r#""dedup_threshold":0.9800000190734863"#,
-                r#""dedup_threshold":2.0"#,
-            ),
             (r#""relevance":1.0"#, r#""relevance":0.0"#),
             (r#""id":1,"importance":0.5"#, r#""id":1,"importance":1.0"#),
             (r#""id":1,"importance":0.5"#, r#""id":1,"importance":0.0"#),
@@ -1047,6 +1029,28 @@ mod tests {
             assert!(
                 KnowledgeStore::from_json(&file.replace(from, to)).is_ok(),
                 "{to}"
+            );
+        }
+    }
+
+    #[test]
+    fn files_with_a_dedup_threshold_load_and_resave_without_it() {
+        // Files written while the threshold was a config field carry it,
+        // in or out of the range that field had; load ignores it.
+        let file = two_entry_file();
+        assert!(!file.contains("dedup_threshold"));
+        for threshold in ["0.9800000190734863", "-1", "2.0"] {
+            let old = file.replace(
+                r#""capacity":2000"#,
+                &format!(r#""capacity":2000,"dedup_threshold":{threshold}"#),
+            );
+            assert_ne!(old, file);
+            let store = KnowledgeStore::from_json(&old).unwrap();
+            let resaved = serde_json::parse(&store.to_json()).unwrap();
+            assert_eq!(
+                serde_json::to_string(&resaved).unwrap(),
+                file,
+                "{threshold}"
             );
         }
     }

@@ -5,7 +5,7 @@ use ira_agentmem::graph::GraphDecodeError;
 use ira_agentmem::store::StoreError;
 use ira_agentmem::{
     cosine, embed, load_with_backup, split_url, ClaimGraph, KnowledgeStore, SourceRef, StoreConfig,
-    EMBED_DIM,
+    DEDUP_THRESHOLD, EMBED_DIM,
 };
 use proptest::prelude::*;
 use std::path::Path;
@@ -264,11 +264,10 @@ fn counted(counts: &[usize; 4]) -> String {
 /// content itself rather than trust the store's vectors.
 fn dense_duplicate(store: &KnowledgeStore, content: &str) -> bool {
     let v = embed(content);
-    let threshold = store.config().dedup_threshold;
     store
         .entries()
         .iter()
-        .any(|e| cosine(&embed(&e.content), &v) >= threshold)
+        .any(|e| cosine(&embed(&e.content), &v) >= DEDUP_THRESHOLD)
 }
 
 proptest! {
@@ -374,7 +373,7 @@ proptest! {
     }
 }
 
-/// Pairs whose cosine lies within 1e-6 of the default 0.98 threshold:
+/// Pairs whose cosine lies within 1e-6 of [`DEDUP_THRESHOLD`] (0.98):
 /// one ulp below it, exactly on it, and one ulp above it. The stored
 /// page sits at every position of stores of up to eight entries, and
 /// first, last and on either side of the 32-entry tile boundaries of
@@ -513,9 +512,10 @@ proptest! {
 }
 
 /// A real training checkpoint: the file `TrainingCheckpoint::save`
-/// writes after Bob's first training goal over the default web (six
+/// wrote after Bob's first training goal over the default web (six
 /// entries in its `memory`), as ira-core's
-/// `interrupted_training_resumes_to_identical_knowledge` reconstructs it.
+/// `interrupted_training_resumes_to_identical_knowledge` reconstructs
+/// it, while the dedup threshold was still a config field.
 const CHECKPOINT: &[u8] = include_bytes!("data/checkpoint.json");
 
 /// The checkpoint's `memory`: a store's `to_json`, or `None`.
@@ -543,7 +543,12 @@ fn real_inputs() -> &'static [Vec<u8>; 3] {
         let memory = checkpoint_memory(&payload).expect("the checkpoint holds a memory");
         let store = KnowledgeStore::from_json(&memory).unwrap();
         assert_eq!(store.len(), 6);
-        assert_eq!(store.to_json(), memory);
+        // The checkpoint predates the fixed dedup threshold: its memory
+        // still carries `config.dedup_threshold`, which load ignores and
+        // `to_json` no longer writes.
+        let old_field = "    \"dedup_threshold\": 0.9800000190734863,\n";
+        assert!(memory.contains(old_field));
+        assert_eq!(store.to_json(), memory.replace(old_field, ""));
         let path = dir.join("knowledge.json");
         store.save(&path).unwrap();
         let file = std::fs::read(&path).unwrap();

@@ -98,6 +98,52 @@ fn urls(entries: &[KnowledgeEntry]) -> Vec<String> {
     entries.iter().map(|e| e.source_url.clone()).collect()
 }
 
+/// A generated page: its [`WORDS`] indices, when it was learned (in
+/// seconds) and its importance in halves.
+type Page = (Vec<usize>, u64, usize);
+
+/// A store of `pages`, page `i` from `url(i)`. The first `loaded` load
+/// through `from_json`, which keeps near-duplicates (only `memorize`
+/// drops them); the rest are memorised, so a small capacity evicts.
+/// `loaded` must not exceed the capacity.
+fn store_of(
+    config: StoreConfig,
+    pages: &[Page],
+    loaded: usize,
+    url: impl Fn(usize) -> String,
+) -> KnowledgeStore {
+    let entries: Vec<KnowledgeEntry> = pages[..loaded]
+        .iter()
+        .enumerate()
+        .map(|(i, (words, learned_s, importance_step))| KnowledgeEntry {
+            id: i as u64,
+            topic: "t".into(),
+            content: text(words),
+            source_url: url(i),
+            source_kind: "news".into(),
+            learned_at: learned_s * 1_000_000,
+            importance: *importance_step as f64 / 2.0,
+        })
+        .collect();
+    let json = format!(
+        r#"{{"config":{},"next_id":{loaded},"entries":{}}}"#,
+        serde_json::to_string(&config).unwrap(),
+        serde_json::to_string(&entries).unwrap()
+    );
+    let store = KnowledgeStore::from_json(&json).unwrap();
+    for (i, (words, learned_s, importance_step)) in pages.iter().enumerate().skip(loaded) {
+        store.memorize(
+            "t",
+            &text(words),
+            &url(i),
+            "news",
+            learned_s * 1_000_000,
+            *importance_step as f64 / 2.0,
+        );
+    }
+    store
+}
+
 /// One step of a staleness run.
 #[derive(Debug, Clone)]
 enum Op {
@@ -167,10 +213,10 @@ proptest! {
             (prop::collection::vec(0..WORDS.len(), 0..6), 0u64..4, 0usize..3),
             0..=300,
         ),
-        // (dedup threshold, capacity): a threshold above 1 keeps exact
-        // duplicates; the small capacity evicts.
-        (dedup_threshold, capacity) in (
-            prop::sample::select(vec![0.98f32, 2.0]),
+        // (keep duplicates, capacity): a store loaded from a file keeps
+        // near-duplicates; the small capacity evicts.
+        (keep_duplicates, capacity) in (
+            prop::sample::select(vec![false, true]),
             prop::sample::select(vec![2_000usize, 120]),
         ),
         (recency, importance, diversity) in (
@@ -183,9 +229,8 @@ proptest! {
             1..4,
         ),
     ) {
-        let store = KnowledgeStore::new(StoreConfig {
+        let config = StoreConfig {
             capacity,
-            dedup_threshold,
             weights: RetrievalWeights {
                 relevance: 1.0,
                 recency,
@@ -193,17 +238,9 @@ proptest! {
                 half_life_secs: 1.0,
                 diversity,
             },
-        });
-        for (i, (words, learned_s, importance_step)) in pages.iter().enumerate() {
-            store.memorize(
-                "t",
-                &text(words),
-                &format!("sim://host{}.test/{i}", i % 3),
-                "news",
-                learned_s * 1_000_000,
-                *importance_step as f64 / 2.0,
-            );
-        }
+        };
+        let loaded = if keep_duplicates { capacity.min(pages.len()) } else { 0 };
+        let store = store_of(config, &pages, loaded, |i| format!("sim://host{}.test/{i}", i % 3));
         for (words, k, now_s) in &queries {
             let query = text(words);
             let now = now_s * 1_000_000;
@@ -297,7 +334,6 @@ proptest! {
                 half_life_secs: 1.0,
                 diversity,
             },
-            ..StoreConfig::default()
         });
         let mut pages: Vec<String> = Vec::new();
         for (step, op) in ops.into_iter().enumerate() {
@@ -355,21 +391,8 @@ proptest! {
         capacity in prop::sample::select(vec![1usize, 7, 64, 65, 2_000]),
         (query, k) in (prop::collection::vec(0..WORDS.len(), 0..5), 0usize..=15),
     ) {
-        let store = KnowledgeStore::new(StoreConfig {
-            capacity,
-            dedup_threshold: 2.0,
-            ..StoreConfig::default()
-        });
-        for (i, (words, learned_s, importance_step)) in pages.iter().enumerate() {
-            store.memorize(
-                "t",
-                &text(words),
-                &format!("u{i}"),
-                "news",
-                learned_s * 1_000_000,
-                *importance_step as f64 / 2.0,
-            );
-        }
+        let config = StoreConfig { capacity, ..StoreConfig::default() };
+        let store = store_of(config, &pages, capacity.min(pages.len()), |i| format!("u{i}"));
         prop_assert!(store.len() <= capacity);
         let json = store.to_json();
         let loaded = KnowledgeStore::from_json(&json).unwrap();

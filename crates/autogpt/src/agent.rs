@@ -29,31 +29,12 @@ use ira_obs::{stage, ObsHandle, TraceEvent};
 use ira_services::{LanguageModel, Memory, SearchHit, ServiceError, StepAction, WebServices};
 use serde::{Deserialize, Serialize};
 
-/// Loop configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct AutoGptConfig {
-    /// Results requested per search.
-    pub results_per_search: usize,
-    /// Of those, how many to actually fetch and memorise.
-    pub fetches_per_search: usize,
-    /// Below this many results, decompose the query (CoT) and retry.
-    pub cot_threshold: usize,
-    /// Crawler extension (§5 "Limitations of Auto-GPT"): follow up to
-    /// this many "Related:" links per fetched page, one level deep.
-    /// 0 disables crawling (the paper's baseline behaviour).
-    pub crawl_links: usize,
-}
-
-impl Default for AutoGptConfig {
-    fn default() -> Self {
-        AutoGptConfig {
-            results_per_search: 8,
-            fetches_per_search: 3,
-            cot_threshold: 1,
-            crawl_links: 0,
-        }
-    }
-}
+/// Results requested per search.
+const RESULTS_PER_SEARCH: usize = 8;
+/// Of those, how many to fetch and memorise.
+const FETCHES_PER_SEARCH: usize = 3;
+/// At or below this many results, decompose the query (CoT) and retry.
+const COT_THRESHOLD: usize = 1;
 
 /// Summary of one goal run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -79,7 +60,10 @@ pub struct AutoGpt<'a> {
     web: &'a dyn WebServices,
     llm: &'a dyn LanguageModel,
     memory: &'a dyn Memory,
-    config: AutoGptConfig,
+    /// Crawler extension (§5 "Limitations of Auto-GPT"): follow up to
+    /// this many "Related:" links per fetched page, one level deep.
+    /// 0 disables crawling (the paper's baseline behaviour).
+    crawl_links: usize,
     budget: Budget,
     obs: ObsHandle,
 }
@@ -89,14 +73,14 @@ impl<'a> AutoGpt<'a> {
         web: &'a dyn WebServices,
         llm: &'a dyn LanguageModel,
         memory: &'a dyn Memory,
-        config: AutoGptConfig,
+        crawl_links: usize,
         budget: Budget,
     ) -> Self {
         AutoGpt {
             web,
             llm,
             memory,
-            config,
+            crawl_links,
             budget,
             obs: ObsHandle::disabled(),
         }
@@ -171,7 +155,7 @@ impl<'a> AutoGpt<'a> {
     /// sub-queries; fetch and memorise the top hits.
     fn search_and_absorb(&mut self, topic: &str, query: &str, report: &mut GoalReport) {
         let results = self.google(query, report);
-        let results = if results.len() <= self.config.cot_threshold {
+        let results = if results.len() <= COT_THRESHOLD {
             // Chain-of-thought: break the step into subplans.
             let mut all = results;
             for sub in self.llm.decompose(query) {
@@ -187,7 +171,7 @@ impl<'a> AutoGpt<'a> {
 
         let mut fetched = 0usize;
         for (rank, hit) in results.iter().enumerate() {
-            if fetched >= self.config.fetches_per_search {
+            if fetched >= FETCHES_PER_SEARCH {
                 break;
             }
             // Never spend a fetch slot re-reading a memorised page: a
@@ -213,10 +197,7 @@ impl<'a> AutoGpt<'a> {
                     let importance = 1.0 / (1.0 + rank as f64);
                     self.absorb_page(topic, &hit.url, &page, importance, report);
                     // Crawler extension: follow related links one level.
-                    for link in related_links(&page)
-                        .into_iter()
-                        .take(self.config.crawl_links)
-                    {
+                    for link in related_links(&page).into_iter().take(self.crawl_links) {
                         if self.memory.has_url(&link) {
                             continue;
                         }
@@ -276,7 +257,7 @@ impl<'a> AutoGpt<'a> {
             return Vec::new();
         }
         report.searches += 1;
-        match self.web.search(query, self.config.results_per_search) {
+        match self.web.search(query, RESULTS_PER_SEARCH) {
             Ok(hits) => {
                 self.point(stage::SEARCH, "issued", || {
                     format!("{query} -> {} results", hits.len())
@@ -350,7 +331,7 @@ fn source_kind_of(url: &str) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ira_agentmem::{KnowledgeStore, StoreConfig};
+    use ira_agentmem::KnowledgeStore;
     use ira_obs::JsonlCollector;
     use ira_simllm::Llm;
     use ira_simnet::{Client, Network, NetworkConfig};
@@ -393,13 +374,7 @@ mod tests {
     #[test]
     fn goal_run_learns_something() {
         let (client, llm, memory) = setup();
-        let mut agent = AutoGpt::new(
-            &client,
-            &llm,
-            &memory,
-            AutoGptConfig::default(),
-            Budget::standard(),
-        );
+        let mut agent = AutoGpt::new(&client, &llm, &memory, 0, Budget::standard());
         let sink = trace(&mut agent);
         let report = agent.run_goal(SOLAR_GOAL);
         assert!(report.searches >= 1, "report: {report:?}");
@@ -414,13 +389,7 @@ mod tests {
     #[test]
     fn pursue_query_absorbs_cable_knowledge() {
         let (client, llm, memory) = setup();
-        let mut agent = AutoGpt::new(
-            &client,
-            &llm,
-            &memory,
-            AutoGptConfig::default(),
-            Budget::standard(),
-        );
+        let mut agent = AutoGpt::new(&client, &llm, &memory, 0, Budget::standard());
         let report = agent.pursue_query(
             "cable routes",
             "specific route of the fiber optic submarine cable connecting brazil to europe",
@@ -438,13 +407,7 @@ mod tests {
     #[test]
     fn budget_zero_searches_learns_nothing() {
         let (client, llm, memory) = setup();
-        let mut agent = AutoGpt::new(
-            &client,
-            &llm,
-            &memory,
-            AutoGptConfig::default(),
-            Budget::new(0, 10, 10),
-        );
+        let mut agent = AutoGpt::new(&client, &llm, &memory, 0, Budget::new(0, 10, 10));
         let report = agent.pursue_query("anything", "solar storms");
         assert_eq!(report.memorized, 0);
         assert!(memory.is_empty());
@@ -453,13 +416,7 @@ mod tests {
     #[test]
     fn repeated_queries_page_deeper_instead_of_refetching() {
         let (client, llm, memory) = setup();
-        let mut agent = AutoGpt::new(
-            &client,
-            &llm,
-            &memory,
-            AutoGptConfig::default(),
-            Budget::standard(),
-        );
+        let mut agent = AutoGpt::new(&client, &llm, &memory, 0, Budget::standard());
         let first = agent.pursue_query("t", "coronal mass ejection solar superstorm");
         let before: Vec<String> = memory
             .entries()
@@ -486,13 +443,7 @@ mod tests {
     #[test]
     fn event_log_records_the_run() {
         let (client, llm, memory) = setup();
-        let mut agent = AutoGpt::new(
-            &client,
-            &llm,
-            &memory,
-            AutoGptConfig::default(),
-            Budget::standard(),
-        );
+        let mut agent = AutoGpt::new(&client, &llm, &memory, 0, Budget::standard());
         let sink = trace(&mut agent);
         agent.pursue_query("t", "submarine cable repeater vulnerable component fiber");
         assert!(count(&sink, "search.issued") >= 1);
@@ -504,18 +455,25 @@ mod tests {
 
     #[test]
     fn tracing_observes_the_run_without_changing_it() {
+        // A page the goal memorises, so that a copy of it under another
+        // URL makes the run fetch a page dedup drops.
+        let page = {
+            let (client, llm, memory) = setup();
+            AutoGpt::new(&client, &llm, &memory, 1, Budget::standard()).run_goal(SOLAR_GOAL);
+            memory.entries().swap_remove(0)
+        };
         let run = |obs: ObsHandle| {
-            let (client, llm, _) = setup();
-            // A loose dedup threshold so some fetched pages are dropped.
-            let memory = KnowledgeStore::new(StoreConfig {
-                dedup_threshold: 0.5,
-                ..StoreConfig::default()
-            });
-            let config = AutoGptConfig {
-                crawl_links: 1,
-                ..AutoGptConfig::default()
-            };
-            let mut agent = AutoGpt::new(&client, &llm, &memory, config, Budget::standard());
+            let (client, llm, memory) = setup();
+            let mirror = "sim://mirror.test/copy";
+            memory.memorize(
+                &page.topic,
+                &page.content,
+                mirror,
+                "web",
+                0,
+                page.importance,
+            );
+            let mut agent = AutoGpt::new(&client, &llm, &memory, 1, Budget::standard());
             agent.attach_observer_handle(obs);
             (agent.run_goal(SOLAR_GOAL), memory.entries())
         };
@@ -558,29 +516,11 @@ mod tests {
     #[test]
     fn crawler_broadens_what_one_search_learns() {
         let (client, llm, memory) = setup();
-        let mut no_crawl = AutoGpt::new(
-            &client,
-            &llm,
-            &memory,
-            AutoGptConfig {
-                crawl_links: 0,
-                ..AutoGptConfig::default()
-            },
-            Budget::standard(),
-        );
+        let mut no_crawl = AutoGpt::new(&client, &llm, &memory, 0, Budget::standard());
         let base = no_crawl.pursue_query("t", "coronal mass ejection solar superstorm");
 
         let (client2, llm2, memory2) = setup();
-        let mut crawl = AutoGpt::new(
-            &client2,
-            &llm2,
-            &memory2,
-            AutoGptConfig {
-                crawl_links: 2,
-                ..AutoGptConfig::default()
-            },
-            Budget::standard(),
-        );
+        let mut crawl = AutoGpt::new(&client2, &llm2, &memory2, 2, Budget::standard());
         let crawled = crawl.pursue_query("t", "coronal mass ejection solar superstorm");
         assert!(
             crawled.fetches > base.fetches,
@@ -593,7 +533,7 @@ mod tests {
 
     #[test]
     fn circuit_open_sources_are_rerouted_not_fatal() {
-        use ira_simnet::{ClientConfig, Duration, FaultPlan, Instant};
+        use ira_simnet::{ClientConfig, Duration, FaultKind, FaultPlan, Instant};
 
         let corpus = Arc::new(Corpus::generate(
             &World::standard(),
@@ -603,38 +543,30 @@ mod tests {
         register_sites(&mut net, corpus);
         let client = Client::with_config(Arc::new(net), ClientConfig::resilient());
 
-        // Black out most content hosts for the whole run; only the
-        // search engine and the encyclopedia stay reachable.
+        // Black out every content host for the whole run; only the
+        // search engine stays reachable.
         let forever = Instant::EPOCH + Duration::from_secs(86_400);
         let mut plan = FaultPlan::new();
         for host in [
             "archive.test",
+            "encyclopedia.test",
             "news.test",
             "blog.test",
             "forum.test",
             "micro.test",
             "papers.test",
         ] {
-            plan = plan.with_blackout(host, Instant::EPOCH, forever);
+            plan = plan.with_window(host, Instant::EPOCH, forever, FaultKind::Blackout);
         }
         client.network().set_fault_plan(plan);
 
         let llm = Llm::gpt4(7);
         let memory = KnowledgeStore::with_defaults();
-        let mut agent = AutoGpt::new(
-            &client,
-            &llm,
-            &memory,
-            AutoGptConfig {
-                results_per_search: 16,
-                ..AutoGptConfig::default()
-            },
-            Budget::standard(),
-        );
+        let mut agent = AutoGpt::new(&client, &llm, &memory, 0, Budget::standard());
         let sink = trace(&mut agent);
         let report = agent.run_goal(SOLAR_GOAL);
-        // The run must finish with partial knowledge, not abort: dead
-        // hosts trip their breakers, later hits on them are rerouted.
+        // The run must finish, not abort: dead hosts trip their
+        // breakers, later hits on them are rerouted.
         assert!(
             report.errors >= 1,
             "the tripping fetches surface as errors: {report:?}"
@@ -671,13 +603,7 @@ mod tests {
                     Instant::EPOCH + Duration::from_micros(1),
                     FaultKind::CorruptBody { truncate },
                 ));
-            let mut agent = AutoGpt::new(
-                &client,
-                &llm,
-                &memory,
-                AutoGptConfig::default(),
-                Budget::standard(),
-            );
+            let mut agent = AutoGpt::new(&client, &llm, &memory, 0, Budget::standard());
             let sink = trace(&mut agent);
             let report = agent.run_goal(SOLAR_GOAL);
             assert_eq!(client.network().fault_stats().corrupted_bodies, 1);

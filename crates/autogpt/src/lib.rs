@@ -13,5 +13,5 @@
 pub mod agent;
 pub mod budget;
 
-pub use agent::{AutoGpt, AutoGptConfig, GoalReport};
+pub use agent::{AutoGpt, GoalReport};
 pub use budget::{Budget, BudgetExhausted};

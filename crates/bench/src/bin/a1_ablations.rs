@@ -1,12 +1,18 @@
 //! A1 — design-choice ablations (DESIGN.md "key design choices").
 //!
-//! Three knobs of the architecture are ablated, each against the full
-//! quiz with self-learning:
+//! Three retrieval choices of the architecture are ablated, each
+//! against the full quiz with self-learning:
 //!
-//! * memory retrieval scoring: relevance-only vs relevance+recency+importance,
-//! * knowledge dedup: on vs off (off re-memorises repeated fetches and
-//!   bloats the store),
-//! * chain-of-thought decomposition on thin search results: on vs off.
+//! * the MMR diversity penalty: on vs off (the paper-faithful ranking),
+//! * memory retrieval scoring: relevance-only vs
+//!   relevance+recency+importance,
+//! * query expansion: gap queries join the retrieval query vs
+//!   question-only retrieval.
+//!
+//! Knowledge dedup and chain-of-thought decomposition are fixed parts
+//! of the loop and not ablated: on this quiz neither fires (no write is
+//! a near-duplicate, no search comes back thin), so an "off" row would
+//! only repeat the full architecture's.
 //!
 //! Reported per variant: quiz consistency, self-learning effort, and
 //! memory size.
@@ -67,28 +73,6 @@ fn main() {
                 memory: StoreConfig {
                     weights: RetrievalWeights::relevance_only(),
                     ..StoreConfig::default()
-                },
-                ..base
-            },
-        ),
-        run_variant(
-            &engine,
-            "memory: dedup off",
-            AgentConfig {
-                memory: StoreConfig {
-                    dedup_threshold: 1.01,
-                    ..StoreConfig::default()
-                },
-                ..base
-            },
-        ),
-        run_variant(
-            &engine,
-            "cot decomposition off",
-            AgentConfig {
-                autogpt: AutoGptConfig {
-                    cot_threshold: 0,
-                    ..AutoGptConfig::default()
                 },
                 ..base
             },

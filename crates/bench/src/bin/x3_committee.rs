@@ -13,8 +13,8 @@
 //! evaluates them on worker threads ([`Committee::evaluate_member`])
 //! and aggregates in member order — the same report, faster.
 
-use ira::core::ensemble::aggregate;
-use ira::core::{Committee, CommitteeConfig};
+use ira::core::ensemble::{aggregate, MEMBERS};
+use ira::core::Committee;
 use ira::evalkit::report::{banner, table};
 use ira::prelude::*;
 use ira_bench::{print_timing, threads_from_args};
@@ -48,9 +48,8 @@ fn main() {
         })
         .collect();
 
-    let committee = Committee::new(RoleDefinition::bob(), CommitteeConfig::default());
-    let members = committee.config().members;
-    let per_member = sweep((0..members).collect(), threads, |_, m| {
+    let committee = Committee::new(RoleDefinition::bob());
+    let per_member = sweep((0..MEMBERS).collect(), threads, |_, m| {
         committee.evaluate_member(m, &questions)
     });
     let answers: Vec<_> = questions

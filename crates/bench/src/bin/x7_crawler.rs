@@ -31,10 +31,7 @@ fn main() {
     let mut rows = Vec::new();
     for crawl_links in [0usize, 1, 2] {
         let agent = AgentConfig {
-            autogpt: AutoGptConfig {
-                crawl_links,
-                ..AutoGptConfig::default()
-            },
+            crawl_links,
             ..AgentConfig::default()
         };
         let mut bob = engine

@@ -3,7 +3,6 @@
 use crate::args::{Command, MemAction, RoleChoice, ScenarioAction, SimChoice};
 use ira_agentmem::store::StoreError;
 use ira_agentmem::KnowledgeStore;
-use ira_autogpt::AutoGptConfig;
 use ira_core::{questions, AgentConfig, Environment, ResearchAgent, RoleDefinition};
 use ira_engine::{Engine, FaultSpec, Session, SessionConfig};
 use ira_evalkit::plancov::PlanCoverage;
@@ -270,10 +269,7 @@ fn train(
     // session 0 of a wider run.
     let engine = Engine::new();
     let config = AgentConfig {
-        autogpt: AutoGptConfig {
-            crawl_links,
-            ..AutoGptConfig::default()
-        },
+        crawl_links,
         ..AgentConfig::default()
     };
     let session_config = SessionConfig {
@@ -372,10 +368,7 @@ fn train_parallel(
         println!("note: --resume only applies to serial training; ignoring it");
     }
     let config = AgentConfig {
-        autogpt: AutoGptConfig {
-            crawl_links,
-            ..AutoGptConfig::default()
-        },
+        crawl_links,
         ..AgentConfig::default()
     };
     println!("{}", role_definition(role));

@@ -719,11 +719,6 @@ fn knowledge_values_out_of_range_exit_1_naming_the_field() {
     let body = ira_agentmem::load_with_backup(knowledge.as_ref()).unwrap();
     let probes = [
         (
-            "\"dedup_threshold\":0.9800000190734863",
-            "\"dedup_threshold\":-1",
-            "config.dedup_threshold",
-        ),
-        (
             "\"importance\":1.0,\"learned_at\"",
             "\"importance\":1e300,\"learned_at\"",
             "entries[0].importance",

@@ -9,17 +9,18 @@
 //! wiring: clone the environment's client and build a seeded GPT-4
 //! model.
 
-use crate::config::AgentConfig;
+use crate::config::{inference_us, AgentConfig, MAX_ROUNDS, SEARCHES_PER_ROUND};
 use crate::env::Environment;
 use crate::role::RoleDefinition;
 use crate::selflearn::LearningTrajectory;
 use crate::stages::StageStats;
 use ira_agentmem::KnowledgeStore;
-use ira_autogpt::{AutoGpt, GoalReport};
+use ira_autogpt::{AutoGpt, Budget, GoalReport};
 use ira_obs::{stage, ObsHandle, TraceEvent};
 use ira_services::{Answer, LanguageModel, LlmStats, WebServices};
 use ira_simllm::Llm;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Summary of the initial goal-driven training phase.
@@ -44,6 +45,16 @@ impl TrainingReport {
     }
 }
 
+/// What [`ResearchAgent::knowledge_query`] settles on: retrieve the
+/// top `retrieval_k` entries for `query` at virtual time `now`. `texts`
+/// holds that retrieval's texts, in prompt order, when it has already
+/// run.
+struct KnowledgeQuery<'q> {
+    query: Cow<'q, str>,
+    now: u64,
+    texts: Option<Vec<String>>,
+}
+
 /// The interactive research agent.
 pub struct ResearchAgent {
     pub role: RoleDefinition,
@@ -65,20 +76,18 @@ impl ResearchAgent {
         Self::from_services(role, web, llm, config)
     }
 
-    /// Create an agent over explicit service backends. The configured
-    /// [`InferenceLatency`](crate::config::InferenceLatency) is
-    /// installed as the model's inference hook, charging every call to
-    /// the web services' clock.
+    /// Create an agent over explicit service backends. The simulated
+    /// inference latency is installed as the model's inference hook,
+    /// charging every call to the web services' clock.
     pub fn from_services(
         role: RoleDefinition,
         web: Arc<dyn WebServices>,
         llm: Arc<dyn LanguageModel>,
         config: AgentConfig,
     ) -> Self {
-        let latency = config.inference;
         let clock = Arc::clone(&web);
         llm.set_inference_hook(Arc::new(move |prompt, completion| {
-            clock.advance_us(latency.charge_us(prompt, completion));
+            clock.advance_us(inference_us(prompt, completion));
         }));
         ResearchAgent {
             role,
@@ -104,12 +113,11 @@ impl ResearchAgent {
         // Provenance records of future memorisations carry the
         // observing session's id.
         self.memory.set_session(handle.session());
-        let latency = self.config.inference;
         let clock = Arc::clone(&self.web);
         self.llm
             .set_inference_hook(Arc::new(move |prompt, completion| {
                 let start = clock.now_us();
-                let charged = latency.charge_us(prompt, completion);
+                let charged = inference_us(prompt, completion);
                 clock.advance_us(charged);
                 handle.emit(|| {
                     TraceEvent::span(
@@ -283,8 +291,8 @@ impl ResearchAgent {
             &*self.web,
             &*self.llm,
             &self.memory,
-            self.config.autogpt,
-            self.config.budget,
+            self.config.crawl_links,
+            Budget::standard(),
         );
         loop_.attach_observer_handle(self.obs.clone());
         let report = loop_.run_goal(goal);
@@ -298,35 +306,64 @@ impl ResearchAgent {
         report
     }
 
-    /// The knowledge snippets the agent would load for a question.
-    ///
-    /// With `query_expansion` enabled, retrieval runs twice: the model
-    /// first reads the question-retrieved context, names its knowledge
-    /// gaps, and the gap queries' vocabulary joins the retrieval query.
-    /// This bridges question/knowledge vocabulary mismatches (an
-    /// answer about "susceptibility" may live in a page about "grid
-    /// geomagnetic latitude").
-    pub fn knowledge_for(&self, question: &str) -> Vec<String> {
+    /// The retrieval whose top `retrieval_k` entries the prompt loads
+    /// for `question` (see [`ResearchAgent::knowledge_for`]). When the
+    /// model names no gap, the question-only retrieval is the one
+    /// loaded, and its texts come back with it.
+    fn knowledge_query<'q>(&self, question: &'q str) -> KnowledgeQuery<'q> {
+        let now = self.now_us();
+        if !self.config.query_expansion {
+            return KnowledgeQuery {
+                query: question.into(),
+                now,
+                texts: None,
+            };
+        }
         let first = self
             .memory
-            .retrieve_texts(question, self.config.retrieval_k, self.now_us());
-        if !self.config.query_expansion {
-            return first;
-        }
+            .retrieve_texts(question, self.config.retrieval_k, now);
         let gap_queries = self.llm.propose_searches(question, &first, 4);
         if gap_queries.is_empty() {
-            return first;
+            return KnowledgeQuery {
+                query: question.into(),
+                now,
+                texts: Some(first),
+            };
         }
-        let expanded = format!("{question} {}", gap_queries.join(" "));
-        self.memory
-            .retrieve_texts(&expanded, self.config.retrieval_k, self.now_us())
+        KnowledgeQuery {
+            query: format!("{question} {}", gap_queries.join(" ")).into(),
+            now: self.now_us(),
+            texts: None,
+        }
+    }
+
+    /// The knowledge texts the agent would load for a question, in
+    /// prompt order (most relevant last).
+    ///
+    /// With `query_expansion` enabled, the model first reads the
+    /// question-retrieved context and names its knowledge gaps, and the
+    /// gap queries' vocabulary joins the retrieval query. This bridges
+    /// question/knowledge vocabulary mismatches (an answer about
+    /// "susceptibility" may live in a page about "grid geomagnetic
+    /// latitude").
+    pub fn knowledge_for(&self, question: &str) -> Vec<String> {
+        let KnowledgeQuery { query, now, texts } = self.knowledge_query(question);
+        texts.unwrap_or_else(|| {
+            self.memory
+                .retrieve_texts(&query, self.config.retrieval_k, now)
+        })
     }
 
     /// Answer a question from current memory (no self-learning).
     pub fn ask(&mut self, question: &str) -> Answer {
         let knowledge = self.knowledge_for(question);
+        self.answer(question, &knowledge)
+    }
+
+    /// One answer call over `knowledge`, charged to the reasoning stage.
+    fn answer(&mut self, question: &str, knowledge: &[String]) -> Answer {
         let virtual_start = self.now_us();
-        let ans = self.llm.answer(question, &knowledge);
+        let ans = self.llm.answer(question, knowledge);
         self.stages.reasoning_virtual_us += self.now_us() - virtual_start;
         self.stages.reasoning_ops += 1;
         ans
@@ -338,18 +375,21 @@ impl ResearchAgent {
     }
 
     /// Answer with citations: the knowledge entries (URL + source
-    /// kind) that were loaded into the prompt for this answer — the
-    /// per-answer form of §4.2's "verify the sources of the knowledge".
+    /// kind) loaded into the prompt for this answer, in prompt order —
+    /// the per-answer form of §4.2's "verify the sources of the
+    /// knowledge". The answer is [`ResearchAgent::ask`]'s, read from
+    /// the same retrieval.
     pub fn ask_cited(&mut self, question: &str) -> (Answer, Vec<(String, String)>) {
-        let entries = self
-            .memory
-            .retrieve(question, self.config.retrieval_k, self.now_us());
-        let citations = entries
-            .iter()
-            .map(|e| (e.source_url.clone(), e.source_kind.clone()))
-            .collect();
-        let answer = self.ask(question);
-        (answer, citations)
+        let KnowledgeQuery { query, now, .. } = self.knowledge_query(question);
+        let entries = self.memory.retrieve(&query, self.config.retrieval_k, now);
+        // `retrieve` picks most relevant first; the prompt loads them in
+        // reverse, as `retrieve_texts` does.
+        let (knowledge, citations): (Vec<String>, Vec<(String, String)>) = entries
+            .into_iter()
+            .rev()
+            .map(|e| (e.content, (e.source_url, e.source_kind)))
+            .unzip();
+        (self.answer(question, &knowledge), citations)
     }
 
     /// Phase 2: knowledge testing + iterative self-learning on one
@@ -368,15 +408,13 @@ impl ResearchAgent {
         self.emit_verdict(0, &answer);
 
         let mut round = 1u32;
-        while answer.confidence < self.config.confidence_threshold
-            && round <= self.config.max_rounds
-        {
+        while answer.confidence < self.config.confidence_threshold && round <= MAX_ROUNDS {
             let round_scope = obs.scope(self.now_us(), stage::CYCLE, "round");
             let knowledge = self.knowledge_for(question);
             let virtual_start = self.now_us();
             let queries: Vec<String> =
                 self.llm
-                    .propose_searches(question, &knowledge, self.config.searches_per_round);
+                    .propose_searches(question, &knowledge, SEARCHES_PER_ROUND);
             self.stages.reasoning_virtual_us += self.now_us() - virtual_start;
             self.stages.reasoning_ops += 1;
             if queries.is_empty() {
@@ -433,8 +471,8 @@ impl ResearchAgent {
             &*self.web,
             &*self.llm,
             &self.memory,
-            self.config.autogpt,
-            self.config.budget,
+            self.config.crawl_links,
+            Budget::standard(),
         );
         loop_.attach_observer_handle(self.obs.clone());
         let memorized: u32 = queries
@@ -615,26 +653,17 @@ mod tests {
 
     #[test]
     fn inference_latency_config_governs_virtual_time() {
-        // A free model spends no virtual time on reasoning; the
-        // default GPT-4 profile dominates the run with it.
+        // Every reasoning call is charged at least the GPT-4-class
+        // request overhead to the virtual clock.
         let env = Environment::fixture();
-        let config = AgentConfig {
-            inference: crate::config::InferenceLatency::zero(),
-            ..AgentConfig::default()
-        };
-        let mut free = ResearchAgent::new(RoleDefinition::bob(), &env, config, 0xB0B);
-        free.train();
-        let _ = free.self_learn(CABLE_Q);
-        let free_stages = free.stage_stats();
-        assert_eq!(
-            free_stages.reasoning_virtual_us, 0,
-            "a zero-latency model must charge no reasoning time"
+        let mut bob = trained_bob(&env);
+        let _ = bob.self_learn(CABLE_Q);
+        let stages = bob.stage_stats();
+        assert!(stages.reasoning_ops > 0);
+        assert!(
+            stages.reasoning_virtual_us >= stages.reasoning_ops * inference_us(0, 0),
+            "{stages:?}"
         );
-
-        let env2 = Environment::fixture();
-        let mut paid = trained_bob(&env2);
-        let _ = paid.self_learn(CABLE_Q);
-        assert!(paid.stage_stats().reasoning_virtual_us > 0);
     }
 
     #[test]
@@ -836,12 +865,12 @@ mod tests {
         let mut fresh = ResearchAgent::bob(&env1);
         let report_fresh = fresh.train_with_checkpoint(&ckpt).unwrap();
 
-        // A checkpoint that has every goal done, over a memory whose
-        // dedup threshold would drop every page as a duplicate.
-        let memory = fresh.memory().to_json().replace(
-            "\"dedup_threshold\": 0.9800000190734863",
-            "\"dedup_threshold\": -1.0",
-        );
+        // A checkpoint that has every goal done, over a memory with
+        // room for no entry.
+        let memory = fresh
+            .memory()
+            .to_json()
+            .replace("\"capacity\": 2000", "\"capacity\": 0");
         assert!(KnowledgeStore::from_json(&memory).is_err());
         TrainingCheckpoint {
             role_name: "Bob".into(),

@@ -16,27 +16,11 @@ use ira_webcorpus::CorpusConfig;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Committee parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct CommitteeConfig {
-    /// Number of member agents.
-    pub members: usize,
-    /// Base seed; member *i* uses `base_seed + i` for its model and its
-    /// corpus view.
-    pub base_seed: u64,
-    /// Per-member agent configuration.
-    pub agent: AgentConfig,
-}
+/// Member agents in a committee.
+pub const MEMBERS: usize = 3;
 
-impl Default for CommitteeConfig {
-    fn default() -> Self {
-        CommitteeConfig {
-            members: 3,
-            base_seed: 0x77,
-            agent: AgentConfig::default(),
-        }
-    }
-}
+/// Member *i* uses `BASE_SEED + i` for its model and its corpus view.
+const BASE_SEED: u64 = 0x77;
 
 /// One member's take on a question.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -61,20 +45,14 @@ pub struct CommitteeAnswer {
     pub agreement: f64,
 }
 
-/// A committee of independently trained agents.
+/// A committee of [`MEMBERS`] independently trained agents.
 pub struct Committee {
-    config: CommitteeConfig,
     role: RoleDefinition,
 }
 
 impl Committee {
-    pub fn new(role: RoleDefinition, config: CommitteeConfig) -> Self {
-        assert!(config.members >= 1, "a committee needs at least one member");
-        Committee { config, role }
-    }
-
-    pub fn config(&self) -> &CommitteeConfig {
-        &self.config
+    pub fn new(role: RoleDefinition) -> Self {
+        Committee { role }
     }
 
     /// Train member `m` in its own environment and self-learn every
@@ -82,7 +60,7 @@ impl Committee {
     /// separate threads (the committee itself is `Sync`) and aggregate
     /// with [`aggregate`].
     pub fn evaluate_member(&self, m: usize, questions: &[&str]) -> Vec<MemberAnswer> {
-        let seed = self.config.base_seed + m as u64;
+        let seed = BASE_SEED + m as u64;
         let world = ira_worldmodel::World::standard();
         let corpus = std::sync::Arc::new(ira_webcorpus::Corpus::generate(
             &world,
@@ -93,7 +71,7 @@ impl Committee {
             },
         ));
         let env = Environment::from_parts(world, corpus, seed ^ 0xBEEF, None);
-        let mut agent = ResearchAgent::new(self.role.clone(), &env, self.config.agent, seed);
+        let mut agent = ResearchAgent::new(self.role.clone(), &env, AgentConfig::default(), seed);
         agent.train();
         let mut answers = Vec::with_capacity(questions.len());
         for q in questions {
@@ -114,7 +92,7 @@ impl Committee {
     pub fn investigate(&self, questions: &[&str]) -> Vec<CommitteeAnswer> {
         // Collect every member's answers first (member-major order so
         // each trains exactly once).
-        let per_member: Vec<Vec<MemberAnswer>> = (0..self.config.members)
+        let per_member: Vec<Vec<MemberAnswer>> = (0..MEMBERS)
             .map(|m| self.evaluate_member(m, questions))
             .collect();
 
@@ -211,7 +189,7 @@ mod tests {
 
     #[test]
     fn committee_of_three_agrees_on_the_flagship_question() {
-        let committee = Committee::new(RoleDefinition::bob(), CommitteeConfig::default());
+        let committee = Committee::new(RoleDefinition::bob());
         let answers = committee.investigate(&[
             "Which is more vulnerable to solar activity? The fiber optic cable that connects \
              Brazil to Europe or the one that connects the US to Europe?",
@@ -225,17 +203,5 @@ mod tests {
         );
         assert!(a.agreement >= 2.0 / 3.0, "agreement {}", a.agreement);
         assert!(a.mean_confidence >= 7.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one member")]
-    fn empty_committee_is_rejected() {
-        Committee::new(
-            RoleDefinition::bob(),
-            CommitteeConfig {
-                members: 0,
-                ..CommitteeConfig::default()
-            },
-        );
     }
 }

@@ -33,8 +33,8 @@ pub use ira_services as services;
 
 pub use agent::{ResearchAgent, TrainingReport};
 pub use checkpoint::TrainingCheckpoint;
-pub use config::{AgentConfig, InferenceLatency};
-pub use ensemble::{Committee, CommitteeAnswer, CommitteeConfig};
+pub use config::AgentConfig;
+pub use ensemble::{Committee, CommitteeAnswer};
 pub use env::{Environment, FaultSpec};
 pub use questions::{generate as generate_questions, ResearchQuestion};
 pub use role::RoleDefinition;

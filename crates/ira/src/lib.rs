@@ -28,10 +28,10 @@ pub use ira_worldmodel as worldmodel;
 /// The working set: spawn sessions, train agents, trace runs.
 pub mod prelude {
     pub use ira_agentmem::{KnowledgeStore, StoreConfig};
-    pub use ira_autogpt::{AutoGptConfig, Budget};
+    pub use ira_autogpt::Budget;
     pub use ira_core::{
-        AgentConfig, Environment, FaultSpec, InferenceLatency, LearningTrajectory, ResearchAgent,
-        RoleDefinition, TrainingReport,
+        AgentConfig, Environment, FaultSpec, LearningTrajectory, ResearchAgent, RoleDefinition,
+        TrainingReport,
     };
     pub use ira_engine::{Engine, Session, SessionConfig};
     pub use ira_evalkit::quiz::QuizBank;

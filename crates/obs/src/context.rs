@@ -178,10 +178,6 @@ pub struct ScopedSpan<'a> {
 }
 
 impl ScopedSpan<'_> {
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
     /// This scope's span id (0 when the sink is disabled).
     pub fn id(&self) -> u64 {
         self.span_id
@@ -312,7 +308,6 @@ mod tests {
     fn disabled_handle_allocates_nothing() {
         let handle = ObsHandle::disabled();
         let scope = handle.scope(0, stage::CYCLE, "goal");
-        assert!(!scope.is_active());
         assert_eq!(scope.id(), 0);
         handle.emit(|| panic!("closure ran on a disabled handle"));
         scope.finish(10, || panic!("detail closure ran on a disabled handle"));

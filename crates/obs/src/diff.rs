@@ -30,12 +30,6 @@ impl Tolerances {
         }
     }
 
-    /// Allow `rel` drift for keys starting with `prefix`.
-    pub fn with_key(mut self, prefix: &str, rel: f64) -> Self {
-        self.per_key.insert(prefix.to_string(), rel);
-        self
-    }
-
     fn for_key(&self, key: &str) -> f64 {
         // Longest configured prefix wins.
         self.per_key
@@ -326,9 +320,9 @@ mod tests {
 
     #[test]
     fn per_key_tolerances_use_longest_prefix() {
-        let tol = Tolerances::uniform(0.0)
-            .with_key("stage.llm", 0.5)
-            .with_key("stage.llm.call.max_us", 0.0);
+        let mut tol = Tolerances::uniform(0.0);
+        tol.per_key.insert("stage.llm".into(), 0.5);
+        tol.per_key.insert("stage.llm.call.max_us".into(), 0.0);
         assert_eq!(tol.for_key("stage.llm.call.inclusive_us"), 0.5);
         assert_eq!(tol.for_key("stage.llm.call.max_us"), 0.0);
         assert_eq!(tol.for_key("stage.fetch.ok.count"), 0.0);

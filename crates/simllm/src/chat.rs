@@ -32,12 +32,6 @@ impl Message {
             content: content.into(),
         }
     }
-    pub fn assistant(content: impl Into<String>) -> Self {
-        Message {
-            role: Role::Assistant,
-            content: content.into(),
-        }
-    }
 }
 
 /// A full prompt: ordered messages.
@@ -92,11 +86,19 @@ impl Prompt {
 mod tests {
     use super::*;
 
+    /// A model turn; the simulated model reads prompts and never
+    /// writes one.
+    fn assistant(content: &str) -> Message {
+        Message {
+            role: Role::Assistant,
+            content: content.into(),
+        }
+    }
+
     #[test]
     fn builders_set_roles() {
         assert_eq!(Message::system("x").role, Role::System);
         assert_eq!(Message::user("x").role, Role::User);
-        assert_eq!(Message::assistant("x").role, Role::Assistant);
     }
 
     #[test]
@@ -112,7 +114,7 @@ mod tests {
     fn last_user_finds_the_question() {
         let p = Prompt::new()
             .with(Message::user("first"))
-            .with(Message::assistant("reply"))
+            .with(assistant("reply"))
             .with(Message::user("second"));
         assert_eq!(p.last_user(), Some("second"));
     }
@@ -121,7 +123,7 @@ mod tests {
     fn context_text_excludes_assistant_turns() {
         let p = Prompt::new()
             .with(Message::system("sys"))
-            .with(Message::assistant("hidden"))
+            .with(assistant("hidden"))
             .with(Message::user("query"));
         let ctx = p.context_text();
         assert!(ctx.contains("sys") && ctx.contains("query"));

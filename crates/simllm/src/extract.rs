@@ -759,14 +759,6 @@ impl<'e> ExtractionIndex<'e> {
     }
 }
 
-/// Find all facts about an incident whose name matches `needle`
-/// (containment either way, case-insensitive).
-pub fn incident_matches(incident: &str, needle: &str) -> bool {
-    let a = incident.to_lowercase();
-    let b = needle.to_lowercase();
-    a.contains(&b) || b.contains(&a)
-}
-
 // Markers of the fact forms `Extraction::absorb` parses inline (the
 // parser functions below keep theirs beside them).
 const SPANS_PREFIX: &str = "spans approximately ";
@@ -1428,16 +1420,6 @@ mod tests {
     fn cause_without_year_shape_is_ignored() {
         let ex = Extraction::from_text("The outage was caused by a squirrel.", None);
         assert!(ex.facts.is_empty());
-    }
-
-    #[test]
-    fn incident_matching_is_bidirectional_containment() {
-        assert!(incident_matches("2021 Facebook outage", "facebook outage"));
-        assert!(incident_matches("facebook outage", "2021 Facebook outage"));
-        assert!(!incident_matches(
-            "2021 Facebook outage",
-            "hengchun earthquake"
-        ));
     }
 
     #[test]

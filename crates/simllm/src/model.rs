@@ -597,7 +597,10 @@ mod tests {
     fn plan_and_decompose_charge_tokens() {
         let llm = Llm::gpt4(1);
         let plan = llm.plan_goal("Understand solar superstorms and Coronal Mass Ejection");
-        assert!(plan.search_count() >= 1);
+        assert!(plan
+            .steps
+            .iter()
+            .any(|s| matches!(s.action, crate::plangen::StepAction::Search { .. })));
         let aspects = llm.decompose("optic fiber cables, power supply systems");
         assert_eq!(aspects.len(), 2);
         assert!(llm.stats().calls >= 2);

@@ -36,16 +36,6 @@ pub struct ActionPlan {
     pub steps: Vec<PlanStep>,
 }
 
-impl ActionPlan {
-    /// Number of search steps in the plan.
-    pub fn search_count(&self) -> usize {
-        self.steps
-            .iter()
-            .filter(|s| matches!(s.action, StepAction::Search { .. }))
-            .count()
-    }
-}
-
 /// Words that carry no search signal when building queries from goals.
 const GOAL_STOPWORDS: &[&str] = &[
     "a",
@@ -204,10 +194,17 @@ mod tests {
         assert!(kw.contains("formation"));
     }
 
+    fn search_count(plan: &ActionPlan) -> usize {
+        plan.steps
+            .iter()
+            .filter(|s| matches!(s.action, StepAction::Search { .. }))
+            .count()
+    }
+
     #[test]
     fn plan_has_searches_then_analysis_then_memorize() {
         let plan = plan_goal(GOAL_1);
-        assert!(plan.search_count() >= 2);
+        assert!(search_count(&plan) >= 2);
         let n = plan.steps.len();
         assert_eq!(plan.steps[n - 2].action, StepAction::BrowseResults);
         assert_eq!(plan.steps[n - 1].action, StepAction::Memorize);
@@ -217,7 +214,7 @@ mod tests {
     #[test]
     fn plan_for_vacuous_goal_still_closes() {
         let plan = plan_goal("and the of");
-        assert_eq!(plan.search_count(), 0);
+        assert_eq!(search_count(&plan), 0);
         assert_eq!(plan.steps.len(), 2);
     }
 

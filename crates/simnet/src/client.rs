@@ -99,11 +99,6 @@ impl Client {
         self.obs = handle;
     }
 
-    /// (cache hits, cache misses) so far.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache.lock().stats()
-    }
-
     pub fn network(&self) -> &Arc<Network> {
         &self.net
     }
@@ -510,7 +505,7 @@ mod tests {
             after_first,
             "second fetch must be served from cache"
         );
-        assert_eq!(client.cache_stats().0, 1);
+        assert_eq!(client.cache.lock().stats().0, 1);
     }
 
     #[test]
@@ -646,7 +641,7 @@ mod tests {
     #[test]
     fn breaker_recovers_through_half_open_once_the_fault_clears() {
         use crate::clock::Instant;
-        use crate::faults::FaultPlan;
+        use crate::faults::{FaultKind, FaultPlan};
 
         let mut net = Network::new(NetworkConfig::default(), 17);
         net.register_with("site.test", ok_host(), cfg(0.0));
@@ -654,10 +649,11 @@ mod tests {
         let outage_end = Instant::EPOCH + Duration::from_secs(10);
         client
             .network()
-            .set_fault_plan(FaultPlan::new().with_blackout(
+            .set_fault_plan(FaultPlan::new().with_window(
                 "site.test",
                 Instant::EPOCH,
                 outage_end,
+                FaultKind::Blackout,
             ));
 
         // Blackout: first request fails and trips the one-strike breaker.
@@ -669,10 +665,8 @@ mod tests {
         ));
         // Past both the outage window and the cooldown, the half-open
         // probe goes through and recloses the breaker.
-        client
-            .network()
-            .clock()
-            .advance_to(outage_end + Duration::from_secs(1));
+        let clock = client.network().clock();
+        clock.advance((outage_end + Duration::from_secs(1)).duration_since(clock.now()));
         assert!(!client.breaker_would_fail_fast("site.test"));
         assert!(client.get("sim://site.test/a").is_ok());
         let metrics = client.breaker_metrics();

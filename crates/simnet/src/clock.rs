@@ -40,10 +40,6 @@ impl Duration {
         self.0
     }
 
-    pub fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
@@ -153,15 +149,6 @@ impl VirtualClock {
         *now = *now + d;
         *now
     }
-
-    /// Advance the clock to `t` if `t` is in the future (monotonic).
-    pub fn advance_to(&self, t: Instant) -> Instant {
-        let mut now = self.now.lock();
-        if t > *now {
-            *now = t;
-        }
-        *now
-    }
 }
 
 #[cfg(test)]
@@ -171,8 +158,7 @@ mod tests {
     #[test]
     fn duration_conversions_round_trip() {
         assert_eq!(Duration::from_millis(3).as_micros(), 3_000);
-        assert_eq!(Duration::from_secs(2).as_millis(), 2_000);
-        assert_eq!(Duration::from_micros(999).as_millis(), 0);
+        assert_eq!(Duration::from_secs(2).as_micros(), 2_000_000);
     }
 
     #[test]
@@ -205,10 +191,8 @@ mod tests {
         assert_eq!(clock.now(), Instant::EPOCH);
         clock.advance(Duration::from_millis(5));
         assert_eq!(clock.now().as_micros(), 5_000);
-        // advance_to backwards is a no-op
-        clock.advance_to(Instant::from_micros(1_000));
-        assert_eq!(clock.now().as_micros(), 5_000);
-        clock.advance_to(Instant::from_micros(9_000));
+        assert_eq!(clock.advance(Duration::ZERO).as_micros(), 5_000);
+        clock.advance(Duration::from_millis(4));
         assert_eq!(clock.now().as_micros(), 9_000);
     }
 

@@ -99,11 +99,6 @@ impl FaultPlan {
         self
     }
 
-    /// Convenience: a blackout window.
-    pub fn with_blackout(self, host: &str, from: Instant, until: Instant) -> Self {
-        self.with_window(host, from, until, FaultKind::Blackout)
-    }
-
     /// The window active for `host` at `now`, if any.
     pub fn active(&self, host: &str, now: Instant) -> Option<&FaultWindow> {
         self.hosts.get(host).and_then(|h| h.active_at(now))
@@ -213,10 +208,11 @@ mod tests {
 
     #[test]
     fn windows_are_half_open_intervals() {
-        let plan = FaultPlan::new().with_blackout(
+        let plan = FaultPlan::new().with_window(
             "a.test",
             Instant::from_micros(100),
             Instant::from_micros(200),
+            FaultKind::Blackout,
         );
         assert!(plan.active("a.test", Instant::from_micros(99)).is_none());
         assert!(plan.active("a.test", Instant::from_micros(100)).is_some());

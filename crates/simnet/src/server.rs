@@ -569,7 +569,12 @@ mod tests {
         #[test]
         fn blackout_window_drops_every_request() {
             let net = net_with_echo();
-            net.set_fault_plan(FaultPlan::new().with_blackout("echo.test", Instant::EPOCH, far()));
+            net.set_fault_plan(FaultPlan::new().with_window(
+                "echo.test",
+                Instant::EPOCH,
+                far(),
+                FaultKind::Blackout,
+            ));
             let url = Url::parse("sim://echo.test/").unwrap();
             for _ in 0..3 {
                 let err = net.transmit(&Request::get(url.clone())).unwrap_err();
@@ -591,10 +596,15 @@ mod tests {
         fn blackout_ends_when_the_window_closes() {
             let net = net_with_echo();
             let until = Instant::from_micros(1_000_000);
-            net.set_fault_plan(FaultPlan::new().with_blackout("echo.test", Instant::EPOCH, until));
+            net.set_fault_plan(FaultPlan::new().with_window(
+                "echo.test",
+                Instant::EPOCH,
+                until,
+                FaultKind::Blackout,
+            ));
             let url = Url::parse("sim://echo.test/").unwrap();
             assert!(net.transmit(&Request::get(url.clone())).is_err());
-            net.clock().advance_to(until);
+            net.clock().advance(until.duration_since(net.clock().now()));
             assert!(
                 net.transmit(&Request::get(url)).is_ok(),
                 "host recovers after the window"
@@ -686,7 +696,12 @@ mod tests {
         #[test]
         fn clearing_the_plan_restores_normal_service() {
             let net = net_with_echo();
-            net.set_fault_plan(FaultPlan::new().with_blackout("echo.test", Instant::EPOCH, far()));
+            net.set_fault_plan(FaultPlan::new().with_window(
+                "echo.test",
+                Instant::EPOCH,
+                far(),
+                FaultKind::Blackout,
+            ));
             let url = Url::parse("sim://echo.test/").unwrap();
             assert!(net.transmit(&Request::get(url.clone())).is_err());
             net.set_fault_plan(FaultPlan::new());
@@ -698,7 +713,12 @@ mod tests {
             let mut net = Network::new(NetworkConfig::default(), 1);
             net.register_with("sick.test", echo_host(), reliable_cfg());
             net.register_with("well.test", echo_host(), reliable_cfg());
-            net.set_fault_plan(FaultPlan::new().with_blackout("sick.test", Instant::EPOCH, far()));
+            net.set_fault_plan(FaultPlan::new().with_window(
+                "sick.test",
+                Instant::EPOCH,
+                far(),
+                FaultKind::Blackout,
+            ));
             assert!(net
                 .transmit(&Request::get(Url::parse("sim://sick.test/").unwrap()))
                 .is_err());

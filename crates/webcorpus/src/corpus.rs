@@ -396,9 +396,11 @@ mod tests {
 
     #[test]
     fn for_spec_interns_known_scenarios_and_rejects_unknown() {
-        let spec = ScenarioSpec::named("cable-cut")
-            .with_seed(9)
-            .with_distractors(3);
+        let spec = ScenarioSpec {
+            seed: 9,
+            distractors: 3,
+            ..ScenarioSpec::named("cable-cut")
+        };
         let config = CorpusConfig::for_spec(&spec).unwrap();
         assert_eq!(config.seed, 9);
         assert_eq!(config.distractor_count, 3);

@@ -113,16 +113,6 @@ impl ScenarioSpec {
     pub fn solar_superstorm() -> Self {
         Self::named(SOLAR_SUPERSTORM)
     }
-
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    pub fn with_distractors(mut self, distractors: usize) -> Self {
-        self.distractors = distractors;
-        self
-    }
 }
 
 impl Default for ScenarioSpec {
@@ -1035,9 +1025,11 @@ mod tests {
 
     #[test]
     fn spec_serde_round_trips_and_defaults_fill_in() {
-        let spec = ScenarioSpec::named(CABLE_CUT)
-            .with_seed(7)
-            .with_distractors(10);
+        let spec = ScenarioSpec {
+            seed: 7,
+            distractors: 10,
+            ..ScenarioSpec::named(CABLE_CUT)
+        };
         let json = serde_json::to_string(&spec).unwrap();
         let back: ScenarioSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(back, spec);

@@ -16,8 +16,6 @@ use crate::cables::SubmarineCable;
 use crate::datacenters::DataCenter;
 use crate::geomag::geomagnetic_latitude;
 use crate::power::{latitude_weight, PowerGrid};
-use rand::Rng;
-use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 /// A geomagnetic storm scenario.
@@ -135,16 +133,6 @@ impl StormModel {
         1.0 - survive
     }
 
-    /// Sample a concrete outage outcome for the cable.
-    pub fn sample_cable_outage(
-        &self,
-        cable: &SubmarineCable,
-        storm: &StormScenario,
-        rng: &mut ChaCha8Rng,
-    ) -> bool {
-        rng.gen::<f64>() < self.cable_failure_prob(cable, storm)
-    }
-
     /// Probability a regional grid suffers a protective collapse or
     /// transformer damage.
     pub fn grid_collapse_prob(&self, grid: &PowerGrid, storm: &StormScenario) -> f64 {
@@ -165,7 +153,6 @@ mod tests {
     use crate::cables::CableDatabase;
     use crate::datacenters::DataCenterFleet;
     use crate::power::PowerGridDatabase;
-    use rand::SeedableRng;
 
     #[test]
     fn intensity_orders_the_catalog() {
@@ -264,20 +251,23 @@ mod tests {
 
     #[test]
     fn sampling_respects_probability_in_aggregate() {
+        // The connectivity report's Monte Carlo takes each cable down
+        // at its analytic failure probability: the mean number down
+        // lands within four standard errors of the expected count.
         let m = StormModel::default();
         let db = CableDatabase::standard();
         let storm = StormScenario::carrington_1859();
-        let cable = db.find("Grace Hopper").unwrap();
-        let p = m.cable_failure_prob(cable, &storm);
-        let mut rng = ChaCha8Rng::seed_from_u64(42);
-        let trials = 20_000;
-        let hits = (0..trials)
-            .filter(|_| m.sample_cable_outage(cable, &storm, &mut rng))
-            .count();
-        let rate = hits as f64 / trials as f64;
+        let probs: Vec<f64> = db.iter().map(|c| m.cable_failure_prob(c, &storm)).collect();
+        let expected: f64 = probs.iter().sum();
+        let trials = 1_000;
+        let variance: f64 = probs.iter().map(|p| p * (1.0 - p)).sum();
+        let tolerance = 4.0 * (variance / trials as f64).sqrt();
+        let report =
+            crate::graph::TopologyGraph::from_cables(&db).storm_report(&db, &m, &storm, trials, 42);
+        let sampled = report.mean_cables_down;
         assert!(
-            (rate - p).abs() < 0.02,
-            "sampled {rate:.3} vs analytic {p:.3}"
+            (sampled - expected).abs() < tolerance,
+            "sampled {sampled:.3} vs analytic {expected:.3} (± {tolerance:.3})"
         );
     }
 

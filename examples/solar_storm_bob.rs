@@ -24,13 +24,7 @@ fn main() {
     println!("## One goal through the raw Auto-GPT loop\n");
     let llm = Llm::gpt4(7);
     let memory = KnowledgeStore::with_defaults();
-    let mut loop_ = AutoGpt::new(
-        &session.env.client,
-        &llm,
-        &memory,
-        AutoGptConfig::default(),
-        Budget::standard(),
-    );
+    let mut loop_ = AutoGpt::new(&session.env.client, &llm, &memory, 0, Budget::standard());
     let trace = Arc::new(JsonlCollector::new());
     loop_.attach_observer_handle(ObsHandle::new(trace.clone(), 0));
     let goal = RoleDefinition::bob().goals[0].clone();

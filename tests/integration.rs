@@ -336,3 +336,79 @@ fn flagship_trajectory_holds_across_seeds() {
         );
     }
 }
+
+/// A model that keeps the knowledge of the last `answer` call made on
+/// it directly (the prompt an answer is read from), and otherwise is
+/// the simulated GPT-4.
+struct PromptRecorder {
+    llm: Llm,
+    last_prompt: std::sync::Mutex<Vec<String>>,
+}
+
+impl ira::services::LanguageModel for PromptRecorder {
+    fn answer(&self, question: &str, knowledge: &[String]) -> ira::simllm::Answer {
+        *self.last_prompt.lock().unwrap() = knowledge.to_vec();
+        self.llm.answer(question, knowledge)
+    }
+    fn propose_searches(&self, question: &str, knowledge: &[String], max: usize) -> Vec<String> {
+        self.llm.propose_searches(question, knowledge, max)
+    }
+    fn plan_goal(&self, goal: &str) -> ira::simllm::ActionPlan {
+        self.llm.plan_goal(goal)
+    }
+    fn decompose(&self, task: &str) -> Vec<String> {
+        self.llm.decompose(task)
+    }
+    fn shutdown_strategy(&self, knowledge: &[String]) -> ira::simllm::Answer {
+        self.llm.shutdown_strategy(knowledge)
+    }
+    fn stats(&self) -> ira::simllm::LlmStats {
+        self.llm.stats()
+    }
+    fn set_inference_hook(&self, hook: ira::services::InferenceHook) {
+        ira::services::LanguageModel::set_inference_hook(&self.llm, hook)
+    }
+    fn invalidate_grounding(&self) {
+        ira::services::LanguageModel::invalidate_grounding(&self.llm)
+    }
+}
+
+#[test]
+fn cited_answers_cite_the_entries_loaded_into_the_prompt() {
+    use std::sync::Arc;
+
+    let session = Engine::new().spawn_session(SessionConfig::bob());
+    let quiz = QuizBank::from_world(session.world());
+    let llm = Arc::new(PromptRecorder {
+        llm: Llm::gpt4(0xB0B),
+        last_prompt: Default::default(),
+    });
+    let mut bob = ResearchAgent::from_services(
+        RoleDefinition::bob(),
+        Arc::new(session.env.client.clone()),
+        llm.clone(),
+        AgentConfig::default(),
+    );
+    bob.train();
+    for item in quiz.iter() {
+        let q = item.question.as_str();
+        let _ = bob.self_learn(q);
+        let (_, citations) = bob.ask_cited(q);
+        let cited: Vec<String> = citations.into_iter().map(|(url, _)| url).collect();
+        let url_of: std::collections::HashMap<String, String> = bob
+            .memory()
+            .entries()
+            .into_iter()
+            .map(|e| (e.content, e.source_url))
+            .collect();
+        let loaded: Vec<String> = llm
+            .last_prompt
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|content| url_of[content].clone())
+            .collect();
+        assert!(!cited.is_empty(), "{q}");
+        assert_eq!(cited, loaded, "{q}");
+    }
+}
