@@ -7,6 +7,9 @@
 //! model a production agent would call. Light suffix stripping keeps
 //! "cables"/"cable" in the same bucket.
 
+use ira_simllm::{TextCache, TextValue};
+use std::sync::Arc;
+
 /// Embedding dimensionality. 256 buckets keeps collisions rare for
 /// document-sized texts while staying cache-friendly.
 pub const EMBED_DIM: usize = 256;
@@ -54,20 +57,61 @@ fn for_each_token(text: &str, mut f: impl FnMut(&str)) {
     }
 }
 
-/// Embed `text` into a unit-norm vector.
-pub fn embed(text: &str) -> Vec<f32> {
-    let mut v = vec![0.0f32; EMBED_DIM];
+/// The token count of each bucket of `text`, and the counts' L2 norm.
+fn bucket_counts(text: &str) -> ([f32; EMBED_DIM], f32) {
+    let mut v = [0.0f32; EMBED_DIM];
     for_each_token(text, |tok| {
         let bucket = (fnv1a(tok.as_bytes()) % EMBED_DIM as u64) as usize;
         v[bucket] += 1.0;
     });
-    let norm: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
+    let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt();
+    (v, norm)
+}
+
+/// Embed `text` into a unit-norm vector.
+pub fn embed(text: &str) -> Vec<f32> {
+    let (mut v, norm) = bucket_counts(text);
     if norm > 0.0 {
         for x in &mut v {
             *x /= norm;
         }
     }
-    v
+    v.to_vec()
+}
+
+/// `nonzero_buckets(&embed(text))`, built without the dense vector:
+/// the same counts divided by the same norm, bucket by bucket, so it is
+/// bit-identical.
+pub fn embed_sparse(text: &str) -> Vec<(usize, f32)> {
+    let (v, norm) = bucket_counts(text);
+    v.iter()
+        .enumerate()
+        .filter(|&(_, &count)| count != 0.0)
+        .map(|(i, &count)| (i, count / norm))
+        .collect()
+}
+
+/// Bytes of text and sparse embeddings the process-wide
+/// [`struct@EMBEDDINGS`] holds at most: room for the pages a workload's
+/// sessions keep fetching, not for a long-lived store's whole history.
+const EMBEDDING_BUDGET_BYTES: usize = 256 << 10;
+
+/// Every store in the process embeds memorized text through this
+/// cache, so sessions over the same webs embed each page once. Queries
+/// never enter it: retrieval embeds them with [`embed_sparse`].
+pub(crate) static EMBEDDINGS: TextCache<SparseEmbedding> = TextCache::new(EMBEDDING_BUDGET_BYTES);
+
+/// A text's [`embed_sparse`], as [`struct@EMBEDDINGS`] holds it.
+pub(crate) struct SparseEmbedding(pub(crate) Box<[(usize, f32)]>);
+
+impl TextValue for SparseEmbedding {
+    fn of_text(text: &Arc<str>) -> SparseEmbedding {
+        SparseEmbedding(embed_sparse(text).into_boxed_slice())
+    }
+
+    fn held_bytes(&self) -> usize {
+        std::mem::size_of_val::<[(usize, f32)]>(&self.0)
+    }
 }
 
 /// Cosine similarity between two embeddings (assumed same dim).
@@ -126,16 +170,18 @@ pub(crate) struct EmbeddingMatrix {
 }
 
 impl EmbeddingMatrix {
-    /// Append an entry's [`EMBED_DIM`]-long embedding.
-    pub(crate) fn push(&mut self, embedding: &[f32]) {
-        assert_eq!(embedding.len(), EMBED_DIM, "embedding length");
+    /// Append an entry's embedding, given as its non-zero buckets (from
+    /// [`nonzero_buckets`] or [`embed_sparse`]). The new slot is past
+    /// the last entry, so its other buckets are already zero.
+    pub(crate) fn push(&mut self, sparse: &[(usize, f32)]) {
         if self.len == self.tiles.len() * TILE {
             let zeros = vec![[0.0; TILE]; EMBED_DIM].into_boxed_slice();
             self.tiles.push(zeros.try_into().expect("EMBED_DIM rows"));
         }
         let slot = self.len % TILE;
-        for (row, &x) in self.tiles[self.len / TILE].iter_mut().zip(embedding) {
-            row[slot] = x;
+        let tile = &mut self.tiles[self.len / TILE];
+        for &(b, x) in sparse {
+            tile[b][slot] = x;
         }
         self.len += 1;
     }
@@ -308,7 +354,7 @@ mod tests {
             let mut matrix = EmbeddingMatrix::default();
             let mut texts: Vec<String> = (0..n).map(page).collect();
             for text in &texts {
-                matrix.push(&embed(text));
+                matrix.push(&nonzero_buckets(&embed(text)));
             }
             for r in removals {
                 if !texts.is_empty() {
@@ -345,5 +391,72 @@ mod tests {
     #[test]
     fn embedding_is_deterministic() {
         assert_eq!(embed("solar superstorm"), embed("solar superstorm"));
+    }
+
+    fn bits(sparse: &[(usize, f32)]) -> Vec<(usize, u32)> {
+        sparse.iter().map(|&(b, x)| (b, x.to_bits())).collect()
+    }
+
+    /// The bytes held, checked against the sum of the held costs.
+    fn held(cache: &TextCache<SparseEmbedding>) -> usize {
+        let sum: usize = cache
+            .entries()
+            .iter()
+            .map(|(text, value)| text.len() + value.held_bytes())
+            .sum();
+        assert_eq!(sum, cache.held(), "held must be the sum of the held costs");
+        sum
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn cached_embeddings_equal_the_dense_ones(
+            texts in proptest::collection::vec("\\PC{0,80}", 1..12),
+            // Small enough that most runs drop the whole map, and that
+            // some texts never fit.
+            budget in 0usize..1200,
+        ) {
+            let cache = TextCache::<SparseEmbedding>::new(budget);
+            // The first pass reads each text first; later ones re-read
+            // it, held or, after a drop-all, made again.
+            for _ in 0..3 {
+                for text in &texts {
+                    let want = bits(&nonzero_buckets(&embed(text)));
+                    proptest::prop_assert_eq!(bits(&embed_sparse(text)), want.clone());
+                    let got = cache.read(text);
+                    proptest::prop_assert_eq!(bits(&got.0), want);
+                    // Held right after its read exactly when it fits.
+                    let fits = text.len() + got.held_bytes() <= budget;
+                    proptest::prop_assert_eq!(cache.contains(text), fits);
+                    proptest::prop_assert!(held(&cache) <= budget);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_first_reads_embed_once() {
+        const THREADS: usize = 8;
+        let cache = TextCache::<SparseEmbedding>::new(1 << 20);
+        let text = "The EllaLink submarine cable connects Fortaleza, Brazil to Sines, \
+                    Portugal, linking South America and Europe.";
+        let start = std::sync::Barrier::new(THREADS);
+        let read: Vec<Arc<SparseEmbedding>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        cache.read(text)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let want = bits(&nonzero_buckets(&embed(text)));
+        for embedding in &read {
+            assert_eq!(bits(&embedding.0), want);
+            assert!(Arc::ptr_eq(embedding, &read[0]), "embedded once");
+        }
+        assert_eq!(cache.entries().len(), 1);
     }
 }

@@ -12,7 +12,7 @@
 //! and at most `capacity + 1` entries wait. `knowledge.json` bytes do
 //! not depend on the graph.
 
-use crate::embed::{embed, nonzero_buckets, EmbeddingMatrix};
+use crate::embed::{embed_sparse, nonzero_buckets, EmbeddingMatrix, EMBEDDINGS};
 use crate::entry::KnowledgeEntry;
 use crate::graph::{ClaimGraph, GraphStats, HostStats};
 use crate::provenance::{split_url, SourceRef};
@@ -355,11 +355,12 @@ impl KnowledgeStore {
     /// The dedup scan is one sweep of the embedding matrix over the new
     /// content's non-zero buckets, giving every stored entry's
     /// [`sparse_dot`](crate::embed::sparse_dot) with it. The new
-    /// embedding and every stored one come from [`embed`], so both are
-    /// finite, non-negative and `EMBED_DIM` long, and on such vectors
-    /// `sparse_dot` is bit-identical to `cosine`: every accept/reject
-    /// decision is the same as the dense scan's, with no rounding
-    /// margin.
+    /// embedding and every stored one are the non-zero buckets of what
+    /// [`embed`](crate::embed::embed) returns, read through the
+    /// process-wide embedding cache, so both are finite, non-negative
+    /// and `EMBED_DIM` long, and on such vectors `sparse_dot` is
+    /// bit-identical to `cosine`: every accept/reject decision is the
+    /// same as the dense scan's, with no rounding margin.
     pub fn memorize(
         &self,
         topic: &str,
@@ -369,12 +370,11 @@ impl KnowledgeStore {
         learned_at: u64,
         importance: f64,
     ) -> Option<u64> {
-        let embedding = embed(content);
-        let sparse = nonzero_buckets(&embedding);
+        let sparse = EMBEDDINGS.read(content);
         let inner = &mut *self.inner.write();
 
         let mut sims = Vec::new();
-        inner.embeddings.dots(&sparse, &mut sims);
+        inner.embeddings.dots(&sparse.0, &mut sims);
         if sims.iter().any(|&sim| sim >= DEDUP_THRESHOLD) {
             return None;
         }
@@ -392,7 +392,7 @@ impl KnowledgeStore {
             learned_at,
             importance: importance.clamp(0.0, 1.0),
         });
-        inner.embeddings.push(&embedding);
+        inner.embeddings.push(&sparse.0);
         // The claim graph absorbs the entry when it is next read.
         inner.sessions.push(self.session.load(Ordering::Relaxed));
 
@@ -449,8 +449,11 @@ impl KnowledgeStore {
     ///   it.
     ///
     /// Each sweep result is bit-identical to `cosine`: every stored
-    /// embedding comes from [`embed`], also in a loaded store (see
-    /// [`KnowledgeStore::from_json`]). With `diversity <= 0` the
+    /// embedding comes from [`embed`](crate::embed::embed), also in a
+    /// loaded store (see [`KnowledgeStore::from_json`]), and so does the
+    /// query's, embedded afresh by
+    /// [`embed_sparse`](crate::embed::embed_sparse): a query never enters
+    /// the embedding cache. With `diversity <= 0` the
     /// selection is the first `k` of the base order, and only those are
     /// sorted. Only the `k` winners are cloned.
     pub fn retrieve(&self, query: &str, k: usize, now: u64) -> Vec<KnowledgeEntry> {
@@ -465,9 +468,7 @@ impl KnowledgeStore {
     /// [`KnowledgeStore::retrieve`] returns, in selection order.
     fn select(&self, inner: &mut Inner, query: &str, k: usize, now: u64) -> Vec<usize> {
         let mut sims = Vec::new();
-        inner
-            .embeddings
-            .dots(&nonzero_buckets(&embed(query)), &mut sims);
+        inner.embeddings.dots(&embed_sparse(query), &mut sims);
         let mut candidates: Vec<Candidate> = inner
             .entries
             .iter()
@@ -584,7 +585,8 @@ impl KnowledgeStore {
     /// half-life above 0, importances in [0, 1], unique entry ids and a
     /// `next_id` above all of them.
     ///
-    /// Every entry is embedded from its `content`, as `memorize` does:
+    /// Every entry is embedded from its `content` through the embedding
+    /// cache, as `memorize` does:
     /// the file holds no embeddings, and an `embedding` field a file
     /// written before they were dropped still carries is ignored, as is
     /// the `config.dedup_threshold` of a file written before the
@@ -599,7 +601,7 @@ impl KnowledgeStore {
         file.check()?;
         let mut embeddings = EmbeddingMatrix::default();
         for e in &file.entries {
-            embeddings.push(&embed(&e.content));
+            embeddings.push(&EMBEDDINGS.read(&e.content).0);
         }
         Ok(KnowledgeStore {
             inner: RwLock::new(Inner::new(file.entries, embeddings, file.next_id)),
@@ -676,6 +678,23 @@ mod tests {
 
     fn mem(s: &KnowledgeStore, topic: &str, content: &str, t: u64) -> Option<u64> {
         s.memorize(topic, content, "sim://x.test/p", "news", t, 0.5)
+    }
+
+    /// The embedding cache's hasher is unkeyed, so a query, which a
+    /// serve request chooses, must never be stored in it.
+    #[test]
+    fn queries_never_enter_the_embedding_cache() {
+        let s = store();
+        let page = "The EllaLink submarine cable connects Fortaleza, Brazil to Sines, Portugal.";
+        mem(&s, "cables", page, 1);
+        let query = "which probe cable, never memorized, reaches latitude 88.8?";
+        assert_eq!(s.retrieve(query, 3, 10).len(), 1);
+        assert!(!EMBEDDINGS.contains(query), "retrieve stored its query");
+        assert_eq!(s.retrieve_texts(query, 3, 10), [page]);
+        assert!(
+            !EMBEDDINGS.contains(query),
+            "retrieve_texts stored its query"
+        );
     }
 
     #[test]

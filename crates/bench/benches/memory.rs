@@ -1,6 +1,7 @@
-//! Knowledge-memory operations: embed, memorize (with dedup scan, and
-//! eviction at capacity), the claim graph's deferred absorb, and scored
-//! retrieval at several store sizes, warm and cold.
+//! Knowledge-memory operations: embed, memorize (of a page already
+//! embedded, with dedup scan, and with eviction at capacity), the claim
+//! graph's deferred absorb, and scored retrieval at several store
+//! sizes, warm and cold.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use ira_agentmem::{embed, KnowledgeStore};
@@ -41,8 +42,28 @@ fn bench_embed(c: &mut Criterion) {
     c.bench_function("embed_document", |b| {
         b.iter(|| std::hint::black_box(embed(text)))
     });
+    // The same page memorized into a fresh store: the first call embeds
+    // it, so every timed one reads its embedding from the process-wide
+    // cache, as a session re-fetching a page does.
+    let memorize = |store: &KnowledgeStore| {
+        store.memorize("cables", text, "sim://news.test/grace", "news", 0, 0.5)
+    };
+    memorize(&KnowledgeStore::with_defaults());
+    c.bench_function("memorize_warm", |b| {
+        b.iter_batched(
+            KnowledgeStore::with_defaults,
+            |store| {
+                memorize(&store);
+                // Handed back, so the store's drop is not timed.
+                store
+            },
+            BatchSize::SmallInput,
+        )
+    });
 }
 
+/// Every offered text is new, so these time the embedding cache's miss
+/// path: each write embeds its text before the dedup scan.
 fn bench_memorize(c: &mut Criterion) {
     let mut group = c.benchmark_group("memorize_with_dedup_scan");
     for size in [100usize, 1000] {
@@ -106,7 +127,9 @@ fn memorize_pages(pages: &[(String, String)]) -> KnowledgeStore {
 
 /// Every page of the default web memorized, in order, into a fresh
 /// store: what one session's fetches cost the memory. The claim graph
-/// absorbs none of them until it is read (`graph_catch_up`).
+/// absorbs none of them until it is read (`graph_catch_up`). After the
+/// first iteration, pages read their embeddings from the process-wide
+/// cache as far as its budget holds them.
 fn bench_memorize_page(c: &mut Criterion) {
     let pages = default_web_pages();
     let mut group = c.benchmark_group("memorize_page");

@@ -13,10 +13,10 @@
 //! * [`fingerprint64`] — a stable 64-bit FNV-1a content fingerprint
 //!   for goldens and digests that must not change across builds.
 //! * `WordHasher` — a word-at-a-time (FxHash-style) hasher for the
-//!   model's caches in [`crate::model`]: the process-wide reading cache
-//!   and each [`crate::model::Llm`]'s answer map. It reads 8 bytes per
-//!   step; the caches compare the full keys on every hit, so its
-//!   collisions cost a recomputation, never a wrong answer.
+//!   in-process caches: every [`crate::textcache::TextCache`] and each
+//!   [`crate::model::Llm`]'s answer map. It reads 8 bytes per step; the
+//!   caches compare the full keys on every hit, so its collisions cost
+//!   a recomputation, never a wrong answer.
 //! * [`ops`] — process-wide virtual-op counters (characters
 //!   normalized, extraction/answer cache hits and misses). These count
 //!   *deterministic work units*, not time, so a perf baseline built on

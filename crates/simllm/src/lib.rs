@@ -33,6 +33,8 @@
 //!   decomposition.
 //! * [`model`] — the [`model::Llm`] facade tying it together, with
 //!   token accounting and deterministic sampling.
+//! * [`textcache`] — the process-wide, bounded text-keyed cache the
+//!   model's readings and the knowledge store's embeddings share.
 
 pub mod chat;
 pub mod classterms;
@@ -43,6 +45,7 @@ pub mod model;
 pub mod plangen;
 pub mod prior;
 pub mod reason;
+pub mod textcache;
 pub mod token;
 
 pub use chat::{Message, Prompt, Role};
@@ -52,3 +55,4 @@ pub use lexicon::{fingerprint64, Interner, Term};
 pub use model::{Llm, LlmConfig, LlmStats};
 pub use plangen::{ActionPlan, PlanStep};
 pub use reason::{Answer, MissingKnowledge};
+pub use textcache::{TextCache, TextValue};

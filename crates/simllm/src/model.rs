@@ -9,9 +9,10 @@
 use crate::chat::Prompt;
 use crate::extract::{Extraction, Principle};
 use crate::intent::classify;
-use crate::lexicon::{ops, WordBuildHasher, WordHasher};
+use crate::lexicon::{ops, WordHasher};
 use crate::plangen::{self, ActionPlan};
 use crate::reason::{self, Answer, MissingKnowledge};
+use crate::textcache::{TextCache, TextValue};
 use crate::token::{count_tokens, ContextWindow};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -75,6 +76,9 @@ const READING_BUDGET_BYTES: usize = 8 << 20;
 /// so sessions over the same webs read each page once.
 static READINGS: ReadingCache = ReadingCache::new(READING_BUDGET_BYTES);
 
+/// Readings keyed by exact chunk text (see [`TextCache`]).
+type ReadingCache = TextCache<Reading>;
+
 /// What reading one chunk text yields: its token count, counted when
 /// the reading is made, and its extraction, absorbed at the chunk's
 /// first kept use.
@@ -84,15 +88,23 @@ struct Reading {
     extraction: OnceLock<Extraction>,
 }
 
-impl Reading {
-    fn new(text: &str) -> Reading {
+impl TextValue for Reading {
+    fn of_text(text: &Arc<str>) -> Reading {
         Reading {
-            text: Arc::from(text),
+            text: Arc::clone(text),
             tokens: count_tokens(text),
             extraction: OnceLock::new(),
         }
     }
 
+    /// A reading counts its text only: its extraction is absorbed
+    /// after the reading is held, so its size is not known then.
+    fn held_bytes(&self) -> usize {
+        0
+    }
+}
+
+impl Reading {
     /// The chunk's extraction, and whether this call absorbed it.
     /// Concurrent first uses wait for one `absorb`.
     fn absorb_once(&self) -> (&Extraction, bool) {
@@ -113,66 +125,6 @@ impl Reading {
             ops::extract_hit();
         }
         ex
-    }
-}
-
-/// Readings keyed by exact chunk text, holding at most `budget` bytes
-/// of text. When a new text would overflow the budget the whole map is
-/// dropped; readings already handed out stay valid, and a re-read
-/// yields an equal reading. A text larger than the budget is read but
-/// never held.
-///
-/// Keys are compared in full, so a hash collision never substitutes
-/// another text's reading. The map hashes them with the unkeyed
-/// word-at-a-time `WordHasher` because no tenant-controlled text
-/// reaches it: chunks are the agent's own memory, which holds pages of
-/// the program-generated webs and insights the agent derives from
-/// their extractions. A serve request chooses a scenario, seeds and a
-/// question; none of these is ever stored as memory text.
-struct ReadingCache {
-    budget: usize,
-    map: Mutex<ReadingMap>,
-}
-
-struct ReadingMap {
-    readings: HashMap<Arc<str>, Arc<Reading>, WordBuildHasher>,
-    held: usize,
-}
-
-impl ReadingCache {
-    const fn new(budget: usize) -> ReadingCache {
-        ReadingCache {
-            budget,
-            map: Mutex::new(ReadingMap {
-                readings: HashMap::with_hasher(WordBuildHasher::new()),
-                held: 0,
-            }),
-        }
-    }
-
-    /// The reading of each text, in order. Only token counts are taken
-    /// under the lock; extractions are absorbed later, outside it.
-    fn readings(&self, texts: &[String]) -> Vec<Arc<Reading>> {
-        let mut map = self.map.lock().expect("reading cache lock");
-        texts
-            .iter()
-            .map(|text| {
-                if let Some(hit) = map.readings.get(text.as_str()) {
-                    return Arc::clone(hit);
-                }
-                let reading = Arc::new(Reading::new(text));
-                if text.len() <= self.budget {
-                    if map.held + text.len() > self.budget {
-                        map.readings.clear();
-                        map.held = 0;
-                    }
-                    map.held += text.len();
-                    map.readings
-                        .insert(Arc::clone(&reading.text), Arc::clone(&reading));
-                }
-                reading
-            })
-            .collect()
     }
 }
 
@@ -250,7 +202,7 @@ impl Llm {
     /// incurred.
     fn grounded_extraction(&self, question: &str, knowledge: &[String]) -> (Extraction, usize) {
         let reserved = count_tokens(question) + 64;
-        let readings = READINGS.readings(knowledge);
+        let readings = READINGS.read_all(knowledge);
         let (kept, _dropped, kept_tokens) =
             self.config.context.fit(&readings, reserved, |r| r.tokens);
         let mut ex = Extraction::default();
@@ -695,9 +647,8 @@ mod tests {
     }
 
     fn held(cache: &ReadingCache) -> usize {
-        let map = cache.map.lock().unwrap();
-        let sum: usize = map.readings.keys().map(|k| k.len()).sum();
-        assert_eq!(sum, map.held, "held must be the sum of the held texts");
+        let sum: usize = cache.entries().iter().map(|(k, _)| k.len()).sum();
+        assert_eq!(sum, cache.held(), "held must be the sum of the held texts");
         sum
     }
 
@@ -706,10 +657,7 @@ mod tests {
         let texts = knowledge();
         let budget = texts[1].len() + texts[2].len();
         let cache = ReadingCache::new(budget);
-        let first: Vec<_> = texts
-            .iter()
-            .map(|t| cache.readings(std::slice::from_ref(t)).remove(0))
-            .collect();
+        let first: Vec<_> = texts.iter().map(|t| cache.read(t)).collect();
         for reading in &first {
             reading.extraction();
         }
@@ -718,7 +666,7 @@ mod tests {
         // re-read equals the first reading of its text.
         for _ in 0..3 {
             for (text, before) in texts.iter().zip(&first) {
-                let again = cache.readings(std::slice::from_ref(text)).remove(0);
+                let again = cache.read(text);
                 assert!(held(&cache) <= budget);
                 assert_eq!(&*again.text, text.as_str());
                 assert_eq!(again.tokens, count_tokens(text));
@@ -733,15 +681,10 @@ mod tests {
         }
         // A text larger than the whole budget is read but never held.
         let huge = "word ".repeat(budget);
-        let reading = cache.readings(std::slice::from_ref(&huge)).remove(0);
+        let reading = cache.read(&huge);
         assert_eq!(reading.tokens, count_tokens(&huge));
         assert!(held(&cache) <= budget);
-        assert!(!cache
-            .map
-            .lock()
-            .unwrap()
-            .readings
-            .contains_key(huge.as_str()));
+        assert!(!cache.contains(&huge));
     }
 
     #[test]
@@ -755,7 +698,7 @@ mod tests {
                 .map(|_| {
                     scope.spawn(|| {
                         start.wait();
-                        let reading = cache.readings(std::slice::from_ref(&text)).remove(0);
+                        let reading = cache.read(&text);
                         let (ex, absorbed) = reading.absorb_once();
                         assert_eq!(ex, &Extraction::from_text(&text, None));
                         absorbed
@@ -765,6 +708,6 @@ mod tests {
             workers.into_iter().map(|w| w.join().unwrap()).collect()
         });
         assert_eq!(absorbed.iter().filter(|&&a| a).count(), 1, "{absorbed:?}");
-        assert_eq!(cache.map.lock().unwrap().readings.len(), 1);
+        assert_eq!(cache.entries().len(), 1);
     }
 }
